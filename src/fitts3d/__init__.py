@@ -26,10 +26,10 @@ from .metrics import (MODEL_ORDER, IdValue, ModelKind, PredictorVector,
                       predictors_murata, task_regime)
 from .special import f_cdf, f_sf, regularized_incomplete_beta
 from .rng import Xoshiro256StarStar, derive_stream_seed
-from .regression import (ComparisonRow, DesignMatrix, ModelFit,
-                         StepwiseReport, StepwiseStep, compare_models,
-                         condition_matrix, fit_model, ols_fit,
-                         partial_f_test, r_squared, stepwise)
+from .regression import (ComparisonRow, ConditionTable, DesignMatrix,
+                         ModelFit, StepwiseReport, StepwiseStep,
+                         compare_models, condition_matrix, fit_model,
+                         ols_fit, partial_f_test, r_squared, stepwise)
 from .synth import (GRID_LEVELS, GRID_REPETITIONS, PAPER_ERROR_RATE,
                     PAPER_MEAN_MT, Experiment, ExperimentGrid, GroundTruth,
                     build_grid, generate_trials, paper_scale_defaults,

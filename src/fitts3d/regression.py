@@ -6,6 +6,13 @@ intercept-augmented design matrix rather than the normal equations, so
 badly scaled predictor columns do not lose precision. Columns whose
 singular values fall below 1e-10 of the largest are treated as rank
 deficiencies, not silently pseudo-inverted.
+
+Model fitting reads trials through a ConditionTable: the trials are
+grouped once into their distinct conditions, each model's predictors
+are evaluated once per distinct condition, and the predictor rows are
+then expanded to one row per observation (a condition mean, or a
+successful trial) before the fit. The per-row design is the one a
+per-trial evaluation would build, so the fits are identical to it.
 """
 
 import math
@@ -266,41 +273,89 @@ def stepwise(X: DesignMatrix, y, enter_p: float = DEFAULT_ENTER_P,
                           current.r2, current)
 
 
-def _collect_conditions(trials, aggregate):
-    """Shared grouping step: returns (tasks, responses).
+class ConditionTable:
+    """Trials grouped once into their distinct conditions.
 
-    aggregate=True averages successful movement times per condition and
-    raises EmptyCondition when a condition has none; aggregate=False
-    keeps one row per successful trial.
+    tasks holds the distinct TaskSpecs in first-appearance order. y is
+    the response: with aggregate=True the mean successful movement time
+    of each condition (one row per condition), otherwise each successful
+    trial's movement time in trial order. rows gives, for each response
+    row, the index of its condition in tasks.
+
+    Raises InsufficientData for no trials, no successful trials
+    (per-trial) or fewer than two conditions, and EmptyCondition when
+    aggregating a condition without a successful trial.
     """
-    trials = list(trials)
-    if not trials:
-        raise InsufficientData("no trials")
-    if aggregate:
-        groups = {}
-        for t in trials:
-            groups.setdefault(t.task, []).append(t)
-        tasks, y = [], []
-        for task, ts in groups.items():
-            succ = [t.mt for t in ts if t.success]
-            if not succ:
-                raise EmptyCondition(
-                    f"no successful trials for condition {task}")
-            tasks.append(task)
-            y.append(math.fsum(succ) / len(succ))
-    else:
-        kept = [t for t in trials if t.success]
-        if not kept:
-            raise InsufficientData("no successful trials")
-        tasks = [t.task for t in kept]
-        y = [t.mt for t in kept]
-    if len(set(tasks)) < 2:
-        raise InsufficientData("need at least two distinct conditions")
-    return tasks, y
+
+    def __init__(self, trials, aggregate: bool = True):
+        trials = list(trials)
+        if not trials:
+            raise InsufficientData("no trials")
+        index, tasks, rows, y = {}, [], [], []
+        if aggregate:
+            successes = []
+            for t in trials:
+                i = index.get(t.task)
+                if i is None:
+                    i = index[t.task] = len(tasks)
+                    tasks.append(t.task)
+                    successes.append([])
+                if t.success:
+                    successes[i].append(t.mt)
+            for task, mts in zip(tasks, successes):
+                if not mts:
+                    raise EmptyCondition(
+                        f"no successful trials for condition {task}")
+                y.append(math.fsum(mts) / len(mts))
+            rows = range(len(tasks))
+        else:
+            for t in trials:
+                if not t.success:
+                    continue
+                i = index.get(t.task)
+                if i is None:
+                    i = index[t.task] = len(tasks)
+                    tasks.append(t.task)
+                rows.append(i)
+                y.append(t.mt)
+            if not y:
+                raise InsufficientData("no successful trials")
+        if len(tasks) < 2:
+            raise InsufficientData("need at least two distinct conditions")
+        self.aggregate = bool(aggregate)
+        self.tasks = tuple(tasks)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.y = np.array(y, dtype=float)
+        self.rows.flags.writeable = False
+        self.y.flags.writeable = False
+        self._predictors = {}
+
+    def predictors(self, kind: ModelKind):
+        """(names, values) of a model's regressors, one row of values per
+        distinct condition. predictors_for runs once per condition and
+        model; the first condition it rejects raises its DomainError."""
+        kind = ModelKind(kind)
+        cached = self._predictors.get(kind)
+        if cached is None:
+            vectors = [predictors_for(kind, task) for task in self.tasks]
+            values = np.array([v.values for v in vectors], dtype=float)
+            values.flags.writeable = False
+            cached = self._predictors[kind] = (vectors[0].names, values)
+        return cached
+
+
+def _as_table(trials, aggregate) -> ConditionTable:
+    if isinstance(trials, ConditionTable):
+        if trials.aggregate != bool(aggregate):
+            raise ValueError("condition table was grouped with "
+                             f"aggregate={trials.aggregate}")
+        return trials
+    return ConditionTable(trials, aggregate)
 
 
 def fit_model(kind: ModelKind, trials, aggregate: bool = True) -> ModelFit:
-    """Fit one movement-time model to trials.
+    """Fit one movement-time model to trials (or to a ConditionTable
+    already grouped from them with the same aggregate flag).
 
     Error trials are excluded. With aggregate=True (the standard
     treatment) the response is the mean successful movement time per
@@ -309,10 +364,8 @@ def fit_model(kind: ModelKind, trials, aggregate: bool = True) -> ModelFit:
     recorded on the returned fit.
     """
     kind = ModelKind(kind)
-    tasks, y = _collect_conditions(trials, aggregate)
-    vectors = [predictors_for(kind, task) for task in tasks]
-    names = vectors[0].names
-    values = np.array([v.values for v in vectors], dtype=float)
+    table = _as_table(trials, aggregate)
+    names, values = table.predictors(kind)
     keep, dropped = [], []
     for j, name in enumerate(names):
         col = values[:, j]
@@ -324,8 +377,11 @@ def fit_model(kind: ModelKind, trials, aggregate: bool = True) -> ModelFit:
     if not keep:
         raise RankDeficient(
             f"all {kind.value} predictors are constant on this data")
-    X = DesignMatrix(tuple(names[j] for j in keep), values[:, keep])
-    fit = ols_fit(X, y, kind=kind)
+    # expand to rows before selecting columns: the column-major result is
+    # the layout the fit has always had, and BLAS rounds M @ beta
+    # differently for row-major designs
+    X = DesignMatrix(tuple(names[j] for j in keep), values[table.rows][:, keep])
+    fit = ols_fit(X, table.y, kind=kind)
     return replace(fit, dropped=tuple(dropped))
 
 
@@ -346,14 +402,20 @@ def compare_models(trials, kinds=MODEL_ORDER, aggregate: bool = True):
     descending r^2 (ties broken by declaration order), then rows whose
     fit failed, carrying the error message inline.
     """
-    trials = list(trials)
     wanted = {ModelKind(k) for k in kinds}
+    try:
+        table, error = _as_table(trials, aggregate), None
+    except Fitts3dError as exc:
+        table, error = None, f"{type(exc).__name__}: {exc}"
     rows = []
     for kind in MODEL_ORDER:
         if kind not in wanted:
             continue
+        if table is None:
+            rows.append(ComparisonRow(kind, error=error))
+            continue
         try:
-            rows.append(ComparisonRow(kind, fit=fit_model(kind, trials, aggregate)))
+            rows.append(ComparisonRow(kind, fit=fit_model(kind, table, aggregate)))
         except Fitts3dError as exc:
             rows.append(ComparisonRow(kind, error=f"{type(exc).__name__}: {exc}"))
     fitted = [r for r in rows if r.fit is not None]
@@ -371,7 +433,8 @@ STEPWISE_CANDIDATES = ("F", "W", "A", "phi", "theta", "alpha", "omega")
 def condition_matrix(trials, candidates=STEPWISE_CANDIDATES,
                      aggregate: bool = True):
     """Design matrix of raw task variables plus the response vector,
-    for stepwise selection.
+    for stepwise selection, from trials or a ConditionTable grouped
+    from them with the same aggregate flag.
 
     Candidates come from {F, W, A, phi, theta, alpha, omega}; phi is
     encoded as sin(phi) under the column name "sin_phi".
@@ -384,7 +447,8 @@ def condition_matrix(trials, candidates=STEPWISE_CANDIDATES,
     unknown = set(candidates) - set(STEPWISE_CANDIDATES)
     if unknown:
         raise ValueError(f"unknown candidates: {sorted(unknown)}")
-    tasks, y = _collect_conditions(trials, aggregate)
+    table = _as_table(trials, aggregate)
+    tasks = table.tasks
     cols, names = [], []
     for cand in candidates:
         if cand == "phi":
@@ -393,5 +457,6 @@ def condition_matrix(trials, candidates=STEPWISE_CANDIDATES,
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in tasks])
-    X = DesignMatrix(tuple(names), np.array(cols, dtype=float).T)
-    return X, np.asarray(y, dtype=float)
+    values = np.array(cols, dtype=float).take(table.rows, axis=1).T
+    X = DesignMatrix(tuple(names), values)
+    return X, table.y.copy()

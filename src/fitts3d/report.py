@@ -4,9 +4,10 @@ machine-readable JSON document with a versioned schema."""
 import json
 from dataclasses import dataclass
 
-from .errors import SchemaError
-from .regression import StepwiseReport, compare_models, _collect_conditions
-from .metrics import ModelKind, predictors_for
+import numpy as np
+
+from .errors import Fitts3dError, SchemaError
+from .regression import ConditionTable, StepwiseReport, compare_models
 
 REPORT_SCHEMA = "fitts3d.report/1"
 STEPWISE_SCHEMA = "fitts3d.stepwise/1"
@@ -56,8 +57,12 @@ def build_comparison_report(trials, kinds, aggregate: bool = True,
     per-condition (predictors, mean MT) points behind each fit for
     external plotting."""
     trials = list(trials)
+    try:
+        data = ConditionTable(trials, aggregate)
+    except Fitts3dError:
+        data = trials  # compare_models reports the error on every row
     rows = []
-    for cmp_row in compare_models(trials, kinds, aggregate=aggregate):
+    for cmp_row in compare_models(data, kinds, aggregate=aggregate):
         if cmp_row.fit is None:
             rows.append(ModelRow(model=cmp_row.kind.value, error=cmp_row.error))
             continue
@@ -65,13 +70,11 @@ def build_comparison_report(trials, kinds, aggregate: bool = True,
         point_names = None
         points = None
         if include_points:
-            tasks, y = _collect_conditions(trials, aggregate)
+            names, values = data.predictors(cmp_row.kind)
+            cols = [names.index(n) for n in fit.predictor_names]
             point_names = fit.predictor_names + ("mt",)
-            pts = []
-            for task, mt in zip(tasks, y):
-                vec = predictors_for(cmp_row.kind, task).as_dict()
-                pts.append(tuple(vec[n] for n in fit.predictor_names) + (mt,))
-            points = tuple(pts)
+            pts = np.column_stack([values[:, cols][data.rows], data.y])
+            points = tuple(map(tuple, pts.tolist()))
         rows.append(ModelRow(
             model=cmp_row.kind.value, r2=fit.r2, n=fit.n,
             coefficients=dict(fit.coefficients),
@@ -82,8 +85,15 @@ def build_comparison_report(trials, kinds, aggregate: bool = True,
                             aggregate=aggregate, rows=tuple(rows))
 
 
-def _pad(text, width):
-    return str(text).ljust(width)
+def _table(headers, body) -> list[str]:
+    """Fixed-width header, rule and body lines; trailing blanks trimmed."""
+    widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
+              for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+             "  ".join("-" * w for w in widths)]
+    for r in body:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    return lines
 
 
 def render_comparison_table(report: ComparisonReport) -> str:
@@ -98,12 +108,7 @@ def render_comparison_table(report: ComparisonReport) -> str:
             if row.dropped:
                 fit += f"  [constant dropped: {', '.join(row.dropped)}]"
             body.append((row.model, f"{row.r2:.4f}", str(row.n), fit))
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body
-              else len(headers[i]) for i in range(4)]
-    lines = ["  ".join(_pad(h, w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(_pad(c, w) for c, w in zip(r, widths)).rstrip())
+    lines = _table(headers, body)
     lines.append("")
     lines.append(f"observations: {report.n_trials} trials, "
                  f"aggregate={'true' if report.aggregate else 'false'}")
@@ -140,27 +145,28 @@ def render_comparison(report: ComparisonReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render_stepwise_table(sw: StepwiseReport) -> str:
-    headers = ("step", "action", "variable", "F", "p", "r2")
-    body = []
-    for i, step in enumerate(sw.steps, start=1):
-        body.append((str(i), step.action, step.name,
-                     f"{step.f_stat:.4f}", f"{step.p_value:.3g}",
-                     f"{step.r2:.4f}"))
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body
-              else len(headers[i]) for i in range(6)]
-    lines = ["  ".join(_pad(h, w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(_pad(c, w) for c, w in zip(r, widths)).rstrip())
+def _stepwise_text(steps, selected, contributions, r2) -> str:
+    """Stepwise table from (action, variable, F, p, r2) steps, the
+    selected names, (name, percent) contributions and the final r2
+    (None to omit that line)."""
+    body = [(str(i), str(action), str(name), f"{f_stat:.4f}", f"{p:.3g}",
+             f"{step_r2:.4f}")
+            for i, (action, name, f_stat, p, step_r2) in enumerate(steps, start=1)]
+    lines = _table(("step", "action", "variable", "F", "p", "r2"), body)
     lines.append("")
-    lines.append("selected: " + (", ".join(sw.selected) if sw.selected else "(none)"))
-    if sw.contributions:
-        contrib = ", ".join(f"{name} {sw.contributions[name]:.1f}%"
-                            for name in sw.selected)
-        lines.append(f"variance explained at entry: {contrib}")
-    lines.append(f"final r2: {sw.r2:.4f}")
+    lines.append("selected: " + (", ".join(selected) if selected else "(none)"))
+    if contributions:
+        lines.append("variance explained at entry: "
+                     + ", ".join(f"{k} {v:.1f}%" for k, v in contributions))
+    if r2 is not None:
+        lines.append(f"final r2: {r2:.4f}")
     return "\n".join(lines) + "\n"
+
+
+def render_stepwise_table(sw: StepwiseReport) -> str:
+    return _stepwise_text(
+        [(s.action, s.name, s.f_stat, s.p_value, s.r2) for s in sw.steps],
+        sw.selected, [(n, sw.contributions[n]) for n in sw.selected], sw.r2)
 
 
 def stepwise_document(sw: StepwiseReport) -> dict:
@@ -185,58 +191,109 @@ def render_stepwise(sw: StepwiseReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _require(ok, what):
+    if not ok:
+        raise SchemaError(f"malformed report document: {what}")
+
+
+def _comparison_from_document(doc: dict) -> ComparisonReport:
+    models = doc.get("models", [])
+    _require(isinstance(models, list), "'models' must be a list")
+    n_trials = doc.get("n_trials", 0)
+    _require(_is_int(n_trials), "'n_trials' must be an integer")
+    aggregate = doc.get("aggregate", True)
+    _require(isinstance(aggregate, bool), "'aggregate' must be true or false")
+    rows = []
+    for i, m in enumerate(models):
+        where = f"models[{i}]"
+        _require(isinstance(m, dict), f"{where} must be an object")
+        _require(isinstance(m.get("model"), str), f"{where}.model must be a string")
+        error = m.get("error")
+        _require(error is None or isinstance(error, str),
+                 f"{where}.error must be a string or null")
+        if error is None:
+            _require(_is_number(m.get("r2")), f"{where}.r2 must be a number")
+            _require(_is_int(m.get("n")), f"{where}.n must be an integer")
+            _require(isinstance(m.get("equation"), str),
+                     f"{where}.equation must be a string")
+        coefficients = m.get("coefficients")
+        _require(coefficients is None or (
+            isinstance(coefficients, dict)
+            and all(_is_number(v) for v in coefficients.values())),
+            f"{where}.coefficients must map names to numbers")
+        dropped = m.get("dropped") or []
+        _require(_is_str_list(dropped), f"{where}.dropped must list names")
+        point_names = m.get("point_names") or None
+        _require(point_names is None or _is_str_list(point_names),
+                 f"{where}.point_names must list names")
+        points = m.get("points") or None
+        _require(points is None or (isinstance(points, list) and all(
+            isinstance(p, list) for p in points)),
+            f"{where}.points must be a list of lists")
+        rows.append(ModelRow(
+            model=m["model"], r2=m.get("r2"), n=m.get("n"),
+            coefficients=coefficients, equation=m.get("equation"),
+            dropped=tuple(dropped), error=error,
+            point_names=tuple(point_names) if point_names else None,
+            points=tuple(tuple(p) for p in points) if points else None))
+    return ComparisonReport(schema=REPORT_SCHEMA, n_trials=n_trials,
+                            aggregate=aggregate, rows=tuple(rows))
+
+
+def _stepwise_from_document(doc: dict):
+    """(steps, selected, contributions, r2) of a stepwise document, in
+    the argument order of _stepwise_text."""
+    raw_steps = doc.get("steps", [])
+    _require(isinstance(raw_steps, list), "'steps' must be a list")
+    steps = []
+    for i, s in enumerate(raw_steps):
+        where = f"steps[{i}]"
+        _require(isinstance(s, dict), f"{where} must be an object")
+        step = (s.get("action"), s.get("variable"), s.get("f_stat", 0.0),
+                s.get("p_value", 1.0), s.get("r2", 0.0))
+        for key, v in zip(("f_stat", "p_value", "r2"), step[2:]):
+            _require(_is_number(v), f"{where}.{key} must be a number")
+        steps.append(step)
+    selected = doc.get("selected") or []
+    _require(_is_str_list(selected), "'selected' must list names")
+    contributions = doc.get("contributions_percent") or {}
+    _require(isinstance(contributions, dict)
+             and all(_is_number(v) for v in contributions.values()),
+             "'contributions_percent' must map names to numbers")
+    r2 = doc.get("r2")
+    _require("r2" not in doc or _is_number(r2), "'r2' must be a number")
+    return steps, selected, list(contributions.items()), r2
+
+
 def render_document(doc: dict, fmt: str) -> str:
     """Re-render a previously saved JSON report document.
 
     Dispatches on the document's schema tag; raises SchemaError for
-    unknown documents.
+    unknown or malformed documents.
     """
     if not isinstance(doc, dict):
         raise SchemaError("report document must be a JSON object")
     schema = doc.get("schema")
     if schema == REPORT_SCHEMA:
-        rows = []
-        for m in doc.get("models", []):
-            rows.append(ModelRow(
-                model=str(m.get("model")),
-                r2=m.get("r2"), n=m.get("n"),
-                coefficients=m.get("coefficients"),
-                equation=m.get("equation"),
-                dropped=tuple(m.get("dropped") or ()),
-                error=m.get("error"),
-                point_names=tuple(m["point_names"]) if m.get("point_names") else None,
-                points=tuple(tuple(p) for p in m["points"]) if m.get("points") else None))
-        report = ComparisonReport(schema=schema,
-                                  n_trials=int(doc.get("n_trials", 0)),
-                                  aggregate=bool(doc.get("aggregate", True)),
-                                  rows=tuple(rows))
+        report = _comparison_from_document(doc)
         if fmt == JSON_FORMAT:
             return json.dumps(comparison_document(report), indent=2) + "\n"
         return render_comparison_table(report)
     if schema == STEPWISE_SCHEMA:
+        parts = _stepwise_from_document(doc)
         if fmt == JSON_FORMAT:
             return json.dumps(doc, indent=2) + "\n"
-        headers = ("step", "action", "variable", "F", "p", "r2")
-        body = []
-        for i, s in enumerate(doc.get("steps", []), start=1):
-            body.append((str(i), str(s.get("action")), str(s.get("variable")),
-                         f"{s.get('f_stat', 0.0):.4f}",
-                         f"{s.get('p_value', 1.0):.3g}",
-                         f"{s.get('r2', 0.0):.4f}"))
-        widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body
-                  else len(headers[i]) for i in range(6)]
-        lines = ["  ".join(_pad(h, w) for h, w in zip(headers, widths)).rstrip()]
-        lines.append("  ".join("-" * w for w in widths))
-        for r in body:
-            lines.append("  ".join(_pad(c, w) for c, w in zip(r, widths)).rstrip())
-        selected = doc.get("selected") or []
-        lines.append("")
-        lines.append("selected: " + (", ".join(selected) if selected else "(none)"))
-        contrib = doc.get("contributions_percent") or {}
-        if contrib:
-            lines.append("variance explained at entry: "
-                         + ", ".join(f"{k} {v:.1f}%" for k, v in contrib.items()))
-        if "r2" in doc:
-            lines.append(f"final r2: {doc['r2']:.4f}")
-        return "\n".join(lines) + "\n"
+        return _stepwise_text(*parts)
     raise SchemaError(f"unknown report schema: {schema!r}")

@@ -103,23 +103,30 @@ def read_trials(path) -> TrialLog:
     trials = []
     experiments = set()
     interactions = set()
+    # one TaskSpec per condition, keyed on the raw interaction and
+    # condition tokens (not on parsed floats, which would merge -0.0
+    # with 0.0); a token set is cached only once it has parsed cleanly
+    tasks = {}
     for line_no, raw in enumerate(lines[1:], start=2):
         row = raw.rstrip("\r").split(",")
         if len(row) != len(TRIAL_COLUMNS):
             raise ParseError(line_no,
                              f"expected {len(TRIAL_COLUMNS)} fields, got {len(row)}")
-        experiment, interaction = row[0], row[1]
+        experiment = row[0]
         if experiment not in _EXPERIMENT_IDS:
             raise ParseError(line_no, f"unknown experiment {experiment!r}",
                              column="experiment")
-        try:
-            interaction = InteractionKind(interaction)
-        except ValueError:
-            raise ParseError(line_no, f"unknown interaction {row[1]!r}",
-                             column="interaction") from None
-        values = {}
-        for col, token in zip(TRIAL_COLUMNS[2:9], row[2:9]):
-            values[col] = _parse_float(token, line_no, col)
+        key = tuple(row[1:9])
+        task = tasks.get(key)
+        if task is None:
+            try:
+                interaction = InteractionKind(row[1])
+            except ValueError:
+                raise ParseError(line_no, f"unknown interaction {row[1]!r}",
+                                 column="interaction") from None
+            values = {}
+            for col, token in zip(TRIAL_COLUMNS[2:9], row[2:9]):
+                values[col] = _parse_float(token, line_no, col)
         mt = _parse_float(row[9], line_no, "mt_s")
         if mt <= 0:
             raise ParseError(line_no, "mt_s must be > 0", column="mt_s")
@@ -128,16 +135,18 @@ def read_trials(path) -> TrialLog:
                              column="success")
         success = row[10] == "1"
         try:
-            task = TaskSpec(F=values["F_cm"], W=values["W_cm"], A=values["A_cm"],
-                            phi=values["phi_deg"], theta=values["theta_deg"],
-                            alpha=values["alpha_deg"], omega=values["omega_deg"],
-                            interaction=interaction)
+            if task is None:
+                task = tasks[key] = TaskSpec(
+                    F=values["F_cm"], W=values["W_cm"], A=values["A_cm"],
+                    phi=values["phi_deg"], theta=values["theta_deg"],
+                    alpha=values["alpha_deg"], omega=values["omega_deg"],
+                    interaction=interaction)
             trial = Trial(task, mt, success)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
         trials.append(trial)
         experiments.add(experiment)
-        interactions.add(interaction)
+        interactions.add(task.interaction)
     if not trials:
         warnings.warn("trial log contains a header but no rows", stacklevel=2)
     return TrialLog(

@@ -107,6 +107,38 @@ def test_report_rejects_non_json(tmp_path, capsys):
     assert "not a JSON document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,fragment", [
+    ({"schema": "fitts3d.report/1", "models": [1]}, "models[0] must be an object"),
+    ({"schema": "fitts3d.report/1",
+      "models": [{"model": "fitts", "r2": None, "n": 3, "equation": "MT = 1",
+                  "error": None}]}, "models[0].r2 must be a number"),
+    ({"schema": "fitts3d.stepwise/1",
+      "steps": [{"action": "enter", "variable": "A", "f_stat": "large",
+                 "p_value": 0.01, "r2": 0.5}],
+      "selected": ["A"]}, "steps[0].f_stat must be a number"),
+])
+@pytest.mark.parametrize("fmt", ["table", "json-like"])
+def test_report_rejects_malformed_document(tmp_path, capsys, doc, fragment, fmt):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["report", str(path), "--format", fmt])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed report document: {fragment}\n"
+
+
+def test_report_renders_saved_stepwise_document(tmp_path, capsys):
+    path, _ = _generate(tmp_path, capsys, experiment="e1")
+    doc_path = tmp_path / "sw.json"
+    assert main(["stepwise", str(path), "--format", "json-like",
+                 "--out", str(doc_path)]) == 0
+    assert main(["report", str(doc_path)]) == 0
+    table = capsys.readouterr().out
+    assert main(["stepwise", str(path)]) == 0
+    assert capsys.readouterr().out == table
+
+
 def test_stepwise_runs(tmp_path, capsys):
     path, _ = _generate(tmp_path, capsys, experiment="e1")
     rc = main(["stepwise", str(path), "--candidates", "F,W,A"])

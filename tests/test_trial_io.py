@@ -124,6 +124,51 @@ def test_parse_error_reports_correct_line(tmp_path):
     assert "line 4" in str(err.value)
 
 
+def test_one_taskspec_per_condition(tmp_path):
+    _, path = _block(tmp_path)
+    log = read_trials(path)
+    objects = {}
+    for t in log.trials:
+        objects.setdefault(t.task, set()).add(id(t.task))
+    assert len(objects) == 48
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize("row,column", [
+    # same condition tokens as GOOD_ROW, so its TaskSpec is reused
+    ("e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,abc,1", "mt_s"),
+    ("e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,1.5,2", "success"),
+    ("e9,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,1.5,1", "experiment"),
+    ("e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,20.0,1", None),
+    # one condition token differs, so the row is parsed afresh
+    ("e1,pointing,3.0,5.0,12.0,90.0,0.0,x,0.0,1.5,1", "alpha_deg"),
+    ("e1,flying,3.0,5.0,12.0,90.0,0.0,0.0,0.0,1.5,1", "interaction"),
+    ("e1,pointing,3.0,-5.0,12.0,90.0,0.0,0.0,0.0,1.5,1", None),
+])
+def test_bad_row_after_cached_condition_names_its_line(tmp_path, row, column):
+    path = tmp_path / "rows.csv"
+    _write(path, TRIAL_CSV_HEADER, GOOD_ROW, GOOD_ROW, row, GOOD_ROW)
+    with pytest.raises(ParseError) as err:
+        read_trials(path)
+    assert err.value.line == 4
+    assert err.value.column == column
+
+
+def test_rewrite_after_read_is_byte_identical(tmp_path):
+    # -0.0 and 0.0 compare equal; the reader must not merge them
+    path = tmp_path / "zeros.csv"
+    _write(path, TRIAL_CSV_HEADER,
+           "e2,pointing,3.0,5.0,12.0,0.0,-0.0,0.0,0.0,1.5,1",
+           "e2,pointing,3.0,5.0,12.0,0.0,0.0,0.0,0.0,1.25,0",
+           "e2,pointing,3.0,5.0,12.0,-0.0,0.0,0.0,0.0,1.75,1",
+           "e2,pointing,3.0,5.0,12.0,0.0,-0.0,0.0,0.0,2.5,1")
+    _, generated = _block(tmp_path)
+    for source in (path, generated):
+        again = tmp_path / "again.csv"
+        write_trials(again, read_trials(source).trials, "e2")
+        assert again.read_bytes() == source.read_bytes()
+
+
 def test_mixed_rows_yield_none_summary(tmp_path):
     path = tmp_path / "mixed.csv"
     _write(path, TRIAL_CSV_HEADER,
