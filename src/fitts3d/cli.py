@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import Fitts3dError
 from .metrics import MODEL_ORDER, ModelKind
 from .regression import STEPWISE_CANDIDATES, condition_matrix, stepwise
-from .report import (FORMATS, TABLE_FORMAT, build_comparison_report,
+from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, build_comparison_report,
                      render_comparison, render_document, render_stepwise)
 from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
 from .tasks import InteractionKind, classify_combined, classify_rotation, classify_translation
@@ -110,7 +110,8 @@ def _cmd_fit(args) -> int:
     kinds = _parse_models(args.models)
     log = read_trials(args.input)
     report = build_comparison_report(log.trials, kinds,
-                                     aggregate=_parse_bool(args.aggregate))
+                                     aggregate=_parse_bool(args.aggregate),
+                                     include_points=args.format == JSON_FORMAT)
     _emit(render_comparison(report, args.format), args.out)
     return 0
 

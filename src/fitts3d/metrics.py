@@ -1,28 +1,24 @@
 """Indices of difficulty for seven movement-time models and the
 per-model predictor vectors used by the regression layer.
 
-Translational forms (A, W, F in cm):
+Every index is the Fitts, Welford or Shannon form at substituted
+arguments (A, W, F in cm; alpha, omega in degrees), and each form is
+evaluated in one function:
 
-    Fitts        ID = log2(2A / W)
-    Hoffmann     ID = log2(2A / (W + F))
-    Welford      ID = log2(A / W + 0.5)
-    Shannon      ID = log2(A / W + 1)
-    final model  ID_t = log2(2A / (F + W) + 1)
+    Fitts     log2(2A / W)          Hoffmann    Fitts at (A, W + F)
+    Welford   log2(A / W + 0.5)     final ID_t  Shannon at (2A, W + F)
+    Shannon   log2(A / W + 1)       final ID_r  Shannon at (2 alpha, omega^2)
 
-Rotational adaptations substitute the rotation amplitude alpha for A
-and the angular tolerance omega for W (both degrees):
-
-    Fitts / Hoffmann / Cha-Myung   log2(2 alpha / omega)
-    Welford                        log2(alpha / omega + 0.5)
-    Shannon / Murata-Iwase         log2(alpha / omega + 1)
-    final model                    ID_r = log2(2 alpha / omega^2 + 1)
-
-Hoffmann's finger span F has no rotational analogue and is dropped from
-its adapted form. Negative indices (possible when the tolerance exceeds
-the amplitude) are returned as-is, never clamped.
+A prior model's rotational adaptation is its base form at (alpha,
+omega): Fitts for Fitts, Hoffmann and Cha-Myung (Hoffmann's finger span
+F has no rotational analogue), Welford for Welford, Shannon for Shannon
+and Murata-Iwase. Negative indices (possible when the tolerance exceeds
+the amplitude) are returned as-is, never clamped. _MODELS is the one
+table of models and the one place to add a model.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,16 +44,6 @@ class ModelKind(Enum):
 
 MODEL_ORDER = tuple(ModelKind)
 
-_PREDICTOR_LAYOUT = {
-    ModelKind.FITTS: ("id",),
-    ModelKind.HOFFMANN: ("id",),
-    ModelKind.WELFORD: ("id",),
-    ModelKind.SHANNON: ("id",),
-    ModelKind.MURATA_IWASE: ("id_shannon", "sin_phi"),
-    ModelKind.CHA_MYUNG: ("theta1", "sin_theta2", "id_hoffmann"),
-    ModelKind.FINAL: ("id_t", "id_r"),
-}
-
 
 def declaration_index(kind: ModelKind) -> int:
     return MODEL_ORDER.index(kind)
@@ -65,7 +51,7 @@ def declaration_index(kind: ModelKind) -> int:
 
 def predictor_names(kind: ModelKind) -> tuple[str, ...]:
     """Names of the regressors the model fits (intercept excluded)."""
-    return _PREDICTOR_LAYOUT[ModelKind(kind)]
+    return _MODELS[ModelKind(kind)].names
 
 
 @dataclass(frozen=True)
@@ -106,28 +92,30 @@ class PredictorVector:
         return dict(zip(self.names, self.values))
 
 
-def _log2_checked(x: float, what: str) -> float:
+def _sin_deg(angle: float) -> float:
+    return math.sin(math.radians(angle))
+
+
+def _fitts_bits(A: float, W: float, what: str) -> float:
+    """The Fitts form log2(2A / W); what names the index in errors."""
+    x = 2.0 * A / W
     if x <= 0:
         raise DomainError(f"{what} requires a positive log argument, got {x}")
     return math.log2(x)
-
-
-def _sin_deg(angle: float) -> float:
-    return math.sin(math.radians(angle))
 
 
 def id_fitts(A: float, W: float) -> IdValue:
     """log2(2A / W). Requires A > 0 and W > 0; negative when A < W/2."""
     if A <= 0 or W <= 0:
         raise DomainError("id_fitts needs A > 0 and W > 0")
-    return IdValue(_log2_checked(2.0 * A / W, "id_fitts"), TRANSLATION)
+    return IdValue(_fitts_bits(A, W, "id_fitts"), TRANSLATION)
 
 
 def id_hoffmann(A: float, W: float, F: float) -> IdValue:
-    """log2(2A / (W + F)). Requires A > 0 and W + F > 0."""
+    """log2(2A / (W + F)), Fitts at width W + F. Needs A > 0, W + F > 0."""
     if A <= 0 or W + F <= 0:
         raise DomainError("id_hoffmann needs A > 0 and W + F > 0")
-    return IdValue(_log2_checked(2.0 * A / (W + F), "id_hoffmann"), TRANSLATION)
+    return IdValue(_fitts_bits(A, W + F, "id_hoffmann"), TRANSLATION)
 
 
 def id_welford(A: float, W: float) -> IdValue:
@@ -145,61 +133,19 @@ def id_shannon(A: float, W: float) -> IdValue:
 
 
 def id_t_final(A: float, W: float, F: float) -> IdValue:
-    """log2(2A / (F + W) + 1). Requires A >= 0 and W + F > 0.
-
-    Pointwise equal to the Shannon form evaluated at distance 2A and
-    width W + F.
-    """
+    """log2(2A / (F + W) + 1), Shannon at (2A, W + F). Needs A >= 0, W + F > 0."""
     if A < 0 or W + F <= 0:
         raise DomainError("id_t_final needs A >= 0 and W + F > 0")
-    return IdValue(math.log2(2.0 * A / (F + W) + 1.0), TRANSLATION)
+    return id_shannon(2.0 * A, W + F)
 
 
 def id_r_final(alpha: float, omega: float) -> IdValue:
-    """log2(2 alpha / omega^2 + 1), angles in degrees.
-
-    Requires alpha >= 0 and omega > 0; zero at alpha = 0. The squared
-    tolerance makes the index tolerance-dominated: halving omega adds
-    roughly two bits once 2 alpha / omega^2 is large.
-    """
+    """log2(2 alpha / omega^2 + 1), Shannon at (2 alpha, omega^2).
+    Requires alpha >= 0 and omega > 0; zero at alpha = 0. Halving omega
+    adds roughly two bits once 2 alpha / omega^2 is large."""
     if alpha < 0 or omega <= 0:
         raise DomainError("id_r_final needs alpha >= 0 and omega > 0")
-    return IdValue(math.log2(2.0 * alpha / (omega * omega) + 1.0), ROTATION)
-
-
-def id_rot_adapted(kind: ModelKind, alpha: float, omega: float) -> IdValue:
-    """Rotational difficulty under a prior model's adapted form
-    (amplitude alpha for distance, tolerance omega for width)."""
-    kind = ModelKind(kind)
-    if kind is ModelKind.FINAL:
-        return id_r_final(alpha, omega)
-    if omega <= 0 or alpha < 0:
-        raise DomainError("adapted rotational ID needs alpha >= 0 and omega > 0")
-    if kind in (ModelKind.FITTS, ModelKind.HOFFMANN, ModelKind.CHA_MYUNG):
-        if alpha <= 0:
-            raise DomainError(f"{kind.value} adapted form needs alpha > 0")
-        bits = _log2_checked(2.0 * alpha / omega, f"{kind.value} adapted form")
-    elif kind is ModelKind.WELFORD:
-        bits = math.log2(alpha / omega + 0.5)
-    else:  # Shannon, Murata-Iwase
-        bits = math.log2(alpha / omega + 1.0)
-    return IdValue(bits, ROTATION)
-
-
-def predictors_murata(A: float, W: float, phi: float) -> PredictorVector:
-    """Murata-Iwase regressors for a translational task: the Shannon
-    index plus the sine of the direction angle."""
-    return PredictorVector(("id_shannon", "sin_phi"),
-                           (id_shannon(A, W).bits, _sin_deg(phi)))
-
-
-def predictors_cha_myung(A: float, W: float, F: float,
-                         theta1: float, theta2: float) -> PredictorVector:
-    """Cha-Myung regressors: inclination angle in raw degrees, sine of
-    the direction angle, and the Hoffmann index."""
-    return PredictorVector(("theta1", "sin_theta2", "id_hoffmann"),
-                           (float(theta1), _sin_deg(theta2),
-                            id_hoffmann(A, W, F).bits))
+    return IdValue(id_shannon(2.0 * alpha, omega * omega).bits, ROTATION)
 
 
 def task_regime(task: TaskSpec) -> str:
@@ -215,28 +161,71 @@ def task_regime(task: TaskSpec) -> str:
     return COMBINED
 
 
-def _translation_bits(kind: ModelKind, task: TaskSpec) -> float:
-    if kind is ModelKind.FITTS:
-        return id_fitts(task.A, task.W).bits
-    if kind in (ModelKind.HOFFMANN, ModelKind.CHA_MYUNG):
-        return id_hoffmann(task.A, task.W, task.F).bits
-    if kind is ModelKind.WELFORD:
-        return id_welford(task.A, task.W).bits
-    # Shannon and Murata-Iwase share the Shannon form
-    return id_shannon(task.A, task.W).bits
+def _one_index(task: TaskSpec, t: float, r: float) -> tuple[float, ...]:
+    return (t + r,)
 
 
-def _single_id_bits(kind: ModelKind, task: TaskSpec) -> float:
-    """The (possibly summed) difficulty a prior model assigns a task:
-    translation ID, adapted rotation ID, or their sum on combined
-    tasks."""
-    regime = task_regime(task)
-    if regime == TRANSLATION:
-        return _translation_bits(kind, task)
-    if regime == ROTATION:
-        return id_rot_adapted(kind, task.alpha, task.omega).bits
-    return (_translation_bits(kind, task)
-            + id_rot_adapted(kind, task.alpha, task.omega).bits)
+# One entry per model: regressor names, translational index of a task
+# condition c, rotational base form (adapted by id_rot_adapted), and the
+# regressor values from c and its translational and rotational bits t, r.
+@dataclass(frozen=True)
+class _Model:
+    names: tuple[str, ...]
+    translation: Callable[[TaskSpec], IdValue]
+    rotation: Callable[[float, float], IdValue]
+    values: Callable[[TaskSpec, float, float], tuple[float, ...]] = _one_index
+
+
+_MODELS = {
+    ModelKind.FITTS: _Model(("id",), lambda c: id_fitts(c.A, c.W), id_fitts),
+    ModelKind.HOFFMANN: _Model(
+        ("id",), lambda c: id_hoffmann(c.A, c.W, c.F), id_fitts),
+    ModelKind.WELFORD: _Model(("id",), lambda c: id_welford(c.A, c.W), id_welford),
+    ModelKind.SHANNON: _Model(("id",), lambda c: id_shannon(c.A, c.W), id_shannon),
+    ModelKind.MURATA_IWASE: _Model(
+        ("id_shannon", "sin_phi"), lambda c: id_shannon(c.A, c.W), id_shannon,
+        lambda c, t, r: (t + r, _sin_deg(c.phi))),
+    ModelKind.CHA_MYUNG: _Model(
+        ("theta1", "sin_theta2", "id_hoffmann"),
+        lambda c: id_hoffmann(c.A, c.W, c.F), id_fitts,
+        lambda c, t, r: (c.theta, _sin_deg(c.phi), t + r)),
+    ModelKind.FINAL: _Model(
+        ("id_t", "id_r"), lambda c: id_t_final(c.A, c.W, c.F), id_r_final,
+        lambda c, t, r: (t, r)),
+}
+
+
+def id_rot_adapted(kind: ModelKind, alpha: float, omega: float) -> IdValue:
+    """Rotational difficulty under a model's adapted form: its base form
+    at amplitude alpha and tolerance omega, or ID_r for the final model."""
+    kind = ModelKind(kind)
+    form = _MODELS[kind].rotation
+    if form is id_r_final:
+        return id_r_final(alpha, omega)
+    if omega <= 0 or alpha < 0:
+        raise DomainError("adapted rotational ID needs alpha >= 0 and omega > 0")
+    if form is not id_fitts:
+        return IdValue(form(alpha, omega).bits, ROTATION)
+    # the Fitts form is evaluated here so that its errors name the model
+    what = f"{kind.value} adapted form"
+    if alpha <= 0:
+        raise DomainError(f"{what} needs alpha > 0")
+    return IdValue(_fitts_bits(alpha, omega, what), ROTATION)
+
+
+def predictors_murata(A: float, W: float, phi: float) -> PredictorVector:
+    """Murata-Iwase regressors for a translational task: the Shannon
+    index plus the sine of the direction angle."""
+    return PredictorVector(predictor_names(ModelKind.MURATA_IWASE),
+                           (id_shannon(A, W).bits, _sin_deg(phi)))
+
+
+def predictors_cha_myung(A: float, W: float, F: float,
+                         theta1: float, theta2: float) -> PredictorVector:
+    """Cha-Myung regressors: inclination angle in raw degrees, sine of
+    the direction angle, and the Hoffmann index."""
+    return PredictorVector(predictor_names(ModelKind.CHA_MYUNG),
+                           (float(theta1), _sin_deg(theta2), id_hoffmann(A, W, F).bits))
 
 
 def predictors_for(kind: ModelKind, task: TaskSpec) -> PredictorVector:
@@ -246,28 +235,9 @@ def predictors_for(kind: ModelKind, task: TaskSpec) -> PredictorVector:
     e.g. Fitts on a purely translational task with A = 0.
     """
     kind = ModelKind(kind)
-    if kind in (ModelKind.FITTS, ModelKind.HOFFMANN,
-                ModelKind.WELFORD, ModelKind.SHANNON):
-        return PredictorVector(("id",), (_single_id_bits(kind, task),))
-    if kind is ModelKind.MURATA_IWASE:
-        regime = task_regime(task)
-        if regime == TRANSLATION:
-            bits = id_shannon(task.A, task.W).bits
-        elif regime == ROTATION:
-            bits = id_rot_adapted(kind, task.alpha, task.omega).bits
-        else:
-            bits = (id_shannon(task.A, task.W).bits
-                    + id_rot_adapted(kind, task.alpha, task.omega).bits)
-        return PredictorVector(("id_shannon", "sin_phi"),
-                               (bits, _sin_deg(task.phi)))
-    if kind is ModelKind.CHA_MYUNG:
-        return PredictorVector(("theta1", "sin_theta2", "id_hoffmann"),
-                               (task.theta, _sin_deg(task.phi),
-                                _single_id_bits(kind, task)))
-    # final model: separate translational and rotational indices
-    idt = id_t_final(task.A, task.W, task.F).bits
-    if task_regime(task) == TRANSLATION:
-        idr = 0.0
-    else:
-        idr = id_r_final(task.alpha, task.omega).bits
-    return PredictorVector(("id_t", "id_r"), (idt, idr))
+    model = _MODELS[kind]
+    regime = task_regime(task)
+    t = 0.0 if regime == ROTATION else model.translation(task).bits
+    r = (0.0 if regime == TRANSLATION
+         else id_rot_adapted(kind, task.alpha, task.omega).bits)
+    return PredictorVector(model.names, model.values(task, t, r))

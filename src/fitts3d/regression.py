@@ -48,7 +48,9 @@ class DesignMatrix:
             raise ValueError("column names must be unique")
         if any(not n for n in names):
             raise ValueError("column names must be nonempty")
-        values = np.array(self.values, dtype=float, copy=True)
+        # always column-major: BLAS rounds the fit's M @ beta differently
+        # for row-major designs, so the layout would change last bits
+        values = np.array(self.values, dtype=float, copy=True, order="F")
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")
         if values.shape[1] != len(names):
@@ -377,10 +379,7 @@ def fit_model(kind: ModelKind, trials, aggregate: bool = True) -> ModelFit:
     if not keep:
         raise RankDeficient(
             f"all {kind.value} predictors are constant on this data")
-    # expand to rows before selecting columns: the column-major result is
-    # the layout the fit has always had, and BLAS rounds M @ beta
-    # differently for row-major designs
-    X = DesignMatrix(tuple(names[j] for j in keep), values[table.rows][:, keep])
+    X = DesignMatrix(tuple(names[j] for j in keep), values[:, keep][table.rows])
     fit = ols_fit(X, table.y, kind=kind)
     return replace(fit, dropped=tuple(dropped))
 
@@ -457,6 +456,5 @@ def condition_matrix(trials, candidates=STEPWISE_CANDIDATES,
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in tasks])
-    values = np.array(cols, dtype=float).take(table.rows, axis=1).T
-    X = DesignMatrix(tuple(names), values)
+    X = DesignMatrix(tuple(names), np.array(cols, dtype=float).T[table.rows])
     return X, table.y.copy()

@@ -1,8 +1,8 @@
 """CLI outputs pinned to recorded sha256 digests.
 
 For every paper-scale cell (e1-e4 x pointing/manipulation) at seed 0
-and for both --aggregate values, the stdout of `compare`,
-`fit --format json-like` and `stepwise` must match tests/data/cli_golden.json
+and for both --aggregate values, the stdout of `compare`, `fit`
+(table and json-like) and `stepwise` must match tests/data/cli_golden.json
 byte for byte. Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -25,6 +25,7 @@ CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
 VERBS = {
     "compare": ["compare"],
     "fit-json": ["fit", "--format", "json-like"],
+    "fit-table": ["fit"],
     "stepwise": ["stepwise"],
 }
 

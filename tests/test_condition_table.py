@@ -160,6 +160,24 @@ def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggrega
     assert np.array_equal(X.values, X_ref) and np.array_equal(y, y_ref)
 
 
+@pytest.mark.parametrize("aggregate", [True, False])
+@pytest.mark.parametrize("experiment,interaction", CELLS)
+def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate):
+    # row- and column-major copies of one design give the same fit
+    table = ConditionTable(_cell_trials(experiment, interaction), aggregate)
+    for kind in MODEL_ORDER:
+        fit = outcome(fit_model, kind, table, aggregate)
+        if isinstance(fit, tuple):
+            continue
+        names, values = table.predictors(kind)
+        cols = [names.index(n) for n in fit.predictor_names]
+        design = values[:, cols][table.rows]
+        row_major = DesignMatrix(fit.predictor_names, np.ascontiguousarray(design))
+        col_major = DesignMatrix(fit.predictor_names, np.asfortranarray(design))
+        assert_same_fit(ols_fit(row_major, table.y, kind=kind),
+                        ols_fit(col_major, table.y, kind=kind))
+
+
 def test_predictors_run_once_per_condition_and_model(monkeypatch):
     trials = _cell_trials("e4", InteractionKind.POINTING)  # 64 conditions x 4
     calls = []
