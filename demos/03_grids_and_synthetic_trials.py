@@ -8,6 +8,8 @@ noisy trials.
 """
 
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 from fitts3d import (InteractionKind, build_grid, generate_trials,
@@ -42,6 +44,6 @@ print("identical regeneration:", trials == again)
 other = generate_trials(grid, replace(truth, seed=1), interaction)
 print("different under seed=1:", trials != other)
 
-out = "/tmp/e4_pointing_demo.csv"
+out = os.path.join(tempfile.gettempdir(), "e4_pointing_demo.csv")
 write_trials(out, trials, "e4")
 print("wrote", out)

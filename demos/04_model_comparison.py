@@ -11,6 +11,9 @@ If matplotlib is installed, also scatter the winning model's predicted
 difficulty against the per-condition mean movement times.
 """
 
+import os
+import tempfile
+
 from fitts3d import (InteractionKind, ModelKind, build_comparison_report,
                      build_grid, generate_trials, paper_scale_defaults,
                      render_comparison)
@@ -26,6 +29,13 @@ for experiment in ("e1", "e3", "e4"):
     print(render_comparison(report, "table"))
 
     if experiment == "e4":
+        top = report["models"][0]
+        # project the fitted plane onto one axis for a quick look
+        coef = top["coefficients"]
+        xs = [coef["intercept"] + sum(coef[n] * v for n, v in
+                                      zip(top["point_names"][:-1], p[:-1]))
+              for p in top["points"]]
+        ys = [p[-1] for p in top["points"]]
         try:
             import matplotlib
             matplotlib.use("Agg")
@@ -33,20 +43,14 @@ for experiment in ("e1", "e3", "e4"):
         except ImportError:
             print("matplotlib not installed, skipping the plot")
             continue
-        top = report.rows[0]
-        # project the fitted plane onto one axis for a quick look
-        coef = top.coefficients
-        xs = [coef["intercept"] + sum(coef[n] * v for n, v in
-                                      zip(top.point_names[:-1], p[:-1]))
-              for p in top.points]
-        ys = [p[-1] for p in top.points]
         fig, ax = plt.subplots(figsize=(5, 4))
         ax.scatter(xs, ys, s=14)
         lo, hi = min(xs), max(xs)
         ax.plot([lo, hi], [lo, hi], lw=1)
         ax.set_xlabel("predicted MT (s)")
         ax.set_ylabel("observed mean MT (s)")
-        ax.set_title(f"{top.model} on {experiment}, r2 = {top.r2:.3f}")
+        ax.set_title(f"{top['model']} on {experiment}, r2 = {top['r2']:.3f}")
         fig.tight_layout()
-        fig.savefig("/tmp/e4_fit_scatter.png", dpi=110)
-        print("saved /tmp/e4_fit_scatter.png")
+        out = os.path.join(tempfile.gettempdir(), "e4_fit_scatter.png")
+        fig.savefig(out, dpi=110)
+        print("saved", out)

@@ -37,8 +37,8 @@ from .synth import (GRID_LEVELS, GRID_REPETITIONS, PAPER_ERROR_RATE,
 from .retarget import BonePair, JointState, joint_angle, palm_velocity_command, pd_torque
 from .trial_io import (POSE_CSV_HEADER, TRIAL_CSV_HEADER, TrialLog,
                        read_poses, read_trials, write_trials)
-from .report import (ComparisonReport, ModelRow, build_comparison_report,
-                     comparison_document, format_equation, render_comparison,
-                     render_document, render_stepwise, stepwise_document)
+from .report import (build_comparison_report, format_equation,
+                     render_comparison, render_document, render_stepwise,
+                     stepwise_document)
 
 __version__ = "0.1.0"

@@ -139,7 +139,7 @@ def _cmd_report(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise Fitts3dError(f"not a JSON document: {exc}") from None
     _emit(render_document(doc, args.format), args.out)
     return 0

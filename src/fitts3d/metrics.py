@@ -145,6 +145,8 @@ def id_r_final(alpha: float, omega: float) -> IdValue:
     adds roughly two bits once 2 alpha / omega^2 is large."""
     if alpha < 0 or omega <= 0:
         raise DomainError("id_r_final needs alpha >= 0 and omega > 0")
+    if not omega * omega > 0:
+        raise DomainError("id_r_final needs omega^2 > 0")
     return IdValue(id_shannon(2.0 * alpha, omega * omega).bits, ROTATION)
 
 

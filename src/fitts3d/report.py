@@ -1,8 +1,8 @@
-"""Comparison and stepwise reports: structured text tables plus a
-machine-readable JSON document with a versioned schema."""
+"""Comparison (fitts3d.report/1) and stepwise (fitts3d.stepwise/1)
+reports, held in memory as their JSON documents. Each schema has one
+table renderer, which reads the document, so live and reloaded match."""
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,145 +28,42 @@ def format_equation(coefficients: dict, names) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class ModelRow:
-    """One model's line in a comparison report."""
-
-    model: str
-    r2: float | None = None
-    n: int | None = None
-    coefficients: dict | None = None
-    equation: str | None = None
-    dropped: tuple[str, ...] = ()
-    error: str | None = None
-    point_names: tuple[str, ...] | None = None
-    points: tuple[tuple[float, ...], ...] | None = None
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    schema: str
-    n_trials: int
-    aggregate: bool
-    rows: tuple[ModelRow, ...]
+def _model_entry(model, r2=None, n=None, coefficients=None, equation=None,
+                 dropped=(), error=None, point_names=None, points=None) -> dict:
+    """One model's entry in a fitts3d.report/1 document, in key order."""
+    return {"model": model, "r2": r2, "n": n, "coefficients": coefficients,
+            "equation": equation, "dropped": list(dropped), "error": error,
+            "point_names": point_names, "points": points}
 
 
 def build_comparison_report(trials, kinds, aggregate: bool = True,
-                            include_points: bool = True) -> ComparisonReport:
-    """Fit and rank the requested models; optionally attach the
-    per-condition (predictors, mean MT) points behind each fit for
-    external plotting."""
+                            include_points: bool = True) -> dict:
+    """Fit and rank the models into a fitts3d.report/1 document; optionally
+    attach the per-condition (predictors, mean MT) points for plotting."""
     trials = list(trials)
     try:
         data = ConditionTable(trials, aggregate)
     except Fitts3dError:
         data = trials  # compare_models reports the error on every row
-    rows = []
+    models = []
     for cmp_row in compare_models(data, kinds, aggregate=aggregate):
-        if cmp_row.fit is None:
-            rows.append(ModelRow(model=cmp_row.kind.value, error=cmp_row.error))
-            continue
         fit = cmp_row.fit
-        point_names = None
-        points = None
+        if fit is None:
+            models.append(_model_entry(cmp_row.kind.value, error=cmp_row.error))
+            continue
+        point_names = points = None
         if include_points:
             names, values = data.predictors(cmp_row.kind)
             cols = [names.index(n) for n in fit.predictor_names]
-            point_names = fit.predictor_names + ("mt",)
-            pts = np.column_stack([values[:, cols][data.rows], data.y])
-            points = tuple(map(tuple, pts.tolist()))
-        rows.append(ModelRow(
-            model=cmp_row.kind.value, r2=fit.r2, n=fit.n,
+            point_names = list(fit.predictor_names) + ["mt"]
+            points = np.column_stack([values[:, cols][data.rows], data.y]).tolist()
+        models.append(_model_entry(
+            cmp_row.kind.value, r2=fit.r2, n=fit.n,
             coefficients=dict(fit.coefficients),
             equation=format_equation(fit.coefficients, fit.predictor_names),
-            dropped=fit.dropped, error=None,
-            point_names=point_names, points=points))
-    return ComparisonReport(schema=REPORT_SCHEMA, n_trials=len(trials),
-                            aggregate=aggregate, rows=tuple(rows))
-
-
-def _table(headers, body) -> list[str]:
-    """Fixed-width header, rule and body lines; trailing blanks trimmed."""
-    widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-             "  ".join("-" * w for w in widths)]
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return lines
-
-
-def render_comparison_table(report: ComparisonReport) -> str:
-    """Fixed-width text table, one row per model, ranked as fitted."""
-    headers = ("model", "r2", "n", "fit")
-    body = []
-    for row in report.rows:
-        if row.error is not None:
-            body.append((row.model, "-", "-", row.error))
-        else:
-            fit = row.equation
-            if row.dropped:
-                fit += f"  [constant dropped: {', '.join(row.dropped)}]"
-            body.append((row.model, f"{row.r2:.4f}", str(row.n), fit))
-    lines = _table(headers, body)
-    lines.append("")
-    lines.append(f"observations: {report.n_trials} trials, "
-                 f"aggregate={'true' if report.aggregate else 'false'}")
-    return "\n".join(lines) + "\n"
-
-
-def comparison_document(report: ComparisonReport) -> dict:
-    return {
-        "schema": report.schema,
-        "n_trials": report.n_trials,
-        "aggregate": report.aggregate,
-        "models": [
-            {
-                "model": row.model,
-                "r2": row.r2,
-                "n": row.n,
-                "coefficients": row.coefficients,
-                "equation": row.equation,
-                "dropped": list(row.dropped),
-                "error": row.error,
-                "point_names": list(row.point_names) if row.point_names else None,
-                "points": [list(p) for p in row.points] if row.points else None,
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def render_comparison(report: ComparisonReport, fmt: str) -> str:
-    if fmt == TABLE_FORMAT:
-        return render_comparison_table(report)
-    if fmt == JSON_FORMAT:
-        return json.dumps(comparison_document(report), indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _stepwise_text(steps, selected, contributions, r2) -> str:
-    """Stepwise table from (action, variable, F, p, r2) steps, the
-    selected names, (name, percent) contributions and the final r2
-    (None to omit that line)."""
-    body = [(str(i), str(action), str(name), f"{f_stat:.4f}", f"{p:.3g}",
-             f"{step_r2:.4f}")
-            for i, (action, name, f_stat, p, step_r2) in enumerate(steps, start=1)]
-    lines = _table(("step", "action", "variable", "F", "p", "r2"), body)
-    lines.append("")
-    lines.append("selected: " + (", ".join(selected) if selected else "(none)"))
-    if contributions:
-        lines.append("variance explained at entry: "
-                     + ", ".join(f"{k} {v:.1f}%" for k, v in contributions))
-    if r2 is not None:
-        lines.append(f"final r2: {r2:.4f}")
-    return "\n".join(lines) + "\n"
-
-
-def render_stepwise_table(sw: StepwiseReport) -> str:
-    return _stepwise_text(
-        [(s.action, s.name, s.f_stat, s.p_value, s.r2) for s in sw.steps],
-        sw.selected, [(n, sw.contributions[n]) for n in sw.selected], sw.r2)
+            dropped=fit.dropped, point_names=point_names, points=points))
+    return {"schema": REPORT_SCHEMA, "n_trials": len(trials),
+            "aggregate": aggregate, "models": models}
 
 
 def stepwise_document(sw: StepwiseReport) -> dict:
@@ -183,12 +80,77 @@ def stepwise_document(sw: StepwiseReport) -> dict:
     }
 
 
-def render_stepwise(sw: StepwiseReport, fmt: str) -> str:
+def _table(headers, body) -> list[str]:
+    """Fixed-width header, rule and body lines; trailing blanks trimmed."""
+    widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
+              for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+             "  ".join("-" * w for w in widths)]
+    for r in body:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    return lines
+
+
+def _comparison_table(doc: dict) -> str:
+    """One row per model, ranked as fitted; reads a complete document."""
+    body = []
+    for m in doc["models"]:
+        if m["error"] is not None:
+            body.append((m["model"], "-", "-", m["error"]))
+        else:
+            fit = m["equation"]
+            if m["dropped"]:
+                fit += f"  [constant dropped: {', '.join(m['dropped'])}]"
+            body.append((m["model"], f"{m['r2']:.4f}", str(m["n"]), fit))
+    lines = _table(("model", "r2", "n", "fit"), body)
+    lines.append("")
+    lines.append(f"observations: {doc['n_trials']} trials, "
+                 f"aggregate={'true' if doc['aggregate'] else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+# a saved stepwise step may omit its statistics
+_STEP_DEFAULTS = {"f_stat": 0.0, "p_value": 1.0, "r2": 0.0}
+
+
+def _stepwise_table(doc: dict) -> str:
+    """Steps, selection, variance shares at entry and final r2 if any."""
+    body = []
+    for i, s in enumerate(doc.get("steps", []), start=1):
+        s = {**_STEP_DEFAULTS, **s}
+        body.append((str(i), str(s.get("action")), str(s.get("variable")),
+                     f"{s['f_stat']:.4f}", f"{s['p_value']:.3g}",
+                     f"{s['r2']:.4f}"))
+    lines = _table(("step", "action", "variable", "F", "p", "r2"), body)
+    lines.append("")
+    selected = doc.get("selected") or []
+    lines.append("selected: " + (", ".join(selected) if selected else "(none)"))
+    contributions = doc.get("contributions_percent") or {}
+    if contributions:
+        lines.append("variance explained at entry: " + ", ".join(
+            f"{k} {v:.1f}%" for k, v in contributions.items()))
+    if doc.get("r2") is not None:
+        lines.append(f"final r2: {doc['r2']:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def _render(doc: dict, fmt: str) -> str:
+    """The one format switch: a document's table, or the document as JSON."""
     if fmt == TABLE_FORMAT:
-        return render_stepwise_table(sw)
+        if doc["schema"] == REPORT_SCHEMA:
+            return _comparison_table(doc)
+        return _stepwise_table(doc)
     if fmt == JSON_FORMAT:
-        return json.dumps(stepwise_document(sw), indent=2) + "\n"
+        return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def render_comparison(report: dict, fmt: str) -> str:
+    return _render(report, fmt)
+
+
+def render_stepwise(sw: StepwiseReport, fmt: str) -> str:
+    return _render(stepwise_document(sw), fmt)
 
 
 def _is_number(v) -> bool:
@@ -208,14 +170,15 @@ def _require(ok, what):
         raise SchemaError(f"malformed report document: {what}")
 
 
-def _comparison_from_document(doc: dict) -> ComparisonReport:
+def _comparison_from_document(doc: dict) -> dict:
+    """The checked document, defaults filled in and unknown keys dropped."""
     models = doc.get("models", [])
     _require(isinstance(models, list), "'models' must be a list")
     n_trials = doc.get("n_trials", 0)
     _require(_is_int(n_trials), "'n_trials' must be an integer")
     aggregate = doc.get("aggregate", True)
     _require(isinstance(aggregate, bool), "'aggregate' must be true or false")
-    rows = []
+    entries = []
     for i, m in enumerate(models):
         where = f"models[{i}]"
         _require(isinstance(m, dict), f"{where} must be an object")
@@ -242,39 +205,29 @@ def _comparison_from_document(doc: dict) -> ComparisonReport:
         _require(points is None or (isinstance(points, list) and all(
             isinstance(p, list) for p in points)),
             f"{where}.points must be a list of lists")
-        rows.append(ModelRow(
-            model=m["model"], r2=m.get("r2"), n=m.get("n"),
-            coefficients=coefficients, equation=m.get("equation"),
-            dropped=tuple(dropped), error=error,
-            point_names=tuple(point_names) if point_names else None,
-            points=tuple(tuple(p) for p in points) if points else None))
-    return ComparisonReport(schema=REPORT_SCHEMA, n_trials=n_trials,
-                            aggregate=aggregate, rows=tuple(rows))
+        entries.append(_model_entry(
+            m["model"], m.get("r2"), m.get("n"), coefficients,
+            m.get("equation"), dropped, error, point_names, points))
+    return {"schema": REPORT_SCHEMA, "n_trials": n_trials,
+            "aggregate": aggregate, "models": entries}
 
 
-def _stepwise_from_document(doc: dict):
-    """(steps, selected, contributions, r2) of a stepwise document, in
-    the argument order of _stepwise_text."""
-    raw_steps = doc.get("steps", [])
-    _require(isinstance(raw_steps, list), "'steps' must be a list")
-    steps = []
-    for i, s in enumerate(raw_steps):
+def _check_stepwise(doc: dict) -> None:
+    steps = doc.get("steps", [])
+    _require(isinstance(steps, list), "'steps' must be a list")
+    for i, s in enumerate(steps):
         where = f"steps[{i}]"
         _require(isinstance(s, dict), f"{where} must be an object")
-        step = (s.get("action"), s.get("variable"), s.get("f_stat", 0.0),
-                s.get("p_value", 1.0), s.get("r2", 0.0))
-        for key, v in zip(("f_stat", "p_value", "r2"), step[2:]):
-            _require(_is_number(v), f"{where}.{key} must be a number")
-        steps.append(step)
-    selected = doc.get("selected") or []
-    _require(_is_str_list(selected), "'selected' must list names")
+        for key, default in _STEP_DEFAULTS.items():
+            _require(_is_number(s.get(key, default)),
+                     f"{where}.{key} must be a number")
+    _require(_is_str_list(doc.get("selected") or []),
+             "'selected' must list names")
     contributions = doc.get("contributions_percent") or {}
     _require(isinstance(contributions, dict)
              and all(_is_number(v) for v in contributions.values()),
              "'contributions_percent' must map names to numbers")
-    r2 = doc.get("r2")
-    _require("r2" not in doc or _is_number(r2), "'r2' must be a number")
-    return steps, selected, list(contributions.items()), r2
+    _require("r2" not in doc or _is_number(doc["r2"]), "'r2' must be a number")
 
 
 def render_document(doc: dict, fmt: str) -> str:
@@ -287,13 +240,9 @@ def render_document(doc: dict, fmt: str) -> str:
         raise SchemaError("report document must be a JSON object")
     schema = doc.get("schema")
     if schema == REPORT_SCHEMA:
-        report = _comparison_from_document(doc)
-        if fmt == JSON_FORMAT:
-            return json.dumps(comparison_document(report), indent=2) + "\n"
-        return render_comparison_table(report)
-    if schema == STEPWISE_SCHEMA:
-        parts = _stepwise_from_document(doc)
-        if fmt == JSON_FORMAT:
-            return json.dumps(doc, indent=2) + "\n"
-        return _stepwise_text(*parts)
-    raise SchemaError(f"unknown report schema: {schema!r}")
+        doc = _comparison_from_document(doc)
+    elif schema == STEPWISE_SCHEMA:
+        _check_stepwise(doc)
+    else:
+        raise SchemaError(f"unknown report schema: {schema!r}")
+    return _render(doc, fmt)

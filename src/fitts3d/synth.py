@@ -163,8 +163,8 @@ class GroundTruth:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
-        if self.noise_sd < 0:
-            raise InvalidTruth("noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise InvalidTruth("noise_sd must be nonnegative and finite")
         if not 0.0 <= self.error_rate < 1.0:
             raise InvalidTruth("error_rate must lie in [0, 1)")
         needed = ("intercept",) + predictor_names(self.kind)

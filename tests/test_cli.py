@@ -107,6 +107,27 @@ def test_report_rejects_non_json(tmp_path, capsys):
     assert "not a JSON document" in capsys.readouterr().err
 
 
+def test_report_rejects_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    rc = main(["report", str(deep)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a JSON document: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_generate_rejects_non_finite_noise(tmp_path, capsys, noise):
+    path = tmp_path / "log.csv"
+    rc = main(["generate", "--experiment", "e4", "--interaction", "pointing",
+               "--noise-sd", noise, "--out", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: noise_sd must be nonnegative and finite\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ({"schema": "fitts3d.report/1", "models": [1]}, "models[0] must be an object"),
     ({"schema": "fitts3d.report/1",

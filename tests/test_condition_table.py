@@ -82,9 +82,9 @@ def reference_fit(kind, trials, aggregate):
 
 def reference_points(kind, fit, trials, aggregate):
     tasks, y = reference_rows(trials, aggregate)
-    return tuple(
-        tuple(predictors_for(kind, task).as_dict()[n] for n in fit.predictor_names)
-        + (mt,) for task, mt in zip(tasks, y))
+    return [
+        [predictors_for(kind, task).as_dict()[n] for n in fit.predictor_names]
+        + [mt] for task, mt in zip(tasks, y)]
 
 
 def reference_condition_matrix(trials, aggregate):
@@ -125,18 +125,19 @@ def assert_report_matches_reference(trials, aggregate):
     fitted = sorted((k for k in MODEL_ORDER if not isinstance(want[k], tuple)),
                     key=lambda k: (-want[k].r2, MODEL_ORDER.index(k)))
     failed = [k for k in MODEL_ORDER if isinstance(want[k], tuple)]
-    assert [row.model for row in report.rows] == [k.value for k in fitted + failed]
-    for row in report.rows:
-        kind = ModelKind(row.model)
+    models = report["models"]
+    assert [m["model"] for m in models] == [k.value for k in fitted + failed]
+    for m in models:
+        kind = ModelKind(m["model"])
         ref = want[kind]
         if isinstance(ref, tuple):
-            assert row.error == f"{ref[0].__name__}: {ref[1]}"
+            assert m["error"] == f"{ref[0].__name__}: {ref[1]}"
             continue
-        assert row.error is None
-        assert (row.r2, row.n, row.coefficients, row.dropped) == \
-            (ref.r2, ref.n, ref.coefficients, ref.dropped)
-        assert row.point_names == ref.predictor_names + ("mt",)
-        assert row.points == reference_points(kind, ref, trials, aggregate)
+        assert m["error"] is None
+        assert (m["r2"], m["n"], m["coefficients"], m["dropped"]) == \
+            (ref.r2, ref.n, ref.coefficients, list(ref.dropped))
+        assert m["point_names"] == list(ref.predictor_names) + ["mt"]
+        assert m["points"] == reference_points(kind, ref, trials, aggregate)
 
 
 # ---- every paper cell -----------------------------------------------------
@@ -188,7 +189,7 @@ def test_predictors_run_once_per_condition_and_model(monkeypatch):
 
     monkeypatch.setattr(regression, "predictors_for", counting)
     report = build_comparison_report(trials, MODEL_ORDER, aggregate=False)
-    assert all(row.points for row in report.rows)
+    assert all(m["points"] for m in report["models"])
     assert len(calls) == len(MODEL_ORDER) * 64
 
 

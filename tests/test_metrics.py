@@ -63,6 +63,8 @@ def test_domain_errors():
         id_t_final(-1, 5, 3)
     with pytest.raises(DomainError):
         id_r_final(30, 0)
+    with pytest.raises(DomainError, match=r"^id_r_final needs omega\^2 > 0$"):
+        id_r_final(30, 1e-200)  # omega^2 underflows to zero
     with pytest.raises(DomainError):
         id_rot_adapted(ModelKind.FITTS, 0, 5)
 

@@ -158,9 +158,9 @@ def assert_same(call, ref_call):
     want = outcome(ref_call)
     got = outcome(call)
     if want == ZERO_DIVISION:
-        # omega^2 underflows to zero: the reference divides by it, the
-        # Shannon form behind ID_r rejects the zero width
-        assert got == ("DomainError", "id_shannon needs A >= 0 and W > 0")
+        # omega^2 underflows to zero: the reference divides by it,
+        # ID_r rejects the zero width under its own name
+        assert got == ("DomainError", "id_r_final needs omega^2 > 0")
     else:
         assert got == want
 

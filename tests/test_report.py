@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from fitts3d import (GroundTruth, InteractionKind, ModelKind, SchemaError,
-                     build_comparison_report, build_grid, comparison_document,
-                     condition_matrix, format_equation, generate_trials,
-                     render_comparison, render_document, render_stepwise,
-                     stepwise, stepwise_document)
-from fitts3d.report import (REPORT_SCHEMA, STEPWISE_SCHEMA,
-                            render_comparison_table, render_stepwise_table)
+                     build_comparison_report, build_grid, condition_matrix,
+                     format_equation, generate_trials, render_comparison,
+                     render_document, render_stepwise, stepwise,
+                     stepwise_document)
+from fitts3d.report import REPORT_SCHEMA, STEPWISE_SCHEMA
 
 POINT = InteractionKind.POINTING
 
@@ -35,25 +34,26 @@ def test_format_equation():
 
 def test_comparison_report_structure():
     report = build_comparison_report(_trials(), list(ModelKind))
-    assert report.schema == REPORT_SCHEMA
-    assert report.n_trials == 64 * 4
-    assert report.aggregate is True
-    assert len(report.rows) == len(ModelKind)
-    assert report.rows[0].model == "final"  # the planted model wins
-    assert report.rows[0].r2 > 0.95
-    r2s = [row.r2 for row in report.rows if row.error is None]
+    assert report["schema"] == REPORT_SCHEMA
+    assert report["n_trials"] == 64 * 4
+    assert report["aggregate"] is True
+    models = report["models"]
+    assert len(models) == len(ModelKind)
+    assert models[0]["model"] == "final"  # the planted model wins
+    assert models[0]["r2"] > 0.95
+    r2s = [m["r2"] for m in models if m["error"] is None]
     assert r2s == sorted(r2s, reverse=True)
-    top = report.rows[0]
-    assert top.point_names == ("id_t", "id_r", "mt")
-    assert len(top.points) == 64
-    assert top.equation.startswith("MT = ")
+    top = models[0]
+    assert top["point_names"] == ["id_t", "id_r", "mt"]
+    assert len(top["points"]) == 64
+    assert top["equation"].startswith("MT = ")
 
 
 def test_comparison_report_without_points():
     report = build_comparison_report(_trials(), [ModelKind.FITTS],
                                      include_points=False)
-    assert report.rows[0].points is None
-    assert report.rows[0].point_names is None
+    assert report["models"][0]["points"] is None
+    assert report["models"][0]["point_names"] is None
 
 
 def test_comparison_report_error_rows_sink():
@@ -64,15 +64,16 @@ def test_comparison_report_error_rows_sink():
               for i, t in enumerate(tasks)]
     report = build_comparison_report(
         trials, [ModelKind.FITTS, ModelKind.WELFORD])
-    assert report.rows[0].model == "welford"
-    assert report.rows[0].error is None
-    assert report.rows[1].model == "fitts"
-    assert report.rows[1].error is not None
+    welford, fitts = report["models"]
+    assert welford["model"] == "welford"
+    assert welford["error"] is None
+    assert fitts["model"] == "fitts"
+    assert fitts["error"] is not None
 
 
 def test_comparison_table_renders_all_rows():
     report = build_comparison_report(_trials(), list(ModelKind))
-    text = render_comparison_table(report)
+    text = render_comparison(report, "table")
     lines = text.splitlines()
     assert lines[0].split() == ["model", "r2", "n", "fit"]
     for kind in ModelKind:
@@ -86,16 +87,26 @@ def test_comparison_json_round_trip():
     text = render_comparison(report, "json-like")
     doc = json.loads(text)
     assert doc["schema"] == REPORT_SCHEMA
-    assert doc == comparison_document(report)
+    assert doc == report
     # a reloaded document renders to the same table as the live report
-    assert render_document(doc, "table") == render_comparison_table(report)
+    assert render_document(doc, "table") == render_comparison(report, "table")
     assert render_document(doc, "json-like") == text
 
 
 def test_render_comparison_unknown_format():
     report = build_comparison_report(_trials(), [ModelKind.FITTS])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
         render_comparison(report, "yaml")
+
+
+def test_render_stepwise_and_document_unknown_format():
+    report = build_comparison_report(_trials(), [ModelKind.FITTS])
+    sw = _stepwise_report()
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        render_stepwise(sw, "yaml")
+    for doc in (report, stepwise_document(sw)):
+        with pytest.raises(ValueError, match="unknown format 'yaml'"):
+            render_document(doc, "yaml")
 
 
 def _stepwise_report():
@@ -106,7 +117,7 @@ def _stepwise_report():
 
 def test_stepwise_table_contents():
     sw = _stepwise_report()
-    text = render_stepwise_table(sw)
+    text = render_stepwise(sw, "table")
     assert text.splitlines()[0].split() == [
         "step", "action", "variable", "F", "p", "r2"]
     for step in sw.steps:
@@ -124,7 +135,8 @@ def test_stepwise_json_round_trip():
     assert doc["schema"] == STEPWISE_SCHEMA
     assert doc == stepwise_document(sw)
     assert doc["selected"] == list(sw.selected)
-    assert render_document(doc, "table") == render_stepwise_table(sw)
+    assert render_document(doc, "table") == render_stepwise(sw, "table")
+    assert render_document(doc, "json-like") == text
 
 
 def test_stepwise_empty_selection_renders():
@@ -134,7 +146,7 @@ def test_stepwise_empty_selection_renders():
     y = rng.normal(size=30)
     sw = stepwise(DesignMatrix(("a", "b"), X), y)
     if not sw.selected:  # nothing correlates; the table must still print
-        text = render_stepwise_table(sw)
+        text = render_stepwise(sw, "table")
         assert "selected: (none)" in text
 
 
@@ -147,8 +159,8 @@ def test_render_document_unknown_schema():
 
 def test_document_is_json_serializable():
     report = build_comparison_report(_trials(), list(ModelKind))
-    doc = comparison_document(report)
-    reparsed = json.loads(json.dumps(doc))
-    assert reparsed["models"][0]["model"] == "final"
+    # points are plain lists of floats, so the document survives JSON
+    assert json.loads(json.dumps(report)) == report
+    assert report["models"][0]["model"] == "final"
     sw_doc = stepwise_document(_stepwise_report())
     assert json.loads(json.dumps(sw_doc)) == sw_doc

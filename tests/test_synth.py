@@ -218,6 +218,13 @@ def test_truth_validation():
                     coefficients={"intercept": 0.4, "id": 0.3}, error_rate=-0.2)
 
 
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -math.inf])
+def test_truth_rejects_non_finite_noise(noise_sd):
+    with pytest.raises(InvalidTruth, match="noise_sd must be nonnegative and finite"):
+        GroundTruth(kind=ModelKind.FITTS,
+                    coefficients={"intercept": 0.4, "id": 0.3}, noise_sd=noise_sd)
+
+
 def test_generate_rejects_nonpositive_predictions():
     grid = build_grid(Experiment.E1)
     truth = GroundTruth(
