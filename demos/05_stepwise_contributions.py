@@ -5,12 +5,13 @@ Which task variables actually drive movement time?
 Stepwise selection over the raw task variables of a synthetic block.
 Enter the best candidate while its partial-F p-value is below .05,
 remove anything that drifts above .10, and report each variable's
-r-squared gain at entry.
+r-squared gain at entry. The trials are grouped into per-condition
+mean movement times (a ConditionTable) before the selection.
 """
 
-from fitts3d import (InteractionKind, build_grid, condition_matrix,
-                     generate_trials, paper_scale_defaults, render_stepwise,
-                     stepwise)
+from fitts3d import (ConditionTable, InteractionKind, build_grid,
+                     condition_matrix, generate_trials, paper_scale_defaults,
+                     render_stepwise, stepwise)
 
 interaction = InteractionKind.POINTING
 
@@ -18,7 +19,7 @@ interaction = InteractionKind.POINTING
 grid = build_grid("e1", interaction)
 truth = paper_scale_defaults("e1", interaction)
 trials = generate_trials(grid, truth, interaction)
-X, y = condition_matrix(trials, ("F", "W", "A"))
+X, y = condition_matrix(ConditionTable(trials), ("F", "W", "A"))
 print("== e1, candidates F, W, A ==")
 print(render_stepwise(stepwise(X, y), "table"))
 
@@ -27,6 +28,6 @@ print(render_stepwise(stepwise(X, y), "table"))
 grid = build_grid("e4", interaction)
 truth = paper_scale_defaults("e4", interaction)
 trials = generate_trials(grid, truth, interaction)
-X, y = condition_matrix(trials)
+X, y = condition_matrix(ConditionTable(trials))
 print("== e4, all candidates ==")
 print(render_stepwise(stepwise(X, y), "table"))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import Fitts3dError
 from .metrics import MODEL_ORDER, ModelKind
-from .regression import STEPWISE_CANDIDATES, condition_matrix, stepwise
+from .regression import STEPWISE_CANDIDATES, ConditionTable, condition_matrix, stepwise
 from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, build_comparison_report,
                      render_comparison, render_document, render_stepwise)
 from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
@@ -128,8 +128,8 @@ def _cmd_compare(args) -> int:
 def _cmd_stepwise(args) -> int:
     candidates = _parse_candidates(args.candidates)
     log = read_trials(args.input)
-    X, y = condition_matrix(log.trials, candidates,
-                            aggregate=_parse_bool(args.aggregate))
+    table = ConditionTable(log.trials, _parse_bool(args.aggregate))
+    X, y = condition_matrix(table, candidates)
     sw = stepwise(X, y)
     _emit(render_stepwise(sw, args.format), args.out)
     return 0

@@ -7,12 +7,12 @@ badly scaled predictor columns do not lose precision. Columns whose
 singular values fall below 1e-10 of the largest are treated as rank
 deficiencies, not silently pseudo-inverted.
 
-Model fitting reads trials through a ConditionTable: the trials are
-grouped once into their distinct conditions, each model's predictors
-are evaluated once per distinct condition, and the predictor rows are
-then expanded to one row per observation (a condition mean, or a
-successful trial) before the fit. The per-row design is the one a
-per-trial evaluation would build, so the fits are identical to it.
+The analyses (fit_model, compare_models, condition_matrix) read a
+ConditionTable, which groups the trials once into their distinct
+conditions and fixes the response: condition means or successful trials
+(aggregate). Predictors are evaluated once per distinct condition and
+expanded to one row per observation, the design a per-trial evaluation
+would build, so the fits are identical to it.
 """
 
 import math
@@ -30,8 +30,8 @@ RANK_TOL = 1e-10
 # p-values closer than this are a tie, resolved by column order
 _P_TIE_TOL = 1e-12
 
-DEFAULT_ENTER_P = 0.05
-DEFAULT_REMOVE_P = 0.10
+_ENTER_P = 0.05
+_REMOVE_P = 0.10
 
 
 @dataclass(frozen=True)
@@ -202,19 +202,16 @@ class StepwiseReport:
     fit: ModelFit
 
 
-def stepwise(X: DesignMatrix, y, enter_p: float = DEFAULT_ENTER_P,
-             remove_p: float = DEFAULT_REMOVE_P) -> StepwiseReport:
+def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     """Bidirectional stepwise selection over the columns of X.
 
     Each round first enters the candidate with the smallest partial-F
-    p-value if that p-value is below enter_p, then removes included
-    variables whose p-value rose above remove_p (largest first).
+    p-value if that p-value is below 0.05, then removes included
+    variables whose p-value rose above 0.10 (largest first).
     Candidates that would make the matrix rank deficient are skipped.
     Ties within 1e-12 go to the earlier column. Stops when a round
     changes nothing.
     """
-    if not 0 < enter_p < 1 or not 0 < remove_p < 1:
-        raise ValueError("thresholds must lie in (0, 1)")
     yarr = np.asarray(y, dtype=float)
     intercept_only = ols_fit(DesignMatrix((), np.empty((yarr.shape[0], 0))), yarr)
     if intercept_only.degenerate_variance:
@@ -238,7 +235,7 @@ def stepwise(X: DesignMatrix, y, enter_p: float = DEFAULT_ENTER_P,
             except (RankDeficient, InsufficientData):
                 continue
             f_stat, p = partial_f_test(cand, current)
-            if p < enter_p and (best is None or p < best[0] - _P_TIE_TOL):
+            if p < _ENTER_P and (best is None or p < best[0] - _P_TIE_TOL):
                 best = (p, f_stat, name, cand)
         if best is not None:
             p, f_stat, name, cand = best
@@ -255,7 +252,7 @@ def stepwise(X: DesignMatrix, y, enter_p: float = DEFAULT_ENTER_P,
                 reduced = ols_fit(
                     X.subset([m for m in included if m != name]), yarr)
                 f_stat, p = partial_f_test(current, reduced)
-                if p > remove_p and (worst is None or p > worst[0] + _P_TIE_TOL):
+                if p > _REMOVE_P and (worst is None or p > worst[0] + _P_TIE_TOL):
                     worst = (p, f_stat, name, reduced)
             if worst is None:
                 break
@@ -324,7 +321,6 @@ class ConditionTable:
                 raise InsufficientData("no successful trials")
         if len(tasks) < 2:
             raise InsufficientData("need at least two distinct conditions")
-        self.aggregate = bool(aggregate)
         self.tasks = tuple(tasks)
         self.rows = np.array(rows, dtype=np.intp)
         self.y = np.array(y, dtype=float)
@@ -346,27 +342,14 @@ class ConditionTable:
         return cached
 
 
-def _as_table(trials, aggregate) -> ConditionTable:
-    if isinstance(trials, ConditionTable):
-        if trials.aggregate != bool(aggregate):
-            raise ValueError("condition table was grouped with "
-                             f"aggregate={trials.aggregate}")
-        return trials
-    return ConditionTable(trials, aggregate)
+def fit_model(kind: ModelKind, table: ConditionTable) -> ModelFit:
+    """Fit one movement-time model to the response of a ConditionTable
+    (condition means or successful trials, as the table was grouped).
 
-
-def fit_model(kind: ModelKind, trials, aggregate: bool = True) -> ModelFit:
-    """Fit one movement-time model to trials (or to a ConditionTable
-    already grouped from them with the same aggregate flag).
-
-    Error trials are excluded. With aggregate=True (the standard
-    treatment) the response is the mean successful movement time per
-    condition; otherwise individual successful trials are used.
     Predictor columns that are constant on the data are dropped and
     recorded on the returned fit.
     """
     kind = ModelKind(kind)
-    table = _as_table(trials, aggregate)
     names, values = table.predictors(kind)
     keep, dropped = [], []
     for j, name in enumerate(names):
@@ -394,27 +377,17 @@ class ComparisonRow:
     error: str | None = None
 
 
-def compare_models(trials, kinds=MODEL_ORDER, aggregate: bool = True):
-    """Fit several models to the same trials and rank them.
+def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
+    """Fit several models to the same ConditionTable and rank them.
 
     Returns one row per requested model: fitted rows first, sorted by
     descending r^2 (ties broken by declaration order), then rows whose
     fit failed, carrying the error message inline.
     """
-    wanted = {ModelKind(k) for k in kinds}
-    try:
-        table, error = _as_table(trials, aggregate), None
-    except Fitts3dError as exc:
-        table, error = None, f"{type(exc).__name__}: {exc}"
     rows = []
-    for kind in MODEL_ORDER:
-        if kind not in wanted:
-            continue
-        if table is None:
-            rows.append(ComparisonRow(kind, error=error))
-            continue
+    for kind in sorted({ModelKind(k) for k in kinds}, key=declaration_index):
         try:
-            rows.append(ComparisonRow(kind, fit=fit_model(kind, table, aggregate)))
+            rows.append(ComparisonRow(kind, fit=fit_model(kind, table)))
         except Fitts3dError as exc:
             rows.append(ComparisonRow(kind, error=f"{type(exc).__name__}: {exc}"))
     fitted = [r for r in rows if r.fit is not None]
@@ -429,11 +402,9 @@ def compare_models(trials, kinds=MODEL_ORDER, aggregate: bool = True):
 STEPWISE_CANDIDATES = ("F", "W", "A", "phi", "theta", "alpha", "omega")
 
 
-def condition_matrix(trials, candidates=STEPWISE_CANDIDATES,
-                     aggregate: bool = True):
-    """Design matrix of raw task variables plus the response vector,
-    for stepwise selection, from trials or a ConditionTable grouped
-    from them with the same aggregate flag.
+def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
+    """Design matrix of raw task variables plus the response vector of
+    a ConditionTable, for stepwise selection.
 
     Candidates come from {F, W, A, phi, theta, alpha, omega}; phi is
     encoded as sin(phi) under the column name "sin_phi".
@@ -446,15 +417,13 @@ def condition_matrix(trials, candidates=STEPWISE_CANDIDATES,
     unknown = set(candidates) - set(STEPWISE_CANDIDATES)
     if unknown:
         raise ValueError(f"unknown candidates: {sorted(unknown)}")
-    table = _as_table(trials, aggregate)
-    tasks = table.tasks
     cols, names = [], []
     for cand in candidates:
         if cand == "phi":
             names.append("sin_phi")
-            cols.append([math.sin(math.radians(t.phi)) for t in tasks])
+            cols.append([math.sin(math.radians(t.phi)) for t in table.tasks])
         else:
             names.append(cand)
-            cols.append([float(getattr(t, cand)) for t in tasks])
+            cols.append([float(getattr(t, cand)) for t in table.tasks])
     X = DesignMatrix(tuple(names), np.array(cols, dtype=float).T[table.rows])
     return X, table.y.copy()

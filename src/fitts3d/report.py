@@ -3,11 +3,14 @@ reports, held in memory as their JSON documents. Each schema has one
 table renderer, which reads the document, so live and reloaded match."""
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .errors import Fitts3dError, SchemaError
-from .regression import ConditionTable, StepwiseReport, compare_models
+from .metrics import ModelKind, declaration_index
+from .regression import (ComparisonRow, ConditionTable, StepwiseReport,
+                         compare_models)
 
 REPORT_SCHEMA = "fitts3d.report/1"
 STEPWISE_SCHEMA = "fitts3d.stepwise/1"
@@ -42,21 +45,26 @@ def build_comparison_report(trials, kinds, aggregate: bool = True,
     attach the per-condition (predictors, mean MT) points for plotting."""
     trials = list(trials)
     try:
-        data = ConditionTable(trials, aggregate)
-    except Fitts3dError:
-        data = trials  # compare_models reports the error on every row
+        table = ConditionTable(trials, aggregate)
+    except Fitts3dError as exc:
+        # no model can be fitted: the grouping error goes on every row
+        rows = [ComparisonRow(kind, error=f"{type(exc).__name__}: {exc}")
+                for kind in sorted({ModelKind(k) for k in kinds},
+                                   key=declaration_index)]
+    else:
+        rows = compare_models(table, kinds)
     models = []
-    for cmp_row in compare_models(data, kinds, aggregate=aggregate):
+    for cmp_row in rows:
         fit = cmp_row.fit
         if fit is None:
             models.append(_model_entry(cmp_row.kind.value, error=cmp_row.error))
             continue
         point_names = points = None
         if include_points:
-            names, values = data.predictors(cmp_row.kind)
+            names, values = table.predictors(cmp_row.kind)
             cols = [names.index(n) for n in fit.predictor_names]
             point_names = list(fit.predictor_names) + ["mt"]
-            points = np.column_stack([values[:, cols][data.rows], data.y]).tolist()
+            points = np.column_stack([values[:, cols][table.rows], table.y]).tolist()
         models.append(_model_entry(
             cmp_row.kind.value, r2=fit.r2, n=fit.n,
             coefficients=dict(fit.coefficients),
@@ -118,7 +126,7 @@ def _stepwise_table(doc: dict) -> str:
     body = []
     for i, s in enumerate(doc.get("steps", []), start=1):
         s = {**_STEP_DEFAULTS, **s}
-        body.append((str(i), str(s.get("action")), str(s.get("variable")),
+        body.append((str(i), s["action"], s["variable"],
                      f"{s['f_stat']:.4f}", f"{s['p_value']:.3g}",
                      f"{s['r2']:.4f}"))
     lines = _table(("step", "action", "variable", "F", "p", "r2"), body)
@@ -157,6 +165,12 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _all_of(values, types) -> bool:
+    """Each value is a non-bool instance of types; checks each type once."""
+    return all(t is not bool and issubclass(t, types)
+               for t in set(map(type, values)))
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -191,10 +205,15 @@ def _comparison_from_document(doc: dict) -> dict:
             _require(_is_int(m.get("n")), f"{where}.n must be an integer")
             _require(isinstance(m.get("equation"), str),
                      f"{where}.equation must be a string")
+        else:
+            _require(m.get("r2") is None or _is_number(m["r2"]),
+                     f"{where}.r2 must be a number or null")
+            _require(m.get("n") is None or _is_int(m["n"]),
+                     f"{where}.n must be an integer or null")
         coefficients = m.get("coefficients")
         _require(coefficients is None or (
             isinstance(coefficients, dict)
-            and all(_is_number(v) for v in coefficients.values())),
+            and _all_of(coefficients.values(), (int, float))),
             f"{where}.coefficients must map names to numbers")
         dropped = m.get("dropped") or []
         _require(_is_str_list(dropped), f"{where}.dropped must list names")
@@ -202,9 +221,10 @@ def _comparison_from_document(doc: dict) -> dict:
         _require(point_names is None or _is_str_list(point_names),
                  f"{where}.point_names must list names")
         points = m.get("points") or None
-        _require(points is None or (isinstance(points, list) and all(
-            isinstance(p, list) for p in points)),
-            f"{where}.points must be a list of lists")
+        _require(points is None or (
+            isinstance(points, list) and _all_of(points, list)
+            and _all_of(chain.from_iterable(points), (int, float))),
+            f"{where}.points must be a list of lists of numbers")
         entries.append(_model_entry(
             m["model"], m.get("r2"), m.get("n"), coefficients,
             m.get("equation"), dropped, error, point_names, points))
@@ -218,6 +238,10 @@ def _check_stepwise(doc: dict) -> None:
     for i, s in enumerate(steps):
         where = f"steps[{i}]"
         _require(isinstance(s, dict), f"{where} must be an object")
+        _require(s.get("action") in ("enter", "remove"),
+                 f"{where}.action must be \"enter\" or \"remove\"")
+        _require(isinstance(s.get("variable"), str),
+                 f"{where}.variable must be a string")
         for key, default in _STEP_DEFAULTS.items():
             _require(_is_number(s.get(key, default)),
                      f"{where}.{key} must be a number")
@@ -225,7 +249,7 @@ def _check_stepwise(doc: dict) -> None:
              "'selected' must list names")
     contributions = doc.get("contributions_percent") or {}
     _require(isinstance(contributions, dict)
-             and all(_is_number(v) for v in contributions.values()),
+             and _all_of(contributions.values(), (int, float)),
              "'contributions_percent' must map names to numbers")
     _require("r2" not in doc or _is_number(doc["r2"]), "'r2' must be a number")
 

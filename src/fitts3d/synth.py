@@ -212,11 +212,8 @@ def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
         for _ in range(grid.repetitions):
             z = stream.normal()
             u = stream.random()
-            if u < truth.error_rate:
-                trials.append(Trial(task, timeout, False))
-                continue
             mt = max(pred + truth.noise_sd * z, MIN_MT_S)
-            if mt >= timeout:
+            if u < truth.error_rate or mt >= timeout:
                 trials.append(Trial(task, timeout, False))
             else:
                 trials.append(Trial(task, mt, True))

@@ -14,8 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fitts3d import (DesignMatrix, GroundTruth, InteractionKind, ModelKind,
-                     Pose, TaskSpec, Xoshiro256StarStar, build_grid,
+from fitts3d import (ConditionTable, DesignMatrix, GroundTruth,
+                     InteractionKind, ModelKind, Pose, TaskSpec,
+                     Xoshiro256StarStar, build_grid,
                      classify_combined, classify_rotation,
                      classify_translation, compare_models, derive_stream_seed,
                      f_cdf, f_sf, fit_model, generate_trials, joint_angle,
@@ -218,7 +219,7 @@ def test_criterion_04_planted_model_recovery():
         grid = build_grid(experiment)
         truth = GroundTruth(kind=kind, coefficients=coefficients)
         trials = generate_trials(grid, truth, POINT)
-        fit = fit_model(kind, trials, aggregate=True)
+        fit = fit_model(kind, ConditionTable(trials, aggregate=True))
         assert fit.dropped == ()
         for name, want in coefficients.items():
             assert abs(fit.coefficients[name] - want) <= 1e-6, (kind, name)
@@ -238,7 +239,7 @@ def test_criterion_05_ranking_reproduction():
         top = 0
         for seed in range(100):
             trials = generate_trials(grid, replace(base, seed=seed), POINT)
-            rows = compare_models(trials, ModelKind)
+            rows = compare_models(ConditionTable(trials), ModelKind)
             if rows[0].fit is not None and rows[0].kind is ModelKind.FINAL:
                 top += 1
         wins[experiment] = top

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fitts3d.cli import main
-from fitts3d.trial_io import POSE_CSV_HEADER
+from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
 from fitts3d import read_trials
 
 
@@ -137,6 +137,9 @@ def test_generate_rejects_non_finite_noise(tmp_path, capsys, noise):
       "steps": [{"action": "enter", "variable": "A", "f_stat": "large",
                  "p_value": 0.01, "r2": 0.5}],
       "selected": ["A"]}, "steps[0].f_stat must be a number"),
+    ({"schema": "fitts3d.stepwise/1",
+      "steps": [{"variable": "A", "f_stat": 12.0, "p_value": 0.01, "r2": 0.5}],
+      "selected": ["A"]}, 'steps[0].action must be "enter" or "remove"'),
 ])
 @pytest.mark.parametrize("fmt", ["table", "json-like"])
 def test_report_rejects_malformed_document(tmp_path, capsys, doc, fragment, fmt):
@@ -246,3 +249,61 @@ def test_bad_schema_is_exit_1(tmp_path, capsys):
     rc = main(["fit", str(path)])
     assert rc == 1
     assert "header" in capsys.readouterr().err
+
+
+def _one_condition_log(tmp_path, successes=(1, 1)):
+    """An e1 log whose trials all share one condition."""
+    path = tmp_path / "one.csv"
+    rows = [f"e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,{mt},{ok}"
+            for mt, ok in zip((0.8534577155865163, 1.487059962784706), successes)]
+    path.write_text("\n".join([TRIAL_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+_GROUPING_ERROR = "InsufficientData: need at least two distinct conditions"
+
+
+def test_compare_grouping_failure_gives_error_rows(tmp_path, capsys):
+    path = _one_condition_log(tmp_path)
+    assert main(["compare", str(path)]) == 0
+    names = ("fitts", "hoffmann", "welford", "shannon", "murata-iwase",
+             "cha-myung", "final")
+    assert capsys.readouterr().out == "\n".join([
+        "model         r2  n  fit",
+        "------------  --  -  " + "-" * len(_GROUPING_ERROR),
+        *(f"{name:<12}  -   -  {_GROUPING_ERROR}" for name in names),
+        "",
+        "observations: 2 trials, aggregate=true",
+    ]) + "\n"
+
+
+def test_fit_grouping_failure_gives_error_entries(tmp_path, capsys):
+    path = _one_condition_log(tmp_path)
+    assert main(["fit", str(path), "--models", "final,fitts",
+                 "--aggregate", "false", "--format", "json-like"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    error_entry = {"r2": None, "n": None, "coefficients": None,
+                   "equation": None, "dropped": [], "error": _GROUPING_ERROR,
+                   "point_names": None, "points": None}
+    assert doc == {"schema": "fitts3d.report/1", "n_trials": 2,
+                   "aggregate": False,
+                   "models": [{"model": "fitts", **error_entry},
+                              {"model": "final", **error_entry}]}
+
+
+def test_stepwise_grouping_failure_is_exit_1(tmp_path, capsys):
+    path = _one_condition_log(tmp_path)
+    assert main(["stepwise", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least two distinct conditions\n"
+
+
+def test_per_trial_log_without_successes(tmp_path, capsys):
+    path = _one_condition_log(tmp_path, successes=(0, 0))
+    assert main(["compare", str(path), "--aggregate", "false"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(l.endswith("  InsufficientData: no successful trials")
+               for l in lines[2:9])
+    assert main(["stepwise", str(path), "--aggregate", "false"]) == 1
+    assert capsys.readouterr().err == "error: no successful trials\n"

@@ -70,15 +70,16 @@ DOCUMENTS = {
              "error": "DomainError: id_fitts needs A >= 0 and W > 0",
              "point_names": None, "points": None},
             {"model": "welford", "error": "InsufficientData: too few rows",
-             "r2": "ignored", "n": 1.5}]},
+             "r2": 0.25, "n": 3}]},
     "stepwise-no-r2": {
         "schema": "fitts3d.stepwise/1", "steps": [_STEP],
         "selected": ["A"], "contributions_percent": {"A": 61.0}},
     "stepwise-bare": {"schema": "fitts3d.stepwise/1"},
     "stepwise-sparse": {
         "schema": "fitts3d.stepwise/1", "extra": [1, 2],
-        "steps": [{}, dict(_STEP, action="remove", note="x"),
-                  {"variable": "W", "f_stat": 3}],
+        "steps": [{"action": "enter", "variable": "F"},
+                  dict(_STEP, action="remove", note="x"),
+                  {"action": "enter", "variable": "W", "f_stat": 3}],
         "selected": None, "contributions_percent": None, "r2": 0},
 }
 

@@ -146,17 +146,18 @@ def assert_report_matches_reference(trials, aggregate):
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggregate):
     trials = _cell_trials(experiment, interaction)
-    rows = {r.kind: r for r in compare_models(trials, aggregate=aggregate)}
+    table = ConditionTable(trials, aggregate)
+    rows = {r.kind: r for r in compare_models(table)}
     for kind in MODEL_ORDER:
         want = outcome(reference_fit, kind, trials, aggregate)
-        assert_same_fit(outcome(fit_model, kind, trials, aggregate), want)
+        assert_same_fit(outcome(fit_model, kind, table), want)
         row = rows[kind]
         if isinstance(want, tuple):
             assert row.error == f"{want[0].__name__}: {want[1]}"
         else:
             assert_same_fit(row.fit, want)
     assert_report_matches_reference(trials, aggregate)
-    X, y = condition_matrix(trials, aggregate=aggregate)
+    X, y = condition_matrix(table)
     X_ref, y_ref = reference_condition_matrix(trials, aggregate)
     assert np.array_equal(X.values, X_ref) and np.array_equal(y, y_ref)
 
@@ -167,7 +168,7 @@ def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate
     # row- and column-major copies of one design give the same fit
     table = ConditionTable(_cell_trials(experiment, interaction), aggregate)
     for kind in MODEL_ORDER:
-        fit = outcome(fit_model, kind, table, aggregate)
+        fit = outcome(fit_model, kind, table)
         if isinstance(fit, tuple):
             continue
         names, values = table.predictors(kind)
@@ -212,11 +213,9 @@ def test_table_layout():
     assert means.predictors(ModelKind.FINAL)[1] is values  # cached
 
 
-def test_table_rejects_other_aggregate_flag():
+def test_aggregated_table_fits_condition_means():
     table = ConditionTable(_cell_trials("e1", InteractionKind.POINTING), True)
-    assert fit_model(ModelKind.FITTS, table, aggregate=True).n == 48
-    with pytest.raises(ValueError, match="aggregate=True"):
-        fit_model(ModelKind.FITTS, table, aggregate=False)
+    assert fit_model(ModelKind.FITTS, table).n == 48
 
 
 # ---- property: any trial list ---------------------------------------------
@@ -249,14 +248,15 @@ def _trial_lists(draw):
 @given(_trial_lists(), st.booleans())
 def test_grouped_matches_reference_on_any_trials(trials, aggregate):
     for kind in MODEL_ORDER:
-        assert_same_fit(outcome(fit_model, kind, trials, aggregate),
-                        outcome(reference_fit, kind, trials, aggregate))
+        assert_same_fit(
+            outcome(lambda: fit_model(kind, ConditionTable(trials, aggregate))),
+            outcome(reference_fit, kind, trials, aggregate))
     table = outcome(ConditionTable, trials, aggregate)
     rows = outcome(reference_rows, trials, aggregate)
     if isinstance(rows, tuple) and isinstance(rows[0], type):
         assert table == rows  # same exception, same message
         return
     assert_report_matches_reference(trials, aggregate)
-    got = outcome(condition_matrix, trials, STEPWISE_CANDIDATES, aggregate)
+    got = outcome(condition_matrix, table, STEPWISE_CANDIDATES)
     X_ref, y_ref = reference_condition_matrix(trials, aggregate)
     assert np.array_equal(got[0].values, X_ref) and np.array_equal(got[1], y_ref)

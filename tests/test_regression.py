@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fitts3d import (DegenerateVariance, DesignMatrix, DomainError,
+from fitts3d import (ConditionTable, DegenerateVariance, DesignMatrix, DomainError,
                      EmptyCondition, InsufficientData, InteractionKind,
                      InvalidNesting, ModelKind, RankDeficient, TaskSpec,
                      Trial, compare_models, condition_matrix, f_sf, fit_model,
@@ -234,12 +234,6 @@ def test_stepwise_degenerate_response():
     assert report.r2 == 0.0
 
 
-def test_stepwise_threshold_validation():
-    X = _mat(["x"], [np.arange(10.0)])
-    with pytest.raises(ValueError):
-        stepwise(X, np.arange(10.0), enter_p=0.0)
-
-
 def _noiseless_trials(kind, coefficients, experiment, reps=None):
     truth = GroundTruth(kind, coefficients)
     grid = build_grid(experiment)
@@ -250,7 +244,7 @@ def _noiseless_trials(kind, coefficients, experiment, reps=None):
 def test_fit_model_recovers_planted_line():
     trials = _noiseless_trials(ModelKind.FITTS, {"intercept": 0.4, "id": 0.3},
                                Experiment.E1)
-    fit = fit_model(ModelKind.FITTS, trials)
+    fit = fit_model(ModelKind.FITTS, ConditionTable(trials))
     assert fit.coefficients["intercept"] == pytest.approx(0.4, abs=1e-9)
     assert fit.coefficients["id"] == pytest.approx(0.3, abs=1e-9)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
@@ -264,10 +258,11 @@ def test_fit_model_excludes_error_trials():
     task_c = TaskSpec(F=3, W=5, A=48)
     trials = [Trial(task_a, 1.0, True), Trial(task_a, 15.0, False),
               Trial(task_b, 2.0, True), Trial(task_c, 3.0, True)]
-    fit = fit_model(ModelKind.FITTS, trials)
+    fit = fit_model(ModelKind.FITTS, ConditionTable(trials))
     # the 15 s error trial must not pull the task_a mean
     assert fit.n == 3
-    fit2 = fit_model(ModelKind.FITTS, [t for t in trials if t.success])
+    fit2 = fit_model(ModelKind.FITTS,
+                     ConditionTable([t for t in trials if t.success]))
     assert fit.coefficients == pytest.approx(fit2.coefficients, abs=1e-12)
 
 
@@ -276,15 +271,15 @@ def test_fit_model_empty_condition():
     task_b = TaskSpec(F=3, W=5, A=24)
     trials = [Trial(task_a, 15.0, False), Trial(task_b, 2.0, True)]
     with pytest.raises(EmptyCondition):
-        fit_model(ModelKind.FITTS, trials)
+        fit_model(ModelKind.FITTS, ConditionTable(trials))
 
 
 def test_fit_model_needs_two_conditions():
     task = TaskSpec(F=3, W=5, A=12)
     with pytest.raises(InsufficientData):
-        fit_model(ModelKind.FITTS, [Trial(task, 1.0, True)] * 5)
+        fit_model(ModelKind.FITTS, ConditionTable([Trial(task, 1.0, True)] * 5))
     with pytest.raises(InsufficientData):
-        fit_model(ModelKind.FITTS, [])
+        fit_model(ModelKind.FITTS, ConditionTable([]))
 
 
 def test_fit_model_drops_constant_predictor():
@@ -294,17 +289,17 @@ def test_fit_model_drops_constant_predictor():
         ModelKind.MURATA_IWASE,
         {"intercept": 0.3, "id_shannon": 0.25, "sin_phi": 0.1},
         Experiment.E1)
-    fit = fit_model(ModelKind.MURATA_IWASE, trials)
+    fit = fit_model(ModelKind.MURATA_IWASE, ConditionTable(trials))
     assert fit.dropped == ("sin_phi",)
     assert fit.predictor_names == ("id_shannon",)
-    shannon = fit_model(ModelKind.SHANNON, trials)
+    shannon = fit_model(ModelKind.SHANNON, ConditionTable(trials))
     assert fit.r2 == pytest.approx(shannon.r2, abs=1e-12)
 
 
 def test_fit_model_per_trial_mode():
     trials = _noiseless_trials(ModelKind.FITTS, {"intercept": 0.4, "id": 0.3},
                                Experiment.E1)
-    fit = fit_model(ModelKind.FITTS, trials, aggregate=False)
+    fit = fit_model(ModelKind.FITTS, ConditionTable(trials, aggregate=False))
     assert fit.n == 240
     assert fit.coefficients["id"] == pytest.approx(0.3, abs=1e-9)
 
@@ -314,8 +309,9 @@ def test_compare_models_ranking_and_inline_errors():
     # Hoffmann cannot express it, the others still fit
     tasks = [TaskSpec(F=3, W=5, A=a) for a in (0, 12, 24, 36)]
     trials = [Trial(t, 0.4 + 0.3 * (i + 1), True) for i, t in enumerate(tasks)]
-    rows = compare_models(trials, kinds=(ModelKind.FITTS, ModelKind.WELFORD,
-                                         ModelKind.SHANNON, ModelKind.FINAL))
+    rows = compare_models(ConditionTable(trials),
+                          kinds=(ModelKind.FITTS, ModelKind.WELFORD,
+                                 ModelKind.SHANNON, ModelKind.FINAL))
     by_kind = {r.kind: r for r in rows}
     assert by_kind[ModelKind.FITTS].fit is None
     assert "DomainError" in by_kind[ModelKind.FITTS].error
@@ -334,8 +330,9 @@ def test_compare_models_declaration_order_ties():
     # ties resolve in declaration order
     tasks = [TaskSpec(F=3, W=5, A=12), TaskSpec(F=3, W=5, A=24)]
     trials = [Trial(tasks[0], 1.0, True), Trial(tasks[1], 2.0, True)]
-    rows = compare_models(trials, kinds=(ModelKind.SHANNON, ModelKind.WELFORD,
-                                         ModelKind.FITTS))
+    rows = compare_models(ConditionTable(trials),
+                          kinds=(ModelKind.SHANNON, ModelKind.WELFORD,
+                                 ModelKind.FITTS))
     kinds = [r.kind for r in rows]
     assert kinds == [ModelKind.FITTS, ModelKind.WELFORD, ModelKind.SHANNON]
 
@@ -343,7 +340,7 @@ def test_compare_models_declaration_order_ties():
 def test_compare_models_empty_kinds():
     trials = _noiseless_trials(ModelKind.FITTS, {"intercept": 0.4, "id": 0.3},
                                Experiment.E1)
-    assert compare_models(trials, kinds=()) == []
+    assert compare_models(ConditionTable(trials), kinds=()) == []
 
 
 def test_compare_models_affine_rank_invariance():
@@ -352,24 +349,24 @@ def test_compare_models_affine_rank_invariance():
                         noise_sd=0.15, seed=5)
     trials = generate_trials(build_grid(Experiment.E4), truth,
                              InteractionKind.POINTING)
-    rows = compare_models(trials)
+    rows = compare_models(ConditionTable(trials))
     scaled = [Trial(t.task, 1.2 * t.mt + 0.3, t.success) for t in trials]
-    rows2 = compare_models(scaled)
+    rows2 = compare_models(ConditionTable(scaled))
     assert [r.kind for r in rows] == [r.kind for r in rows2]
     for a, b in zip(rows, rows2):
         assert a.fit.r2 == pytest.approx(b.fit.r2, abs=1e-9)
 
 
 def test_condition_matrix():
-    trials = _noiseless_trials(ModelKind.FITTS, {"intercept": 0.4, "id": 0.3},
-                               Experiment.E1)
-    X, y = condition_matrix(trials, ("F", "W", "A", "phi"))
+    table = ConditionTable(_noiseless_trials(
+        ModelKind.FITTS, {"intercept": 0.4, "id": 0.3}, Experiment.E1))
+    X, y = condition_matrix(table, ("F", "W", "A", "phi"))
     assert X.names == ("F", "W", "A", "sin_phi")
     assert X.values.shape == (48, 4)
     assert len(y) == 48
     with pytest.raises(ValueError):
-        condition_matrix(trials, ("A", "A"))
+        condition_matrix(table, ("A", "A"))
     with pytest.raises(ValueError):
-        condition_matrix(trials, ("A", "bogus"))
+        condition_matrix(table, ("A", "bogus"))
     with pytest.raises(ValueError):
-        condition_matrix(trials, ())
+        condition_matrix(table, ())

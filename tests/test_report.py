@@ -4,7 +4,7 @@ import numpy as np
 
 import pytest
 
-from fitts3d import (GroundTruth, InteractionKind, ModelKind, SchemaError,
+from fitts3d import (ConditionTable, GroundTruth, InteractionKind, ModelKind, SchemaError,
                      build_comparison_report, build_grid, condition_matrix,
                      format_equation, generate_trials, render_comparison,
                      render_document, render_stepwise, stepwise,
@@ -111,7 +111,7 @@ def test_render_stepwise_and_document_unknown_format():
 
 def _stepwise_report():
     trials = _trials(noise=0.02)
-    X, y = condition_matrix(trials, ("A", "W", "alpha", "omega"))
+    X, y = condition_matrix(ConditionTable(trials), ("A", "W", "alpha", "omega"))
     return stepwise(X, y)
 
 
@@ -164,3 +164,64 @@ def test_document_is_json_serializable():
     assert report["models"][0]["model"] == "final"
     sw_doc = stepwise_document(_stepwise_report())
     assert json.loads(json.dumps(sw_doc)) == sw_doc
+
+
+_STEP = {"action": "enter", "variable": "A", "f_stat": 12.0,
+         "p_value": 0.001, "r2": 0.5}
+_ERROR_ROW = {"model": "welford", "error": "InsufficientData: too few rows"}
+_FIT_ROW = {"model": "final", "r2": 0.9, "n": 2, "equation": "MT = 0.4000",
+            "point_names": ["id_t", "mt"]}
+
+
+@pytest.mark.parametrize("step,fragment", [
+    ({k: v for k, v in _STEP.items() if k != "action"},
+     'steps[0].action must be "enter" or "remove"'),
+    ({k: v for k, v in _STEP.items() if k != "variable"},
+     "steps[0].variable must be a string"),
+    (dict(_STEP, action="add"), 'steps[0].action must be "enter" or "remove"'),
+    (dict(_STEP, action=[1, 2]), 'steps[0].action must be "enter" or "remove"'),
+    (dict(_STEP, variable={"a": 1}), "steps[0].variable must be a string"),
+    (dict(_STEP, variable=None), "steps[0].variable must be a string"),
+])
+def test_stepwise_document_checks_action_and_variable(step, fragment):
+    doc = {"schema": STEPWISE_SCHEMA, "steps": [step], "selected": ["A"]}
+    for fmt in ("table", "json-like"):
+        with pytest.raises(SchemaError) as err:
+            render_document(doc, fmt)
+        assert str(err.value) == f"malformed report document: {fragment}"
+
+
+@pytest.mark.parametrize("row,fragment", [
+    (dict(_ERROR_ROW, r2="ignored"), "models[0].r2 must be a number or null"),
+    (dict(_ERROR_ROW, r2=True), "models[0].r2 must be a number or null"),
+    (dict(_ERROR_ROW, n=1.5), "models[0].n must be an integer or null"),
+    (dict(_ERROR_ROW, n="3"), "models[0].n must be an integer or null"),
+    (dict(_FIT_ROW, points=[[1.0, "2"]]),
+     "models[0].points must be a list of lists of numbers"),
+    (dict(_FIT_ROW, points=[[1.0, 2.0], [None, 3.0]]),
+     "models[0].points must be a list of lists of numbers"),
+    (dict(_FIT_ROW, points=[[1.0, False]]),
+     "models[0].points must be a list of lists of numbers"),
+    (dict(_FIT_ROW, points=[[1.0, [2.0]]]),
+     "models[0].points must be a list of lists of numbers"),
+    (dict(_FIT_ROW, points=[1.0, 2.0]),
+     "models[0].points must be a list of lists of numbers"),
+])
+def test_comparison_document_checks_error_rows_and_points(row, fragment):
+    doc = {"schema": REPORT_SCHEMA, "models": [row]}
+    for fmt in ("table", "json-like"):
+        with pytest.raises(SchemaError) as err:
+            render_document(doc, fmt)
+        assert str(err.value) == f"malformed report document: {fragment}"
+
+
+def test_valid_error_rows_and_points_still_render():
+    doc = {"schema": REPORT_SCHEMA, "models": [
+        dict(_FIT_ROW, points=[[1, 2.5], [2.0, 3]]),
+        dict(_ERROR_ROW, r2=None, n=None),
+        dict(_ERROR_ROW, model="fitts", r2=0.5, n=3)]}
+    out = json.loads(render_document(doc, "json-like"))
+    assert out["models"][0]["points"] == [[1, 2.5], [2.0, 3]]
+    assert [(m["r2"], m["n"]) for m in out["models"][1:]] == [(None, None), (0.5, 3)]
+    text = render_document(doc, "table")
+    assert "welford  -" in text and "fitts    -" in text
