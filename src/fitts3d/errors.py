@@ -18,10 +18,6 @@ class InsufficientData(Fitts3dError):
     """Too few observations (or too few distinct conditions) for the fit."""
 
 
-class DegenerateVariance(Fitts3dError):
-    """The response is constant, so r^2 is undefined."""
-
-
 class InvalidNesting(Fitts3dError):
     """Models passed to a partial F test are not nested on the same data."""
 
@@ -34,10 +30,6 @@ class EmptyCondition(Fitts3dError):
 class InvalidTruth(Fitts3dError):
     """A planted ground-truth model is unusable (missing coefficients or
     nonpositive predicted movement time somewhere on the grid)."""
-
-
-class DegenerateBone(Fitts3dError):
-    """A bone direction vector has (near-)zero length."""
 
 
 class ConvergenceError(Fitts3dError):

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DegenerateVariance, EmptyCondition, Fitts3dError,
-                     InsufficientData, InvalidNesting, RankDeficient)
+from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
+                     InvalidNesting, RankDeficient)
 from .metrics import MODEL_ORDER, ModelKind, declaration_index, predictors_for
 from .special import f_sf
 
@@ -132,21 +132,6 @@ def ols_fit(X: DesignMatrix, y, kind: ModelKind | None = None) -> ModelFit:
                     coefficients=coefficients, r2=r2, residuals=residuals,
                     n=n, ss_res=ss_res, ss_tot=ss_tot,
                     degenerate_variance=degenerate)
-
-
-def r_squared(fit: ModelFit, y) -> float:
-    """Coefficient of determination of a fit against its response.
-
-    Raises DegenerateVariance when y is constant.
-    """
-    yarr = np.asarray(y, dtype=float)
-    if yarr.shape[0] != fit.n:
-        raise ValueError("y length does not match the fit")
-    ss_res = float(fit.residuals @ fit.residuals)
-    ss_tot = float(np.sum((yarr - yarr.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DegenerateVariance("constant response has no explainable variance")
-    return 1.0 - ss_res / ss_tot
 
 
 def partial_f_test(full: ModelFit, reduced: ModelFit):
@@ -377,23 +362,30 @@ class ComparisonRow:
     error: str | None = None
 
 
-def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
-    """Fit several models to the same ConditionTable and rank them.
+def rank_fits(kinds, fit):
+    """Try fit(kind) once for each requested model, in declaration order,
+    and rank the rows.
 
     Returns one row per requested model: fitted rows first, sorted by
     descending r^2 (ties broken by declaration order), then rows whose
-    fit failed, carrying the error message inline.
+    fit raised a Fitts3dError, carrying "<type>: <message>" inline.
     """
     rows = []
     for kind in sorted({ModelKind(k) for k in kinds}, key=declaration_index):
         try:
-            rows.append(ComparisonRow(kind, fit=fit_model(kind, table)))
+            rows.append(ComparisonRow(kind, fit=fit(kind)))
         except Fitts3dError as exc:
             rows.append(ComparisonRow(kind, error=f"{type(exc).__name__}: {exc}"))
     fitted = [r for r in rows if r.fit is not None]
     failed = [r for r in rows if r.fit is None]
     fitted.sort(key=lambda r: (-r.fit.r2, declaration_index(r.kind)))
     return fitted + failed
+
+
+def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
+    """Fit several models to the same ConditionTable and rank them as
+    rank_fits does."""
+    return rank_fits(kinds, lambda kind: fit_model(kind, table))
 
 
 # candidate columns for stepwise selection on raw task variables; the

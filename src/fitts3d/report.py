@@ -8,9 +8,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import Fitts3dError, SchemaError
-from .metrics import ModelKind, declaration_index
-from .regression import (ComparisonRow, ConditionTable, StepwiseReport,
-                         compare_models)
+from .regression import ConditionTable, StepwiseReport, compare_models, rank_fits
 
 REPORT_SCHEMA = "fitts3d.report/1"
 STEPWISE_SCHEMA = "fitts3d.stepwise/1"
@@ -48,9 +46,9 @@ def build_comparison_report(trials, kinds, aggregate: bool = True,
         table = ConditionTable(trials, aggregate)
     except Fitts3dError as exc:
         # no model can be fitted: the grouping error goes on every row
-        rows = [ComparisonRow(kind, error=f"{type(exc).__name__}: {exc}")
-                for kind in sorted({ModelKind(k) for k in kinds},
-                                   key=declaration_index)]
+        def grouping_failed(kind):
+            raise exc
+        rows = rank_fits(kinds, grouping_failed)
     else:
         rows = compare_models(table, kinds)
     models = []
@@ -215,6 +213,13 @@ def _comparison_from_document(doc: dict) -> dict:
             isinstance(coefficients, dict)
             and _all_of(coefficients.values(), (int, float))),
             f"{where}.coefficients must map names to numbers")
+        equation = m.get("equation")
+        if coefficients is not None and equation is not None:
+            _require("intercept" in coefficients,
+                     f"{where}.coefficients must hold an intercept")
+            slopes = [k for k in coefficients if k != "intercept"]
+            _require(format_equation(coefficients, slopes) == equation,
+                     f"{where}.equation must match its coefficients")
         dropped = m.get("dropped") or []
         _require(_is_str_list(dropped), f"{where}.dropped must list names")
         point_names = m.get("point_names") or None
@@ -227,7 +232,7 @@ def _comparison_from_document(doc: dict) -> dict:
             f"{where}.points must be a list of lists of numbers")
         entries.append(_model_entry(
             m["model"], m.get("r2"), m.get("n"), coefficients,
-            m.get("equation"), dropped, error, point_names, points))
+            equation, dropped, error, point_names, points))
     return {"schema": REPORT_SCHEMA, "n_trials": n_trials,
             "aggregate": aggregate, "models": entries}
 

@@ -57,7 +57,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1], absolute error < 1e-12."""
+    """I_x(a, b) for a, b > 0 and x in [0, 1]. Cancellation in log_beta's
+    lgamma sum makes the error grow with a + b: against scipy over x in
+    {0.1, 0.5, 0.9, 2, 5} and df1 in {1, 2, 7}, f_sf and f_cdf are off by
+    at most 1.0e-13 at df2 = 250, 1.4e-12 at 4 700 (a per-trial stepwise
+    on 4 800 trials), 6.4e-12 at 1e4, 6.1e-10 at 1e6, 3.3e-9 at 1e7."""
     if a <= 0 or b <= 0:
         raise DomainError("incomplete beta needs a > 0 and b > 0")
     if not 0.0 <= x <= 1.0:
@@ -76,7 +80,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
     """P(F <= x) for an F-distributed variable with df1 and df2 degrees
-    of freedom."""
+    of freedom (error: see regularized_incomplete_beta)."""
     if df1 <= 0 or df2 <= 0:
         raise DomainError("F distribution needs positive degrees of freedom")
     if x <= 0:
@@ -88,7 +92,8 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:
-    """P(F > x), computed directly so small tails keep full precision."""
+    """P(F > x), computed directly so small tails are not lost to
+    cancellation in 1 - cdf (error: see regularized_incomplete_beta)."""
     if df1 <= 0 or df2 <= 0:
         raise DomainError("F distribution needs positive degrees of freedom")
     if x <= 0:

@@ -36,14 +36,6 @@ class InteractionKind(str, Enum):
         return MANIPULATION_TIMEOUT_S
 
 
-class DistanceVariant(Enum):
-    """How the separation between object and target was measured."""
-
-    CENTER_CENTER = "center-center"
-    EDGE_CENTER = "edge-center"
-    EDGE_EDGE = "edge-edge"
-
-
 def wrap_angle_deg(angle: float) -> float:
     """Wrap an angle in degrees to the half-open interval (-180, 180]."""
     r = math.fmod(angle, 360.0)
@@ -151,42 +143,8 @@ class Trial:
         object.__setattr__(self, "success", bool(self.success))
 
 
-def spherical_to_cartesian(A: float, phi: float, theta: float):
-    """Cartesian offset of a target placed at distance A, direction phi
-    and inclination theta (both degrees).
-
-    phi sweeps the horizontal plane from the forward axis toward the
-    right axis; theta elevates toward the up axis.
-    """
-    if A < 0:
-        raise ValueError("A must be nonnegative")
-    pr = math.radians(phi)
-    tr = math.radians(theta)
-    ct = math.cos(tr)
-    return (A * ct * math.cos(pr), A * math.sin(tr), A * ct * math.sin(pr))
-
-
 def euclidean_distance(p, q) -> float:
     return math.dist(p, q)
-
-
-def effective_separation(measured: float, variant: DistanceVariant,
-                         W: float, F: float) -> float:
-    """Convert a measured separation to the centre-to-centre distance A.
-
-    Centre-to-centre logs need no correction; edge-to-centre logs add
-    half the target width; edge-to-edge logs add half of both cubes.
-    """
-    if measured < 0:
-        raise ValueError("measured separation must be nonnegative")
-    if W <= 0 or F <= 0:
-        raise ValueError("W and F must be positive")
-    variant = DistanceVariant(variant)
-    if variant is DistanceVariant.CENTER_CENTER:
-        return measured
-    if variant is DistanceVariant.EDGE_CENTER:
-        return measured + W / 2.0
-    return measured + (W + F) / 2.0
 
 
 def classify_translation(obj: Pose, target: Pose, W: float) -> bool:

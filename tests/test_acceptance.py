@@ -19,11 +19,9 @@ from fitts3d import (ConditionTable, DesignMatrix, GroundTruth,
                      Xoshiro256StarStar, build_grid,
                      classify_combined, classify_rotation,
                      classify_translation, compare_models, derive_stream_seed,
-                     f_cdf, f_sf, fit_model, generate_trials, joint_angle,
-                     ols_fit, paper_scale_defaults, partial_f_test, pd_torque,
-                     predictors_for, r_squared, read_trials, stepwise,
-                     write_trials)
-from fitts3d.retarget import BonePair, JointState
+                     f_cdf, f_sf, fit_model, generate_trials, ols_fit,
+                     paper_scale_defaults, partial_f_test, predictors_for,
+                     read_trials, stepwise, write_trials)
 from fitts3d.synth import GRID_REPETITIONS, Experiment
 from fitts3d import (id_fitts, id_hoffmann, id_r_final, id_rot_adapted,
                      id_shannon, id_t_final, id_welford, predictors_cha_myung,
@@ -318,7 +316,6 @@ def test_criterion_07_regression_properties():
         g = float(rng.uniform(-10.0, 10.0))
         fit2 = ols_fit(DesignMatrix(names, X), b * y + g)
         assert abs(fit2.r2 - fit.r2) <= 1e-9
-        assert abs(r_squared(fit2, b * y + g) - fit2.r2) <= 1e-12
 
         # nested subsets never explain more variance than their superset
         prev = -1.0
@@ -363,36 +360,6 @@ def test_criterion_08_f_cdf_accuracy():
     assert elapsed < 5.0
     print(f"PASS criterion 8: F CDF within 1e-8 of quadrature on 20 cases "
           f"(worst {worst:.2e}; {elapsed:.2f} s < 5 s)")
-
-
-def test_criterion_09_retargeting_checks():
-    t0 = time.perf_counter()
-    assert joint_angle(BonePair((1, 0, 0), (1, 0, 0))) == 0.0
-    assert abs(joint_angle(BonePair((1, 0, 0), (0, 1, 0))) - math.pi / 2) <= 1e-12
-    assert abs(joint_angle(BonePair((1, 1, 0), (1, 0, 0))) - math.pi / 4) <= 1e-12
-    assert pd_torque(JointState(2.0, 0.0, 1.0, 0.5, 0.0)) == 1.0
-    assert pd_torque(JointState(0.0, 1.0, 0.0, 0.0, 2.0)) == -2.0
-    assert pd_torque(JointState(3.0, 0.5, 1.0, 1.0, 0.0)) == 0.0
-
-    rng = random.Random(77)
-    checked = 0
-    for _ in range(10000):
-        bone = tuple(rng.uniform(-1, 1) for _ in range(3))
-        parent = tuple(rng.uniform(-1, 1) for _ in range(3))
-        if (math.sqrt(sum(v * v for v in bone)) < 1e-3
-                or math.sqrt(sum(v * v for v in parent)) < 1e-3):
-            continue
-        angle = joint_angle(BonePair(bone, parent))
-        s = rng.uniform(0.05, 100.0)
-        scaled = joint_angle(BonePair(tuple(s * v for v in bone), parent))
-        assert abs(scaled - angle) <= 1e-9
-        assert 0.0 <= angle <= math.pi
-        checked += 1
-    elapsed = time.perf_counter() - t0
-    assert checked > 9900
-    assert elapsed < 2.0
-    print(f"PASS criterion 9: joint-angle and PD identities exact, scale "
-          f"invariance on {checked} bone pairs ({elapsed:.2f} s < 2 s)")
 
 
 def test_criterion_10_round_trip_determinism(tmp_path):

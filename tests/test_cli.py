@@ -140,6 +140,11 @@ def test_generate_rejects_non_finite_noise(tmp_path, capsys, noise):
     ({"schema": "fitts3d.stepwise/1",
       "steps": [{"variable": "A", "f_stat": 12.0, "p_value": 0.01, "r2": 0.5}],
       "selected": ["A"]}, 'steps[0].action must be "enter" or "remove"'),
+    ({"schema": "fitts3d.report/1",
+      "models": [{"model": "fitts", "r2": 0.5, "n": 3,
+                  "coefficients": {"intercept": 0.1, "id": 0.3},
+                  "equation": "MT = 0.1000 + 0.2000*id"}]},
+     "models[0].equation must match its coefficients"),
 ])
 @pytest.mark.parametrize("fmt", ["table", "json-like"])
 def test_report_rejects_malformed_document(tmp_path, capsys, doc, fragment, fmt):
@@ -150,6 +155,21 @@ def test_report_rejects_malformed_document(tmp_path, capsys, doc, fragment, fmt)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: malformed report document: {fragment}\n"
+
+
+@pytest.mark.parametrize("row", [
+    {"model": "fitts", "r2": 10 ** 400, "n": 3, "equation": "MT = 1.0000"},
+    {"model": "fitts", "r2": 0.5, "n": 3, "coefficients": {"intercept": 10 ** 400},
+     "equation": "MT = 1.0000"},
+])
+def test_report_rejects_integer_too_large_for_a_float(tmp_path, capsys, row):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"schema": "fitts3d.report/1", "models": [row]}),
+                    encoding="utf-8")
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
 
 
 def test_report_renders_saved_stepwise_document(tmp_path, capsys):

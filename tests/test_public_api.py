@@ -1,0 +1,35 @@
+"""Every name the package exports has a caller beyond its definition.
+
+A name counts as used when it occurs at least twice across the library
+modules (other than the package's __init__), the demos and the benchmark
+tracer: once where it is defined and at least once where it is used.
+A name that only tests reach is code the answer does not need.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fitts3d"
+SOURCES = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py"))
+           + [ROOT / "perfbench" / "tracer.py"])
+TEXT = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES)
+
+
+def _exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def test_exports_found():
+    assert len(_exported()) > 50
+
+
+@pytest.mark.parametrize("name", _exported())
+def test_exported_name_has_a_caller(name):
+    assert len(re.findall(rf"\b{re.escape(name)}\b", TEXT)) >= 2

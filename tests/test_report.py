@@ -206,6 +206,14 @@ def test_stepwise_document_checks_action_and_variable(step, fragment):
      "models[0].points must be a list of lists of numbers"),
     (dict(_FIT_ROW, points=[1.0, 2.0]),
      "models[0].points must be a list of lists of numbers"),
+    (dict(_FIT_ROW, coefficients={"intercept": 0.5}),
+     "models[0].equation must match its coefficients"),
+    (dict(_FIT_ROW, coefficients={"intercept": 0.4, "id_t": 0.25}),
+     "models[0].equation must match its coefficients"),
+    (dict(_FIT_ROW, coefficients={"id_t": 0.4}),
+     "models[0].coefficients must hold an intercept"),
+    (dict(_ERROR_ROW, coefficients={}, equation="MT = 0.4000"),
+     "models[0].coefficients must hold an intercept"),
 ])
 def test_comparison_document_checks_error_rows_and_points(row, fragment):
     doc = {"schema": REPORT_SCHEMA, "models": [row]}

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fitts3d import (InteractionKind, Pose, TaskSpec, Trial, DistanceVariant,
-                     classify_combined, classify_rotation, classify_translation,
-                     effective_separation, euclidean_distance,
-                     spherical_to_cartesian, symmetry_reduced_delta_deg,
+from fitts3d import (InteractionKind, Pose, TaskSpec, Trial, classify_combined,
+                     classify_rotation, classify_translation,
+                     euclidean_distance, symmetry_reduced_delta_deg,
                      wrap_angle_deg)
 
 
@@ -23,38 +22,6 @@ def test_wrap_angle():
     assert wrap_angle_deg(190.0) == -170.0
     assert wrap_angle_deg(-190.0) == 170.0
     assert wrap_angle_deg(720.0) == 0.0
-
-
-def test_spherical_axes():
-    # forward at phi=0, theta=0
-    assert spherical_to_cartesian(12, 0, 0) == pytest.approx((12, 0, 0), abs=1e-12)
-    # straight up at theta=90, regardless of phi
-    assert spherical_to_cartesian(12, 0, 90) == pytest.approx((0, 12, 0), abs=1e-9)
-    assert spherical_to_cartesian(12, 270, 90) == pytest.approx((0, 12, 0), abs=1e-9)
-    # to the right at phi=90
-    assert spherical_to_cartesian(24, 90, 0) == pytest.approx((0, 0, 24), abs=1e-9)
-    # zero distance is the origin exactly
-    assert spherical_to_cartesian(0, 123, 45) == (0.0, 0.0, 0.0)
-
-
-def test_spherical_norm_preserved():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = float(rng.uniform(0, 60))
-        phi = float(rng.uniform(0, 360))
-        theta = float(rng.uniform(0, 90))
-        p = spherical_to_cartesian(a, phi, theta)
-        assert math.isclose(math.sqrt(sum(c * c for c in p)), a, abs_tol=1e-9)
-
-
-def test_effective_separation():
-    assert effective_separation(12, DistanceVariant.CENTER_CENTER, 5, 3) == 12
-    assert effective_separation(12, DistanceVariant.EDGE_CENTER, 5, 3) == 14.5
-    assert effective_separation(12, DistanceVariant.EDGE_EDGE, 5, 3) == 16
-    with pytest.raises(ValueError):
-        effective_separation(-1, DistanceVariant.CENTER_CENTER, 5, 3)
-    with pytest.raises(ValueError):
-        effective_separation(12, DistanceVariant.EDGE_EDGE, 0, 3)
 
 
 def test_euclidean_distance():
