@@ -185,6 +185,7 @@ class StepwiseReport:
     contributions: dict[str, float]
     r2: float
     fit: ModelFit
+    hit_round_cap: bool = False  # stopped at max_rounds, still changing
 
 
 def stepwise(X: DesignMatrix, y) -> StepwiseReport:
@@ -195,7 +196,8 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     variables whose p-value rose above 0.10 (largest first).
     Candidates that would make the matrix rank deficient are skipped.
     Ties within 1e-12 go to the earlier column. Stops when a round
-    changes nothing.
+    changes nothing, or after 4 * len(X.names) + 8 rounds, which sets
+    hit_round_cap.
     """
     yarr = np.asarray(y, dtype=float)
     intercept_only = ols_fit(DesignMatrix((), np.empty((yarr.shape[0], 0))), yarr)
@@ -254,7 +256,7 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     contributions = {name: (entry_gain[name][1] - entry_gain[name][0]) * 100.0
                      for name in included}
     return StepwiseReport(tuple(steps), tuple(included), contributions,
-                          current.r2, current)
+                          current.r2, current, hit_round_cap=changed)
 
 
 class ConditionTable:

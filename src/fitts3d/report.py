@@ -1,6 +1,12 @@
 """Comparison (fitts3d.report/1) and stepwise (fitts3d.stepwise/1)
 reports, held in memory as their JSON documents. Each schema has one
-table renderer, which reads the document, so live and reloaded match."""
+table renderer, which reads the document, so live and reloaded match.
+
+JSON output is byte-identical to json.dumps(doc, indent=2). With indent
+set, Python's json uses its pure-Python encoder, so a model's canonical
+points (a non-empty list of non-empty lists of ints and floats) are
+written by the C encoder and spliced into the indent=2 dump of the rest;
+any other document falls back to json.dumps(doc, indent=2) itself."""
 
 import json
 from itertools import chain
@@ -140,6 +146,58 @@ def _stepwise_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a model's points sit at depth 3 (document > models > model); these are
+# their indent=2 separators and brackets
+_ITEM_SEP = ",\n" + 10 * " "
+_ROW_BREAK = "]" + _ITEM_SEP + "["
+_ROW_BREAK_INDENTED = "\n" + 8 * " " + "],\n" + 8 * " " + "[\n" + 10 * " "
+_POINTS_OPEN = "[\n" + 8 * " " + "[\n" + 10 * " "
+_POINTS_CLOSE = "\n" + 8 * " " + "]\n" + 6 * " " + "]"
+_PLACEHOLDER = "\x00fitts3d.points.{}\x00"
+
+
+def _is_canonical_points(points) -> bool:
+    """A non-empty list of non-empty lists of exact ints and floats: the
+    points whose indent=2 layout _encode_points reproduces."""
+    return (type(points) is list and len(points) > 0
+            and all(type(row) is list and row for row in points)
+            and {int, float}.issuperset(map(type, chain.from_iterable(points))))
+
+
+def _encode_points(points: list) -> str:
+    """Canonical points laid out as json.dumps(doc, indent=2) lays them
+    out at depth 3, written by the C encoder."""
+    flat = json.dumps(points, separators=(_ITEM_SEP, ":"))
+    return (_POINTS_OPEN + flat[2:-2].replace(_ROW_BREAK, _ROW_BREAK_INDENTED)
+            + _POINTS_CLOSE)
+
+
+def _dump_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2), byte for byte. Each model's canonical
+    points become a placeholder string in an indent=2 dump of the rest;
+    the splice is taken only if each placeholder occurs there once."""
+    models = doc.get("models")
+    if isinstance(models, list):
+        spliced = {}  # encoded placeholder -> points
+        shallow = []
+        for i, m in enumerate(models):
+            if isinstance(m, dict) and _is_canonical_points(m.get("points")):
+                token = _PLACEHOLDER.format(i)
+                spliced[json.dumps(token)] = m["points"]
+                m = dict(m, points=token)
+            shallow.append(m)
+        if spliced:
+            rest = json.dumps(dict(doc, models=shallow), indent=2)
+            if all(rest.count(token) == 1 for token in spliced):
+                parts = []
+                for token, points in spliced.items():
+                    head, _, rest = rest.partition(token)
+                    parts += (head, _encode_points(points))
+                parts.append(rest)
+                return "".join(parts)
+    return json.dumps(doc, indent=2)
+
+
 def _render(doc: dict, fmt: str) -> str:
     """The one format switch: a document's table, or the document as JSON."""
     if fmt == TABLE_FORMAT:
@@ -147,7 +205,7 @@ def _render(doc: dict, fmt: str) -> str:
             return _comparison_table(doc)
         return _stepwise_table(doc)
     if fmt == JSON_FORMAT:
-        return json.dumps(doc, indent=2) + "\n"
+        return _dump_json(doc) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -208,6 +266,8 @@ def _comparison_from_document(doc: dict) -> dict:
                      f"{where}.r2 must be a number or null")
             _require(m.get("n") is None or _is_int(m["n"]),
                      f"{where}.n must be an integer or null")
+            _require(m.get("equation") is None or isinstance(m["equation"], str),
+                     f"{where}.equation must be a string or null")
         coefficients = m.get("coefficients")
         _require(coefficients is None or (
             isinstance(coefficients, dict)

@@ -9,7 +9,9 @@ from fitts3d import (ConditionTable, DesignMatrix, DomainError, EmptyCondition,
                      ModelKind, RankDeficient, TaskSpec, Trial, compare_models,
                      condition_matrix, f_sf, fit_model, ols_fit,
                      partial_f_test, stepwise)
-from fitts3d.synth import Experiment, GroundTruth, build_grid, generate_trials
+from fitts3d import regression
+from fitts3d.synth import (Experiment, GroundTruth, build_grid, generate_trials,
+                           paper_scale_defaults)
 
 
 def _mat(names, cols):
@@ -229,6 +231,36 @@ def test_stepwise_degenerate_response():
     assert report.steps == ()
     assert report.selected == ()
     assert report.r2 == 0.0
+
+
+@pytest.mark.parametrize("experiment", list(Experiment))
+@pytest.mark.parametrize("interaction", list(InteractionKind))
+@pytest.mark.parametrize("aggregate", [True, False])
+def test_stepwise_converges_on_paper_cells(experiment, interaction, aggregate):
+    truth = paper_scale_defaults(experiment, interaction)
+    trials = generate_trials(build_grid(experiment, interaction), truth,
+                             interaction)
+    report = stepwise(*condition_matrix(ConditionTable(trials, aggregate)))
+    assert report.hit_round_cap is False
+
+
+def test_stepwise_flags_round_cap(monkeypatch):
+    # partial F alternates significant (enter) and not (remove), so x
+    # enters and leaves every round until the cap stops the loop
+    calls = []
+
+    def alternating(full, reduced):
+        calls.append(None)
+        return (10.0, 0.01) if len(calls) % 2 else (0.1, 0.9)
+
+    monkeypatch.setattr(regression, "partial_f_test", alternating)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=20)
+    report = stepwise(_mat(["x"], [x]), x + rng.normal(size=20))
+    assert report.hit_round_cap is True
+    assert len(report.steps) == 2 * (4 * 1 + 8)
+    assert [s.action for s in report.steps[:2]] == ["enter", "remove"]
+    assert report.selected == ()
 
 
 def _noiseless_trials(kind, coefficients, experiment, reps=None):

@@ -1,15 +1,23 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitts3d import (ConditionTable, GroundTruth, InteractionKind, ModelKind, SchemaError,
                      build_comparison_report, build_grid, condition_matrix,
-                     format_equation, generate_trials, render_comparison,
-                     render_document, render_stepwise, stepwise,
-                     stepwise_document)
+                     format_equation, generate_trials, read_trials,
+                     render_comparison, render_document, render_stepwise,
+                     stepwise, stepwise_document, write_trials)
+from fitts3d import report as report_module
+from fitts3d.cli import main
+from fitts3d.metrics import MODEL_ORDER
 from fitts3d.report import REPORT_SCHEMA, STEPWISE_SCHEMA
+from fitts3d.synth import paper_scale_defaults
 
 POINT = InteractionKind.POINTING
 
@@ -214,6 +222,8 @@ def test_stepwise_document_checks_action_and_variable(step, fragment):
      "models[0].coefficients must hold an intercept"),
     (dict(_ERROR_ROW, coefficients={}, equation="MT = 0.4000"),
      "models[0].coefficients must hold an intercept"),
+    ({"model": "welford", "error": "E: x", "equation": 5},
+     "models[0].equation must be a string or null"),
 ])
 def test_comparison_document_checks_error_rows_and_points(row, fragment):
     doc = {"schema": REPORT_SCHEMA, "models": [row]}
@@ -233,3 +243,99 @@ def test_valid_error_rows_and_points_still_render():
     assert [(m["r2"], m["n"]) for m in out["models"][1:]] == [(None, None), (0.5, 3)]
     text = render_document(doc, "table")
     assert "welford  -" in text and "fitts    -" in text
+
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_built_points_take_the_fast_path(monkeypatch):
+    calls = []
+    encode = report_module._encode_points
+    monkeypatch.setattr(report_module, "_encode_points",
+                        lambda points: calls.append(points) or encode(points))
+    for aggregate in (True, False):
+        report = build_comparison_report(_trials(), list(ModelKind), aggregate)
+        assert all(m["error"] is None for m in report["models"])
+        calls.clear()
+        assert render_comparison(report, "json-like") == _oracle(report)
+        assert calls == [m["points"] for m in report["models"]]
+
+
+def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys):
+    # one published e4-manipulation cell, 4 800 trials fitted per trial
+    grid = replace(build_grid("e4", InteractionKind.MANIPULATION), repetitions=75)
+    truth = paper_scale_defaults("e4", InteractionKind.MANIPULATION)
+    trials = generate_trials(grid, truth, InteractionKind.MANIPULATION)
+    path = tmp_path / "e4m.csv"
+    write_trials(path, trials, "e4")
+    assert main(["fit", str(path), "--aggregate", "false",
+                 "--format", "json-like"]) == 0
+    expected = build_comparison_report(read_trials(path).trials, MODEL_ORDER,
+                                       aggregate=False)
+    assert expected["n_trials"] == 4800
+    assert capsys.readouterr().out == _oracle(expected)
+
+
+@pytest.mark.parametrize("points,canonical", [
+    ([[1, 2.5], [-0.0, 3]], True),
+    ([[math.nan, math.inf, 1e-300]], True),
+    (None, False),
+    ([], False),
+    ([[]], False),
+    ([[1.0], []], False),
+    ([[1.0, True]], False),
+    ([[np.float64(1.0)]], False),
+    ([(1.0, 2.0)], False),
+    (((1.0, 2.0),), False),
+    ([[1.0, "2"]], False),
+])
+def test_canonical_points(points, canonical):
+    assert report_module._is_canonical_points(points) is canonical
+
+
+# text that holds, or nearly holds, the splice placeholders
+_SPLICE_TEXT = st.sampled_from([
+    report_module._PLACEHOLDER.format(0), report_module._PLACEHOLDER.format(1),
+    json.dumps(report_module._PLACEHOLDER.format(0)),
+    '"' + report_module._PLACEHOLDER.format(1), "\x00", "fitts3d.points.0"])
+_TEXT = st.one_of(st.text(max_size=6), _SPLICE_TEXT,
+                  st.tuples(st.text(max_size=3), _SPLICE_TEXT).map("".join))
+_NUMBER = st.one_of(
+    st.integers(-10**20, 10**20), st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
+_CANONICAL = st.lists(st.lists(_NUMBER, min_size=1, max_size=4),
+                      min_size=1, max_size=6)
+# empty points, empty rows, and bools among the numbers
+_OTHER = st.lists(st.lists(st.one_of(_NUMBER, st.booleans()), max_size=3),
+                  max_size=3)
+_MODEL = st.builds(
+    report_module._model_entry, model=_TEXT,
+    r2=st.one_of(st.none(), _NUMBER), n=st.one_of(st.none(), st.integers()),
+    coefficients=st.one_of(st.none(), st.dictionaries(_TEXT, _NUMBER, max_size=2)),
+    equation=st.one_of(st.none(), _TEXT), dropped=st.lists(_TEXT, max_size=2),
+    error=st.one_of(st.none(), _TEXT),
+    point_names=st.one_of(st.none(), st.lists(_TEXT, max_size=3)),
+    points=st.one_of(st.none(), _CANONICAL, _OTHER))
+_DOCUMENT = st.fixed_dictionaries({
+    "schema": st.just(REPORT_SCHEMA), "n_trials": st.integers(0, 10**6),
+    "aggregate": st.booleans(), "models": st.lists(_MODEL, max_size=4)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENT)
+def test_json_output_matches_the_oracle(doc):
+    assert render_comparison(doc, "json-like") == _oracle(doc)
+
+
+def test_placeholder_text_in_a_document_falls_back(monkeypatch):
+    calls = []
+    monkeypatch.setattr(report_module, "_encode_points", calls.append)
+    points = [[1, 2.5], [-0.0, 3]]
+    for text in (report_module._PLACEHOLDER.format(0),
+                 'x"' + report_module._PLACEHOLDER.format(0)):
+        doc = {"schema": REPORT_SCHEMA, "models": [
+            dict(_FIT_ROW, points=points),
+            dict(_ERROR_ROW, error=text)]}
+        assert render_comparison(doc, "json-like") == _oracle(doc)
+    assert calls == []
