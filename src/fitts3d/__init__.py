@@ -16,11 +16,10 @@ from .tasks import (MANIPULATION_TIMEOUT_S, MIN_MT_S, POINTING_TIMEOUT_S,
                     classify_rotation, classify_translation,
                     euclidean_distance, symmetry_reduced_delta_deg,
                     wrap_angle_deg)
-from .metrics import (MODEL_ORDER, IdValue, ModelKind, PredictorVector,
-                      id_fitts, id_hoffmann, id_r_final, id_rot_adapted,
-                      id_shannon, id_t_final, id_welford,
-                      predictor_names, predictors_cha_myung, predictors_for,
-                      predictors_murata, task_regime)
+from .metrics import (MODEL_ORDER, ModelKind, id_fitts, id_hoffmann,
+                      id_r_final, id_rot_adapted, id_shannon, id_t_final,
+                      id_welford, predictor_names, predictors_cha_myung,
+                      predictors_for, predictors_murata, task_regime)
 from .special import f_cdf, f_sf, regularized_incomplete_beta
 from .rng import Xoshiro256StarStar, derive_stream_seed
 from .regression import (ComparisonRow, ConditionTable, DesignMatrix,

@@ -17,7 +17,7 @@ from .regression import STEPWISE_CANDIDATES, ConditionTable, condition_matrix, s
 from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, build_comparison_report,
                      render_comparison, render_document, render_stepwise)
 from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
-from .tasks import InteractionKind, classify_combined, classify_rotation, classify_translation
+from .tasks import InteractionKind, classify_rotation, classify_translation
 from .trial_io import POSE_CSV_HEADER, read_poses, read_trials, write_trials
 
 _EXPERIMENTS = tuple(e.value for e in Experiment)
@@ -98,7 +98,7 @@ def _cmd_classify(args) -> int:
     for obj, target, w, omega in rows:
         t = classify_translation(obj, target, w)
         r = classify_rotation(obj, target, omega)
-        c = classify_combined(obj, target, w, omega)
+        c = t and r
         vals = [repr(v) for v in obj.position + obj.rotation
                 + target.position + target.rotation] + [repr(w), repr(omega)]
         lines.append(",".join(vals + [str(int(t)), str(int(r)), str(int(c))]))

@@ -1,9 +1,11 @@
 """Indices of difficulty for seven movement-time models and the
-per-model predictor vectors used by the regression layer.
+per-model regressors used by the regression layer.
 
-Every index is the Fitts, Welford or Shannon form at substituted
-arguments (A, W, F in cm; alpha, omega in degrees), and each form is
-evaluated in one function:
+An index is a float in bits; a model's regressors for one condition are
+a dict of name -> value, keyed in predictor_names order. Every index is
+the Fitts, Welford or Shannon form at substituted arguments (A, W, F in
+cm; alpha, omega in degrees), and each form is evaluated in one
+function, which rejects a non-finite result:
 
     Fitts     log2(2A / W)          Hoffmann    Fitts at (A, W + F)
     Welford   log2(A / W + 0.5)     final ID_t  Shannon at (2A, W + F)
@@ -54,46 +56,14 @@ def predictor_names(kind: ModelKind) -> tuple[str, ...]:
     return _MODELS[ModelKind(kind)].names
 
 
-@dataclass(frozen=True)
-class IdValue:
-    """A difficulty index in bits, tagged with the motion regime it
-    describes."""
-
-    bits: float
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (TRANSLATION, ROTATION, COMBINED):
-            raise ValueError(f"unknown regime {self.kind!r}")
-        if not math.isfinite(self.bits):
-            raise DomainError("difficulty index is not finite")
-
-
-@dataclass(frozen=True)
-class PredictorVector:
-    """Named regressor values for one task condition."""
-
-    names: tuple[str, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise ValueError("names and values differ in length")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("predictor names must be unique")
-        if not all(math.isfinite(v) for v in self.values):
-            raise DomainError("predictor values must be finite")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
-
-
 def _sin_deg(angle: float) -> float:
     return math.sin(math.radians(angle))
+
+
+def _finite(bits: float) -> float:
+    if not math.isfinite(bits):
+        raise DomainError("difficulty index is not finite")
+    return bits
 
 
 def _fitts_bits(A: float, W: float, what: str) -> float:
@@ -101,45 +71,45 @@ def _fitts_bits(A: float, W: float, what: str) -> float:
     x = 2.0 * A / W
     if x <= 0:
         raise DomainError(f"{what} requires a positive log argument, got {x}")
-    return math.log2(x)
+    return _finite(math.log2(x))
 
 
-def id_fitts(A: float, W: float) -> IdValue:
+def id_fitts(A: float, W: float) -> float:
     """log2(2A / W). Requires A > 0 and W > 0; negative when A < W/2."""
     if A <= 0 or W <= 0:
         raise DomainError("id_fitts needs A > 0 and W > 0")
-    return IdValue(_fitts_bits(A, W, "id_fitts"), TRANSLATION)
+    return _fitts_bits(A, W, "id_fitts")
 
 
-def id_hoffmann(A: float, W: float, F: float) -> IdValue:
+def id_hoffmann(A: float, W: float, F: float) -> float:
     """log2(2A / (W + F)), Fitts at width W + F. Needs A > 0, W + F > 0."""
     if A <= 0 or W + F <= 0:
         raise DomainError("id_hoffmann needs A > 0 and W + F > 0")
-    return IdValue(_fitts_bits(A, W + F, "id_hoffmann"), TRANSLATION)
+    return _fitts_bits(A, W + F, "id_hoffmann")
 
 
-def id_welford(A: float, W: float) -> IdValue:
+def id_welford(A: float, W: float) -> float:
     """log2(A / W + 0.5). Requires A >= 0 and W > 0."""
     if A < 0 or W <= 0:
         raise DomainError("id_welford needs A >= 0 and W > 0")
-    return IdValue(math.log2(A / W + 0.5), TRANSLATION)
+    return _finite(math.log2(A / W + 0.5))
 
 
-def id_shannon(A: float, W: float) -> IdValue:
+def id_shannon(A: float, W: float) -> float:
     """log2(A / W + 1). Requires A >= 0 and W > 0; zero at A = 0."""
     if A < 0 or W <= 0:
         raise DomainError("id_shannon needs A >= 0 and W > 0")
-    return IdValue(math.log2(A / W + 1.0), TRANSLATION)
+    return _finite(math.log2(A / W + 1.0))
 
 
-def id_t_final(A: float, W: float, F: float) -> IdValue:
+def id_t_final(A: float, W: float, F: float) -> float:
     """log2(2A / (F + W) + 1), Shannon at (2A, W + F). Needs A >= 0, W + F > 0."""
     if A < 0 or W + F <= 0:
         raise DomainError("id_t_final needs A >= 0 and W + F > 0")
     return id_shannon(2.0 * A, W + F)
 
 
-def id_r_final(alpha: float, omega: float) -> IdValue:
+def id_r_final(alpha: float, omega: float) -> float:
     """log2(2 alpha / omega^2 + 1), Shannon at (2 alpha, omega^2).
     Requires alpha >= 0 and omega > 0; zero at alpha = 0. Halving omega
     adds roughly two bits once 2 alpha / omega^2 is large."""
@@ -147,7 +117,7 @@ def id_r_final(alpha: float, omega: float) -> IdValue:
         raise DomainError("id_r_final needs alpha >= 0 and omega > 0")
     if not omega * omega > 0:
         raise DomainError("id_r_final needs omega^2 > 0")
-    return IdValue(id_shannon(2.0 * alpha, omega * omega).bits, ROTATION)
+    return id_shannon(2.0 * alpha, omega * omega)
 
 
 def task_regime(task: TaskSpec) -> str:
@@ -173,8 +143,8 @@ def _one_index(task: TaskSpec, t: float, r: float) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class _Model:
     names: tuple[str, ...]
-    translation: Callable[[TaskSpec], IdValue]
-    rotation: Callable[[float, float], IdValue]
+    translation: Callable[[TaskSpec], float]
+    rotation: Callable[[float, float], float]
     values: Callable[[TaskSpec, float, float], tuple[float, ...]] = _one_index
 
 
@@ -197,7 +167,7 @@ _MODELS = {
 }
 
 
-def id_rot_adapted(kind: ModelKind, alpha: float, omega: float) -> IdValue:
+def id_rot_adapted(kind: ModelKind, alpha: float, omega: float) -> float:
     """Rotational difficulty under a model's adapted form: its base form
     at amplitude alpha and tolerance omega, or ID_r for the final model."""
     kind = ModelKind(kind)
@@ -207,31 +177,31 @@ def id_rot_adapted(kind: ModelKind, alpha: float, omega: float) -> IdValue:
     if omega <= 0 or alpha < 0:
         raise DomainError("adapted rotational ID needs alpha >= 0 and omega > 0")
     if form is not id_fitts:
-        return IdValue(form(alpha, omega).bits, ROTATION)
+        return form(alpha, omega)
     # the Fitts form is evaluated here so that its errors name the model
     what = f"{kind.value} adapted form"
     if alpha <= 0:
         raise DomainError(f"{what} needs alpha > 0")
-    return IdValue(_fitts_bits(alpha, omega, what), ROTATION)
+    return _fitts_bits(alpha, omega, what)
 
 
-def predictors_murata(A: float, W: float, phi: float) -> PredictorVector:
+def predictors_murata(A: float, W: float, phi: float) -> dict[str, float]:
     """Murata-Iwase regressors for a translational task: the Shannon
     index plus the sine of the direction angle."""
-    return PredictorVector(predictor_names(ModelKind.MURATA_IWASE),
-                           (id_shannon(A, W).bits, _sin_deg(phi)))
+    return dict(zip(predictor_names(ModelKind.MURATA_IWASE),
+                    (id_shannon(A, W), _sin_deg(phi))))
 
 
 def predictors_cha_myung(A: float, W: float, F: float,
-                         theta1: float, theta2: float) -> PredictorVector:
+                         theta1: float, theta2: float) -> dict[str, float]:
     """Cha-Myung regressors: inclination angle in raw degrees, sine of
     the direction angle, and the Hoffmann index."""
-    return PredictorVector(predictor_names(ModelKind.CHA_MYUNG),
-                           (float(theta1), _sin_deg(theta2), id_hoffmann(A, W, F).bits))
+    return dict(zip(predictor_names(ModelKind.CHA_MYUNG),
+                    (float(theta1), _sin_deg(theta2), id_hoffmann(A, W, F))))
 
 
-def predictors_for(kind: ModelKind, task: TaskSpec) -> PredictorVector:
-    """Regressor vector a model uses for one task condition.
+def predictors_for(kind: ModelKind, task: TaskSpec) -> dict[str, float]:
+    """Regressors a model uses for one task condition, name -> value.
 
     Raises DomainError when the model cannot express the condition,
     e.g. Fitts on a purely translational task with A = 0.
@@ -239,7 +209,6 @@ def predictors_for(kind: ModelKind, task: TaskSpec) -> PredictorVector:
     kind = ModelKind(kind)
     model = _MODELS[kind]
     regime = task_regime(task)
-    t = 0.0 if regime == ROTATION else model.translation(task).bits
-    r = (0.0 if regime == TRANSLATION
-         else id_rot_adapted(kind, task.alpha, task.omega).bits)
-    return PredictorVector(model.names, model.values(task, t, r))
+    t = 0.0 if regime == ROTATION else model.translation(task)
+    r = 0.0 if regime == TRANSLATION else id_rot_adapted(kind, task.alpha, task.omega)
+    return dict(zip(model.names, model.values(task, t, r)))

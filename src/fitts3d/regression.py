@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
                      InvalidNesting, RankDeficient)
-from .metrics import MODEL_ORDER, ModelKind, declaration_index, predictors_for
+from .metrics import (MODEL_ORDER, ModelKind, declaration_index, predictor_names,
+                      predictors_for)
 from .special import f_sf
 
 RANK_TOL = 1e-10
@@ -322,10 +323,10 @@ class ConditionTable:
         kind = ModelKind(kind)
         cached = self._predictors.get(kind)
         if cached is None:
-            vectors = [predictors_for(kind, task) for task in self.tasks]
-            values = np.array([v.values for v in vectors], dtype=float)
+            values = np.array([list(predictors_for(kind, task).values())
+                               for task in self.tasks], dtype=float)
             values.flags.writeable = False
-            cached = self._predictors[kind] = (vectors[0].names, values)
+            cached = self._predictors[kind] = (predictor_names(kind), values)
         return cached
 
 

@@ -175,9 +175,8 @@ class GroundTruth:
 
 def predict_mt(truth: GroundTruth, task: TaskSpec) -> float:
     """Noise-free movement time the planted model assigns a condition."""
-    vec = predictors_for(truth.kind, task)
     mt = truth.coefficients["intercept"]
-    for name, value in zip(vec.names, vec.values):
+    for name, value in predictors_for(truth.kind, task).items():
         mt += truth.coefficients[name] * value
     return mt
 
@@ -235,8 +234,8 @@ def paper_scale_defaults(experiment: Experiment,
     grid = build_grid(experiment, interaction)
     vecs = [predictors_for(ModelKind.FINAL, task) for task in grid.variations]
     n = len(vecs)
-    mean_idt = math.fsum(v.values[0] for v in vecs) / n
-    mean_idr = math.fsum(v.values[1] for v in vecs) / n
+    mean_idt = math.fsum(v["id_t"] for v in vecs) / n
+    mean_idr = math.fsum(v["id_r"] for v in vecs) / n
     a = DEFAULT_INTERCEPT[interaction]
     budget = PAPER_MEAN_MT[(experiment, interaction)] - a
     eps = 1e-12

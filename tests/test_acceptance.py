@@ -42,50 +42,50 @@ def test_criterion_01_id_oracle_table():
     t0 = time.perf_counter()
     # every entry pairs a package value with a hand-reduced ratio
     scalar_cases = [
-        ("fitts 12/5", id_fitts(12, 5).bits, _log2(4.8)),
-        ("fitts 48/5", id_fitts(48, 5).bits, _log2(19.2)),
-        ("fitts 24/12.5", id_fitts(24, 12.5).bits, _log2(3.84)),
-        ("fitts 36/7.5", id_fitts(36, 7.5).bits, _log2(9.6)),
-        ("hoffmann 12/5/3", id_hoffmann(12, 5, 3).bits, _log2(3.0)),
-        ("hoffmann 24/10/5", id_hoffmann(24, 10, 5).bits, _log2(3.2)),
-        ("hoffmann 48/12.5/4", id_hoffmann(48, 12.5, 4).bits, _log2(96 / 16.5)),
-        ("welford 12/5", id_welford(12, 5).bits, _log2(2.9)),
-        ("welford 36/10", id_welford(36, 10).bits, _log2(4.1)),
-        ("shannon 12/5", id_shannon(12, 5).bits, _log2(3.4)),
-        ("shannon 48/12.5", id_shannon(48, 12.5).bits, _log2(4.84)),
-        ("id_t 12/4/4", id_t_final(12, 4, 4).bits, 2.0),
-        ("id_t 24/8/4", id_t_final(24, 8, 4).bits, _log2(5.0)),
-        ("id_t 24/10/5", id_t_final(24, 10, 5).bits, _log2(4.2)),
-        ("id_r 45/7.5", id_r_final(45, 7.5).bits, _log2(2.6)),
-        ("id_r 30/15", id_r_final(30, 15).bits, _log2(60 / 225 + 1)),
-        ("id_r 15/2.5", id_r_final(15, 2.5).bits, _log2(5.8)),
-        ("rot fitts 30/7.5", id_rot_adapted(ModelKind.FITTS, 30, 7.5).bits, 3.0),
-        ("rot hoffmann 45/15", id_rot_adapted(ModelKind.HOFFMANN, 45, 15).bits,
+        ("fitts 12/5", id_fitts(12, 5), _log2(4.8)),
+        ("fitts 48/5", id_fitts(48, 5), _log2(19.2)),
+        ("fitts 24/12.5", id_fitts(24, 12.5), _log2(3.84)),
+        ("fitts 36/7.5", id_fitts(36, 7.5), _log2(9.6)),
+        ("hoffmann 12/5/3", id_hoffmann(12, 5, 3), _log2(3.0)),
+        ("hoffmann 24/10/5", id_hoffmann(24, 10, 5), _log2(3.2)),
+        ("hoffmann 48/12.5/4", id_hoffmann(48, 12.5, 4), _log2(96 / 16.5)),
+        ("welford 12/5", id_welford(12, 5), _log2(2.9)),
+        ("welford 36/10", id_welford(36, 10), _log2(4.1)),
+        ("shannon 12/5", id_shannon(12, 5), _log2(3.4)),
+        ("shannon 48/12.5", id_shannon(48, 12.5), _log2(4.84)),
+        ("id_t 12/4/4", id_t_final(12, 4, 4), 2.0),
+        ("id_t 24/8/4", id_t_final(24, 8, 4), _log2(5.0)),
+        ("id_t 24/10/5", id_t_final(24, 10, 5), _log2(4.2)),
+        ("id_r 45/7.5", id_r_final(45, 7.5), _log2(2.6)),
+        ("id_r 30/15", id_r_final(30, 15), _log2(60 / 225 + 1)),
+        ("id_r 15/2.5", id_r_final(15, 2.5), _log2(5.8)),
+        ("rot fitts 30/7.5", id_rot_adapted(ModelKind.FITTS, 30, 7.5), 3.0),
+        ("rot hoffmann 45/15", id_rot_adapted(ModelKind.HOFFMANN, 45, 15),
          _log2(6.0)),
         ("rot cha-myung 30/2.5",
-         id_rot_adapted(ModelKind.CHA_MYUNG, 30, 2.5).bits, _log2(24.0)),
-        ("rot welford 15/10", id_rot_adapted(ModelKind.WELFORD, 15, 10).bits, 1.0),
-        ("rot shannon 30/10", id_rot_adapted(ModelKind.SHANNON, 30, 10).bits, 2.0),
+         id_rot_adapted(ModelKind.CHA_MYUNG, 30, 2.5), _log2(24.0)),
+        ("rot welford 15/10", id_rot_adapted(ModelKind.WELFORD, 15, 10), 1.0),
+        ("rot shannon 30/10", id_rot_adapted(ModelKind.SHANNON, 30, 10), 2.0),
         ("rot murata 45/5",
-         id_rot_adapted(ModelKind.MURATA_IWASE, 45, 5).bits, _log2(10.0)),
+         id_rot_adapted(ModelKind.MURATA_IWASE, 45, 5), _log2(10.0)),
     ]
     vector_cases = [
-        ("murata 12/5 phi=90", predictors_murata(12, 5, 90).values,
+        ("murata 12/5 phi=90", predictors_murata(12, 5, 90).values(),
          (_log2(3.4), 1.0)),
-        ("murata 12/5 phi=270", predictors_murata(12, 5, 270).values,
+        ("murata 12/5 phi=270", predictors_murata(12, 5, 270).values(),
          (_log2(3.4), -1.0)),
         ("cha-myung 30/90 12/5/3",
-         predictors_cha_myung(12, 5, 3, 30, 90).values, (30.0, 1.0, _log2(3.0))),
+         predictors_cha_myung(12, 5, 3, 30, 90).values(), (30.0, 1.0, _log2(3.0))),
         ("cha-myung 45/180 24/10/5",
-         predictors_cha_myung(24, 10, 5, 45, 180).values,
+         predictors_cha_myung(24, 10, 5, 45, 180).values(),
          (45.0, 0.0, _log2(3.2))),
         ("fitts combined A=12 W=4 a=30 o=7.5",
          predictors_for(ModelKind.FITTS,
-                        TaskSpec(F=4, W=4, A=12, alpha=30, omega=7.5)).values,
+                        TaskSpec(F=4, W=4, A=12, alpha=30, omega=7.5)).values(),
          (_log2(6.0) + _log2(8.0),)),
         ("final A=24 W=8 F=4 a=45 o=7.5",
          predictors_for(ModelKind.FINAL,
-                        TaskSpec(F=4, W=8, A=24, alpha=45, omega=7.5)).values,
+                        TaskSpec(F=4, W=8, A=24, alpha=45, omega=7.5)).values(),
          (_log2(5.0), _log2(2.6))),
     ]
     n = 0

@@ -327,3 +327,17 @@ def test_per_trial_log_without_successes(tmp_path, capsys):
                for l in lines[2:9])
     assert main(["stepwise", str(path), "--aggregate", "false"]) == 1
     assert capsys.readouterr().err == "error: no successful trials\n"
+
+
+def test_compare_reports_overflowing_index_as_error_row(tmp_path, capsys):
+    # 2A / W and A / W overflow to inf in the first condition; W + F does not
+    path = tmp_path / "overflow.csv"
+    rows = ["e1,pointing,3.0,1e-300,1e300,0.0,0.0,0.0,0.0,0.9,1",
+            "e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,0.8,1",
+            "e1,pointing,3.0,5.0,24.0,0.0,30.0,0.0,0.0,1.1,1"]
+    path.write_text("\n".join([TRIAL_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert main(["compare", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    errors = {line.split()[0] for line in lines
+              if line.endswith("-  DomainError: difficulty index is not finite")}
+    assert errors == {"fitts", "welford", "shannon", "murata-iwase"}

@@ -64,8 +64,8 @@ def reference_rows(trials, aggregate):
 def reference_fit(kind, trials, aggregate):
     tasks, y = reference_rows(trials, aggregate)
     vectors = [predictors_for(kind, task) for task in tasks]
-    names = vectors[0].names
-    values = np.array([v.values for v in vectors], dtype=float)
+    names = list(vectors[0])
+    values = np.array([list(v.values()) for v in vectors], dtype=float)
     keep, dropped = [], []
     for j, name in enumerate(names):
         col = values[:, j]
@@ -83,7 +83,7 @@ def reference_fit(kind, trials, aggregate):
 def reference_points(kind, fit, trials, aggregate):
     tasks, y = reference_rows(trials, aggregate)
     return [
-        [predictors_for(kind, task).as_dict()[n] for n in fit.predictor_names]
+        [predictors_for(kind, task)[n] for n in fit.predictor_names]
         + [mt] for task, mt in zip(tasks, y)]
 
 

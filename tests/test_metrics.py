@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fitts3d import (DomainError, IdValue, ModelKind, PredictorVector, TaskSpec,
+from fitts3d import (DomainError, ModelKind, TaskSpec,
                      id_fitts, id_hoffmann, id_r_final, id_rot_adapted,
                      id_shannon, id_t_final, id_welford, predictor_names,
                      predictors_cha_myung, predictors_for, predictors_murata,
@@ -21,31 +21,31 @@ LOG2_1_2667 = 0.3410369178350669   # log2(60/225 + 1)
 
 
 def test_id_fitts_values():
-    assert id_fitts(12, 5).bits == pytest.approx(LOG2_4_8, abs=1e-9)
-    assert id_fitts(48, 5).bits == pytest.approx(LOG2_19_2, abs=1e-9)
+    assert id_fitts(12, 5) == pytest.approx(LOG2_4_8, abs=1e-9)
+    assert id_fitts(48, 5) == pytest.approx(LOG2_19_2, abs=1e-9)
     # below half-width amplitude the index goes negative, not clamped
-    assert id_fitts(2, 5).bits < 0
+    assert id_fitts(2, 5) < 0
 
 
 def test_id_hoffmann_values():
-    assert id_hoffmann(12, 5, 3).bits == pytest.approx(LOG2_3, abs=1e-9)
-    assert id_hoffmann(24, 10, 5).bits == pytest.approx(LOG2_3_2, abs=1e-9)
+    assert id_hoffmann(12, 5, 3) == pytest.approx(LOG2_3, abs=1e-9)
+    assert id_hoffmann(24, 10, 5) == pytest.approx(LOG2_3_2, abs=1e-9)
 
 
 def test_id_welford_shannon_values():
-    assert id_welford(12, 5).bits == pytest.approx(LOG2_2_9, abs=1e-9)
-    assert id_shannon(12, 5).bits == pytest.approx(LOG2_3_4, abs=1e-9)
-    assert id_shannon(0, 5).bits == 0.0
-    assert id_welford(0, 5).bits == -1.0
+    assert id_welford(12, 5) == pytest.approx(LOG2_2_9, abs=1e-9)
+    assert id_shannon(12, 5) == pytest.approx(LOG2_3_4, abs=1e-9)
+    assert id_shannon(0, 5) == 0.0
+    assert id_welford(0, 5) == -1.0
 
 
 def test_final_model_indices():
-    assert id_t_final(12, 4, 4).bits == pytest.approx(2.0, abs=1e-9)
-    assert id_t_final(24, 8, 4).bits == pytest.approx(LOG2_5, abs=1e-9)
-    assert id_t_final(0, 5, 3).bits == 0.0
-    assert id_r_final(45, 7.5).bits == pytest.approx(LOG2_2_6, abs=1e-9)
-    assert id_r_final(30, 15).bits == pytest.approx(LOG2_1_2667, abs=1e-9)
-    assert id_r_final(0, 5).bits == 0.0
+    assert id_t_final(12, 4, 4) == pytest.approx(2.0, abs=1e-9)
+    assert id_t_final(24, 8, 4) == pytest.approx(LOG2_5, abs=1e-9)
+    assert id_t_final(0, 5, 3) == 0.0
+    assert id_r_final(45, 7.5) == pytest.approx(LOG2_2_6, abs=1e-9)
+    assert id_r_final(30, 15) == pytest.approx(LOG2_1_2667, abs=1e-9)
+    assert id_r_final(0, 5) == 0.0
 
 
 def test_domain_errors():
@@ -69,30 +69,39 @@ def test_domain_errors():
         id_rot_adapted(ModelKind.FITTS, 0, 5)
 
 
+def test_overflowing_ratio_is_not_finite():
+    # every index goes through the Fitts, Welford or Shannon form, and
+    # each form rejects an infinite log2 with the same error
+    calls = [
+        lambda: id_fitts(1e308, 1e-308),
+        lambda: id_hoffmann(1e308, 1e-308, 1e-308),
+        lambda: id_welford(1e308, 1e-308),
+        lambda: id_shannon(1e308, 1e-308),
+        lambda: id_t_final(1e308, 1e-308, 1e-308),
+        lambda: id_r_final(1e308, 1e-100),
+    ] + [lambda kind=kind: id_rot_adapted(kind, 1e308, 1e-100) for kind in ModelKind]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^difficulty index is not finite$"):
+            call()
+
+
 def test_rot_adapted_forms():
-    assert id_rot_adapted(ModelKind.FITTS, 30, 7.5).bits == pytest.approx(3.0, abs=1e-9)
-    assert id_rot_adapted(ModelKind.HOFFMANN, 30, 7.5).bits == pytest.approx(3.0, abs=1e-9)
-    assert id_rot_adapted(ModelKind.CHA_MYUNG, 30, 7.5).bits == pytest.approx(3.0, abs=1e-9)
-    assert id_rot_adapted(ModelKind.WELFORD, 15, 10).bits == pytest.approx(1.0, abs=1e-9)
-    assert id_rot_adapted(ModelKind.SHANNON, 45, 5).bits == pytest.approx(math.log2(10), abs=1e-9)
-    assert id_rot_adapted(ModelKind.MURATA_IWASE, 45, 5).bits == pytest.approx(math.log2(10), abs=1e-9)
-    assert id_rot_adapted(ModelKind.FINAL, 45, 7.5).bits == pytest.approx(LOG2_2_6, abs=1e-9)
+    assert id_rot_adapted(ModelKind.FITTS, 30, 7.5) == pytest.approx(3.0, abs=1e-9)
+    assert id_rot_adapted(ModelKind.HOFFMANN, 30, 7.5) == pytest.approx(3.0, abs=1e-9)
+    assert id_rot_adapted(ModelKind.CHA_MYUNG, 30, 7.5) == pytest.approx(3.0, abs=1e-9)
+    assert id_rot_adapted(ModelKind.WELFORD, 15, 10) == pytest.approx(1.0, abs=1e-9)
+    assert id_rot_adapted(ModelKind.SHANNON, 45, 5) == pytest.approx(math.log2(10), abs=1e-9)
+    assert id_rot_adapted(ModelKind.MURATA_IWASE, 45, 5) == pytest.approx(math.log2(10), abs=1e-9)
+    assert id_rot_adapted(ModelKind.FINAL, 45, 7.5) == pytest.approx(LOG2_2_6, abs=1e-9)
     # negative adapted index surfaces when tolerance exceeds amplitude
-    assert id_rot_adapted(ModelKind.FITTS, 2, 5).bits < 0
-
-
-def test_id_value_kind_tags():
-    assert id_fitts(12, 5).kind == "translation"
-    assert id_rot_adapted(ModelKind.SHANNON, 30, 5).kind == "rotation"
-    with pytest.raises(ValueError):
-        IdValue(1.0, "sideways")
+    assert id_rot_adapted(ModelKind.FITTS, 2, 5) < 0
 
 
 def test_shannon_approaches_fitts_minus_one():
     # id_fitts - id_shannon -> 1 as A/W grows
     prev = None
     for ratio in (2.0, 5.0, 20.0, 100.0, 1000.0, 1e6):
-        diff = id_fitts(ratio, 1.0).bits - id_shannon(ratio, 1.0).bits
+        diff = id_fitts(ratio, 1.0) - id_shannon(ratio, 1.0)
         if prev is not None:
             assert abs(diff - 1.0) <= abs(prev - 1.0)
         prev = diff
@@ -106,17 +115,7 @@ def test_id_t_final_is_shifted_shannon():
         a = float(rng.uniform(0, 60))
         w = float(rng.uniform(0.5, 15))
         f = float(rng.uniform(0.5, 8))
-        assert id_t_final(a, w, f).bits == id_shannon(2 * a, w + f).bits
-
-
-def test_predictor_vector_validation():
-    with pytest.raises(ValueError):
-        PredictorVector(("a", "a"), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        PredictorVector(("a",), (1.0, 2.0))
-    v = PredictorVector(("a", "b"), (1.0, 2.0))
-    assert v.as_dict() == {"a": 1.0, "b": 2.0}
-    assert len(v) == 2
+        assert id_t_final(a, w, f) == id_shannon(2 * a, w + f)
 
 
 def test_predictor_layouts():
@@ -135,31 +134,31 @@ def test_task_regimes():
 
 def test_predictors_translation_regime():
     task = TaskSpec(F=3, W=5, A=12, phi=90)
-    assert predictors_for(ModelKind.FITTS, task).values[0] == pytest.approx(LOG2_4_8, abs=1e-12)
+    assert predictors_for(ModelKind.FITTS, task) == {"id": pytest.approx(LOG2_4_8, abs=1e-12)}
     vec = predictors_for(ModelKind.FINAL, task)
-    assert vec.names == ("id_t", "id_r")
-    assert vec.values[1] == 0.0  # exactly zero rotational demand
+    assert list(vec) == ["id_t", "id_r"]
+    assert vec["id_r"] == 0.0  # exactly zero rotational demand
 
 
 def test_predictors_rotation_regime():
     task = TaskSpec(F=4, W=5, A=0, alpha=30, omega=7.5)
-    assert predictors_for(ModelKind.FITTS, task).values[0] == pytest.approx(3.0, abs=1e-12)
+    assert predictors_for(ModelKind.FITTS, task)["id"] == pytest.approx(3.0, abs=1e-12)
     vec = predictors_for(ModelKind.FINAL, task)
-    assert vec.values[0] == 0.0
-    assert vec.values[1] == pytest.approx(id_r_final(30, 7.5).bits, abs=1e-12)
+    assert vec["id_t"] == 0.0
+    assert vec["id_r"] == pytest.approx(id_r_final(30, 7.5), abs=1e-12)
 
 
 def test_predictors_combined_regime_sums():
     # prior models sum translation and adapted rotation difficulty
     task = TaskSpec(F=4, W=8, A=24, phi=0, theta=15, alpha=30, omega=7.5)
-    got = predictors_for(ModelKind.FITTS, task).values[0]
+    got = predictors_for(ModelKind.FITTS, task)["id"]
     assert got == pytest.approx(5.584962500721156, abs=1e-9)  # log2(6)+log2(8)
     vec = predictors_for(ModelKind.FINAL, task)
-    assert vec.values[0] == pytest.approx(LOG2_5, abs=1e-12)
-    assert vec.values[1] == pytest.approx(1.0473057147783564, abs=1e-12)
+    assert vec["id_t"] == pytest.approx(LOG2_5, abs=1e-12)
+    assert vec["id_r"] == pytest.approx(1.0473057147783564, abs=1e-12)
     # same geometry at a wider rotation matches the frozen table value
     wide = TaskSpec(F=4, W=8, A=24, phi=0, theta=15, alpha=45, omega=7.5)
-    assert predictors_for(ModelKind.FINAL, wide).values[1] == pytest.approx(
+    assert predictors_for(ModelKind.FINAL, wide)["id_r"] == pytest.approx(
         LOG2_2_6, abs=1e-12)
 
 
@@ -170,26 +169,27 @@ def test_predictors_degenerate_translational():
     with pytest.raises(DomainError):
         predictors_for(ModelKind.CHA_MYUNG, task)
     vec = predictors_for(ModelKind.FINAL, task)
-    assert vec.values == (0.0, 0.0)
-    assert predictors_for(ModelKind.SHANNON, task).values[0] == 0.0
+    assert vec == {"id_t": 0.0, "id_r": 0.0}
+    assert predictors_for(ModelKind.SHANNON, task) == {"id": 0.0}
 
 
 def test_predictors_murata():
     vec = predictors_murata(12, 5, 30)
-    assert vec.names == ("id_shannon", "sin_phi")
-    assert vec.values[0] == pytest.approx(LOG2_3_4, abs=1e-9)
-    assert vec.values[1] == pytest.approx(0.5, abs=1e-12)
+    assert list(vec) == ["id_shannon", "sin_phi"]
+    assert vec["id_shannon"] == pytest.approx(LOG2_3_4, abs=1e-9)
+    assert vec["sin_phi"] == pytest.approx(0.5, abs=1e-12)
     # sin(180 deg) is zero to double precision
-    assert abs(predictors_murata(24, 10, 180).values[1]) < 1e-9
+    assert abs(predictors_murata(24, 10, 180)["sin_phi"]) < 1e-9
 
 
 def test_predictors_cha_myung():
     vec = predictors_cha_myung(4, 5, 3, 0, 0)
-    assert vec.values == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    assert list(vec) == ["theta1", "sin_theta2", "id_hoffmann"]
+    assert list(vec.values()) == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
     vec = predictors_cha_myung(24, 10, 5, 30, 90)
-    assert vec.values[0] == 30.0
-    assert vec.values[1] == pytest.approx(1.0, abs=1e-12)
-    assert vec.values[2] == pytest.approx(LOG2_3_2, abs=1e-9)
+    assert vec["theta1"] == 30.0
+    assert vec["sin_theta2"] == pytest.approx(1.0, abs=1e-12)
+    assert vec["id_hoffmann"] == pytest.approx(LOG2_3_2, abs=1e-9)
 
 
 def test_determinism():

@@ -12,21 +12,27 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fitts3d import (MODEL_ORDER, DomainError, IdValue, ModelKind,
-                     PredictorVector, TaskSpec, id_fitts, id_hoffmann,
-                     id_r_final, id_rot_adapted, id_shannon, id_t_final,
-                     id_welford, predictors_cha_myung, predictors_for,
-                     predictors_murata)
+from fitts3d import (MODEL_ORDER, DomainError, ModelKind, TaskSpec, id_fitts,
+                     id_hoffmann, id_r_final, id_rot_adapted, id_shannon,
+                     id_t_final, id_welford, predictors_cha_myung,
+                     predictors_for, predictors_murata)
 
 TRANSLATION, ROTATION = "translation", "rotation"
 
 
 # --- reference if-chain -------------------------------------------------
 
+def _ref_bits(x):
+    bits = math.log2(x)
+    if not math.isfinite(bits):
+        raise DomainError("difficulty index is not finite")
+    return bits
+
+
 def _ref_log2_checked(x, what):
     if x <= 0:
         raise DomainError(f"{what} requires a positive log argument, got {x}")
-    return math.log2(x)
+    return _ref_bits(x)
 
 
 def _ref_sin_deg(angle):
@@ -36,37 +42,37 @@ def _ref_sin_deg(angle):
 def ref_id_fitts(A, W):
     if A <= 0 or W <= 0:
         raise DomainError("id_fitts needs A > 0 and W > 0")
-    return IdValue(_ref_log2_checked(2.0 * A / W, "id_fitts"), TRANSLATION)
+    return _ref_log2_checked(2.0 * A / W, "id_fitts")
 
 
 def ref_id_hoffmann(A, W, F):
     if A <= 0 or W + F <= 0:
         raise DomainError("id_hoffmann needs A > 0 and W + F > 0")
-    return IdValue(_ref_log2_checked(2.0 * A / (W + F), "id_hoffmann"), TRANSLATION)
+    return _ref_log2_checked(2.0 * A / (W + F), "id_hoffmann")
 
 
 def ref_id_welford(A, W):
     if A < 0 or W <= 0:
         raise DomainError("id_welford needs A >= 0 and W > 0")
-    return IdValue(math.log2(A / W + 0.5), TRANSLATION)
+    return _ref_bits(A / W + 0.5)
 
 
 def ref_id_shannon(A, W):
     if A < 0 or W <= 0:
         raise DomainError("id_shannon needs A >= 0 and W > 0")
-    return IdValue(math.log2(A / W + 1.0), TRANSLATION)
+    return _ref_bits(A / W + 1.0)
 
 
 def ref_id_t_final(A, W, F):
     if A < 0 or W + F <= 0:
         raise DomainError("id_t_final needs A >= 0 and W + F > 0")
-    return IdValue(math.log2(2.0 * A / (F + W) + 1.0), TRANSLATION)
+    return _ref_bits(2.0 * A / (F + W) + 1.0)
 
 
 def ref_id_r_final(alpha, omega):
     if alpha < 0 or omega <= 0:
         raise DomainError("id_r_final needs alpha >= 0 and omega > 0")
-    return IdValue(math.log2(2.0 * alpha / (omega * omega) + 1.0), ROTATION)
+    return _ref_bits(2.0 * alpha / (omega * omega) + 1.0)
 
 
 def ref_id_rot_adapted(kind, alpha, omega):
@@ -78,12 +84,10 @@ def ref_id_rot_adapted(kind, alpha, omega):
     if kind in (ModelKind.FITTS, ModelKind.HOFFMANN, ModelKind.CHA_MYUNG):
         if alpha <= 0:
             raise DomainError(f"{kind.value} adapted form needs alpha > 0")
-        bits = _ref_log2_checked(2.0 * alpha / omega, f"{kind.value} adapted form")
-    elif kind is ModelKind.WELFORD:
-        bits = math.log2(alpha / omega + 0.5)
-    else:  # Shannon, Murata-Iwase
-        bits = math.log2(alpha / omega + 1.0)
-    return IdValue(bits, ROTATION)
+        return _ref_log2_checked(2.0 * alpha / omega, f"{kind.value} adapted form")
+    if kind is ModelKind.WELFORD:
+        return _ref_bits(alpha / omega + 0.5)
+    return _ref_bits(alpha / omega + 1.0)  # Shannon, Murata-Iwase
 
 
 def _ref_regime(task):
@@ -96,12 +100,12 @@ def _ref_regime(task):
 
 def _ref_translation_bits(kind, task):
     if kind is ModelKind.FITTS:
-        return ref_id_fitts(task.A, task.W).bits
+        return ref_id_fitts(task.A, task.W)
     if kind in (ModelKind.HOFFMANN, ModelKind.CHA_MYUNG):
-        return ref_id_hoffmann(task.A, task.W, task.F).bits
+        return ref_id_hoffmann(task.A, task.W, task.F)
     if kind is ModelKind.WELFORD:
-        return ref_id_welford(task.A, task.W).bits
-    return ref_id_shannon(task.A, task.W).bits
+        return ref_id_welford(task.A, task.W)
+    return ref_id_shannon(task.A, task.W)
 
 
 def _ref_single_id_bits(kind, task):
@@ -109,30 +113,28 @@ def _ref_single_id_bits(kind, task):
     if regime == TRANSLATION:
         return _ref_translation_bits(kind, task)
     if regime == ROTATION:
-        return ref_id_rot_adapted(kind, task.alpha, task.omega).bits
+        return ref_id_rot_adapted(kind, task.alpha, task.omega)
     return (_ref_translation_bits(kind, task)
-            + ref_id_rot_adapted(kind, task.alpha, task.omega).bits)
+            + ref_id_rot_adapted(kind, task.alpha, task.omega))
 
 
 def ref_predictors_for(kind, task):
     kind = ModelKind(kind)
     if kind in (ModelKind.FITTS, ModelKind.HOFFMANN,
                 ModelKind.WELFORD, ModelKind.SHANNON):
-        return PredictorVector(("id",), (_ref_single_id_bits(kind, task),))
+        return {"id": _ref_single_id_bits(kind, task)}
     if kind is ModelKind.MURATA_IWASE:
-        return PredictorVector(("id_shannon", "sin_phi"),
-                               (_ref_single_id_bits(kind, task),
-                                _ref_sin_deg(task.phi)))
+        return {"id_shannon": _ref_single_id_bits(kind, task),
+                "sin_phi": _ref_sin_deg(task.phi)}
     if kind is ModelKind.CHA_MYUNG:
-        return PredictorVector(("theta1", "sin_theta2", "id_hoffmann"),
-                               (task.theta, _ref_sin_deg(task.phi),
-                                _ref_single_id_bits(kind, task)))
-    idt = ref_id_t_final(task.A, task.W, task.F).bits
+        return {"theta1": task.theta, "sin_theta2": _ref_sin_deg(task.phi),
+                "id_hoffmann": _ref_single_id_bits(kind, task)}
+    idt = ref_id_t_final(task.A, task.W, task.F)
     if _ref_regime(task) == TRANSLATION:
         idr = 0.0
     else:
-        idr = ref_id_r_final(task.alpha, task.omega).bits
-    return PredictorVector(("id_t", "id_r"), (idt, idr))
+        idr = ref_id_r_final(task.alpha, task.omega)
+    return {"id_t": idt, "id_r": idr}
 
 
 # --- comparison ------------------------------------------------------------
@@ -141,17 +143,17 @@ ZERO_DIVISION = ("ZeroDivisionError",)
 
 
 def outcome(call):
-    """Bit-exact result of a call: names or regime tag plus the hex of
-    each value, or the DomainError message."""
+    """Bit-exact result of a call: the hex of an index, the names and
+    hex values of a regressor dict, or the DomainError message."""
     try:
         got = call()
     except DomainError as exc:
         return ("DomainError", str(exc))
     except ZeroDivisionError:
         return ZERO_DIVISION
-    if isinstance(got, IdValue):
-        return (got.kind, got.bits.hex())
-    return (got.names, tuple(v.hex() for v in got.values))
+    if isinstance(got, float):
+        return got.hex()
+    return tuple((name, value.hex()) for name, value in got.items())
 
 
 def assert_same(call, ref_call):
@@ -232,10 +234,8 @@ def test_indices_match_reference(A, W, F):
        phi=anything, theta=anything)
 def test_murata_and_cha_myung_vectors(A, W, F, phi, theta):
     assert_same(lambda: predictors_murata(A, W, phi),
-                lambda: PredictorVector(("id_shannon", "sin_phi"),
-                                        (ref_id_shannon(A, W).bits,
-                                         _ref_sin_deg(phi))))
+                lambda: {"id_shannon": ref_id_shannon(A, W),
+                         "sin_phi": _ref_sin_deg(phi)})
     assert_same(lambda: predictors_cha_myung(A, W, F, theta, phi),
-                lambda: PredictorVector(("theta1", "sin_theta2", "id_hoffmann"),
-                                        (float(theta), _ref_sin_deg(phi),
-                                         ref_id_hoffmann(A, W, F).bits)))
+                lambda: {"theta1": float(theta), "sin_theta2": _ref_sin_deg(phi),
+                         "id_hoffmann": ref_id_hoffmann(A, W, F)})

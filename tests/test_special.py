@@ -75,3 +75,19 @@ def test_f_deep_tail_precision():
     p = f_sf(1e6, 1, 1)
     assert 0 < p < 1e-2
     assert p == pytest.approx(float(stats.f.sf(1e6, 1, 1)), rel=1e-10)
+
+
+# The error bounds the regularized_incomplete_beta docstring states, by
+# df2, with 25 % headroom; they grow with df2 through log_beta.
+DOCUMENTED_F_ERROR = {250: 1.0e-13, 4700: 1.4e-12, 1e4: 6.4e-12,
+                      1e6: 6.1e-10, 1e7: 3.3e-9}
+
+
+@pytest.mark.parametrize("df2", DOCUMENTED_F_ERROR)
+def test_f_tail_error_within_documented_bound(df2):
+    from scipy import stats
+    bound = 1.25 * DOCUMENTED_F_ERROR[df2]
+    for df1 in (1, 2, 7):
+        for x in (0.1, 0.5, 0.9, 2.0, 5.0):
+            assert abs(f_sf(x, df1, df2) - stats.f.sf(x, df1, df2)) <= bound, (df1, x)
+            assert abs(f_cdf(x, df1, df2) - stats.f.cdf(x, df1, df2)) <= bound, (df1, x)
