@@ -14,9 +14,9 @@ difficulty against the per-condition mean movement times.
 import os
 import tempfile
 
-from fitts3d import (InteractionKind, ModelKind, build_comparison_report,
-                     build_grid, generate_trials, paper_scale_defaults,
-                     render_comparison)
+from fitts3d import (ConditionTable, InteractionKind, ModelKind,
+                     build_comparison_report, build_grid, generate_trials,
+                     paper_scale_defaults, render_comparison)
 
 interaction = InteractionKind.POINTING
 
@@ -24,7 +24,8 @@ for experiment in ("e1", "e3", "e4"):
     grid = build_grid(experiment, interaction)
     truth = paper_scale_defaults(experiment, interaction)
     trials = generate_trials(grid, truth, interaction)
-    report = build_comparison_report(trials, list(ModelKind), aggregate=True)
+    table = ConditionTable(trials, aggregate=True)  # per-condition means
+    report = build_comparison_report(table, list(ModelKind))
     print(f"== {experiment} ==")
     print(render_comparison(report, "table"))
 

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Verbs: generate, classify, fit, stepwise, compare, report. Exit codes:
-0 success, 1 runtime failure (bad data, numerical degeneracy, missing
-file), 2 usage error.
+0 success, 1 runtime failure (bad data, a log that cannot be grouped
+into conditions, numerical degeneracy, missing file), 2 usage error.
 """
 
 import argparse
@@ -34,10 +34,6 @@ def _emit(text: str, out_path) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _parse_bool(token: str) -> bool:
-    return token == "true"
 
 
 def _parse_models(spec: str):
@@ -106,20 +102,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _read_table(args) -> ConditionTable:
+    """The input log grouped as --aggregate says; raises if it cannot be."""
+    return ConditionTable(read_trials(args.input).trials, args.aggregate == "true")
+
+
 def _cmd_fit(args) -> int:
     kinds = _parse_models(args.models)
-    log = read_trials(args.input)
-    report = build_comparison_report(log.trials, kinds,
-                                     aggregate=_parse_bool(args.aggregate),
+    report = build_comparison_report(_read_table(args), kinds,
                                      include_points=args.format == JSON_FORMAT)
     _emit(render_comparison(report, args.format), args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    log = read_trials(args.input)
-    report = build_comparison_report(log.trials, MODEL_ORDER,
-                                     aggregate=_parse_bool(args.aggregate),
+    report = build_comparison_report(_read_table(args), MODEL_ORDER,
                                      include_points=False)
     _emit(render_comparison(report, args.format), args.out)
     return 0
@@ -127,18 +124,20 @@ def _cmd_compare(args) -> int:
 
 def _cmd_stepwise(args) -> int:
     candidates = _parse_candidates(args.candidates)
-    log = read_trials(args.input)
-    table = ConditionTable(log.trials, _parse_bool(args.aggregate))
-    X, y = condition_matrix(table, candidates)
-    sw = stepwise(X, y)
-    _emit(render_stepwise(sw, args.format), args.out)
+    X, y = condition_matrix(_read_table(args), candidates)
+    _emit(render_stepwise(stepwise(X, y), args.format), args.out)
     return 0
+
+
+def _reject_constant(token):
+    # json.load accepts NaN, Infinity and -Infinity, which JSON does not
+    raise Fitts3dError(f"not a JSON document: {token} is not a JSON value")
 
 
 def _cmd_report(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise Fitts3dError(f"not a JSON document: {exc}") from None
     _emit(render_document(doc, args.format), args.out)

@@ -267,7 +267,8 @@ class ConditionTable:
     the response: with aggregate=True the mean successful movement time
     of each condition (one row per condition), otherwise each successful
     trial's movement time in trial order. rows gives, for each response
-    row, the index of its condition in tasks.
+    row, the index of its condition in tasks. n_trials counts every
+    trial given, error trials included; aggregate records the choice.
 
     Raises InsufficientData for no trials, no successful trials
     (per-trial) or fewer than two conditions, and EmptyCondition when
@@ -309,6 +310,8 @@ class ConditionTable:
                 raise InsufficientData("no successful trials")
         if len(tasks) < 2:
             raise InsufficientData("need at least two distinct conditions")
+        self.n_trials = len(trials)
+        self.aggregate = bool(aggregate)
         self.tasks = tuple(tasks)
         self.rows = np.array(rows, dtype=np.intp)
         self.y = np.array(y, dtype=float)
@@ -365,30 +368,19 @@ class ComparisonRow:
     error: str | None = None
 
 
-def rank_fits(kinds, fit):
-    """Try fit(kind) once for each requested model, in declaration order,
-    and rank the rows.
-
-    Returns one row per requested model: fitted rows first, sorted by
-    descending r^2 (ties broken by declaration order), then rows whose
-    fit raised a Fitts3dError, carrying "<type>: <message>" inline.
-    """
+def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
+    """One row per requested model, each fitted once to the table: fitted
+    rows by descending r^2 (ties in declaration order), then rows whose
+    fit raised a Fitts3dError, carrying "<type>: <message>" inline."""
     rows = []
     for kind in sorted({ModelKind(k) for k in kinds}, key=declaration_index):
         try:
-            rows.append(ComparisonRow(kind, fit=fit(kind)))
+            rows.append(ComparisonRow(kind, fit=fit_model(kind, table)))
         except Fitts3dError as exc:
             rows.append(ComparisonRow(kind, error=f"{type(exc).__name__}: {exc}"))
     fitted = [r for r in rows if r.fit is not None]
-    failed = [r for r in rows if r.fit is None]
-    fitted.sort(key=lambda r: (-r.fit.r2, declaration_index(r.kind)))
-    return fitted + failed
-
-
-def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
-    """Fit several models to the same ConditionTable and rank them as
-    rank_fits does."""
-    return rank_fits(kinds, lambda kind: fit_model(kind, table))
+    fitted.sort(key=lambda r: -r.fit.r2)  # stable: ties keep declaration order
+    return fitted + [r for r in rows if r.fit is None]
 
 
 # candidate columns for stepwise selection on raw task variables; the

@@ -1,6 +1,8 @@
 """Comparison (fitts3d.report/1) and stepwise (fitts3d.stepwise/1)
-reports, held in memory as their JSON documents. Each schema has one
-table renderer, which reads the document, so live and reloaded match.
+reports, held in memory as their JSON documents; a comparison is fitted
+to a ConditionTable, so only a log that could be grouped has one. Each
+schema has one table renderer, which reads the document, so live and
+reloaded match.
 
 JSON output is byte-identical to json.dumps(doc, indent=2). With indent
 set, Python's json uses its pure-Python encoder, so a model's canonical
@@ -13,8 +15,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import Fitts3dError, SchemaError
-from .regression import ConditionTable, StepwiseReport, compare_models, rank_fits
+from .errors import SchemaError
+from .regression import ConditionTable, StepwiseReport, compare_models
 
 REPORT_SCHEMA = "fitts3d.report/1"
 STEPWISE_SCHEMA = "fitts3d.stepwise/1"
@@ -43,22 +45,13 @@ def _model_entry(model, r2=None, n=None, coefficients=None, equation=None,
             "point_names": point_names, "points": points}
 
 
-def build_comparison_report(trials, kinds, aggregate: bool = True,
+def build_comparison_report(table: ConditionTable, kinds,
                             include_points: bool = True) -> dict:
-    """Fit and rank the models into a fitts3d.report/1 document; optionally
-    attach the per-condition (predictors, mean MT) points for plotting."""
-    trials = list(trials)
-    try:
-        table = ConditionTable(trials, aggregate)
-    except Fitts3dError as exc:
-        # no model can be fitted: the grouping error goes on every row
-        def grouping_failed(kind):
-            raise exc
-        rows = rank_fits(kinds, grouping_failed)
-    else:
-        rows = compare_models(table, kinds)
+    """Fit and rank the models on a ConditionTable into a fitts3d.report/1
+    document; optionally attach each model's points, its predictors and
+    the response per observation, for plotting."""
     models = []
-    for cmp_row in rows:
+    for cmp_row in compare_models(table, kinds):
         fit = cmp_row.fit
         if fit is None:
             models.append(_model_entry(cmp_row.kind.value, error=cmp_row.error))
@@ -74,8 +67,8 @@ def build_comparison_report(trials, kinds, aggregate: bool = True,
             coefficients=dict(fit.coefficients),
             equation=format_equation(fit.coefficients, fit.predictor_names),
             dropped=fit.dropped, point_names=point_names, points=points))
-    return {"schema": REPORT_SCHEMA, "n_trials": len(trials),
-            "aggregate": aggregate, "models": models}
+    return {"schema": REPORT_SCHEMA, "n_trials": table.n_trials,
+            "aggregate": table.aggregate, "models": models}
 
 
 def stepwise_document(sw: StepwiseReport) -> dict:

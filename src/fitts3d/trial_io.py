@@ -10,7 +10,6 @@ log regenerated from the same seed is byte-identical.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import ParseError, SchemaError
@@ -97,7 +96,7 @@ def read_trials(path) -> TrialLog:
 
     Raises SchemaError for a bad header and ParseError (with the
     1-based line number) for the first malformed row. A valid file with
-    zero rows returns an empty log and emits a warning.
+    zero rows returns an empty log, which ConditionTable rejects.
     """
     lines = _read_lines(path, TRIAL_CSV_HEADER)
     trials = []
@@ -147,8 +146,6 @@ def read_trials(path) -> TrialLog:
         trials.append(trial)
         experiments.add(experiment)
         interactions.add(task.interaction)
-    if not trials:
-        warnings.warn("trial log contains a header but no rows", stacklevel=2)
     return TrialLog(
         trials=tuple(trials),
         experiment=experiments.pop() if len(experiments) == 1 else None,
@@ -182,6 +179,4 @@ def read_poses(path):
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
         rows.append((obj, target, w, omega))
-    if not rows:
-        warnings.warn("pose file contains a header but no rows", stacklevel=2)
     return rows

@@ -1,10 +1,12 @@
 import json
+import math
+import warnings
 
 import pytest
 
 from fitts3d.cli import main
 from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
-from fitts3d import read_trials
+from fitts3d import TaskSpec, format_equation, read_trials
 
 
 def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
@@ -115,6 +117,29 @@ def test_report_rejects_deeply_nested_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: not a JSON document: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", ["r2", "coefficient", "points"])
+def test_report_rejects_non_finite_constants(tmp_path, capsys, place, value):
+    coefficients = {"intercept": 0.4, "id": value if place == "coefficient" else 0.3}
+    entry = {"model": "fitts", "r2": value if place == "r2" else 0.9, "n": 2,
+             "coefficients": coefficients,
+             "equation": format_equation(coefficients, ["id"]),
+             "dropped": [], "error": None, "point_names": ["id", "mt"],
+             "points": [[1.0, 0.7], [2.0, value if place == "points" else 1.0]]}
+    text = json.dumps({"schema": "fitts3d.report/1", "n_trials": 2,
+                       "aggregate": True, "models": [entry]}, indent=2)
+    token = json.dumps(value)  # NaN, Infinity or -Infinity
+    assert text.count(token) == 1
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    for fmt in ("table", "json-like"):
+        assert main(["report", str(path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: not a JSON document: {token} is not a JSON value\n"
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf"])
@@ -233,6 +258,18 @@ def test_classify_out_file(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8").endswith(",1,1,1\n")
 
 
+def test_classify_header_only_pose_file(tmp_path, capsys):
+    poses = tmp_path / "poses.csv"
+    poses.write_text(POSE_CSV_HEADER + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["classify", str(poses)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out == \
+        POSE_CSV_HEADER + ",trans_success,rot_success,combined_success\n"
+
+
 def test_missing_input_is_exit_1(tmp_path, capsys):
     rc = main(["fit", str(tmp_path / "absent.csv")])
     assert rc == 1
@@ -280,35 +317,27 @@ def _one_condition_log(tmp_path, successes=(1, 1)):
     return path
 
 
-_GROUPING_ERROR = "InsufficientData: need at least two distinct conditions"
+_GROUPING_ERROR = "error: need at least two distinct conditions\n"
 
 
 def test_compare_grouping_failure_gives_error_rows(tmp_path, capsys):
+    # a log that cannot be grouped has no model rows: compare fails as a whole
     path = _one_condition_log(tmp_path)
-    assert main(["compare", str(path)]) == 0
-    names = ("fitts", "hoffmann", "welford", "shannon", "murata-iwase",
-             "cha-myung", "final")
-    assert capsys.readouterr().out == "\n".join([
-        "model         r2  n  fit",
-        "------------  --  -  " + "-" * len(_GROUPING_ERROR),
-        *(f"{name:<12}  -   -  {_GROUPING_ERROR}" for name in names),
-        "",
-        "observations: 2 trials, aggregate=true",
-    ]) + "\n"
+    assert main(["compare", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _GROUPING_ERROR)
 
 
 def test_fit_grouping_failure_gives_error_entries(tmp_path, capsys):
+    # no document is written for a log that cannot be grouped
     path = _one_condition_log(tmp_path)
+    out_path = tmp_path / "report.json"
     assert main(["fit", str(path), "--models", "final,fitts",
-                 "--aggregate", "false", "--format", "json-like"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    error_entry = {"r2": None, "n": None, "coefficients": None,
-                   "equation": None, "dropped": [], "error": _GROUPING_ERROR,
-                   "point_names": None, "points": None}
-    assert doc == {"schema": "fitts3d.report/1", "n_trials": 2,
-                   "aggregate": False,
-                   "models": [{"model": "fitts", **error_entry},
-                              {"model": "final", **error_entry}]}
+                 "--aggregate", "false", "--format", "json-like",
+                 "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _GROUPING_ERROR)
+    assert not out_path.exists()
 
 
 def test_stepwise_grouping_failure_is_exit_1(tmp_path, capsys):
@@ -316,17 +345,50 @@ def test_stepwise_grouping_failure_is_exit_1(tmp_path, capsys):
     assert main(["stepwise", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: need at least two distinct conditions\n"
+    assert captured.err == _GROUPING_ERROR
 
 
 def test_per_trial_log_without_successes(tmp_path, capsys):
     path = _one_condition_log(tmp_path, successes=(0, 0))
-    assert main(["compare", str(path), "--aggregate", "false"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert all(l.endswith("  InsufficientData: no successful trials")
-               for l in lines[2:9])
-    assert main(["stepwise", str(path), "--aggregate", "false"]) == 1
-    assert capsys.readouterr().err == "error: no successful trials\n"
+    for verb in ("compare", "stepwise"):
+        assert main([verb, str(path), "--aggregate", "false"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: no successful trials\n")
+
+
+_COND_A = "e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0"
+_COND_B = "e1,pointing,3.0,5.0,24.0,90.0,0.0,0.0,0.0"
+
+# log name -> (rows after the header, --aggregate, error message)
+_UNGROUPABLE = {
+    "header-only": ([], "true", "no trials"),
+    "header-only-per-trial": ([], "false", "no trials"),
+    "per-trial-without-success": (
+        [f"{_COND_A},15.0,0", f"{_COND_B},15.0,0"], "false", "no successful trials"),
+    "condition-without-success": (
+        [f"{_COND_A},0.9,1", f"{_COND_B},15.0,0"], "true",
+        f"no successful trials for condition {TaskSpec(F=3.0, W=5.0, A=24.0, phi=90.0)}"),
+    "one-condition": (
+        [f"{_COND_A},0.9,1", f"{_COND_A},1.4,1"], "true",
+        "need at least two distinct conditions"),
+    "one-condition-per-trial": (
+        [f"{_COND_A},0.9,1", f"{_COND_A},1.4,1", f"{_COND_B},15.0,0"], "false",
+        "need at least two distinct conditions"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json-like"])
+@pytest.mark.parametrize("verb", ["fit", "compare", "stepwise"])
+@pytest.mark.parametrize("log", list(_UNGROUPABLE))
+def test_ungroupable_log_ends_in_one_error_line(tmp_path, capsys, log, verb, fmt):
+    rows, aggregate, message = _UNGROUPABLE[log]
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([TRIAL_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing but the error line on stderr
+        rc = main([verb, str(path), "--aggregate", aggregate, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def test_compare_reports_overflowing_index_as_error_row(tmp_path, capsys):

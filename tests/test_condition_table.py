@@ -120,7 +120,10 @@ def assert_same_fit(got, want):
 
 
 def assert_report_matches_reference(trials, aggregate):
-    report = build_comparison_report(trials, MODEL_ORDER, aggregate=aggregate)
+    """The report on a groupable log against the per-trial reference; a
+    grouping error is compared where the table is built."""
+    report = build_comparison_report(ConditionTable(trials, aggregate), MODEL_ORDER)
+    assert (report["n_trials"], report["aggregate"]) == (len(trials), aggregate)
     want = {k: outcome(reference_fit, k, trials, aggregate) for k in MODEL_ORDER}
     fitted = sorted((k for k in MODEL_ORDER if not isinstance(want[k], tuple)),
                     key=lambda k: (-want[k].r2, MODEL_ORDER.index(k)))
@@ -189,7 +192,8 @@ def test_predictors_run_once_per_condition_and_model(monkeypatch):
         return predictors_for(kind, task)
 
     monkeypatch.setattr(regression, "predictors_for", counting)
-    report = build_comparison_report(trials, MODEL_ORDER, aggregate=False)
+    report = build_comparison_report(ConditionTable(trials, aggregate=False),
+                                     MODEL_ORDER)
     assert all(m["points"] for m in report["models"])
     assert len(calls) == len(MODEL_ORDER) * 64
 
@@ -200,10 +204,12 @@ def test_table_layout():
     trials = [Trial(b, 1.0, True), Trial(a, 2.0, False), Trial(a, 3.0, True),
               Trial(b, 5.0, True), Trial(a, 4.0, True)]
     per_trial = ConditionTable(trials, aggregate=False)
+    assert (per_trial.n_trials, per_trial.aggregate) == (5, False)
     assert per_trial.tasks == (b, a)
     assert per_trial.rows.tolist() == [0, 1, 0, 1]
     assert per_trial.y.tolist() == [1.0, 3.0, 5.0, 4.0]
     means = ConditionTable(trials, aggregate=True)
+    assert (means.n_trials, means.aggregate) == (5, True)
     assert means.tasks == (b, a)
     assert means.rows.tolist() == [0, 1]
     assert means.y.tolist() == [3.0, 3.5]

@@ -41,7 +41,7 @@ def test_format_equation():
 
 
 def test_comparison_report_structure():
-    report = build_comparison_report(_trials(), list(ModelKind))
+    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
     assert report["schema"] == REPORT_SCHEMA
     assert report["n_trials"] == 64 * 4
     assert report["aggregate"] is True
@@ -58,8 +58,8 @@ def test_comparison_report_structure():
 
 
 def test_comparison_report_without_points():
-    report = build_comparison_report(_trials(), [ModelKind.FITTS],
-                                     include_points=False)
+    report = build_comparison_report(ConditionTable(_trials()),
+                                     [ModelKind.FITTS], include_points=False)
     assert report["models"][0]["points"] is None
     assert report["models"][0]["point_names"] is None
 
@@ -71,7 +71,7 @@ def test_comparison_report_error_rows_sink():
     trials = [Trial(t, 0.4 + 0.3 * (i + 1), True)
               for i, t in enumerate(tasks)]
     report = build_comparison_report(
-        trials, [ModelKind.FITTS, ModelKind.WELFORD])
+        ConditionTable(trials), [ModelKind.FITTS, ModelKind.WELFORD])
     welford, fitts = report["models"]
     assert welford["model"] == "welford"
     assert welford["error"] is None
@@ -80,7 +80,7 @@ def test_comparison_report_error_rows_sink():
 
 
 def test_comparison_table_renders_all_rows():
-    report = build_comparison_report(_trials(), list(ModelKind))
+    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
     text = render_comparison(report, "table")
     lines = text.splitlines()
     assert lines[0].split() == ["model", "r2", "n", "fit"]
@@ -91,7 +91,7 @@ def test_comparison_table_renders_all_rows():
 
 
 def test_comparison_json_round_trip():
-    report = build_comparison_report(_trials(), list(ModelKind))
+    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
     text = render_comparison(report, "json-like")
     doc = json.loads(text)
     assert doc["schema"] == REPORT_SCHEMA
@@ -102,13 +102,13 @@ def test_comparison_json_round_trip():
 
 
 def test_render_comparison_unknown_format():
-    report = build_comparison_report(_trials(), [ModelKind.FITTS])
+    report = build_comparison_report(ConditionTable(_trials()), [ModelKind.FITTS])
     with pytest.raises(ValueError, match="unknown format 'yaml'"):
         render_comparison(report, "yaml")
 
 
 def test_render_stepwise_and_document_unknown_format():
-    report = build_comparison_report(_trials(), [ModelKind.FITTS])
+    report = build_comparison_report(ConditionTable(_trials()), [ModelKind.FITTS])
     sw = _stepwise_report()
     with pytest.raises(ValueError, match="unknown format 'yaml'"):
         render_stepwise(sw, "yaml")
@@ -166,7 +166,7 @@ def test_render_document_unknown_schema():
 
 
 def test_document_is_json_serializable():
-    report = build_comparison_report(_trials(), list(ModelKind))
+    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
     # points are plain lists of floats, so the document survives JSON
     assert json.loads(json.dumps(report)) == report
     assert report["models"][0]["model"] == "final"
@@ -255,7 +255,8 @@ def test_built_points_take_the_fast_path(monkeypatch):
     monkeypatch.setattr(report_module, "_encode_points",
                         lambda points: calls.append(points) or encode(points))
     for aggregate in (True, False):
-        report = build_comparison_report(_trials(), list(ModelKind), aggregate)
+        report = build_comparison_report(ConditionTable(_trials(), aggregate),
+                                         list(ModelKind))
         assert all(m["error"] is None for m in report["models"])
         calls.clear()
         assert render_comparison(report, "json-like") == _oracle(report)
@@ -271,8 +272,8 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys):
     write_trials(path, trials, "e4")
     assert main(["fit", str(path), "--aggregate", "false",
                  "--format", "json-like"]) == 0
-    expected = build_comparison_report(read_trials(path).trials, MODEL_ORDER,
-                                       aggregate=False)
+    expected = build_comparison_report(
+        ConditionTable(read_trials(path).trials, aggregate=False), MODEL_ORDER)
     assert expected["n_trials"] == 4800
     assert capsys.readouterr().out == _oracle(expected)
 
