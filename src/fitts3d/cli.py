@@ -3,6 +3,9 @@
 Verbs: generate, classify, fit, stepwise, compare, report. Exit codes:
 0 success, 1 runtime failure (bad data, a log that cannot be grouped
 into conditions, numerical degeneracy, missing file), 2 usage error.
+
+Only the verbs that fit (fit, compare, stepwise) import regression, and
+with it numpy; generate, classify and report start without them.
 """
 
 import argparse
@@ -13,11 +16,11 @@ from pathlib import Path
 
 from .errors import Fitts3dError
 from .metrics import MODEL_ORDER, ModelKind
-from .regression import STEPWISE_CANDIDATES, ConditionTable, condition_matrix, stepwise
 from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, build_comparison_report,
                      render_comparison, render_document, render_stepwise)
 from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
-from .tasks import InteractionKind, classify_rotation, classify_translation
+from .tasks import (STEPWISE_CANDIDATES, InteractionKind, classify_rotation,
+                    classify_translation)
 from .trial_io import POSE_CSV_HEADER, read_poses, read_trials, write_trials
 
 _EXPERIMENTS = tuple(e.value for e in Experiment)
@@ -102,8 +105,11 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _read_table(args) -> ConditionTable:
-    """The input log grouped as --aggregate says; raises if it cannot be."""
+def _read_table(args):
+    """The input log as a ConditionTable, grouped as --aggregate says;
+    raises if it cannot be."""
+    from .regression import ConditionTable
+
     return ConditionTable(read_trials(args.input).trials, args.aggregate == "true")
 
 
@@ -123,6 +129,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stepwise(args) -> int:
+    from .regression import condition_matrix, stepwise
+
     candidates = _parse_candidates(args.candidates)
     X, y = condition_matrix(_read_table(args), candidates)
     _emit(render_stepwise(stepwise(X, y), args.format), args.out)

@@ -25,6 +25,8 @@ from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
 from .metrics import (MODEL_ORDER, ModelKind, declaration_index, predictor_names,
                       predictors_for)
 from .special import f_sf
+from .tasks import STEPWISE_CANDIDATES
+from .trial_io import TRIAL_COLUMNS
 
 RANK_TOL = 1e-10
 
@@ -260,6 +262,14 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
                           current.r2, current, hit_round_cap=changed)
 
 
+def _log_terms(task) -> str:
+    """A condition as its trial log's columns name it, e.g. "F_cm=3.0,
+    W_cm=5.0, ..., omega_deg=0.0, interaction=pointing"."""
+    values = (task.F, task.W, task.A, task.phi, task.theta, task.alpha, task.omega)
+    return ", ".join([f"{col}={v!r}" for col, v in zip(TRIAL_COLUMNS[2:9], values)]
+                     + [f"interaction={task.interaction.value}"])
+
+
 class ConditionTable:
     """Trials grouped once into their distinct conditions.
 
@@ -293,7 +303,7 @@ class ConditionTable:
             for task, mts in zip(tasks, successes):
                 if not mts:
                     raise EmptyCondition(
-                        f"no successful trials for condition {task}")
+                        f"no successful trials for condition {_log_terms(task)}")
                 y.append(math.fsum(mts) / len(mts))
             rows = range(len(tasks))
         else:
@@ -381,12 +391,6 @@ def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
     fitted = [r for r in rows if r.fit is not None]
     fitted.sort(key=lambda r: -r.fit.r2)  # stable: ties keep declaration order
     return fitted + [r for r in rows if r.fit is None]
-
-
-# candidate columns for stepwise selection on raw task variables; the
-# direction angle enters through its sine, matching the directional
-# term of the angle-aware models
-STEPWISE_CANDIDATES = ("F", "W", "A", "phi", "theta", "alpha", "omega")
 
 
 def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):

@@ -8,15 +8,16 @@ JSON output is byte-identical to json.dumps(doc, indent=2). With indent
 set, Python's json uses its pure-Python encoder, so a model's canonical
 points (a non-empty list of non-empty lists of ints and floats) are
 written by the C encoder and spliced into the indent=2 dump of the rest;
-any other document falls back to json.dumps(doc, indent=2) itself."""
+any other document falls back to json.dumps(doc, indent=2) itself.
+
+Only build_comparison_report fits, so only it imports regression and
+numpy; rendering and checking a saved document load neither."""
 
 import json
+import math
 from itertools import chain
 
-import numpy as np
-
 from .errors import SchemaError
-from .regression import ConditionTable, StepwiseReport, compare_models
 
 REPORT_SCHEMA = "fitts3d.report/1"
 STEPWISE_SCHEMA = "fitts3d.stepwise/1"
@@ -45,11 +46,15 @@ def _model_entry(model, r2=None, n=None, coefficients=None, equation=None,
             "point_names": point_names, "points": points}
 
 
-def build_comparison_report(table: ConditionTable, kinds,
+def build_comparison_report(table: "ConditionTable", kinds,
                             include_points: bool = True) -> dict:
     """Fit and rank the models on a ConditionTable into a fitts3d.report/1
     document; optionally attach each model's points, its predictors and
     the response per observation, for plotting."""
+    import numpy as np
+
+    from .regression import compare_models
+
     models = []
     for cmp_row in compare_models(table, kinds):
         fit = cmp_row.fit
@@ -71,7 +76,7 @@ def build_comparison_report(table: ConditionTable, kinds,
             "aggregate": table.aggregate, "models": models}
 
 
-def stepwise_document(sw: StepwiseReport) -> dict:
+def stepwise_document(sw: "StepwiseReport") -> dict:
     return {
         "schema": STEPWISE_SCHEMA,
         "steps": [
@@ -206,7 +211,7 @@ def render_comparison(report: dict, fmt: str) -> str:
     return _render(report, fmt)
 
 
-def render_stepwise(sw: StepwiseReport, fmt: str) -> str:
+def render_stepwise(sw: "StepwiseReport", fmt: str) -> str:
     return _render(stepwise_document(sw), fmt)
 
 
@@ -226,6 +231,24 @@ def _is_int(v) -> bool:
 
 def _is_str_list(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_finite(v) -> bool:
+    """Neither an infinity nor NaN; an int is always finite."""
+    return not isinstance(v, float) or math.isfinite(v)
+
+
+def _all_finite(numbers) -> bool:
+    """_is_finite for each of numbers, a collection of ints and floats.
+    An inf or nan makes their sum inf or nan, so a finite sum clears them
+    all; they are looked at one by one only when it is not finite (finite
+    floats can overflow it) or an int is too large for a float."""
+    try:
+        if math.isfinite(sum(numbers)):
+            return True
+    except OverflowError:
+        pass
+    return all(map(_is_finite, numbers))
 
 
 def _require(ok, what):
@@ -261,11 +284,14 @@ def _comparison_from_document(doc: dict) -> dict:
                      f"{where}.n must be an integer or null")
             _require(m.get("equation") is None or isinstance(m["equation"], str),
                      f"{where}.equation must be a string or null")
+        _require(_is_finite(m.get("r2")), f"{where}.r2 must be finite")
         coefficients = m.get("coefficients")
         _require(coefficients is None or (
             isinstance(coefficients, dict)
             and _all_of(coefficients.values(), (int, float))),
             f"{where}.coefficients must map names to numbers")
+        _require(coefficients is None or _all_finite(coefficients.values()),
+                 f"{where}.coefficients must be finite")
         equation = m.get("equation")
         if coefficients is not None and equation is not None:
             _require("intercept" in coefficients,
@@ -279,10 +305,12 @@ def _comparison_from_document(doc: dict) -> dict:
         _require(point_names is None or _is_str_list(point_names),
                  f"{where}.point_names must list names")
         points = m.get("points") or None
+        what = f"{where}.points must be a list of lists of numbers"
         _require(points is None or (
-            isinstance(points, list) and _all_of(points, list)
-            and _all_of(chain.from_iterable(points), (int, float))),
-            f"{where}.points must be a list of lists of numbers")
+            isinstance(points, list) and _all_of(points, list)), what)
+        values = list(chain.from_iterable(points or ()))  # read by both checks
+        _require(_all_of(values, (int, float)), what)
+        _require(_all_finite(values), f"{where}.points must be finite")
         entries.append(_model_entry(
             m["model"], m.get("r2"), m.get("n"), coefficients,
             equation, dropped, error, point_names, points))
@@ -301,15 +329,19 @@ def _check_stepwise(doc: dict) -> None:
         _require(isinstance(s.get("variable"), str),
                  f"{where}.variable must be a string")
         for key, default in _STEP_DEFAULTS.items():
-            _require(_is_number(s.get(key, default)),
-                     f"{where}.{key} must be a number")
+            value = s.get(key, default)
+            _require(_is_number(value), f"{where}.{key} must be a number")
+            _require(_is_finite(value), f"{where}.{key} must be finite")
     _require(_is_str_list(doc.get("selected") or []),
              "'selected' must list names")
     contributions = doc.get("contributions_percent") or {}
     _require(isinstance(contributions, dict)
              and _all_of(contributions.values(), (int, float)),
              "'contributions_percent' must map names to numbers")
+    _require(_all_finite(contributions.values()),
+             "'contributions_percent' must be finite")
     _require("r2" not in doc or _is_number(doc["r2"]), "'r2' must be a number")
+    _require(_is_finite(doc.get("r2")), "'r2' must be finite")
 
 
 def render_document(doc: dict, fmt: str) -> str:

@@ -121,6 +121,12 @@ class TaskSpec:
         object.__setattr__(self, "interaction", InteractionKind(self.interaction))
 
 
+# the TaskSpec fields stepwise selection may take as candidate columns;
+# the direction angle enters through its sine, matching the directional
+# term of the angle-aware models
+STEPWISE_CANDIDATES = ("F", "W", "A", "phi", "theta", "alpha", "omega")
+
+
 @dataclass(frozen=True)
 class Trial:
     """One observed movement: the condition, the time and the outcome.

@@ -1,12 +1,11 @@
 import json
-import math
 import warnings
 
 import pytest
 
 from fitts3d.cli import main
 from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
-from fitts3d import TaskSpec, format_equation, read_trials
+from fitts3d import format_equation, read_trials
 
 
 def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
@@ -119,27 +118,51 @@ def test_report_rejects_deeply_nested_json(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("place", ["r2", "coefficient", "points"])
-def test_report_rejects_non_finite_constants(tmp_path, capsys, place, value):
+# a JSON token that is not a finite number -> its test id
+_NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf",
+               "1e999": "1e999", "-1e999": "-1e999"}
+# where a non-finite number is put -> the field a SchemaError names
+_NON_FINITE_PLACES = {"r2": "models[0].r2", "coefficient": "models[0].coefficients",
+                      "points": "models[0].points", "f_stat": "steps[0].f_stat"}
+
+
+def _document_holding(place, value):
+    """A well-formed report document with value at place."""
+    if place == "f_stat":
+        return {"schema": "fitts3d.stepwise/1",
+                "steps": [{"action": "enter", "variable": "A", "f_stat": value,
+                           "p_value": 0.01, "r2": 0.5}],
+                "selected": ["A"], "contributions_percent": {"A": 50.0}, "r2": 0.5}
     coefficients = {"intercept": 0.4, "id": value if place == "coefficient" else 0.3}
     entry = {"model": "fitts", "r2": value if place == "r2" else 0.9, "n": 2,
              "coefficients": coefficients,
              "equation": format_equation(coefficients, ["id"]),
              "dropped": [], "error": None, "point_names": ["id", "mt"],
              "points": [[1.0, 0.7], [2.0, value if place == "points" else 1.0]]}
-    text = json.dumps({"schema": "fitts3d.report/1", "n_trials": 2,
-                       "aggregate": True, "models": [entry]}, indent=2)
-    token = json.dumps(value)  # NaN, Infinity or -Infinity
-    assert text.count(token) == 1
+    return {"schema": "fitts3d.report/1", "n_trials": 2, "aggregate": True,
+            "models": [entry]}
+
+
+@pytest.mark.parametrize("token", list(_NON_FINITE), ids=list(_NON_FINITE.values()))
+@pytest.mark.parametrize("place", list(_NON_FINITE_PLACES))
+def test_report_rejects_non_finite_constants(tmp_path, capsys, place, token):
+    """NaN and the infinities are not JSON; a literal such as 1e999 is,
+    but it overflows to an infinity, which the document's checks reject."""
+    value = json.loads(token)  # nan, inf or -inf
+    text = json.dumps(_document_holding(place, value), indent=2)
+    assert text.count(json.dumps(value)) == 1
+    text = text.replace(json.dumps(value), token)
+    if token in ("NaN", "Infinity", "-Infinity"):
+        message = f"not a JSON document: {token} is not a JSON value"
+    else:
+        message = f"malformed report document: {_NON_FINITE_PLACES[place]} must be finite"
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     for fmt in ("table", "json-like"):
         assert main(["report", str(path), "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == \
-            f"error: not a JSON document: {token} is not a JSON value\n"
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf"])
@@ -367,7 +390,8 @@ _UNGROUPABLE = {
         [f"{_COND_A},15.0,0", f"{_COND_B},15.0,0"], "false", "no successful trials"),
     "condition-without-success": (
         [f"{_COND_A},0.9,1", f"{_COND_B},15.0,0"], "true",
-        f"no successful trials for condition {TaskSpec(F=3.0, W=5.0, A=24.0, phi=90.0)}"),
+        "no successful trials for condition F_cm=3.0, W_cm=5.0, A_cm=24.0, "
+        "phi_deg=90.0, theta_deg=0.0, alpha_deg=0.0, omega_deg=0.0, interaction=pointing"),
     "one-condition": (
         [f"{_COND_A},0.9,1", f"{_COND_A},1.4,1"], "true",
         "need at least two distinct conditions"),

@@ -47,7 +47,11 @@ def reference_rows(trials, aggregate):
         for task, ts in groups.items():
             succ = [t.mt for t in ts if t.success]
             if not succ:
-                raise EmptyCondition(f"no successful trials for condition {task}")
+                raise EmptyCondition(
+                    f"no successful trials for condition F_cm={task.F!r}, "
+                    f"W_cm={task.W!r}, A_cm={task.A!r}, phi_deg={task.phi!r}, "
+                    f"theta_deg={task.theta!r}, alpha_deg={task.alpha!r}, "
+                    f"omega_deg={task.omega!r}, interaction={task.interaction.value}")
             tasks.append(task)
             y.append(math.fsum(succ) / len(succ))
     else:

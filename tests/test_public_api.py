@@ -4,13 +4,19 @@ A name counts as used when it occurs at least twice across the library
 modules (other than the package's __init__), the demos and the benchmark
 tracer: once where it is defined and at least once where it is used.
 A name that only tests reach is code the answer does not need.
+
+The names the package looks up on first use (its __getattr__ table)
+count as exports too, and each must resolve to its module's object.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+import fitts3d
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fitts3d"
@@ -23,7 +29,7 @@ TEXT = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES)
 def _exported():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
+            for alias in node.names] + list(fitts3d._LAZY_EXPORTS)
 
 
 def test_exports_found():
@@ -33,3 +39,15 @@ def test_exports_found():
 @pytest.mark.parametrize("name", _exported())
 def test_exported_name_has_a_caller(name):
     assert len(re.findall(rf"\b{re.escape(name)}\b", TEXT)) >= 2
+
+
+@pytest.mark.parametrize("name,module", sorted(fitts3d._LAZY_EXPORTS.items()))
+def test_lazy_export_resolves(name, module):
+    owner = importlib.import_module(f"fitts3d.{module}")
+    assert getattr(fitts3d, name) is getattr(owner, name)
+    assert name in dir(fitts3d)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fitts3d.no_such_name

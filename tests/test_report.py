@@ -245,6 +245,41 @@ def test_valid_error_rows_and_points_still_render():
     assert "welford  -" in text and "fitts    -" in text
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("doc,fragment", [
+    (lambda v: {"schema": REPORT_SCHEMA, "models": [dict(_FIT_ROW, r2=v)]},
+     "models[0].r2 must be finite"),
+    (lambda v: {"schema": REPORT_SCHEMA, "models": [dict(_ERROR_ROW, r2=v)]},
+     "models[0].r2 must be finite"),
+    (lambda v: {"schema": REPORT_SCHEMA, "models": [
+        dict(_ERROR_ROW, coefficients={"intercept": 0.5, "id": v})]},
+     "models[0].coefficients must be finite"),
+    (lambda v: {"schema": REPORT_SCHEMA, "models": [
+        dict(_FIT_ROW, points=[[1e308, 1e308], [10 ** 400, v]])]},
+     "models[0].points must be finite"),
+    (lambda v: {"schema": STEPWISE_SCHEMA, "steps": [dict(_STEP, p_value=v)]},
+     "steps[0].p_value must be finite"),
+    (lambda v: {"schema": STEPWISE_SCHEMA, "contributions_percent": {"A": v}},
+     "'contributions_percent' must be finite"),
+    (lambda v: {"schema": STEPWISE_SCHEMA, "r2": v}, "'r2' must be finite"),
+])
+def test_document_checks_reject_non_finite_numbers(doc, fragment, value):
+    for fmt in ("table", "json-like"):
+        with pytest.raises(SchemaError) as err:
+            render_document(doc(value), fmt)
+        assert str(err.value) == f"malformed report document: {fragment}"
+
+
+@pytest.mark.parametrize("points", [
+    [[1e308, 1e308], [-1e308, 2.0]],  # finite, but their sum overflows
+    [[10 ** 400, 1.0]],               # an int too large for a float
+    [[10 ** 400, 10 ** 400]],
+])
+def test_finite_points_whose_sum_is_not_finite_still_render(points):
+    doc = {"schema": REPORT_SCHEMA, "models": [dict(_FIT_ROW, points=points)]}
+    assert json.loads(render_document(doc, "json-like"))["models"][0]["points"] == points
+
+
 def _oracle(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
