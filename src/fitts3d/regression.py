@@ -26,7 +26,7 @@ from .metrics import (MODEL_ORDER, ModelKind, declaration_index, predictor_names
                       predictors_for)
 from .special import f_sf
 from .tasks import STEPWISE_CANDIDATES
-from .trial_io import TRIAL_COLUMNS
+from .trial_io import _log_terms
 
 RANK_TOL = 1e-10
 
@@ -197,7 +197,10 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     Each round first enters the candidate with the smallest partial-F
     p-value if that p-value is below 0.05, then removes included
     variables whose p-value rose above 0.10 (largest first).
-    Candidates that would make the matrix rank deficient are skipped.
+    Candidates that would make the matrix rank deficient or leave the
+    fit no residual degrees of freedom are skipped. A step whose fit has
+    zero residual variance reports F = inf and p = 0, which JSON output
+    refuses.
     Ties within 1e-12 go to the earlier column. Stops when a round
     changes nothing, or after 4 * len(X.names) + 8 rounds, which sets
     hit_round_cap.
@@ -222,9 +225,9 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
                 continue
             try:
                 cand = ols_fit(X.subset(included + [name]), yarr)
+                f_stat, p = partial_f_test(cand, current)
             except (RankDeficient, InsufficientData):
                 continue
-            f_stat, p = partial_f_test(cand, current)
             if p < _ENTER_P and (best is None or p < best[0] - _P_TIE_TOL):
                 best = (p, f_stat, name, cand)
         if best is not None:
@@ -262,14 +265,6 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
                           current.r2, current, hit_round_cap=changed)
 
 
-def _log_terms(task) -> str:
-    """A condition as its trial log's columns name it, e.g. "F_cm=3.0,
-    W_cm=5.0, ..., omega_deg=0.0, interaction=pointing"."""
-    values = (task.F, task.W, task.A, task.phi, task.theta, task.alpha, task.omega)
-    return ", ".join([f"{col}={v!r}" for col, v in zip(TRIAL_COLUMNS[2:9], values)]
-                     + [f"interaction={task.interaction.value}"])
-
-
 class ConditionTable:
     """Trials grouped once into their distinct conditions.
 
@@ -289,40 +284,35 @@ class ConditionTable:
         trials = list(trials)
         if not trials:
             raise InsufficientData("no trials")
-        index, tasks, rows, y = {}, [], [], []
+        # each condition's successful movement times; per-trial, only a
+        # successful trial brings its condition into the table
+        index, successes, rows, y = {}, [], [], []
+        for t in trials:
+            if not (aggregate or t.success):
+                continue
+            i = index.get(t.task)
+            if i is None:
+                i = index[t.task] = len(successes)
+                successes.append([])
+            if t.success:
+                successes[i].append(t.mt)
+                rows.append(i)
+                y.append(t.mt)
+        tasks = tuple(index)
         if aggregate:
-            successes = []
-            for t in trials:
-                i = index.get(t.task)
-                if i is None:
-                    i = index[t.task] = len(tasks)
-                    tasks.append(t.task)
-                    successes.append([])
-                if t.success:
-                    successes[i].append(t.mt)
             for task, mts in zip(tasks, successes):
                 if not mts:
                     raise EmptyCondition(
                         f"no successful trials for condition {_log_terms(task)}")
-                y.append(math.fsum(mts) / len(mts))
+            y = [math.fsum(mts) / len(mts) for mts in successes]
             rows = range(len(tasks))
-        else:
-            for t in trials:
-                if not t.success:
-                    continue
-                i = index.get(t.task)
-                if i is None:
-                    i = index[t.task] = len(tasks)
-                    tasks.append(t.task)
-                rows.append(i)
-                y.append(t.mt)
-            if not y:
-                raise InsufficientData("no successful trials")
+        elif not y:
+            raise InsufficientData("no successful trials")
         if len(tasks) < 2:
             raise InsufficientData("need at least two distinct conditions")
         self.n_trials = len(trials)
         self.aggregate = bool(aggregate)
-        self.tasks = tuple(tasks)
+        self.tasks = tasks
         self.rows = np.array(rows, dtype=np.intp)
         self.y = np.array(y, dtype=float)
         self.rows.flags.writeable = False

@@ -9,6 +9,8 @@ set, Python's json uses its pure-Python encoder, so a model's canonical
 points (a non-empty list of non-empty lists of ints and floats) are
 written by the C encoder and spliced into the indent=2 dump of the rest;
 any other document falls back to json.dumps(doc, indent=2) itself.
+Every dump passes allow_nan=False, so a document holding an infinity or
+NaN raises ValueError instead of becoming JSON that report rejects.
 
 Only build_comparison_report fits, so only it imports regression and
 numpy; rendering and checking a saved document load neither."""
@@ -165,7 +167,7 @@ def _is_canonical_points(points) -> bool:
 def _encode_points(points: list) -> str:
     """Canonical points laid out as json.dumps(doc, indent=2) lays them
     out at depth 3, written by the C encoder."""
-    flat = json.dumps(points, separators=(_ITEM_SEP, ":"))
+    flat = json.dumps(points, separators=(_ITEM_SEP, ":"), allow_nan=False)
     return (_POINTS_OPEN + flat[2:-2].replace(_ROW_BREAK, _ROW_BREAK_INDENTED)
             + _POINTS_CLOSE)
 
@@ -185,7 +187,8 @@ def _dump_json(doc: dict) -> str:
                 m = dict(m, points=token)
             shallow.append(m)
         if spliced:
-            rest = json.dumps(dict(doc, models=shallow), indent=2)
+            rest = json.dumps(dict(doc, models=shallow), indent=2,
+                              allow_nan=False)
             if all(rest.count(token) == 1 for token in spliced):
                 parts = []
                 for token, points in spliced.items():
@@ -193,7 +196,7 @@ def _dump_json(doc: dict) -> str:
                     parts += (head, _encode_points(points))
                 parts.append(rest)
                 return "".join(parts)
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _render(doc: dict, fmt: str) -> str:

@@ -14,19 +14,20 @@ The four grids reproduce the published factorial designs exactly:
                             theta{15,30}, alpha{30,45}, omega{7.5,15}
                                                        -> 64 conditions x 4
 
-Conditions are ordered by nested loops over F, W, A, phi, theta, alpha,
-omega (slowest to fastest), which fixes the condition index used for
-per-condition random substreams.
+Conditions are the product of each field's levels in CONDITION_FIELDS
+order (F, W, A, phi, theta, alpha, omega, slowest to fastest), which
+fixes the condition index used for per-condition random substreams.
 """
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import product
 
 from .errors import InvalidTruth
 from .metrics import ModelKind, predictor_names, predictors_for
 from .rng import Xoshiro256StarStar, derive_stream_seed
-from .tasks import MIN_MT_S, InteractionKind, TaskSpec, Trial
+from .tasks import CONDITION_FIELDS, MIN_MT_S, InteractionKind, TaskSpec, Trial
 
 
 class Experiment(str, Enum):
@@ -129,21 +130,11 @@ def build_grid(experiment: Experiment,
     """All conditions of one experiment, in canonical order."""
     experiment = Experiment(experiment)
     interaction = InteractionKind(interaction)
-    lv = GRID_LEVELS[experiment]
-    variations = []
-    for F in lv["F"]:
-        for W in lv["W"]:
-            for A in lv["A"]:
-                for phi in lv["phi"]:
-                    for theta in lv["theta"]:
-                        for alpha in lv["alpha"]:
-                            for omega in lv["omega"]:
-                                variations.append(TaskSpec(
-                                    F=F, W=W, A=A, phi=phi, theta=theta,
-                                    alpha=alpha, omega=omega,
-                                    interaction=interaction))
-    return ExperimentGrid(experiment, tuple(variations),
-                          GRID_REPETITIONS[experiment])
+    levels = GRID_LEVELS[experiment]
+    variations = tuple(
+        TaskSpec(*values, interaction=interaction)
+        for values in product(*(levels[f] for f in CONDITION_FIELDS)))
+    return ExperimentGrid(experiment, variations, GRID_REPETITIONS[experiment])
 
 
 @dataclass(frozen=True)
@@ -153,6 +144,7 @@ class GroundTruth:
     coefficients must hold "intercept" plus one entry per predictor of
     the chosen model kind. noise_sd is the per-trial Gaussian spread in
     seconds; error_rate the per-trial probability of an error trial.
+    seed, in [0, 2**64), is the master seed of the per-condition streams.
     """
 
     kind: ModelKind
@@ -167,6 +159,8 @@ class GroundTruth:
             raise InvalidTruth("noise_sd must be nonnegative and finite")
         if not 0.0 <= self.error_rate < 1.0:
             raise InvalidTruth("error_rate must lie in [0, 1)")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidTruth("seed must lie in [0, 2**64)")
         needed = ("intercept",) + predictor_names(self.kind)
         missing = [n for n in needed if n not in self.coefficients]
         if missing:

@@ -9,6 +9,10 @@ Conventions used throughout the package:
   the right;
 * object rotations are stored per axis in degrees, wrapped to
   (-180, 180].
+
+CONDITION_FIELDS is the one order of a condition's seven fields: the
+TaskSpec fields, the synth grid's loop order and the trial log's
+condition columns all follow it.
 """
 
 import math
@@ -23,6 +27,9 @@ MIN_MT_S = 0.05
 # A cube looks identical under quarter turns about each of its axes, so
 # rotational error is only meaningful modulo 90 degrees per axis.
 ROTATION_SYMMETRY_DEG = 90.0
+
+# the fields that make up a condition, in TaskSpec declaration order
+CONDITION_FIELDS = ("F", "W", "A", "phi", "theta", "alpha", "omega")
 
 
 class InteractionKind(str, Enum):
@@ -105,7 +112,7 @@ class TaskSpec:
     interaction: InteractionKind = InteractionKind.POINTING
 
     def __post_init__(self):
-        for name in ("F", "W", "A", "phi", "theta", "alpha", "omega"):
+        for name in CONDITION_FIELDS:
             v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
@@ -124,7 +131,7 @@ class TaskSpec:
 # the TaskSpec fields stepwise selection may take as candidate columns;
 # the direction angle enters through its sine, matching the directional
 # term of the angle-aware models
-STEPWISE_CANDIDATES = ("F", "W", "A", "phi", "theta", "alpha", "omega")
+STEPWISE_CANDIDATES = CONDITION_FIELDS
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,26 @@ point, LF line endings, exactly this header:
 
     experiment,interaction,F_cm,W_cm,A_cm,phi_deg,theta_deg,alpha_deg,omega_deg,mt_s,success
 
-success is 0 or 1. Floats are written in shortest round-trip form, so a
-log regenerated from the same seed is byte-identical.
+The seven condition columns hold the TaskSpec fields in CONDITION_FIELDS
+order. success is 0 or 1. Floats are written in shortest round-trip
+form, so a log regenerated from the same seed is byte-identical.
 """
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, SchemaError
-from .tasks import InteractionKind, Pose, TaskSpec, Trial
+from .tasks import CONDITION_FIELDS, InteractionKind, Pose, TaskSpec, Trial
 
 SCHEMA_VERSION = 1
 
-TRIAL_COLUMNS = ("experiment", "interaction", "F_cm", "W_cm", "A_cm",
-                 "phi_deg", "theta_deg", "alpha_deg", "omega_deg",
+# the log column of each of CONDITION_FIELDS, in that order
+_CONDITION_COLUMNS = ("F_cm", "W_cm", "A_cm", "phi_deg", "theta_deg",
+                      "alpha_deg", "omega_deg")
+_condition_values = attrgetter(*CONDITION_FIELDS)
+
+TRIAL_COLUMNS = ("experiment", "interaction", *_CONDITION_COLUMNS,
                  "mt_s", "success")
 TRIAL_CSV_HEADER = ",".join(TRIAL_COLUMNS)
 
@@ -41,8 +47,12 @@ class TrialLog:
     schema_version: int = SCHEMA_VERSION
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _log_terms(task) -> str:
+    """A condition as its trial log's columns name it, e.g. "F_cm=3.0,
+    W_cm=5.0, ..., omega_deg=0.0, interaction=pointing"."""
+    return ", ".join([f"{col}={v!r}" for col, v in
+                      zip(_CONDITION_COLUMNS, _condition_values(task))]
+                     + [f"interaction={task.interaction.value}"])
 
 
 def write_trials(path, trials, experiment) -> None:
@@ -56,12 +66,10 @@ def write_trials(path, trials, experiment) -> None:
     lines = [TRIAL_CSV_HEADER]
     for t in trials:
         task = t.task
-        lines.append(",".join((
+        lines.append(",".join([
             experiment, task.interaction.value,
-            _fmt(task.F), _fmt(task.W), _fmt(task.A),
-            _fmt(task.phi), _fmt(task.theta),
-            _fmt(task.alpha), _fmt(task.omega),
-            _fmt(t.mt), "1" if t.success else "0")))
+            *map(repr, _condition_values(task)),
+            repr(t.mt), "1" if t.success else "0"]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -123,9 +131,8 @@ def read_trials(path) -> TrialLog:
             except ValueError:
                 raise ParseError(line_no, f"unknown interaction {row[1]!r}",
                                  column="interaction") from None
-            values = {}
-            for col, token in zip(TRIAL_COLUMNS[2:9], row[2:9]):
-                values[col] = _parse_float(token, line_no, col)
+            values = [_parse_float(token, line_no, col)
+                      for col, token in zip(_CONDITION_COLUMNS, row[2:9])]
         mt = _parse_float(row[9], line_no, "mt_s")
         if mt <= 0:
             raise ParseError(line_no, "mt_s must be > 0", column="mt_s")
@@ -135,11 +142,7 @@ def read_trials(path) -> TrialLog:
         success = row[10] == "1"
         try:
             if task is None:
-                task = tasks[key] = TaskSpec(
-                    F=values["F_cm"], W=values["W_cm"], A=values["A_cm"],
-                    phi=values["phi_deg"], theta=values["theta_deg"],
-                    alpha=values["alpha_deg"], omega=values["omega_deg"],
-                    interaction=interaction)
+                task = tasks[key] = TaskSpec(*values, interaction=interaction)
             trial = Trial(task, mt, success)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None

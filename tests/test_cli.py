@@ -250,6 +250,47 @@ def test_stepwise_json(tmp_path, capsys):
     assert "A" in doc["selected"]
 
 
+def _log(tmp_path, *rows):
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([TRIAL_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_stepwise_skips_candidate_without_residual_df(tmp_path, capsys):
+    # once A is in, W would fit three conditions exactly with no residual df
+    path = _log(tmp_path, "e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,1.0,1",
+                "e1,pointing,3.0,7.5,24.0,90.0,0.0,0.0,0.0,2.0,1",
+                "e1,pointing,3.0,5.0,36.0,90.0,0.0,0.0,0.0,3.001,1")
+    assert main(["stepwise", str(path), "--candidates", "A"]) == 0
+    only_a = capsys.readouterr()
+    assert "selected: A\n" in only_a.out
+    assert main(["stepwise", str(path)]) == 0
+    assert capsys.readouterr() == only_a
+
+
+def test_stepwise_json_refuses_an_infinite_f(tmp_path, capsys):
+    # an exactly linear log gives F = inf, which report would reject
+    path = _log(tmp_path, "e3,pointing,3.0,5.0,0.0,0.0,0.0,0.0,0.0,1.0,1",
+                "e3,pointing,3.0,5.0,2.0,0.0,0.0,0.0,0.0,3.0,1",
+                "e3,pointing,3.0,5.0,4.0,0.0,0.0,0.0,0.0,5.0,1")
+    out_path = tmp_path / "stepwise.json"
+    rc = main(["stepwise", str(path), "--format", "json-like", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_compare_gives_error_row_for_all_constant_predictors(tmp_path, capsys):
+    # two conditions that differ only in phi leave fitts nothing to fit
+    path = _log(tmp_path, "e2,pointing,5.0,5.0,12.0,0.0,15.0,0.0,0.0,1.0,1",
+                "e2,pointing,5.0,5.0,12.0,90.0,15.0,0.0,0.0,1.5,1")
+    assert main(["compare", str(path)]) == 0
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[2:9]}
+    assert rows["fitts"].split(None, 3)[3] == (
+        "RankDeficient: all fitts predictors are constant on this data")
+
+
 def test_classify_appends_flags(tmp_path, capsys):
     poses = tmp_path / "poses.csv"
     poses.write_text(
@@ -311,6 +352,28 @@ def test_duplicate_candidates_is_exit_2(tmp_path, capsys):
     rc = main(["stepwise", str(path), "--candidates", "A,A,W"])
     assert rc == 2
     assert "duplicate candidate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,flag,value,fragment", [
+    ("fit", "--models", ",", "no models given"),
+    ("stepwise", "--candidates", ",", "no candidate variables given"),
+    ("stepwise", "--candidates", "F,bogus", "unknown candidates: bogus"),
+])
+def test_empty_or_unknown_names_are_exit_2(tmp_path, capsys, verb, flag, value, fragment):
+    path, _ = _generate(tmp_path, capsys, experiment="e1")
+    assert main([verb, str(path), flag, value]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_generate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
+    out_path = tmp_path / "log.csv"
+    rc = main(["generate", "--experiment", "e1", "--interaction", "pointing",
+               "--seed", seed, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        1, "", "error: seed must lie in [0, 2**64)\n")
+    assert not out_path.exists()
 
 
 def test_bad_flag_value_raises_system_exit_2(tmp_path):

@@ -52,6 +52,29 @@ def test_ols_insufficient_rows():
                 np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("names,values,fragment", [
+    (("a", "a"), np.zeros((3, 2)), "column names must be unique"),
+    (("a", ""), np.zeros((3, 2)), "column names must be nonempty"),
+    (("a",), np.zeros(3), "values must be a 2-d array"),
+    (("a", "b"), np.zeros((3, 1)), "one name per column required"),
+    (("a",), np.array([[1.0], [math.nan], [2.0]]), "entries must be finite"),
+    (("a",), np.array([[1.0], [math.inf], [2.0]]), "entries must be finite"),
+])
+def test_design_matrix_validation(names, values, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        DesignMatrix(names, values)
+
+
+@pytest.mark.parametrize("y,fragment", [
+    (np.zeros(4), "one value per design matrix row"),
+    (np.zeros((5, 1)), "one value per design matrix row"),
+    (np.array([1.0, 2.0, math.nan, 3.0, 4.0]), "y must be finite"),
+])
+def test_ols_rejects_bad_response(y, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ols_fit(_mat(["x"], [np.arange(5.0)]), y)
+
+
 def test_ols_constant_response():
     x = np.arange(8.0)
     fit = ols_fit(_mat(["x"], [x]), np.full(8, 2.5))
@@ -129,6 +152,16 @@ def test_partial_f_perfect_fit():
     # both residuals exactly zero: no evidence either way
     assert partial_f_test(replace(full, ss_res=0.0),
                           replace(reduced, ss_res=0.0)) == (0.0, 1.0)
+
+
+def test_partial_f_needs_residual_degrees_of_freedom():
+    # three rows and two slopes fit exactly, leaving no residual df
+    X = _mat(["A", "W"], [np.array([12.0, 24.0, 36.0]), np.array([5.0, 7.5, 5.0])])
+    y = np.array([1.0, 2.0, 3.001])
+    full = ols_fit(X, y)
+    reduced = ols_fit(X.subset(["A"]), y)
+    with pytest.raises(InsufficientData, match="no residual degrees of freedom"):
+        partial_f_test(full, reduced)
 
 
 def test_partial_f_invalid_nesting():
@@ -223,6 +256,15 @@ def test_stepwise_skips_constant_and_collinear():
     X = _mat(["x1", "const", "twin"], [x1, np.full(40, 1.7), 2.0 * x1])
     report = stepwise(X, y)
     assert report.selected == ("x1",)
+
+
+def test_stepwise_skips_candidate_without_residual_df():
+    # after A enters, adding W to three conditions leaves no residual df
+    X = _mat(["A", "W"], [np.array([12.0, 24.0, 36.0]), np.array([5.0, 7.5, 5.0])])
+    y = np.array([1.0, 2.0, 3.001])
+    report = stepwise(X, y)
+    assert report.selected == ("A",)
+    assert report.steps == stepwise(X.subset(["A"]), y).steps
 
 
 def test_stepwise_degenerate_response():

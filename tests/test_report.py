@@ -147,6 +147,19 @@ def test_stepwise_json_round_trip():
     assert render_document(doc, "json-like") == text
 
 
+def test_json_refuses_non_finite_numbers():
+    # report rejects Infinity and NaN, so no verb may write them
+    sw = _stepwise_report()
+    infinite = replace(sw, steps=(replace(sw.steps[0], f_stat=math.inf),) + sw.steps[1:])
+    assert " inf " in render_stepwise(infinite, "table")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_stepwise(infinite, "json-like")
+    report = build_comparison_report(ConditionTable(_trials()), [ModelKind.FITTS])
+    report["models"][0]["points"][0][0] = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_comparison(report, "json-like")
+
+
 def test_stepwise_empty_selection_renders():
     rng = np.random.default_rng(2)
     from fitts3d import DesignMatrix
@@ -281,7 +294,7 @@ def test_finite_points_whose_sum_is_not_finite_still_render(points):
 
 
 def _oracle(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def test_built_points_take_the_fast_path(monkeypatch):
@@ -361,7 +374,13 @@ _DOCUMENT = st.fixed_dictionaries({
 @settings(max_examples=300, deadline=None)
 @given(doc=_DOCUMENT)
 def test_json_output_matches_the_oracle(doc):
-    assert render_comparison(doc, "json-like") == _oracle(doc)
+    try:
+        expected = _oracle(doc)
+    except ValueError:  # an infinity or NaN, which JSON cannot hold
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_comparison(doc, "json-like")
+    else:
+        assert render_comparison(doc, "json-like") == expected
 
 
 def test_placeholder_text_in_a_document_falls_back(monkeypatch):

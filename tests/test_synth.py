@@ -225,6 +225,20 @@ def test_truth_rejects_non_finite_noise(noise_sd):
                     coefficients={"intercept": 0.4, "id": 0.3}, noise_sd=noise_sd)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_truth_rejects_seed_outside_64_bits(seed):
+    # a seed is not reduced mod 2**64: -1 would alias 2**64 - 1, 2**64 alias 0
+    with pytest.raises(InvalidTruth, match=r"seed must lie in \[0, 2\*\*64\)"):
+        GroundTruth(kind=ModelKind.FITTS,
+                    coefficients={"intercept": 0.4, "id": 0.3}, seed=seed)
+
+
+def test_truth_accepts_seed_range_ends():
+    for seed in (0, 2**64 - 1):
+        GroundTruth(kind=ModelKind.FITTS,
+                    coefficients={"intercept": 0.4, "id": 0.3}, seed=seed)
+
+
 def test_generate_rejects_nonpositive_predictions():
     grid = build_grid(Experiment.E1)
     truth = GroundTruth(

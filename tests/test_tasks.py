@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,13 @@ from fitts3d import (InteractionKind, Pose, TaskSpec, Trial, classify_combined,
                      classify_rotation, classify_translation,
                      euclidean_distance, symmetry_reduced_delta_deg,
                      wrap_angle_deg)
+from fitts3d.tasks import CONDITION_FIELDS, STEPWISE_CANDIDATES
+
+
+def test_condition_fields_are_task_spec_field_order():
+    # build_grid and read_trials pass a condition's values positionally
+    assert tuple(f.name for f in fields(TaskSpec)) == (*CONDITION_FIELDS, "interaction")
+    assert STEPWISE_CANDIDATES is CONDITION_FIELDS
 
 
 def test_timeouts():
