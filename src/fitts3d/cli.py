@@ -110,7 +110,7 @@ def _read_table(args):
     raises if it cannot be."""
     from .regression import ConditionTable
 
-    return ConditionTable(read_trials(args.input).trials, args.aggregate == "true")
+    return ConditionTable(read_trials(args.input), args.aggregate == "true")
 
 
 def _cmd_fit(args) -> int:

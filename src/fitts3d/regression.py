@@ -10,9 +10,11 @@ deficiencies, not silently pseudo-inverted.
 The analyses (fit_model, compare_models, condition_matrix) read a
 ConditionTable, which groups the trials once into their distinct
 conditions and fixes the response: condition means or successful trials
-(aggregate). Predictors are evaluated once per distinct condition and
-expanded to one row per observation, the design a per-trial evaluation
-would build, so the fits are identical to it.
+(aggregate). It groups a TrialLog straight from its columns, and maps
+Trial objects onto the same columns, so both run one grouping loop.
+Predictors are evaluated once per distinct condition and expanded to one
+row per observation, the design a per-trial evaluation would build, so
+the fits are identical to it.
 """
 
 import math
@@ -26,7 +28,7 @@ from .metrics import (MODEL_ORDER, ModelKind, declaration_index, predictor_names
                       predictors_for)
 from .special import f_sf
 from .tasks import STEPWISE_CANDIDATES
-from .trial_io import _log_terms
+from .trial_io import TrialLog, _log_terms
 
 RANK_TOL = 1e-10
 
@@ -265,12 +267,30 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
                           current.r2, current, hit_round_cap=changed)
 
 
+def _trial_columns(trials):
+    """Trials as TrialLog's columns: one spec per distinct task object,
+    then per trial its spec's position, movement time and outcome."""
+    position, specs, spec_index, times, outcomes = {}, [], [], [], []
+    for t in trials:
+        k = position.get(id(t.task))
+        if k is None:  # specs holds the task, so its id stays unique
+            k = position[id(t.task)] = len(specs)
+            specs.append(t.task)
+        spec_index.append(k)
+        times.append(t.mt)
+        outcomes.append(t.success)
+    return specs, spec_index, times, outcomes
+
+
 class ConditionTable:
     """Trials grouped once into their distinct conditions.
 
-    tasks holds the distinct TaskSpecs in first-appearance order. y is
-    the response: with aggregate=True the mean successful movement time
-    of each condition (one row per condition), otherwise each successful
+    trials is a TrialLog, grouped from its columns, or an iterable of
+    Trial, mapped onto the same columns first. tasks holds the distinct
+    TaskSpecs in the order they enter the table; the first spec to enter
+    is kept when equal specs differ in the sign of a zero. y is the
+    response: with aggregate=True the mean successful movement time of
+    each condition (one row per condition), otherwise each successful
     trial's movement time in trial order. rows gives, for each response
     row, the index of its condition in tasks. n_trials counts every
     trial given, error trials included; aggregate records the choice.
@@ -281,23 +301,32 @@ class ConditionTable:
     """
 
     def __init__(self, trials, aggregate: bool = True):
-        trials = list(trials)
-        if not trials:
+        if isinstance(trials, TrialLog):
+            specs, spec_index, times, outcomes = (
+                trials.tasks, trials.task_index, trials.mt, trials.success)
+        else:
+            specs, spec_index, times, outcomes = _trial_columns(trials)
+        if not spec_index:
             raise InsufficientData("no trials")
         # each condition's successful movement times; per-trial, only a
-        # successful trial brings its condition into the table
-        index, successes, rows, y = {}, [], [], []
-        for t in trials:
-            if not (aggregate or t.success):
+        # successful trial brings its condition into the table. slot maps
+        # a spec's position in specs to its condition, looked up by
+        # TaskSpec equality the first time a row of that spec enters
+        index, slot, successes, rows, y = {}, [None] * len(specs), [], [], []
+        for k, mt, success in zip(spec_index, times, outcomes):
+            if not (aggregate or success):
                 continue
-            i = index.get(t.task)
+            i = slot[k]
             if i is None:
-                i = index[t.task] = len(successes)
-                successes.append([])
-            if t.success:
-                successes[i].append(t.mt)
+                i = index.get(specs[k])
+                if i is None:
+                    i = index[specs[k]] = len(successes)
+                    successes.append([])
+                slot[k] = i
+            if success:
+                successes[i].append(mt)
                 rows.append(i)
-                y.append(t.mt)
+                y.append(mt)
         tasks = tuple(index)
         if aggregate:
             for task, mts in zip(tasks, successes):
@@ -310,7 +339,7 @@ class ConditionTable:
             raise InsufficientData("no successful trials")
         if len(tasks) < 2:
             raise InsufficientData("need at least two distinct conditions")
-        self.n_trials = len(trials)
+        self.n_trials = len(spec_index)
         self.aggregate = bool(aggregate)
         self.tasks = tasks
         self.rows = np.array(rows, dtype=np.intp)

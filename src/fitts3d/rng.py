@@ -30,13 +30,19 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    return seed
+
+
 def derive_stream_seed(master_seed: int, index: int) -> int:
     """Seed for the index-th substream: the (index + 1)-th splitmix64
-    output of the master seed. Distinct indices give uncorrelated
-    substreams."""
+    output of the master seed, which must lie in [0, 2**64). Distinct
+    indices give uncorrelated substreams."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    state = master_seed & _MASK64
+    state = _check_seed(master_seed)
     out = 0
     for _ in range(index + 1):
         state, out = _splitmix64(state)
@@ -48,10 +54,11 @@ def _rotl(x: int, k: int) -> int:
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** with splitmix64 seeding."""
+    """xoshiro256** with splitmix64 seeding; seed must lie in
+    [0, 2**64)."""
 
     def __init__(self, seed: int):
-        state = int(seed) & _MASK64
+        state = _check_seed(int(seed))
         s = []
         for _ in range(4):
             state, word = _splitmix64(state)

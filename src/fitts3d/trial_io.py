@@ -8,10 +8,16 @@ point, LF line endings, exactly this header:
 The seven condition columns hold the TaskSpec fields in CONDITION_FIELDS
 order. success is 0 or 1. Floats are written in shortest round-trip
 form, so a log regenerated from the same seed is byte-identical.
+
+read_trials returns the log as columns (TrialLog): one TaskSpec per
+distinct condition as written, and per row the index of its condition,
+its movement time and its outcome. ConditionTable groups these columns
+directly; TrialLog.trials builds Trial objects only when a caller asks.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 from .errors import ParseError, SchemaError
@@ -38,13 +44,31 @@ POSE_CSV_HEADER = ",".join(POSE_COLUMNS)
 
 @dataclass(frozen=True)
 class TrialLog:
-    """A parsed trial file. experiment / interaction are the common
-    per-file values, or None when the rows are mixed."""
+    """A parsed trial file, held as columns.
 
-    trials: tuple[Trial, ...]
+    tasks has one TaskSpec per distinct set of interaction and condition
+    tokens, in first-appearance order, so rows written "0.0" and "-0.0"
+    keep distinct specs. task_index, mt and success hold one entry per
+    data row: the index of its spec in tasks, its movement time and its
+    outcome. experiment / interaction are the common per-file values, or
+    None when the rows are mixed.
+    """
+
+    tasks: tuple[TaskSpec, ...]
+    task_index: tuple[int, ...]
+    mt: tuple[float, ...]
+    success: tuple[bool, ...]
     experiment: str | None
     interaction: InteractionKind | None
     schema_version: int = SCHEMA_VERSION
+
+    @cached_property
+    def trials(self) -> tuple[Trial, ...]:
+        """One Trial per data row, sharing the TaskSpecs in tasks; built
+        on first use."""
+        tasks = self.tasks
+        return tuple(Trial(tasks[k], mt, success) for k, mt, success
+                     in zip(self.task_index, self.mt, self.success))
 
 
 def _log_terms(task) -> str:
@@ -64,12 +88,18 @@ def write_trials(path, trials, experiment) -> None:
     if experiment not in _EXPERIMENT_IDS:
         raise ValueError(f"experiment must be one of {_EXPERIMENT_IDS}")
     lines = [TRIAL_CSV_HEADER]
+    # each task object's row prefix, formatted once; keyed on identity,
+    # since equal specs may differ in the sign of a zero, and holding the
+    # task so that its id cannot be reused by another while writing
+    prefixes = {}
     for t in trials:
         task = t.task
-        lines.append(",".join([
-            experiment, task.interaction.value,
-            *map(repr, _condition_values(task)),
-            repr(t.mt), "1" if t.success else "0"]))
+        cached = prefixes.get(id(task))
+        if cached is None:
+            cached = prefixes[id(task)] = task, ",".join([
+                experiment, task.interaction.value,
+                *map(repr, _condition_values(task))])
+        lines.append(f"{cached[1]},{t.mt!r},{'1' if t.success else '0'}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -107,13 +137,12 @@ def read_trials(path) -> TrialLog:
     zero rows returns an empty log, which ConditionTable rejects.
     """
     lines = _read_lines(path, TRIAL_CSV_HEADER)
-    trials = []
     experiments = set()
-    interactions = set()
     # one TaskSpec per condition, keyed on the raw interaction and
     # condition tokens (not on parsed floats, which would merge -0.0
-    # with 0.0); a token set is cached only once it has parsed cleanly
-    tasks = {}
+    # with 0.0). index maps a key to (its position in tasks, its timeout)
+    index, tasks = {}, []
+    task_index, mts, successes = [], [], []
     for line_no, raw in enumerate(lines[1:], start=2):
         row = raw.rstrip("\r").split(",")
         if len(row) != len(TRIAL_COLUMNS):
@@ -124,8 +153,8 @@ def read_trials(path) -> TrialLog:
             raise ParseError(line_no, f"unknown experiment {experiment!r}",
                              column="experiment")
         key = tuple(row[1:9])
-        task = tasks.get(key)
-        if task is None:
+        known = index.get(key)
+        if known is None:
             try:
                 interaction = InteractionKind(row[1])
             except ValueError:
@@ -140,17 +169,24 @@ def read_trials(path) -> TrialLog:
             raise ParseError(line_no, f"success must be 0 or 1, got {row[10]!r}",
                              column="success")
         success = row[10] == "1"
-        try:
-            if task is None:
-                task = tasks[key] = TaskSpec(*values, interaction=interaction)
-            trial = Trial(task, mt, success)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        trials.append(trial)
+        if known is None:
+            try:
+                task = TaskSpec(*values, interaction=interaction)
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+            known = index[key] = len(tasks), task.interaction.timeout_s
+            tasks.append(task)
+        k, timeout_s = known
+        if success and mt > timeout_s:
+            raise ParseError(line_no, "successful trials cannot exceed the timeout")
+        task_index.append(k)
+        mts.append(mt)
+        successes.append(success)
         experiments.add(experiment)
-        interactions.add(task.interaction)
+    interactions = {task.interaction for task in tasks}
     return TrialLog(
-        trials=tuple(trials),
+        tasks=tuple(tasks), task_index=tuple(task_index), mt=tuple(mts),
+        success=tuple(successes),
         experiment=experiments.pop() if len(experiments) == 1 else None,
         interaction=interactions.pop() if len(interactions) == 1 else None)
 

@@ -5,7 +5,7 @@ import pytest
 
 from fitts3d.cli import main
 from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
-from fitts3d import format_equation, read_trials
+from fitts3d import Trial, format_equation, read_trials
 
 
 def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
@@ -84,6 +84,22 @@ def test_compare_lists_all_models(tmp_path, capsys):
     for name in ("fitts", "hoffmann", "welford", "shannon",
                  "murata-iwase", "cha-myung", "final"):
         assert name in out
+
+
+@pytest.mark.parametrize("verb", ["fit", "compare", "stepwise"])
+def test_analysis_verbs_build_no_trial(tmp_path, capsys, monkeypatch, verb):
+    # the verbs group the log's columns; no Trial object is built
+    path, _ = _generate(tmp_path, capsys)
+
+    def refuse(self):
+        raise AssertionError("a Trial was built")
+
+    monkeypatch.setattr(Trial, "__post_init__", refuse)
+    for aggregate in ("true", "false"):
+        assert main([verb, str(path), "--aggregate", aggregate]) == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(AssertionError):
+        read_trials(path).trials
 
 
 def test_report_round_trip(tmp_path, capsys):

@@ -6,6 +6,8 @@ every row, then ols_fit. Grouped results must equal it exactly.
 """
 
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +21,9 @@ from fitts3d import (MODEL_ORDER, DesignMatrix, EmptyCondition,
                      Trial, build_comparison_report, build_grid,
                      compare_models, condition_matrix, fit_model,
                      generate_trials, ols_fit, paper_scale_defaults,
-                     predictors_for)
+                     predictors_for, read_trials)
 from fitts3d.regression import STEPWISE_CANDIDATES, ConditionTable
+from fitts3d.trial_io import TRIAL_CSV_HEADER
 
 CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
          for i in (InteractionKind.POINTING, InteractionKind.MANIPULATION)]
@@ -223,6 +226,25 @@ def test_table_layout():
     assert means.predictors(ModelKind.FINAL)[1] is values  # cached
 
 
+def test_first_spec_to_enter_is_kept(tmp_path):
+    # an error trial written theta=-0.0 comes before its condition's
+    # first success, written theta=0.0: the spec that enters is kept
+    path = tmp_path / "zeros.csv"
+    path.write_text("\n".join([
+        TRIAL_CSV_HEADER,
+        "e1,pointing,3.0,5.0,12.0,0.0,-0.0,0.0,0.0,1.5,0",
+        "e1,pointing,3.0,5.0,12.0,0.0,0.0,0.0,0.0,1.25,1",
+        "e1,pointing,3.0,5.0,24.0,0.0,0.0,0.0,0.0,2.0,1"]) + "\n", encoding="utf-8")
+    log = read_trials(path)
+    for trials in (log, log.trials):
+        per_trial = ConditionTable(trials, aggregate=False)
+        assert math.copysign(1.0, per_trial.tasks[0].theta) == 1.0
+        assert per_trial.y.tolist() == [1.25, 2.0]
+        means = ConditionTable(trials, aggregate=True)
+        assert math.copysign(1.0, means.tasks[0].theta) == -1.0
+        assert means.y.tolist() == [1.25, 2.0]
+
+
 def test_aggregated_table_fits_condition_means():
     table = ConditionTable(_cell_trials("e1", InteractionKind.POINTING), True)
     assert fit_model(ModelKind.FITTS, table).n == 48
@@ -270,3 +292,66 @@ def test_grouped_matches_reference_on_any_trials(trials, aggregate):
     got = outcome(condition_matrix, table, STEPWISE_CANDIDATES)
     X_ref, y_ref = reference_condition_matrix(trials, aggregate)
     assert np.array_equal(got[0].values, X_ref) and np.array_equal(got[1], y_ref)
+
+
+# ---- property: the columns of any written log ------------------------------
+
+def _spellings(value):
+    """Tokens that all parse to value; a zero also as -0.0."""
+    tokens = {repr(value), f"{value:g}", f"{value:g}e0", f"{value * 10:g}e-1"}
+    if value == 0.0:
+        tokens |= {"-0.0", "-0"}
+    return sorted(tokens)
+
+
+# F, W, A, phi, theta, alpha, omega
+_LEVELS = ((1.0, 2.0), (1.0, 5.0), (0.0, 6.0), (0.0, 90.0), (0.0, 45.0),
+           (0.0, 45.0), (0.0, 7.5))
+
+
+@st.composite
+def _written_logs(draw):
+    """Data rows of a trial log: a few conditions of mixed interactions,
+    each row spelling its condition's values its own way, with error
+    trials anywhere, including before a condition's first success."""
+    conditions = draw(st.lists(
+        st.tuples(st.sampled_from(list(InteractionKind)),
+                  *[st.sampled_from(levels) for levels in _LEVELS]),
+        min_size=1, max_size=5, unique=True))
+    rows = []
+    for interaction, *values in conditions:
+        for _ in range(draw(st.integers(1, 6))):
+            tokens = [draw(st.sampled_from(_spellings(v))) for v in values]
+            mt = draw(st.floats(0.1, 10.0))
+            success = draw(st.sampled_from((True, True, False)))
+            rows.append(",".join(["e1", interaction.value, *tokens, repr(mt),
+                                  "1" if success else "0"]))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_written_logs())
+def test_table_from_columns_equals_table_from_trials(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join([TRIAL_CSV_HEADER, *rows]) + "\n")
+        log = read_trials(path)
+    for aggregate in (True, False):
+        got = outcome(ConditionTable, log, aggregate)
+        want = outcome(ConditionTable, log.trials, aggregate)
+        ref = outcome(reference_rows, log.trials, aggregate)
+        if isinstance(want, tuple):  # same exception, same message
+            assert got == want == ref
+            continue
+        assert not isinstance(got, tuple), got
+        assert repr(got.tasks) == repr(want.tasks)  # the sign of a zero too
+        assert got.rows.tolist() == want.rows.tolist()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.n_trials == want.n_trials == len(rows)
+        # and both against the per-trial reference: the spec kept for a
+        # condition is the first whose row enters, errors only if aggregating
+        ref_tasks, ref_y = ref
+        assert repr(got.tasks) == repr(tuple(dict.fromkeys(ref_tasks)))
+        assert [got.tasks[i] for i in got.rows] == ref_tasks
+        assert got.y.tobytes() == np.array(ref_y, dtype=float).tobytes()

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from fitts3d.rng import Xoshiro256StarStar, derive_stream_seed, _splitmix64
 
 
@@ -60,3 +62,22 @@ def test_derive_stream_seed():
     seeds = {derive_stream_seed(12345, i) for i in range(64)}
     assert len(seeds) == 64  # no collisions across condition indices
     assert derive_stream_seed(12345, 3) == derive_stream_seed(12345, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # reducing mod 2**64 would alias -1 to 2**64 - 1 and 2**64 to 0
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        Xoshiro256StarStar(seed)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        derive_stream_seed(seed, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_are_accepted(seed):
+    state, outs = seed, []
+    for _ in range(4):
+        state, out = _splitmix64(state)
+        outs.append(out)
+    assert derive_stream_seed(seed, 3) == outs[3]
+    assert Xoshiro256StarStar(seed)._s == outs  # the documented seeding

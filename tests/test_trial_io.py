@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import pytest
@@ -132,6 +133,16 @@ def test_one_taskspec_per_condition(tmp_path):
         objects.setdefault(t.task, set()).add(id(t.task))
     assert len(objects) == 48
     assert all(len(ids) == 1 for ids in objects.values())
+    # the columns: one entry per data row, and trials share tasks' specs
+    n_rows = len(path.read_text(encoding="utf-8").splitlines()) - 1
+    assert len(log.trials) == len(log.task_index) == len(log.mt) \
+        == len(log.success) == n_rows
+    assert len(log.tasks) == 48
+    for t, k, mt, success in zip(log.trials, log.task_index, log.mt, log.success):
+        assert t.task is log.tasks[k]
+        assert (t.mt, t.success) == (mt, success)
+    assert read_trials(path).trials is not log.trials
+    assert log.trials is log.trials  # built once
 
 
 @pytest.mark.parametrize("row,column", [
@@ -167,6 +178,23 @@ def test_rewrite_after_read_is_byte_identical(tmp_path):
         again = tmp_path / "again.csv"
         write_trials(again, read_trials(source).trials, "e2")
         assert again.read_bytes() == source.read_bytes()
+
+
+def test_write_keeps_fresh_specs_apart(tmp_path):
+    # each trial brings a new spec object, freed once written; the row
+    # prefix cache must not hand a freed spec's prefix to a later one
+    def trials():
+        for i in range(200):
+            yield Trial(TaskSpec(F=3.0, W=5.0, A=float(i % 7),
+                                 theta=-0.0 if i % 2 else 0.0), 1.0 + i / 64, i % 3 > 0)
+
+    streamed, listed = tmp_path / "streamed.csv", tmp_path / "listed.csv"
+    write_trials(streamed, trials(), "e1")
+    write_trials(listed, list(trials()), "e1")
+    assert streamed.read_bytes() == listed.read_bytes()
+    log = read_trials(streamed)
+    assert [(t.task.A, math.copysign(1.0, t.task.theta)) for t in log.trials] \
+        == [(float(i % 7), -1.0 if i % 2 else 1.0) for i in range(200)]
 
 
 def test_mixed_rows_yield_none_summary(tmp_path):
