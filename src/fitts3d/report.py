@@ -6,11 +6,16 @@ reloaded match.
 
 JSON output is byte-identical to json.dumps(doc, indent=2). With indent
 set, Python's json uses its pure-Python encoder, so a model's canonical
-points (a non-empty list of non-empty lists of ints and floats) are
-written by the C encoder and spliced into the indent=2 dump of the rest;
-any other document falls back to json.dumps(doc, indent=2) itself.
-Every dump passes allow_nan=False, so a document holding an infinity or
-NaN raises ValueError instead of becoming JSON that report rejects.
+points (a non-empty list of non-empty lists of one length, holding ints
+and floats) are written column by column and spliced into the indent=2
+dump of the rest. Each distinct finite float of a column is formatted
+once with float.__repr__, the encoder's own form, and kept for every
+model of the document; a column holding a zero or an int takes repr per
+value, since 0.0 and -0.0, or 1 and 1.0, are one key but two texts.
+Other points stay in the indent=2 dump, and a value that is not finite
+sends the whole document to json.dumps(doc, indent=2) itself. Every
+dump passes allow_nan=False, so a document holding an infinity or NaN
+raises ValueError instead of becoming JSON that report rejects.
 
 Only build_comparison_report fits, so only it imports regression and
 numpy; rendering and checking a saved document load neither."""
@@ -149,53 +154,79 @@ def _stepwise_table(doc: dict) -> str:
 # a model's points sit at depth 3 (document > models > model); these are
 # their indent=2 separators and brackets
 _ITEM_SEP = ",\n" + 10 * " "
-_ROW_BREAK = "]" + _ITEM_SEP + "["
 _ROW_BREAK_INDENTED = "\n" + 8 * " " + "],\n" + 8 * " " + "[\n" + 10 * " "
 _POINTS_OPEN = "[\n" + 8 * " " + "[\n" + 10 * " "
 _POINTS_CLOSE = "\n" + 8 * " " + "]\n" + 6 * " " + "]"
 _PLACEHOLDER = "\x00fitts3d.points.{}\x00"
 
 
-def _is_canonical_points(points) -> bool:
-    """A non-empty list of non-empty lists of exact ints and floats: the
-    points whose indent=2 layout _encode_points reproduces."""
-    return (type(points) is list and len(points) > 0
-            and all(type(row) is list and row for row in points)
-            and {int, float}.issuperset(map(type, chain.from_iterable(points))))
+def _point_columns(points) -> list | None:
+    """The columns of canonical points, each with the set of its value
+    types, or None for any other points. Canonical points are a non-empty
+    list of non-empty lists of one length, holding exact ints and floats:
+    the points whose indent=2 layout _encode_points reproduces."""
+    if (type(points) is not list or set(map(type, points)) != {list}
+            or set(map(len, points)) != {len(points[0])} or not points[0]):
+        return None
+    columns = [(column, set(map(type, column))) for column in zip(*points)]
+    if not all(types <= {int, float} for _, types in columns):
+        return None
+    return columns
 
 
-def _encode_points(points: list) -> str:
-    """Canonical points laid out as json.dumps(doc, indent=2) lays them
-    out at depth 3, written by the C encoder."""
-    flat = json.dumps(points, separators=(_ITEM_SEP, ":"), allow_nan=False)
-    return (_POINTS_OPEN + flat[2:-2].replace(_ROW_BREAK, _ROW_BREAK_INDENTED)
-            + _POINTS_CLOSE)
+def _encode_points(columns: list, reprs: dict) -> str | None:
+    """Canonical points, as _point_columns gives them, laid out as
+    json.dumps(doc, indent=2) lays them out at depth 3; None if a value is
+    not finite. reprs maps each float already formatted to its
+    float.__repr__ text; only a column of floats without a zero reads it."""
+    encoded = []
+    for column, types in columns:
+        distinct = set(column)
+        if types == {float} and 0.0 not in distinct:
+            new = distinct.difference(reprs)
+            if not all(map(math.isfinite, new)):
+                return None
+            reprs.update(zip(new, map(float.__repr__, new)))
+            encoded.append(map(reprs.__getitem__, column))
+        elif all(map(_is_finite, distinct)):
+            encoded.append(map(repr, column))
+        else:
+            return None
+    rows = map(_ITEM_SEP.join, zip(*encoded))
+    return _POINTS_OPEN + _ROW_BREAK_INDENTED.join(rows) + _POINTS_CLOSE
 
 
 def _dump_json(doc: dict) -> str:
     """json.dumps(doc, indent=2), byte for byte. Each model's canonical
     points become a placeholder string in an indent=2 dump of the rest;
-    the splice is taken only if each placeholder occurs there once."""
+    the splice is taken only if each placeholder occurs there once and
+    every model's points could be encoded."""
     models = doc.get("models")
     if isinstance(models, list):
-        spliced = {}  # encoded placeholder -> points
+        spliced = {}  # encoded placeholder -> point columns
         shallow = []
         for i, m in enumerate(models):
-            if isinstance(m, dict) and _is_canonical_points(m.get("points")):
+            columns = _point_columns(m.get("points")) if isinstance(m, dict) else None
+            if columns is not None:
                 token = _PLACEHOLDER.format(i)
-                spliced[json.dumps(token)] = m["points"]
+                spliced[json.dumps(token)] = columns
                 m = dict(m, points=token)
             shallow.append(m)
         if spliced:
             rest = json.dumps(dict(doc, models=shallow), indent=2,
                               allow_nan=False)
             if all(rest.count(token) == 1 for token in spliced):
+                reprs = {}  # shared by every model: mt is the same in each
                 parts = []
-                for token, points in spliced.items():
+                for token, columns in spliced.items():
+                    encoded = _encode_points(columns, reprs)
+                    if encoded is None:
+                        break
                     head, _, rest = rest.partition(token)
-                    parts += (head, _encode_points(points))
-                parts.append(rest)
-                return "".join(parts)
+                    parts += (head, encoded)
+                else:
+                    parts.append(rest)
+                    return "".join(parts)
     return json.dumps(doc, indent=2, allow_nan=False)
 
 

@@ -298,26 +298,34 @@ def _oracle(doc) -> str:
 
 
 def test_built_points_take_the_fast_path(monkeypatch):
-    calls = []
+    # every model's points are encoded by columns: a silent fall back to
+    # the whole-document dump would lose the speed and fail here
+    results = []
     encode = report_module._encode_points
     monkeypatch.setattr(report_module, "_encode_points",
-                        lambda points: calls.append(points) or encode(points))
+                        lambda *args: results.append(encode(*args)) or results[-1])
     for aggregate in (True, False):
         report = build_comparison_report(ConditionTable(_trials(), aggregate),
                                          list(ModelKind))
         assert all(m["error"] is None for m in report["models"])
-        calls.clear()
+        results.clear()
         assert render_comparison(report, "json-like") == _oracle(report)
-        assert calls == [m["points"] for m in report["models"]]
+        assert len(results) == len(report["models"])
+        assert None not in results
 
 
-def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys):
-    # one published e4-manipulation cell, 4 800 trials fitted per trial
-    grid = replace(build_grid("e4", InteractionKind.MANIPULATION), repetitions=75)
-    truth = paper_scale_defaults("e4", InteractionKind.MANIPULATION)
-    trials = generate_trials(grid, truth, InteractionKind.MANIPULATION)
-    path = tmp_path / "e4m.csv"
-    write_trials(path, trials, "e4")
+@pytest.mark.parametrize("experiment,interaction,reps", [
+    ("e1", InteractionKind.POINTING, 100),
+    ("e4", InteractionKind.MANIPULATION, 75),  # zero-holding columns
+])
+def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
+                                                     experiment, interaction, reps):
+    # one published cell, 4 800 trials fitted per trial
+    grid = replace(build_grid(experiment, interaction), repetitions=reps)
+    truth = paper_scale_defaults(experiment, interaction)
+    trials = generate_trials(grid, truth, interaction)
+    path = tmp_path / "cell.csv"
+    write_trials(path, trials, experiment)
     assert main(["fit", str(path), "--aggregate", "false",
                  "--format", "json-like"]) == 0
     expected = build_comparison_report(
@@ -338,9 +346,10 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys):
     ([(1.0, 2.0)], False),
     (((1.0, 2.0),), False),
     ([[1.0, "2"]], False),
+    ([[1.0], [1.0, 2.0]], False),
 ])
 def test_canonical_points(points, canonical):
-    assert report_module._is_canonical_points(points) is canonical
+    assert (report_module._point_columns(points) is not None) is canonical
 
 
 # text that holds, or nearly holds, the splice placeholders
@@ -385,7 +394,8 @@ def test_json_output_matches_the_oracle(doc):
 
 def test_placeholder_text_in_a_document_falls_back(monkeypatch):
     calls = []
-    monkeypatch.setattr(report_module, "_encode_points", calls.append)
+    monkeypatch.setattr(report_module, "_encode_points",
+                        lambda *args: calls.append(args))
     points = [[1, 2.5], [-0.0, 3]]
     for text in (report_module._PLACEHOLDER.format(0),
                  'x"' + report_module._PLACEHOLDER.format(0)):
@@ -394,3 +404,36 @@ def test_placeholder_text_in_a_document_falls_back(monkeypatch):
             dict(_ERROR_ROW, error=text)]}
         assert render_comparison(doc, "json-like") == _oracle(doc)
     assert calls == []
+
+
+# values whose reprs differ though they compare equal (0/0.0/-0.0, 1/1.0)
+# and tiny ones, drawn from one pool for every row, column and model; in
+# half of the documents the pool also holds values that are not finite
+_FINITE_POOL = [1, 1.0, 0, 0.0, -0.0, 0.1, 2.5, 1e-300]
+_POOLS = st.sampled_from([_FINITE_POOL, _FINITE_POOL + [math.nan, math.inf]])
+
+
+@st.composite
+def _shared_points(draw, pool):
+    value = st.sampled_from(pool)
+    if draw(st.booleans()):  # rows of one length
+        width = draw(st.integers(1, 3))
+        row = st.lists(value, min_size=width, max_size=width)
+    else:
+        row = st.lists(value, min_size=1, max_size=3)
+    return draw(st.lists(row, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(models=_POOLS.flatmap(
+    lambda pool: st.lists(_shared_points(pool), min_size=1, max_size=4)))
+def test_values_shared_across_models_match_the_oracle(models):
+    doc = {"schema": REPORT_SCHEMA, "n_trials": 1, "aggregate": False,
+           "models": [dict(_FIT_ROW, points=points) for points in models]}
+    try:
+        expected = _oracle(doc)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_comparison(doc, "json-like")
+    else:
+        assert render_comparison(doc, "json-like") == expected
