@@ -20,8 +20,7 @@ from .errors import (ConvergenceError, DomainError, EmptyCondition,
 from .tasks import (MANIPULATION_TIMEOUT_S, MIN_MT_S, POINTING_TIMEOUT_S,
                     InteractionKind, Pose, TaskSpec, Trial, classify_combined,
                     classify_rotation, classify_translation,
-                    euclidean_distance, symmetry_reduced_delta_deg,
-                    wrap_angle_deg)
+                    symmetry_reduced_delta_deg, wrap_angle_deg)
 from .metrics import (MODEL_ORDER, ModelKind, id_fitts, id_hoffmann,
                       id_r_final, id_rot_adapted, id_shannon, id_t_final,
                       id_welford, predictor_names, predictors_cha_myung,

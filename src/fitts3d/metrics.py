@@ -47,10 +47,6 @@ class ModelKind(Enum):
 MODEL_ORDER = tuple(ModelKind)
 
 
-def declaration_index(kind: ModelKind) -> int:
-    return MODEL_ORDER.index(kind)
-
-
 def predictor_names(kind: ModelKind) -> tuple[str, ...]:
     """Names of the regressors the model fits (intercept excluded)."""
     return _MODELS[ModelKind(kind)].names

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
                      InvalidNesting, RankDeficient)
-from .metrics import (MODEL_ORDER, ModelKind, declaration_index, predictor_names,
-                      predictors_for)
+from .metrics import MODEL_ORDER, ModelKind, predictor_names, predictors_for
 from .special import f_sf
 from .tasks import STEPWISE_CANDIDATES
 from .trial_io import TrialLog, _log_terms
@@ -66,10 +65,6 @@ class DesignMatrix:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
     def subset(self, names) -> "DesignMatrix":
         idx = [self.names.index(n) for n in names]
         return DesignMatrix(tuple(self.names[i] for i in idx),
@@ -78,20 +73,19 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class ModelFit:
-    """Result of one least-squares fit.
+    """Result of one least-squares fit; it keeps no per-row residuals.
 
     coefficients holds the intercept under the key "intercept" and one
-    slope per retained predictor. dropped lists predictor columns that
-    were constant on the data and therefore excluded before fitting.
-    degenerate_variance marks a constant response, where r^2 is reported
-    as 0 by convention.
+    slope per retained predictor; ss_res and ss_tot are the residual and
+    total sums of squares over the n observations. dropped lists
+    predictor columns that were constant on the data and therefore
+    excluded before fitting. degenerate_variance marks a constant
+    response, where r^2 is reported as 0 by convention.
     """
 
-    kind: ModelKind | None
     predictor_names: tuple[str, ...]
     coefficients: dict[str, float]
     r2: float
-    residuals: np.ndarray
     n: int
     ss_res: float
     ss_tot: float
@@ -99,18 +93,19 @@ class ModelFit:
     dropped: tuple[str, ...] = ()
 
 
-def ols_fit(X: DesignMatrix, y, kind: ModelKind | None = None) -> ModelFit:
-    """Fit y = a + X b by least squares.
+def ols_fit(X: DesignMatrix, y) -> ModelFit:
+    """Fit y = a + X b by least squares; the residuals are summed into
+    ss_res and not kept.
 
     Raises InsufficientData when rows <= columns and RankDeficient when
     the augmented matrix is numerically singular.
     """
     yarr = np.asarray(y, dtype=float)
-    if yarr.ndim != 1 or yarr.shape[0] != X.n_rows:
+    n, p = X.values.shape
+    if yarr.ndim != 1 or yarr.shape[0] != n:
         raise ValueError("y must be one value per design matrix row")
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
-    n, p = X.values.shape
     if n <= p:
         raise InsufficientData(f"{n} rows cannot identify {p} slopes plus an intercept")
     M = np.column_stack([np.ones(n), X.values])
@@ -119,8 +114,7 @@ def ols_fit(X: DesignMatrix, y, kind: ModelKind | None = None) -> ModelFit:
         raise RankDeficient(
             "design matrix is rank deficient (collinear or constant columns)")
     beta = Vt.T @ ((U.T @ yarr) / s)
-    fitted = M @ beta
-    residuals = yarr - fitted
+    residuals = yarr - M @ beta
     ss_res = float(residuals @ residuals)
     ss_tot = float(np.sum((yarr - yarr.mean()) ** 2))
     if ss_tot == 0.0:
@@ -132,9 +126,7 @@ def ols_fit(X: DesignMatrix, y, kind: ModelKind | None = None) -> ModelFit:
     coefficients = {"intercept": float(beta[0])}
     for name, b in zip(X.names, beta[1:]):
         coefficients[name] = float(b)
-    residuals.flags.writeable = False
-    return ModelFit(kind=kind, predictor_names=X.names,
-                    coefficients=coefficients, r2=r2, residuals=residuals,
+    return ModelFit(predictor_names=X.names, coefficients=coefficients, r2=r2,
                     n=n, ss_res=ss_res, ss_tot=ss_tot,
                     degenerate_variance=degenerate)
 
@@ -383,7 +375,7 @@ def fit_model(kind: ModelKind, table: ConditionTable) -> ModelFit:
         raise RankDeficient(
             f"all {kind.value} predictors are constant on this data")
     X = DesignMatrix(tuple(names[j] for j in keep), values[:, keep][table.rows])
-    fit = ols_fit(X, table.y, kind=kind)
+    fit = ols_fit(X, table.y)
     return replace(fit, dropped=tuple(dropped))
 
 
@@ -402,7 +394,7 @@ def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
     rows by descending r^2 (ties in declaration order), then rows whose
     fit raised a Fitts3dError, carrying "<type>: <message>" inline."""
     rows = []
-    for kind in sorted({ModelKind(k) for k in kinds}, key=declaration_index):
+    for kind in sorted({ModelKind(k) for k in kinds}, key=MODEL_ORDER.index):
         try:
             rows.append(ComparisonRow(kind, fit=fit_model(kind, table)))
         except Fitts3dError as exc:

@@ -15,7 +15,8 @@ value, since 0.0 and -0.0, or 1 and 1.0, are one key but two texts.
 Other points stay in the indent=2 dump, and a value that is not finite
 sends the whole document to json.dumps(doc, indent=2) itself. Every
 dump passes allow_nan=False, so a document holding an infinity or NaN
-raises ValueError instead of becoming JSON that report rejects.
+raises ValueError, naming the first in document order, instead of
+becoming JSON that report rejects.
 
 Only build_comparison_report fits, so only it imports regression and
 numpy; rendering and checking a saved document load neither."""
@@ -199,8 +200,8 @@ def _encode_points(columns: list, reprs: dict) -> str | None:
 def _dump_json(doc: dict) -> str:
     """json.dumps(doc, indent=2), byte for byte. Each model's canonical
     points become a placeholder string in an indent=2 dump of the rest;
-    the splice is taken only if each placeholder occurs there once and
-    every model's points could be encoded."""
+    the splice is taken only if the rest dumps, each placeholder occurs
+    there once and every model's points could be encoded."""
     models = doc.get("models")
     if isinstance(models, list):
         spliced = {}  # encoded placeholder -> point columns
@@ -213,8 +214,11 @@ def _dump_json(doc: dict) -> str:
                 m = dict(m, points=token)
             shallow.append(m)
         if spliced:
-            rest = json.dumps(dict(doc, models=shallow), indent=2,
-                              allow_nan=False)
+            try:
+                rest = json.dumps(dict(doc, models=shallow), indent=2,
+                                  allow_nan=False)
+            except ValueError:  # the oracle names the first such value,
+                rest = ""  # which may sit in points dumped before it
             if all(rest.count(token) == 1 for token in spliced):
                 reprs = {}  # shared by every model: mt is the same in each
                 parts = []
@@ -311,6 +315,7 @@ def _comparison_from_document(doc: dict) -> dict:
             _require(_is_int(m.get("n")), f"{where}.n must be an integer")
             _require(isinstance(m.get("equation"), str),
                      f"{where}.equation must be a string")
+            _require(math.isfinite(m["r2"]), f"{where}.r2 must be finite")
         else:
             _require(m.get("r2") is None or _is_number(m["r2"]),
                      f"{where}.r2 must be a number or null")
@@ -318,7 +323,7 @@ def _comparison_from_document(doc: dict) -> dict:
                      f"{where}.n must be an integer or null")
             _require(m.get("equation") is None or isinstance(m["equation"], str),
                      f"{where}.equation must be a string or null")
-        _require(_is_finite(m.get("r2")), f"{where}.r2 must be finite")
+            _require(_is_finite(m.get("r2")), f"{where}.r2 must be finite")
         coefficients = m.get("coefficients")
         _require(coefficients is None or (
             isinstance(coefficients, dict)
@@ -365,24 +370,25 @@ def _check_stepwise(doc: dict) -> None:
         for key, default in _STEP_DEFAULTS.items():
             value = s.get(key, default)
             _require(_is_number(value), f"{where}.{key} must be a number")
-            _require(_is_finite(value), f"{where}.{key} must be finite")
+            _require(math.isfinite(value), f"{where}.{key} must be finite")
     _require(_is_str_list(doc.get("selected") or []),
              "'selected' must list names")
     contributions = doc.get("contributions_percent") or {}
     _require(isinstance(contributions, dict)
              and _all_of(contributions.values(), (int, float)),
              "'contributions_percent' must map names to numbers")
-    _require(_all_finite(contributions.values()),
+    _require(all(map(math.isfinite, contributions.values())),
              "'contributions_percent' must be finite")
     _require("r2" not in doc or _is_number(doc["r2"]), "'r2' must be a number")
-    _require(_is_finite(doc.get("r2")), "'r2' must be finite")
+    _require("r2" not in doc or math.isfinite(doc["r2"]), "'r2' must be finite")
 
 
 def render_document(doc: dict, fmt: str) -> str:
     """Re-render a previously saved JSON report document.
 
     Dispatches on the document's schema tag; raises SchemaError for
-    unknown or malformed documents.
+    unknown or malformed documents, and OverflowError in either format
+    when a number the table formats is an int too large for a float.
     """
     if not isinstance(doc, dict):
         raise SchemaError("report document must be a JSON object")

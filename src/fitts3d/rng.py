@@ -7,8 +7,11 @@ language from this description:
 * splitmix64: state advances by 0x9E3779B97F4A7C15; each output mixes
   the new state with two xor-shift-multiply rounds (constants
   0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) and a final 31-bit shift.
-* seeding: the four xoshiro words are the first four splitmix64 outputs
-  for the given seed.
+* substreams: substream i of a seed is seeded with its (i + 1)-th
+  splitmix64 output. The state after i steps is seed + i *
+  0x9E3779B97F4A7C15 mod 2^64, so that output is one step from it.
+* seeding: the four xoshiro words are the seeds of substreams 0 to 3.
+  The mix is a bijection and their states differ, so at most one is 0.
 * uniforms: the top 53 bits of each 64-bit output, divided by 2^53,
   giving doubles in [0, 1).
 * normals: Box-Muller; every call consumes exactly two uniforms u1, u2
@@ -30,23 +33,15 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must lie in [0, 2**64)")
-    return seed
-
-
 def derive_stream_seed(master_seed: int, index: int) -> int:
     """Seed for the index-th substream: the (index + 1)-th splitmix64
-    output of the master seed, which must lie in [0, 2**64). Distinct
-    indices give uncorrelated substreams."""
+    output of the master seed, which must lie in [0, 2**64), taken in
+    closed form. Distinct indices give uncorrelated substreams."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    state = _check_seed(master_seed)
-    out = 0
-    for _ in range(index + 1):
-        state, out = _splitmix64(state)
-    return out
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    return _splitmix64((master_seed + index * _SPLITMIX_GAMMA) & _MASK64)[1]
 
 
 def _rotl(x: int, k: int) -> int:
@@ -58,14 +53,7 @@ class Xoshiro256StarStar:
     [0, 2**64)."""
 
     def __init__(self, seed: int):
-        state = _check_seed(int(seed))
-        s = []
-        for _ in range(4):
-            state, word = _splitmix64(state)
-            s.append(word)
-        if not any(s):  # the all-zero state is a fixed point; unreachable
-            s[0] = _SPLITMIX_GAMMA  # in practice but guard anyway
-        self._s = s
+        self._s = [derive_stream_seed(int(seed), i) for i in range(4)]
 
     def next_uint64(self) -> int:
         s0, s1, s2, s3 = self._s

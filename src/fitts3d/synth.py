@@ -21,20 +21,13 @@ fixes the condition index used for per-condition random substreams.
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from itertools import product
 
 from .errors import InvalidTruth
 from .metrics import ModelKind, predictor_names, predictors_for
 from .rng import Xoshiro256StarStar, derive_stream_seed
-from .tasks import CONDITION_FIELDS, MIN_MT_S, InteractionKind, TaskSpec, Trial
-
-
-class Experiment(str, Enum):
-    E1 = "e1"
-    E2 = "e2"
-    E3 = "e3"
-    E4 = "e4"
+from .tasks import (CONDITION_FIELDS, MIN_MT_S, Experiment, InteractionKind,
+                    TaskSpec, Trial)
 
 
 GRID_LEVELS: dict[Experiment, dict[str, tuple[float, ...]]] = {

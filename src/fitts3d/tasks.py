@@ -32,6 +32,13 @@ ROTATION_SYMMETRY_DEG = 90.0
 CONDITION_FIELDS = ("F", "W", "A", "phi", "theta", "alpha", "omega")
 
 
+class Experiment(str, Enum):
+    E1 = "e1"
+    E2 = "e2"
+    E3 = "e3"
+    E4 = "e4"
+
+
 class InteractionKind(str, Enum):
     POINTING = "pointing"
     MANIPULATION = "manipulation"
@@ -156,16 +163,12 @@ class Trial:
         object.__setattr__(self, "success", bool(self.success))
 
 
-def euclidean_distance(p, q) -> float:
-    return math.dist(p, q)
-
-
 def classify_translation(obj: Pose, target: Pose, W: float) -> bool:
     """Positional success: the object centre lies within W/2 of the
     target centre (at least 50 percent overlap). Boundary counts."""
     if W <= 0:
         raise ValueError("W must be positive")
-    return euclidean_distance(obj.position, target.position) <= W / 2.0
+    return math.dist(obj.position, target.position) <= W / 2.0
 
 
 def classify_rotation(obj: Pose, target: Pose, omega: float) -> bool:

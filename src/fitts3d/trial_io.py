@@ -1,13 +1,14 @@
 """Reading and writing trial logs (and pose files) as plain CSV.
 
-Trial log format, schema version 1: UTF-8, comma separated, `.` decimal
-point, LF line endings, exactly this header:
+Trial log format, version 1, which its exact header pins: UTF-8, comma
+separated, `.` decimal point, LF line endings, this header:
 
     experiment,interaction,F_cm,W_cm,A_cm,phi_deg,theta_deg,alpha_deg,omega_deg,mt_s,success
 
-The seven condition columns hold the TaskSpec fields in CONDITION_FIELDS
-order. success is 0 or 1. Floats are written in shortest round-trip
-form, so a log regenerated from the same seed is byte-identical.
+experiment is an Experiment id. The seven condition columns hold the
+TaskSpec fields in CONDITION_FIELDS order. success is 0 or 1. Floats
+are written in shortest round-trip form, so a log regenerated from the
+same seed is byte-identical.
 
 read_trials returns the log as columns (TrialLog): one TaskSpec per
 distinct condition as written, and per row the index of its condition,
@@ -21,9 +22,8 @@ from functools import cached_property
 from operator import attrgetter
 
 from .errors import ParseError, SchemaError
-from .tasks import CONDITION_FIELDS, InteractionKind, Pose, TaskSpec, Trial
-
-SCHEMA_VERSION = 1
+from .tasks import (CONDITION_FIELDS, Experiment, InteractionKind, Pose,
+                    TaskSpec, Trial)
 
 # the log column of each of CONDITION_FIELDS, in that order
 _CONDITION_COLUMNS = ("F_cm", "W_cm", "A_cm", "phi_deg", "theta_deg",
@@ -34,7 +34,7 @@ TRIAL_COLUMNS = ("experiment", "interaction", *_CONDITION_COLUMNS,
                  "mt_s", "success")
 TRIAL_CSV_HEADER = ",".join(TRIAL_COLUMNS)
 
-_EXPERIMENT_IDS = ("e1", "e2", "e3", "e4")
+_EXPERIMENT_IDS = tuple(e.value for e in Experiment)
 
 POSE_COLUMNS = ("ox", "oy", "oz", "orx", "ory", "orz",
                 "tx", "ty", "tz", "trx", "try", "trz",
@@ -60,7 +60,6 @@ class TrialLog:
     success: tuple[bool, ...]
     experiment: str | None
     interaction: InteractionKind | None
-    schema_version: int = SCHEMA_VERSION
 
     @cached_property
     def trials(self) -> tuple[Trial, ...]:
@@ -80,7 +79,7 @@ def _log_terms(task) -> str:
 
 
 def write_trials(path, trials, experiment) -> None:
-    """Write trials to path in schema version 1.
+    """Write trials to path in version 1 of the log format.
 
     experiment is the id written into every row (e1..e4).
     """

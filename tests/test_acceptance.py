@@ -309,7 +309,8 @@ def test_criterion_07_regression_properties():
         # residuals orthogonal to every regressor and the intercept
         scale = 1e-8 * max(1.0, float(np.abs(X).max()) * float(np.abs(y).max()))
         augmented = np.column_stack([np.ones(n), X])
-        assert float(np.abs(augmented.T @ fit.residuals).max()) <= scale
+        residuals = y - augmented @ list(fit.coefficients.values())
+        assert float(np.abs(augmented.T @ residuals).max()) <= scale
 
         # r2 unchanged under y -> beta*y + gamma with beta > 0
         b = float(rng.uniform(0.1, 5.0))

@@ -221,16 +221,29 @@ def test_report_rejects_malformed_document(tmp_path, capsys, doc, fragment, fmt)
     assert captured.err == f"error: malformed report document: {fragment}\n"
 
 
-@pytest.mark.parametrize("row", [
-    {"model": "fitts", "r2": 10 ** 400, "n": 3, "equation": "MT = 1.0000"},
-    {"model": "fitts", "r2": 0.5, "n": 3, "coefficients": {"intercept": 10 ** 400},
-     "equation": "MT = 1.0000"},
+_STEP = {"action": "enter", "variable": "A", "f_stat": 12.0, "p_value": 0.01,
+         "r2": 0.5}
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": "fitts3d.report/1", "models": [
+        {"model": "fitts", "r2": 10 ** 400, "n": 3, "equation": "MT = 1.0000"}]},
+    {"schema": "fitts3d.report/1", "models": [
+        {"model": "fitts", "r2": 0.5, "n": 3, "coefficients": {"intercept": 10 ** 400},
+         "equation": "MT = 1.0000"}]},
+    {"schema": "fitts3d.stepwise/1", "steps": [dict(_STEP, f_stat=10 ** 400)]},
+    {"schema": "fitts3d.stepwise/1", "steps": [dict(_STEP, p_value=10 ** 400)]},
+    {"schema": "fitts3d.stepwise/1", "steps": [dict(_STEP, r2=10 ** 400)]},
+    {"schema": "fitts3d.stepwise/1", "steps": [_STEP], "selected": ["A"],
+     "contributions_percent": {"A": 10 ** 400}},
+    {"schema": "fitts3d.stepwise/1", "steps": [_STEP], "r2": 10 ** 400},
 ])
-def test_report_rejects_integer_too_large_for_a_float(tmp_path, capsys, row):
+@pytest.mark.parametrize("fmt", ["table", "json-like"])
+def test_report_rejects_integer_too_large_for_a_float(tmp_path, capsys, doc, fmt):
+    # the table formats these numbers as floats, so JSON must refuse them too
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"schema": "fitts3d.report/1", "models": [row]}),
-                    encoding="utf-8")
-    assert main(["report", str(path)]) == 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", str(path), "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: int too large to convert to float\n"

@@ -84,7 +84,7 @@ def reference_fit(kind, trials, aggregate):
         raise regression.RankDeficient(
             f"all {kind.value} predictors are constant on this data")
     X = DesignMatrix(tuple(names[j] for j in keep), values[:, keep])
-    return replace(ols_fit(X, y, kind=kind), dropped=tuple(dropped))
+    return replace(ols_fit(X, y), dropped=tuple(dropped))
 
 
 def reference_points(kind, fit, trials, aggregate):
@@ -114,7 +114,6 @@ def assert_same_fit(got, want):
         assert got == want
         return
     assert not isinstance(got, tuple), got
-    assert got.kind == want.kind
     assert got.predictor_names == want.predictor_names
     assert got.coefficients == want.coefficients
     assert got.r2 == want.r2
@@ -122,8 +121,6 @@ def assert_same_fit(got, want):
     assert got.ss_res == want.ss_res and got.ss_tot == want.ss_tot
     assert got.dropped == want.dropped
     assert got.degenerate_variance == want.degenerate_variance
-    assert got.residuals.shape == (want.n,)
-    assert np.array_equal(got.residuals, want.residuals)
 
 
 def assert_report_matches_reference(trials, aggregate):
@@ -186,8 +183,7 @@ def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate
         design = values[:, cols][table.rows]
         row_major = DesignMatrix(fit.predictor_names, np.ascontiguousarray(design))
         col_major = DesignMatrix(fit.predictor_names, np.asfortranarray(design))
-        assert_same_fit(ols_fit(row_major, table.y, kind=kind),
-                        ols_fit(col_major, table.y, kind=kind))
+        assert_same_fit(ols_fit(row_major, table.y), ols_fit(col_major, table.y))
 
 
 def test_predictors_run_once_per_condition_and_model(monkeypatch):

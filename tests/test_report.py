@@ -160,6 +160,24 @@ def test_json_refuses_non_finite_numbers():
         render_comparison(report, "json-like")
 
 
+@pytest.mark.parametrize("doc", [
+    {"models": [{"points": [[math.nan]]}, {"r2": math.inf}]},
+    {"models": [{"r2": -math.inf, "points": [[math.nan]]}]},
+    {"models": [{"points": [[1.0], [math.inf]]},
+                {"coefficients": {"intercept": math.nan}}]},
+    {"schema": REPORT_SCHEMA, "aggregate": -math.inf,
+     "models": [{"points": [[math.nan, 1.0]]}]},
+])
+def test_json_error_names_the_oracles_value(doc):
+    # non-finite values in points and elsewhere: the first in document
+    # order is named, as json.dumps(doc, indent=2) names it
+    with pytest.raises(ValueError) as oracle:
+        _oracle(doc)
+    with pytest.raises(ValueError) as rendered:
+        render_comparison(doc, "json-like")
+    assert str(rendered.value) == str(oracle.value)
+
+
 def test_stepwise_empty_selection_renders():
     rng = np.random.default_rng(2)
     from fitts3d import DesignMatrix
@@ -385,9 +403,10 @@ _DOCUMENT = st.fixed_dictionaries({
 def test_json_output_matches_the_oracle(doc):
     try:
         expected = _oracle(doc)
-    except ValueError:  # an infinity or NaN, which JSON cannot hold
-        with pytest.raises(ValueError, match="not JSON compliant"):
+    except ValueError as exc:  # an infinity or NaN, which JSON cannot hold
+        with pytest.raises(ValueError) as rendered:
             render_comparison(doc, "json-like")
+        assert str(rendered.value) == str(exc)
     else:
         assert render_comparison(doc, "json-like") == expected
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fitts3d.rng import Xoshiro256StarStar, derive_stream_seed, _splitmix64
 
@@ -62,6 +64,19 @@ def test_derive_stream_seed():
     seeds = {derive_stream_seed(12345, i) for i in range(64)}
     assert len(seeds) == 64  # no collisions across condition indices
     assert derive_stream_seed(12345, 3) == derive_stream_seed(12345, 3)
+
+
+def _stepped_stream_seed(master_seed, index):
+    """The (index + 1)-th splitmix64 output, stepped to one by one."""
+    state = master_seed
+    for _ in range(index + 1):
+        state, out = _splitmix64(state)
+    return out
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 500))
+def test_stream_seed_closed_form_equals_stepping(seed, index):
+    assert derive_stream_seed(seed, index) == _stepped_stream_seed(seed, index)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

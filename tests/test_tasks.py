@@ -6,8 +6,7 @@ import pytest
 
 from fitts3d import (InteractionKind, Pose, TaskSpec, Trial, classify_combined,
                      classify_rotation, classify_translation,
-                     euclidean_distance, symmetry_reduced_delta_deg,
-                     wrap_angle_deg)
+                     symmetry_reduced_delta_deg, wrap_angle_deg)
 from fitts3d.tasks import CONDITION_FIELDS, STEPWISE_CANDIDATES
 
 
@@ -30,10 +29,6 @@ def test_wrap_angle():
     assert wrap_angle_deg(190.0) == -170.0
     assert wrap_angle_deg(-190.0) == 170.0
     assert wrap_angle_deg(720.0) == 0.0
-
-
-def test_euclidean_distance():
-    assert euclidean_distance((0, 0, 0), (3, 4, 0)) == 5.0
 
 
 def test_pose_normalises_rotation():

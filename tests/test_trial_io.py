@@ -29,7 +29,6 @@ def test_round_trip_equality(tmp_path):
     assert log.trials == tuple(trials)
     assert log.experiment == "e2"
     assert log.interaction is POINT
-    assert log.schema_version == 1
 
 
 def test_regeneration_is_byte_identical(tmp_path):
