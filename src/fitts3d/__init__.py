@@ -26,7 +26,7 @@ from .metrics import (MODEL_ORDER, ModelKind, id_fitts, id_hoffmann,
                       id_welford, predictor_names, predictors_cha_myung,
                       predictors_for, predictors_murata, task_regime)
 from .special import f_cdf, f_sf, regularized_incomplete_beta
-from .rng import Xoshiro256StarStar, derive_stream_seed
+from .rng import Xoshiro256StarStar, derive_stream_seed, lockstep_uniforms
 from .synth import (GRID_LEVELS, GRID_REPETITIONS, PAPER_ERROR_RATE,
                     PAPER_MEAN_MT, Experiment, ExperimentGrid, GroundTruth,
                     build_grid, generate_trials, paper_scale_defaults,

@@ -25,7 +25,7 @@ from itertools import product
 
 from .errors import InvalidTruth
 from .metrics import ModelKind, predictor_names, predictors_for
-from .rng import Xoshiro256StarStar, derive_stream_seed
+from .rng import box_muller, derive_stream_seed, lockstep_uniforms
 from .tasks import (CONDITION_FIELDS, MIN_MT_S, Experiment, InteractionKind,
                     TaskSpec, Trial)
 
@@ -117,6 +117,11 @@ class ExperimentGrid:
     variations: tuple[TaskSpec, ...]
     repetitions: int
 
+    def __post_init__(self):
+        if (isinstance(self.repetitions, bool) or not isinstance(self.repetitions, int)
+                or self.repetitions < 1):
+            raise ValueError("repetitions must be a positive integer")
+
 
 def build_grid(experiment: Experiment,
                interaction: InteractionKind = InteractionKind.POINTING) -> ExperimentGrid:
@@ -137,7 +142,8 @@ class GroundTruth:
     coefficients must hold "intercept" plus one entry per predictor of
     the chosen model kind. noise_sd is the per-trial Gaussian spread in
     seconds; error_rate the per-trial probability of an error trial.
-    seed, in [0, 2**64), is the master seed of the per-condition streams.
+    seed, an int in [0, 2**64), is the master seed of the per-condition
+    streams.
     """
 
     kind: ModelKind
@@ -152,8 +158,9 @@ class GroundTruth:
             raise InvalidTruth("noise_sd must be nonnegative and finite")
         if not 0.0 <= self.error_rate < 1.0:
             raise InvalidTruth("error_rate must lie in [0, 1)")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidTruth("seed must lie in [0, 2**64)")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 2**64):
+            raise InvalidTruth("seed must be an integer in [0, 2**64)")
         needed = ("intercept",) + predictor_names(self.kind)
         missing = [n for n in needed if n not in self.coefficients]
         if missing:
@@ -174,8 +181,9 @@ def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
 
     Every condition gets its own random substream derived from
     truth.seed and the condition index, so the output is reproducible
-    trial for trial. Per repetition the stream yields first the noise
-    deviate z, then the error-decision uniform u; movement time is
+    trial for trial; lockstep_uniforms draws all of them together. Per
+    repetition the stream yields first the noise deviate z (two
+    uniforms), then the error-decision uniform u; movement time is
     max(prediction + noise_sd * z, 0.05 s). Error trials (u below
     error_rate, or a draw at/over the interaction timeout) are recorded
     at the timeout with success = 0.
@@ -192,12 +200,14 @@ def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
         raise InvalidTruth(
             f"planted model predicts nonpositive movement time for "
             f"condition index {bad[0]}: {predictions[bad[0]]:.4f} s")
+    seeds = [derive_stream_seed(truth.seed, ci) for ci in range(len(tasks))]
+    # one column of 3 * repetitions uniforms per condition
+    columns = zip(*lockstep_uniforms(seeds, 3 * grid.repetitions))
     trials = []
-    for ci, (task, pred) in enumerate(zip(tasks, predictions)):
-        stream = Xoshiro256StarStar(derive_stream_seed(truth.seed, ci))
-        for _ in range(grid.repetitions):
-            z = stream.normal()
-            u = stream.random()
+    for task, pred, column in zip(tasks, predictions, columns):
+        draws = iter(column)
+        for u1, u2, u in zip(draws, draws, draws):
+            z = box_muller(u1, u2)
             mt = max(pred + truth.noise_sd * z, MIN_MT_S)
             if u < truth.error_rate or mt >= timeout:
                 trials.append(Trial(task, timeout, False))

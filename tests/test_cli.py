@@ -401,7 +401,7 @@ def test_generate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
                "--seed", seed, "--out", str(out_path)])
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (
-        1, "", "error: seed must lie in [0, 2**64)\n")
+        1, "", "error: seed must be an integer in [0, 2**64)\n")
     assert not out_path.exists()
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fitts3d.rng import Xoshiro256StarStar, derive_stream_seed, _splitmix64
+from fitts3d.rng import (Xoshiro256StarStar, _splitmix64, derive_stream_seed,
+                         lockstep_uniforms)
 
 
 def test_splitmix64_published_vector():
@@ -79,13 +80,17 @@ def test_stream_seed_closed_form_equals_stepping(seed, index):
     assert derive_stream_seed(seed, index) == _stepped_stream_seed(seed, index)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 2.0, True])
 def test_seed_outside_64_bits_is_rejected(seed):
-    # reducing mod 2**64 would alias -1 to 2**64 - 1 and 2**64 to 0
-    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+    # reducing mod 2**64 would alias -1 to 2**64 - 1 and 2**64 to 0, and
+    # truncating would alias 1.5 to 1; a bool is not a seed
+    message = r"seed must be an integer in \[0, 2\*\*64\)"
+    with pytest.raises(ValueError, match=message):
         Xoshiro256StarStar(seed)
-    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+    with pytest.raises(ValueError, match=message):
         derive_stream_seed(seed, 3)
+    with pytest.raises(ValueError, match=message):
+        lockstep_uniforms([0, seed], 2)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -96,3 +101,22 @@ def test_seed_range_ends_are_accepted(seed):
         outs.append(out)
     assert derive_stream_seed(seed, 3) == outs[3]
     assert Xoshiro256StarStar(seed)._s == outs  # the documented seeding
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(st.lists(_SEEDS, min_size=1, max_size=70), st.integers(0, 40))
+def test_lockstep_equals_scalar_streams(seeds, steps):
+    rows = lockstep_uniforms(seeds, steps)
+    assert len(rows) == steps and all(len(row) == len(seeds) for row in rows)
+    for i, seed in enumerate(seeds):
+        stream = Xoshiro256StarStar(seed)
+        want = [stream.random() for _ in range(steps)]
+        assert [row[i] for row in rows] == want  # floats compared exactly
+
+
+def test_lockstep_takes_no_seeds_and_rejects_negative_steps():
+    assert lockstep_uniforms([], 3) == [[], [], []]
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        lockstep_uniforms([1], -1)

@@ -1,11 +1,15 @@
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from fitts3d import (GroundTruth, InteractionKind, InvalidTruth, ModelKind,
                      TaskSpec, Xoshiro256StarStar, build_grid,
                      derive_stream_seed, generate_trials, paper_scale_defaults,
-                     predict_mt)
+                     predict_mt, write_trials)
 from fitts3d.synth import (GRID_LEVELS, GRID_REPETITIONS, PAPER_ERROR_RATE,
                            PAPER_MEAN_MT, Experiment)
 
@@ -64,6 +68,13 @@ def test_grid_condition_order():
     assert e4[32].W == 8.0
 
 
+@pytest.mark.parametrize("repetitions", [0, -3, 2.5, 2.0, True, "4"])
+def test_grid_rejects_repetitions_that_are_not_positive_ints(repetitions):
+    # -3 would silently generate no trials, 2.5 fail deep in generate_trials
+    with pytest.raises(ValueError, match="repetitions must be a positive integer"):
+        dataclasses.replace(build_grid(Experiment.E1), repetitions=repetitions)
+
+
 def test_grid_interaction_stamp():
     grid = build_grid(Experiment.E2, MANIP)
     assert all(t.interaction is MANIP for t in grid.variations)
@@ -111,9 +122,21 @@ def test_generate_reproducible():
     b = generate_trials(grid, truth, POINT)
     assert len(a) == 48 * 5
     assert a == b
-    import dataclasses
     other = generate_trials(grid, dataclasses.replace(truth, seed=1), POINT)
     assert other != a
+
+
+def test_generate_trials_uses_no_scalar_stream(monkeypatch):
+    # every substream comes from lockstep_uniforms; a fallback to the
+    # scalar stream would raise here
+    def no_scalar_stream(self, seed):
+        raise AssertionError("generate_trials built a scalar stream")
+
+    monkeypatch.setattr(Xoshiro256StarStar, "__init__", no_scalar_stream)
+    for experiment in Experiment:
+        grid = build_grid(experiment)
+        trials = generate_trials(grid, paper_scale_defaults(experiment, POINT), POINT)
+        assert len(trials) == len(grid.variations) * grid.repetitions
 
 
 def test_generate_matches_stream_oracle():
@@ -225,10 +248,11 @@ def test_truth_rejects_non_finite_noise(noise_sd):
                     coefficients={"intercept": 0.4, "id": 0.3}, noise_sd=noise_sd)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 1.5, 2.0, True])
 def test_truth_rejects_seed_outside_64_bits(seed):
-    # a seed is not reduced mod 2**64: -1 would alias 2**64 - 1, 2**64 alias 0
-    with pytest.raises(InvalidTruth, match=r"seed must lie in \[0, 2\*\*64\)"):
+    # a seed is not reduced mod 2**64: -1 would alias 2**64 - 1, 2**64 alias 0;
+    # nor truncated: 1.5 would alias 1, and a bool is not a seed
+    with pytest.raises(InvalidTruth, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         GroundTruth(kind=ModelKind.FITTS,
                     coefficients={"intercept": 0.4, "id": 0.3}, seed=seed)
 
@@ -255,3 +279,23 @@ def test_predict_mt_value():
     # 0.4 + 0.3 * log2(24/5)
     assert predict_mt(truth, task) == pytest.approx(
         0.4 + 0.3 * math.log2(4.8), abs=1e-12)
+
+
+# the benchmark's recorded sha256 of each default-seed log, read-only here
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+PUBLISHED_REPS = {"e1": 100, "e2": 100, "e3": 100, "e4": 75}  # 4 800 trials a cell
+
+
+@pytest.mark.parametrize("interaction", ["pointing", "manipulation"])
+@pytest.mark.parametrize("experiment", sorted(PUBLISHED_REPS))
+def test_published_scale_log_matches_recorded_digest(tmp_path, experiment, interaction):
+    reps = PUBLISHED_REPS[experiment]
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))[
+        f"{experiment}-{interaction}-r{reps}-s0"]
+    grid = dataclasses.replace(build_grid(experiment, interaction), repetitions=reps)
+    truth = paper_scale_defaults(experiment, interaction)
+    trials = generate_trials(grid, truth, interaction)
+    assert len(trials) == 4800
+    path = tmp_path / "log.csv"
+    write_trials(path, trials, experiment)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
