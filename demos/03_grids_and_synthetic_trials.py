@@ -4,7 +4,9 @@ Task grids and the seeded trial generator
 
 Build the four factorial grids, plant a ground-truth model scaled to
 realistic mean movement times, and synthesize a reproducible block of
-noisy trials.
+noisy trials. The block comes back as a TrialLog: the conditions, and
+one column each for every trial's condition index, movement time and
+outcome.
 """
 
 import math
@@ -31,19 +33,20 @@ print("planted coefficients:", {k: round(v, 4)
 print(f"grid-mean prediction: {math.fsum(preds) / len(preds):.3f} s")
 print(f"prediction range: {min(preds):.2f} .. {max(preds):.2f} s")
 
-trials = generate_trials(grid, truth, interaction)
-errors = sum(1 for t in trials if not t.success)
-mean_mt = math.fsum(t.mt for t in trials if t.success) / (len(trials) - errors)
+log = generate_trials(grid, truth, interaction)
+errors = log.success.count(False)
+mean_mt = math.fsum(mt for mt, success in zip(log.mt, log.success)
+                    if success) / (len(log) - errors)
 print()
-print(f"generated {len(trials)} trials, {errors} errors, "
+print(f"generated {len(log)} trials, {errors} errors, "
       f"mean successful MT {mean_mt:.3f} s")
 
 # same seed, same bytes; a different seed gives a different block
 again = generate_trials(grid, truth, interaction)
-print("identical regeneration:", trials == again)
+print("identical regeneration:", log == again)
 other = generate_trials(grid, replace(truth, seed=1), interaction)
-print("different under seed=1:", trials != other)
+print("different under seed=1:", log != other)
 
 out = os.path.join(tempfile.gettempdir(), "e4_pointing_demo.csv")
-write_trials(out, trials, "e4")
+write_trials(out, log, "e4")
 print("wrote", out)

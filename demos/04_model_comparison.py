@@ -23,8 +23,8 @@ interaction = InteractionKind.POINTING
 for experiment in ("e1", "e3", "e4"):
     grid = build_grid(experiment, interaction)
     truth = paper_scale_defaults(experiment, interaction)
-    trials = generate_trials(grid, truth, interaction)
-    table = ConditionTable(trials, aggregate=True)  # per-condition means
+    log = generate_trials(grid, truth, interaction)
+    table = ConditionTable(log, aggregate=True)  # per-condition means
     report = build_comparison_report(table, list(ModelKind))
     print(f"== {experiment} ==")
     print(render_comparison(report, "table"))

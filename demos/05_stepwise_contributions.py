@@ -18,8 +18,8 @@ interaction = InteractionKind.POINTING
 # e1 varies F, W and A only
 grid = build_grid("e1", interaction)
 truth = paper_scale_defaults("e1", interaction)
-trials = generate_trials(grid, truth, interaction)
-X, y = condition_matrix(ConditionTable(trials), ("F", "W", "A"))
+log = generate_trials(grid, truth, interaction)
+X, y = condition_matrix(ConditionTable(log), ("F", "W", "A"))
 print("== e1, candidates F, W, A ==")
 print(render_stepwise(stepwise(X, y), "table"))
 
@@ -27,7 +27,7 @@ print(render_stepwise(stepwise(X, y), "table"))
 # as sin(phi)
 grid = build_grid("e4", interaction)
 truth = paper_scale_defaults("e4", interaction)
-trials = generate_trials(grid, truth, interaction)
-X, y = condition_matrix(ConditionTable(trials))
+log = generate_trials(grid, truth, interaction)
+X, y = condition_matrix(ConditionTable(log))
 print("== e4, all candidates ==")
 print(render_stepwise(stepwise(X, y), "table"))

@@ -83,9 +83,9 @@ def _cmd_generate(args) -> int:
         overrides["error_rate"] = args.error_rate
     truth = replace(truth, **overrides)
     grid = build_grid(experiment, interaction)
-    trials = generate_trials(grid, truth, interaction)
-    write_trials(args.out, trials, experiment)
-    print(f"wrote {len(trials)} trials "
+    log = generate_trials(grid, truth, interaction)
+    write_trials(args.out, log, experiment)
+    print(f"wrote {len(log)} trials "
           f"({len(grid.variations)} conditions x {grid.repetitions} repetitions) "
           f"to {args.out}")
     return 0

@@ -8,10 +8,9 @@ singular values fall below 1e-10 of the largest are treated as rank
 deficiencies, not silently pseudo-inverted.
 
 The analyses (fit_model, compare_models, condition_matrix) read a
-ConditionTable, which groups the trials once into their distinct
-conditions and fixes the response: condition means or successful trials
-(aggregate). It groups a TrialLog straight from its columns, and maps
-Trial objects onto the same columns, so both run one grouping loop.
+ConditionTable, which groups a TrialLog's columns once into their
+distinct conditions and fixes the response: condition means or
+successful trials (aggregate).
 Predictors are evaluated once per distinct condition and expanded to one
 row per observation, the design a per-trial evaluation would build, so
 the fits are identical to it.
@@ -259,28 +258,12 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
                           current.r2, current, hit_round_cap=changed)
 
 
-def _trial_columns(trials):
-    """Trials as TrialLog's columns: one spec per distinct task object,
-    then per trial its spec's position, movement time and outcome."""
-    position, specs, spec_index, times, outcomes = {}, [], [], [], []
-    for t in trials:
-        k = position.get(id(t.task))
-        if k is None:  # specs holds the task, so its id stays unique
-            k = position[id(t.task)] = len(specs)
-            specs.append(t.task)
-        spec_index.append(k)
-        times.append(t.mt)
-        outcomes.append(t.success)
-    return specs, spec_index, times, outcomes
-
-
 class ConditionTable:
-    """Trials grouped once into their distinct conditions.
+    """A TrialLog's trials grouped once into their distinct conditions.
 
-    trials is a TrialLog, grouped from its columns, or an iterable of
-    Trial, mapped onto the same columns first. tasks holds the distinct
-    TaskSpecs in the order they enter the table; the first spec to enter
-    is kept when equal specs differ in the sign of a zero. y is the
+    tasks holds the distinct TaskSpecs in the order they enter the
+    table, grouped by TaskSpec equality; the first spec to enter is
+    kept when equal specs differ in the sign of a zero. y is the
     response: with aggregate=True the mean successful movement time of
     each condition (one row per condition), otherwise each successful
     trial's movement time in trial order. rows gives, for each response
@@ -292,20 +275,16 @@ class ConditionTable:
     aggregating a condition without a successful trial.
     """
 
-    def __init__(self, trials, aggregate: bool = True):
-        if isinstance(trials, TrialLog):
-            specs, spec_index, times, outcomes = (
-                trials.tasks, trials.task_index, trials.mt, trials.success)
-        else:
-            specs, spec_index, times, outcomes = _trial_columns(trials)
-        if not spec_index:
+    def __init__(self, log: TrialLog, aggregate: bool = True):
+        specs = log.tasks
+        if not log.task_index:
             raise InsufficientData("no trials")
         # each condition's successful movement times; per-trial, only a
         # successful trial brings its condition into the table. slot maps
         # a spec's position in specs to its condition, looked up by
         # TaskSpec equality the first time a row of that spec enters
         index, slot, successes, rows, y = {}, [None] * len(specs), [], [], []
-        for k, mt, success in zip(spec_index, times, outcomes):
+        for k, mt, success in zip(log.task_index, log.mt, log.success):
             if not (aggregate or success):
                 continue
             i = slot[k]
@@ -331,7 +310,7 @@ class ConditionTable:
             raise InsufficientData("no successful trials")
         if len(tasks) < 2:
             raise InsufficientData("need at least two distinct conditions")
-        self.n_trials = len(spec_index)
+        self.n_trials = len(log)
         self.aggregate = bool(aggregate)
         self.tasks = tasks
         self.rows = np.array(rows, dtype=np.intp)

@@ -17,6 +17,9 @@ The four grids reproduce the published factorial designs exactly:
 Conditions are the product of each field's levels in CONDITION_FIELDS
 order (F, W, A, phi, theta, alpha, omega, slowest to fastest), which
 fixes the condition index used for per-condition random substreams.
+
+generate_trials returns a block as a TrialLog, the columns read_trials
+returns for the same log, and builds no Trial per row.
 """
 
 import math
@@ -27,7 +30,8 @@ from .errors import InvalidTruth
 from .metrics import ModelKind, predictor_names, predictors_for
 from .rng import box_muller, derive_stream_seed, lockstep_uniforms
 from .tasks import (CONDITION_FIELDS, MIN_MT_S, Experiment, InteractionKind,
-                    TaskSpec, Trial)
+                    TaskSpec)
+from .trial_io import TrialLog
 
 
 GRID_LEVELS: dict[Experiment, dict[str, tuple[float, ...]]] = {
@@ -176,8 +180,8 @@ def predict_mt(truth: GroundTruth, task: TaskSpec) -> float:
 
 
 def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
-                    interaction: InteractionKind) -> list[Trial]:
-    """Synthesize one full block of trials for a grid.
+                    interaction: InteractionKind) -> TrialLog:
+    """Synthesize one full block of trials for a grid, as a TrialLog.
 
     Every condition gets its own random substream derived from
     truth.seed and the condition index, so the output is reproducible
@@ -186,16 +190,19 @@ def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
     uniforms), then the error-decision uniform u; movement time is
     max(prediction + noise_sd * z, 0.05 s). Error trials (u below
     error_rate, or a draw at/over the interaction timeout) are recorded
-    at the timeout with success = 0.
+    at the timeout with success = 0. The log's tasks are the grid's
+    conditions, each followed by its repetitions.
 
     Raises InvalidTruth when the planted model predicts a nonpositive
-    movement time anywhere on the grid.
+    or NaN movement time anywhere on the grid.
     """
     interaction = InteractionKind(interaction)
     timeout = interaction.timeout_s
-    tasks = [replace(task, interaction=interaction) for task in grid.variations]
-    predictions = [predict_mt(truth, task) for task in tasks]
-    bad = [i for i, p in enumerate(predictions) if p <= 0]
+    tasks = tuple(replace(task, interaction=interaction) for task in grid.variations)
+    # plain floats, so the log holds (and writes) Python floats even when
+    # the truth holds numpy scalars
+    predictions = [float(predict_mt(truth, task)) for task in tasks]
+    bad = [i for i, p in enumerate(predictions) if not p > 0]
     if bad:
         raise InvalidTruth(
             f"planted model predicts nonpositive movement time for "
@@ -203,17 +210,17 @@ def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
     seeds = [derive_stream_seed(truth.seed, ci) for ci in range(len(tasks))]
     # one column of 3 * repetitions uniforms per condition
     columns = zip(*lockstep_uniforms(seeds, 3 * grid.repetitions))
-    trials = []
-    for task, pred, column in zip(tasks, predictions, columns):
+    noise_sd, error_rate = float(truth.noise_sd), truth.error_rate
+    mts, successes = [], []
+    for pred, column in zip(predictions, columns):
         draws = iter(column)
         for u1, u2, u in zip(draws, draws, draws):
-            z = box_muller(u1, u2)
-            mt = max(pred + truth.noise_sd * z, MIN_MT_S)
-            if u < truth.error_rate or mt >= timeout:
-                trials.append(Trial(task, timeout, False))
-            else:
-                trials.append(Trial(task, mt, True))
-    return trials
+            mt = max(pred + noise_sd * box_muller(u1, u2), MIN_MT_S)
+            success = not (u < error_rate or mt >= timeout)
+            mts.append(mt if success else timeout)
+            successes.append(success)
+    task_index = tuple(k for k in range(len(tasks)) for _ in range(grid.repetitions))
+    return TrialLog(tasks, task_index, tuple(mts), tuple(successes))
 
 
 def paper_scale_defaults(experiment: Experiment,

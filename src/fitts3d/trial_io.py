@@ -10,10 +10,11 @@ TaskSpec fields in CONDITION_FIELDS order. success is 0 or 1. Floats
 are written in shortest round-trip form, so a log regenerated from the
 same seed is byte-identical.
 
-read_trials returns the log as columns (TrialLog): one TaskSpec per
-distinct condition as written, and per row the index of its condition,
-its movement time and its outcome. ConditionTable groups these columns
-directly; TrialLog.trials builds Trial objects only when a caller asks.
+A log is held as columns (TrialLog): one TaskSpec per distinct
+condition, and per row the index of its condition, its movement time
+and its outcome. generate_trials returns this shape, write_trials writes
+it, read_trials returns it and ConditionTable groups it; TrialLog.trials
+builds Trial objects only when a caller asks.
 """
 
 import math
@@ -44,22 +45,23 @@ POSE_CSV_HEADER = ",".join(POSE_COLUMNS)
 
 @dataclass(frozen=True)
 class TrialLog:
-    """A parsed trial file, held as columns.
+    """A trial log, generated or parsed from a file, held as columns.
 
-    tasks has one TaskSpec per distinct set of interaction and condition
-    tokens, in first-appearance order, so rows written "0.0" and "-0.0"
-    keep distinct specs. task_index, mt and success hold one entry per
-    data row: the index of its spec in tasks, its movement time and its
-    outcome. experiment / interaction are the common per-file values, or
-    None when the rows are mixed.
+    tasks has one TaskSpec per condition; read_trials makes one per
+    distinct set of interaction and condition tokens, in first-appearance
+    order, so rows written "0.0" and "-0.0" keep distinct specs.
+    task_index, mt and success hold one entry per data row: the index of
+    its spec in tasks, its movement time and its outcome. len() is the
+    number of rows.
     """
 
     tasks: tuple[TaskSpec, ...]
     task_index: tuple[int, ...]
     mt: tuple[float, ...]
     success: tuple[bool, ...]
-    experiment: str | None
-    interaction: InteractionKind | None
+
+    def __len__(self) -> int:
+        return len(self.task_index)
 
     @cached_property
     def trials(self) -> tuple[Trial, ...]:
@@ -78,27 +80,21 @@ def _log_terms(task) -> str:
                      + [f"interaction={task.interaction.value}"])
 
 
-def write_trials(path, trials, experiment) -> None:
-    """Write trials to path in version 1 of the log format.
+def write_trials(path, log: TrialLog, experiment) -> None:
+    """Write a TrialLog to path in version 1 of the log format.
 
     experiment is the id written into every row (e1..e4).
     """
     experiment = getattr(experiment, "value", experiment)
     if experiment not in _EXPERIMENT_IDS:
         raise ValueError(f"experiment must be one of {_EXPERIMENT_IDS}")
+    # each spec's row prefix, formatted once
+    prefixes = [",".join([experiment, task.interaction.value,
+                          *map(repr, _condition_values(task))])
+                for task in log.tasks]
     lines = [TRIAL_CSV_HEADER]
-    # each task object's row prefix, formatted once; keyed on identity,
-    # since equal specs may differ in the sign of a zero, and holding the
-    # task so that its id cannot be reused by another while writing
-    prefixes = {}
-    for t in trials:
-        task = t.task
-        cached = prefixes.get(id(task))
-        if cached is None:
-            cached = prefixes[id(task)] = task, ",".join([
-                experiment, task.interaction.value,
-                *map(repr, _condition_values(task))])
-        lines.append(f"{cached[1]},{t.mt!r},{'1' if t.success else '0'}")
+    lines += [f"{prefixes[k]},{mt!r},{'1' if success else '0'}"
+              for k, mt, success in zip(log.task_index, log.mt, log.success)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -136,7 +132,6 @@ def read_trials(path) -> TrialLog:
     zero rows returns an empty log, which ConditionTable rejects.
     """
     lines = _read_lines(path, TRIAL_CSV_HEADER)
-    experiments = set()
     # one TaskSpec per condition, keyed on the raw interaction and
     # condition tokens (not on parsed floats, which would merge -0.0
     # with 0.0). index maps a key to (its position in tasks, its timeout)
@@ -147,9 +142,8 @@ def read_trials(path) -> TrialLog:
         if len(row) != len(TRIAL_COLUMNS):
             raise ParseError(line_no,
                              f"expected {len(TRIAL_COLUMNS)} fields, got {len(row)}")
-        experiment = row[0]
-        if experiment not in _EXPERIMENT_IDS:
-            raise ParseError(line_no, f"unknown experiment {experiment!r}",
+        if row[0] not in _EXPERIMENT_IDS:
+            raise ParseError(line_no, f"unknown experiment {row[0]!r}",
                              column="experiment")
         key = tuple(row[1:9])
         known = index.get(key)
@@ -181,13 +175,7 @@ def read_trials(path) -> TrialLog:
         task_index.append(k)
         mts.append(mt)
         successes.append(success)
-        experiments.add(experiment)
-    interactions = {task.interaction for task in tasks}
-    return TrialLog(
-        tasks=tuple(tasks), task_index=tuple(task_index), mt=tuple(mts),
-        success=tuple(successes),
-        experiment=experiments.pop() if len(experiments) == 1 else None,
-        interaction=interactions.pop() if len(interactions) == 1 else None)
+    return TrialLog(tuple(tasks), tuple(task_index), tuple(mts), tuple(successes))
 
 
 def read_poses(path):

@@ -369,18 +369,15 @@ def test_criterion_10_round_trip_determinism(tmp_path):
         for interaction in (POINT, MANIP):
             grid = build_grid(experiment, interaction)
             truth = paper_scale_defaults(experiment, interaction)
-            trials = generate_trials(grid, truth, interaction)
+            log = generate_trials(grid, truth, interaction)
             path = tmp_path / f"{experiment}_{interaction.value}.csv"
-            write_trials(path, trials, experiment)
-            log = read_trials(path)
-            assert log.trials == tuple(trials)
-            assert log.experiment == experiment
-            assert log.interaction is interaction
+            write_trials(path, log, experiment)
+            assert read_trials(path) == log
             again = tmp_path / f"{experiment}_{interaction.value}_again.csv"
             write_trials(again, generate_trials(grid, truth, interaction),
                          experiment)
             assert again.read_bytes() == path.read_bytes()
-            total += len(trials)
+            total += len(log)
     assert total == 2 * (240 + 240 + 240 + 256)
     print(f"PASS criterion 10: write/read identity and byte-identical "
           f"regeneration on all 8 synthetic sets ({total} trials)")

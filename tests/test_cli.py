@@ -24,7 +24,6 @@ def test_generate_writes_log(tmp_path, capsys):
     assert str(path) in out
     log = read_trials(path)
     assert len(log.trials) == 256
-    assert log.experiment == "e4"
 
 
 def test_generate_is_deterministic(tmp_path, capsys):

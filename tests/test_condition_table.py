@@ -18,18 +18,19 @@ from hypothesis import strategies as st
 import fitts3d.regression as regression
 from fitts3d import (MODEL_ORDER, DesignMatrix, EmptyCondition,
                      InsufficientData, InteractionKind, ModelKind, TaskSpec,
-                     Trial, build_comparison_report, build_grid,
+                     build_comparison_report, build_grid,
                      compare_models, condition_matrix, fit_model,
                      generate_trials, ols_fit, paper_scale_defaults,
                      predictors_for, read_trials)
 from fitts3d.regression import STEPWISE_CANDIDATES, ConditionTable
 from fitts3d.trial_io import TRIAL_CSV_HEADER
+from trial_rows import trial_log
 
 CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
          for i in (InteractionKind.POINTING, InteractionKind.MANIPULATION)]
 
 
-def _cell_trials(experiment, interaction, seed=0):
+def _cell_log(experiment, interaction, seed=0):
     grid = build_grid(experiment, interaction)
     truth = replace(paper_scale_defaults(experiment, interaction), seed=seed)
     return generate_trials(grid, truth, interaction)
@@ -38,7 +39,7 @@ def _cell_trials(experiment, interaction, seed=0):
 # ---- per-trial reference --------------------------------------------------
 
 def reference_rows(trials, aggregate):
-    """(task, response) per row, grouped the direct way."""
+    """(task, response) per row, grouped the direct way from Trial rows."""
     trials = list(trials)
     if not trials:
         raise InsufficientData("no trials")
@@ -123,11 +124,12 @@ def assert_same_fit(got, want):
     assert got.degenerate_variance == want.degenerate_variance
 
 
-def assert_report_matches_reference(trials, aggregate):
+def assert_report_matches_reference(log, aggregate):
     """The report on a groupable log against the per-trial reference; a
     grouping error is compared where the table is built."""
-    report = build_comparison_report(ConditionTable(trials, aggregate), MODEL_ORDER)
-    assert (report["n_trials"], report["aggregate"]) == (len(trials), aggregate)
+    report = build_comparison_report(ConditionTable(log, aggregate), MODEL_ORDER)
+    assert (report["n_trials"], report["aggregate"]) == (len(log), aggregate)
+    trials = log.trials
     want = {k: outcome(reference_fit, k, trials, aggregate) for k in MODEL_ORDER}
     fitted = sorted((k for k in MODEL_ORDER if not isinstance(want[k], tuple)),
                     key=lambda k: (-want[k].r2, MODEL_ORDER.index(k)))
@@ -152,8 +154,9 @@ def assert_report_matches_reference(trials, aggregate):
 @pytest.mark.parametrize("aggregate", [True, False])
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggregate):
-    trials = _cell_trials(experiment, interaction)
-    table = ConditionTable(trials, aggregate)
+    log = _cell_log(experiment, interaction)
+    trials = log.trials
+    table = ConditionTable(log, aggregate)
     rows = {r.kind: r for r in compare_models(table)}
     for kind in MODEL_ORDER:
         want = outcome(reference_fit, kind, trials, aggregate)
@@ -163,7 +166,7 @@ def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggrega
             assert row.error == f"{want[0].__name__}: {want[1]}"
         else:
             assert_same_fit(row.fit, want)
-    assert_report_matches_reference(trials, aggregate)
+    assert_report_matches_reference(log, aggregate)
     X, y = condition_matrix(table)
     X_ref, y_ref = reference_condition_matrix(trials, aggregate)
     assert np.array_equal(X.values, X_ref) and np.array_equal(y, y_ref)
@@ -173,7 +176,7 @@ def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggrega
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate):
     # row- and column-major copies of one design give the same fit
-    table = ConditionTable(_cell_trials(experiment, interaction), aggregate)
+    table = ConditionTable(_cell_log(experiment, interaction), aggregate)
     for kind in MODEL_ORDER:
         fit = outcome(fit_model, kind, table)
         if isinstance(fit, tuple):
@@ -187,7 +190,7 @@ def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate
 
 
 def test_predictors_run_once_per_condition_and_model(monkeypatch):
-    trials = _cell_trials("e4", InteractionKind.POINTING)  # 64 conditions x 4
+    log = _cell_log("e4", InteractionKind.POINTING)  # 64 conditions x 4
     calls = []
 
     def counting(kind, task):
@@ -195,7 +198,7 @@ def test_predictors_run_once_per_condition_and_model(monkeypatch):
         return predictors_for(kind, task)
 
     monkeypatch.setattr(regression, "predictors_for", counting)
-    report = build_comparison_report(ConditionTable(trials, aggregate=False),
+    report = build_comparison_report(ConditionTable(log, aggregate=False),
                                      MODEL_ORDER)
     assert all(m["points"] for m in report["models"])
     assert len(calls) == len(MODEL_ORDER) * 64
@@ -204,14 +207,14 @@ def test_predictors_run_once_per_condition_and_model(monkeypatch):
 def test_table_layout():
     a = TaskSpec(F=2.0, W=4.0, A=8.0)
     b = TaskSpec(F=2.0, W=4.0, A=16.0)
-    trials = [Trial(b, 1.0, True), Trial(a, 2.0, False), Trial(a, 3.0, True),
-              Trial(b, 5.0, True), Trial(a, 4.0, True)]
-    per_trial = ConditionTable(trials, aggregate=False)
+    log = trial_log([(b, 1.0, True), (a, 2.0, False), (a, 3.0, True),
+                     (b, 5.0, True), (a, 4.0, True)])
+    per_trial = ConditionTable(log, aggregate=False)
     assert (per_trial.n_trials, per_trial.aggregate) == (5, False)
     assert per_trial.tasks == (b, a)
     assert per_trial.rows.tolist() == [0, 1, 0, 1]
     assert per_trial.y.tolist() == [1.0, 3.0, 5.0, 4.0]
-    means = ConditionTable(trials, aggregate=True)
+    means = ConditionTable(log, aggregate=True)
     assert (means.n_trials, means.aggregate) == (5, True)
     assert means.tasks == (b, a)
     assert means.rows.tolist() == [0, 1]
@@ -232,21 +235,20 @@ def test_first_spec_to_enter_is_kept(tmp_path):
         "e1,pointing,3.0,5.0,12.0,0.0,0.0,0.0,0.0,1.25,1",
         "e1,pointing,3.0,5.0,24.0,0.0,0.0,0.0,0.0,2.0,1"]) + "\n", encoding="utf-8")
     log = read_trials(path)
-    for trials in (log, log.trials):
-        per_trial = ConditionTable(trials, aggregate=False)
-        assert math.copysign(1.0, per_trial.tasks[0].theta) == 1.0
-        assert per_trial.y.tolist() == [1.25, 2.0]
-        means = ConditionTable(trials, aggregate=True)
-        assert math.copysign(1.0, means.tasks[0].theta) == -1.0
-        assert means.y.tolist() == [1.25, 2.0]
+    per_trial = ConditionTable(log, aggregate=False)
+    assert math.copysign(1.0, per_trial.tasks[0].theta) == 1.0
+    assert per_trial.y.tolist() == [1.25, 2.0]
+    means = ConditionTable(log, aggregate=True)
+    assert math.copysign(1.0, means.tasks[0].theta) == -1.0
+    assert means.y.tolist() == [1.25, 2.0]
 
 
 def test_aggregated_table_fits_condition_means():
-    table = ConditionTable(_cell_trials("e1", InteractionKind.POINTING), True)
+    table = ConditionTable(_cell_log("e1", InteractionKind.POINTING), True)
     assert fit_model(ModelKind.FITTS, table).n == 48
 
 
-# ---- property: any trial list ---------------------------------------------
+# ---- property: any trial log, stated row by row ---------------------------
 
 _conditions = st.builds(
     TaskSpec,
@@ -261,30 +263,30 @@ _conditions = st.builds(
 
 
 @st.composite
-def _trial_lists(draw):
+def _trial_logs(draw):
     conditions = draw(st.lists(_conditions, min_size=1, max_size=6, unique=True))
-    trials = []
+    rows = []
     for task in conditions:
         for _ in range(draw(st.integers(1, 5))):
-            trials.append(Trial(task, draw(st.floats(0.1, 10.0)),
-                                draw(st.booleans())))
-    return draw(st.permutations(trials))
+            rows.append((task, draw(st.floats(0.1, 10.0)), draw(st.booleans())))
+    return trial_log(draw(st.permutations(rows)))
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_trial_lists(), st.booleans())
-def test_grouped_matches_reference_on_any_trials(trials, aggregate):
+@given(_trial_logs(), st.booleans())
+def test_grouped_matches_reference_on_any_trials(log, aggregate):
+    trials = log.trials
     for kind in MODEL_ORDER:
         assert_same_fit(
-            outcome(lambda: fit_model(kind, ConditionTable(trials, aggregate))),
+            outcome(lambda: fit_model(kind, ConditionTable(log, aggregate))),
             outcome(reference_fit, kind, trials, aggregate))
-    table = outcome(ConditionTable, trials, aggregate)
+    table = outcome(ConditionTable, log, aggregate)
     rows = outcome(reference_rows, trials, aggregate)
     if isinstance(rows, tuple) and isinstance(rows[0], type):
         assert table == rows  # same exception, same message
         return
-    assert_report_matches_reference(trials, aggregate)
+    assert_report_matches_reference(log, aggregate)
     got = outcome(condition_matrix, table, STEPWISE_CANDIDATES)
     X_ref, y_ref = reference_condition_matrix(trials, aggregate)
     assert np.array_equal(got[0].values, X_ref) and np.array_equal(got[1], y_ref)
@@ -333,9 +335,11 @@ def test_table_from_columns_equals_table_from_trials(rows):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join([TRIAL_CSV_HEADER, *rows]) + "\n")
         log = read_trials(path)
+    # the same log restated row by row, as the tests above state theirs
+    restated = trial_log((t.task, t.mt, t.success) for t in log.trials)
     for aggregate in (True, False):
         got = outcome(ConditionTable, log, aggregate)
-        want = outcome(ConditionTable, log.trials, aggregate)
+        want = outcome(ConditionTable, restated, aggregate)
         ref = outcome(reference_rows, log.trials, aggregate)
         if isinstance(want, tuple):  # same exception, same message
             assert got == want == ref

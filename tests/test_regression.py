@@ -6,12 +6,13 @@ import pytest
 
 from fitts3d import (ConditionTable, DesignMatrix, DomainError, EmptyCondition,
                      InsufficientData, InteractionKind, InvalidNesting,
-                     ModelKind, RankDeficient, TaskSpec, Trial, compare_models,
+                     ModelKind, RankDeficient, TaskSpec, compare_models,
                      condition_matrix, f_sf, fit_model, ols_fit,
                      partial_f_test, stepwise)
 from fitts3d import regression
 from fitts3d.synth import (Experiment, GroundTruth, build_grid, generate_trials,
                            paper_scale_defaults)
+from trial_rows import trial_log
 
 
 def _mat(names, cols):
@@ -327,30 +328,30 @@ def test_fit_model_excludes_error_trials():
     task_a = TaskSpec(F=3, W=5, A=12)
     task_b = TaskSpec(F=3, W=5, A=24)
     task_c = TaskSpec(F=3, W=5, A=48)
-    trials = [Trial(task_a, 1.0, True), Trial(task_a, 15.0, False),
-              Trial(task_b, 2.0, True), Trial(task_c, 3.0, True)]
-    fit = fit_model(ModelKind.FITTS, ConditionTable(trials))
+    rows = [(task_a, 1.0, True), (task_a, 15.0, False),
+            (task_b, 2.0, True), (task_c, 3.0, True)]
+    fit = fit_model(ModelKind.FITTS, ConditionTable(trial_log(rows)))
     # the 15 s error trial must not pull the task_a mean
     assert fit.n == 3
     fit2 = fit_model(ModelKind.FITTS,
-                     ConditionTable([t for t in trials if t.success]))
+                     ConditionTable(trial_log(r for r in rows if r[2])))
     assert fit.coefficients == pytest.approx(fit2.coefficients, abs=1e-12)
 
 
 def test_fit_model_empty_condition():
     task_a = TaskSpec(F=3, W=5, A=12)
     task_b = TaskSpec(F=3, W=5, A=24)
-    trials = [Trial(task_a, 15.0, False), Trial(task_b, 2.0, True)]
+    log = trial_log([(task_a, 15.0, False), (task_b, 2.0, True)])
     with pytest.raises(EmptyCondition):
-        fit_model(ModelKind.FITTS, ConditionTable(trials))
+        fit_model(ModelKind.FITTS, ConditionTable(log))
 
 
 def test_fit_model_needs_two_conditions():
     task = TaskSpec(F=3, W=5, A=12)
     with pytest.raises(InsufficientData):
-        fit_model(ModelKind.FITTS, ConditionTable([Trial(task, 1.0, True)] * 5))
+        fit_model(ModelKind.FITTS, ConditionTable(trial_log([(task, 1.0, True)] * 5)))
     with pytest.raises(InsufficientData):
-        fit_model(ModelKind.FITTS, ConditionTable([]))
+        fit_model(ModelKind.FITTS, ConditionTable(trial_log([])))
 
 
 def test_fit_model_drops_constant_predictor():
@@ -379,8 +380,8 @@ def test_compare_models_ranking_and_inline_errors():
     # translational data that includes an A=0 condition: Fitts and
     # Hoffmann cannot express it, the others still fit
     tasks = [TaskSpec(F=3, W=5, A=a) for a in (0, 12, 24, 36)]
-    trials = [Trial(t, 0.4 + 0.3 * (i + 1), True) for i, t in enumerate(tasks)]
-    rows = compare_models(ConditionTable(trials),
+    log = trial_log((t, 0.4 + 0.3 * (i + 1), True) for i, t in enumerate(tasks))
+    rows = compare_models(ConditionTable(log),
                           kinds=(ModelKind.FITTS, ModelKind.WELFORD,
                                  ModelKind.SHANNON, ModelKind.FINAL))
     by_kind = {r.kind: r for r in rows}
@@ -400,8 +401,8 @@ def test_compare_models_declaration_order_ties():
     # a two-condition dataset gives every single-predictor model r2 = 1;
     # ties resolve in declaration order
     tasks = [TaskSpec(F=3, W=5, A=12), TaskSpec(F=3, W=5, A=24)]
-    trials = [Trial(tasks[0], 1.0, True), Trial(tasks[1], 2.0, True)]
-    rows = compare_models(ConditionTable(trials),
+    log = trial_log([(tasks[0], 1.0, True), (tasks[1], 2.0, True)])
+    rows = compare_models(ConditionTable(log),
                           kinds=(ModelKind.SHANNON, ModelKind.WELFORD,
                                  ModelKind.FITTS))
     kinds = [r.kind for r in rows]
@@ -418,10 +419,10 @@ def test_compare_models_affine_rank_invariance():
     truth = GroundTruth(ModelKind.FINAL,
                         {"intercept": 0.3, "id_t": 0.4, "id_r": 0.9},
                         noise_sd=0.15, seed=5)
-    trials = generate_trials(build_grid(Experiment.E4), truth,
-                             InteractionKind.POINTING)
-    rows = compare_models(ConditionTable(trials))
-    scaled = [Trial(t.task, 1.2 * t.mt + 0.3, t.success) for t in trials]
+    log = generate_trials(build_grid(Experiment.E4), truth,
+                          InteractionKind.POINTING)
+    rows = compare_models(ConditionTable(log))
+    scaled = replace(log, mt=tuple(1.2 * mt + 0.3 for mt in log.mt))
     rows2 = compare_models(ConditionTable(scaled))
     assert [r.kind for r in rows] == [r.kind for r in rows2]
     for a, b in zip(rows, rows2):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fitts3d import (ConditionTable, GroundTruth, InteractionKind, ModelKind, SchemaError,
                      build_comparison_report, build_grid, condition_matrix,
-                     format_equation, generate_trials, read_trials,
+                     format_equation, generate_trials,
                      render_comparison, render_document, render_stepwise,
                      stepwise, stepwise_document, write_trials)
 from fitts3d import report as report_module
@@ -18,6 +18,7 @@ from fitts3d.cli import main
 from fitts3d.metrics import MODEL_ORDER
 from fitts3d.report import REPORT_SCHEMA, STEPWISE_SCHEMA
 from fitts3d.synth import paper_scale_defaults
+from trial_rows import trial_log
 
 POINT = InteractionKind.POINTING
 
@@ -66,12 +67,11 @@ def test_comparison_report_without_points():
 
 def test_comparison_report_error_rows_sink():
     # translational A=0 rows break ratio-based indices inline
-    from fitts3d import TaskSpec, Trial
+    from fitts3d import TaskSpec
     tasks = [TaskSpec(F=3, W=5, A=a) for a in (0.0, 12.0, 24.0, 36.0)]
-    trials = [Trial(t, 0.4 + 0.3 * (i + 1), True)
-              for i, t in enumerate(tasks)]
+    log = trial_log((t, 0.4 + 0.3 * (i + 1), True) for i, t in enumerate(tasks))
     report = build_comparison_report(
-        ConditionTable(trials), [ModelKind.FITTS, ModelKind.WELFORD])
+        ConditionTable(log), [ModelKind.FITTS, ModelKind.WELFORD])
     welford, fitts = report["models"]
     assert welford["model"] == "welford"
     assert welford["error"] is None
@@ -341,13 +341,14 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
     # one published cell, 4 800 trials fitted per trial
     grid = replace(build_grid(experiment, interaction), repetitions=reps)
     truth = paper_scale_defaults(experiment, interaction)
-    trials = generate_trials(grid, truth, interaction)
+    log = generate_trials(grid, truth, interaction)
     path = tmp_path / "cell.csv"
-    write_trials(path, trials, experiment)
+    write_trials(path, log, experiment)
     assert main(["fit", str(path), "--aggregate", "false",
                  "--format", "json-like"]) == 0
+    # the generated log, not the one read back
     expected = build_comparison_report(
-        ConditionTable(read_trials(path).trials, aggregate=False), MODEL_ORDER)
+        ConditionTable(log, aggregate=False), MODEL_ORDER)
     assert expected["n_trials"] == 4800
     assert capsys.readouterr().out == _oracle(expected)
 

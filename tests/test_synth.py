@@ -4,12 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fitts3d import (GroundTruth, InteractionKind, InvalidTruth, ModelKind,
-                     TaskSpec, Xoshiro256StarStar, build_grid,
-                     derive_stream_seed, generate_trials, paper_scale_defaults,
-                     predict_mt, write_trials)
+from fitts3d import (ConditionTable, GroundTruth, InteractionKind, InvalidTruth,
+                     ModelKind, TaskSpec, Trial, Xoshiro256StarStar, build_grid,
+                     compare_models, derive_stream_seed, generate_trials,
+                     paper_scale_defaults, predict_mt, read_trials, write_trials)
 from fitts3d.synth import (GRID_LEVELS, GRID_REPETITIONS, PAPER_ERROR_RATE,
                            PAPER_MEAN_MT, Experiment)
 
@@ -139,33 +140,40 @@ def test_generate_trials_uses_no_scalar_stream(monkeypatch):
         assert len(trials) == len(grid.variations) * grid.repetitions
 
 
-def test_generate_matches_stream_oracle():
+@pytest.mark.parametrize("interaction", [POINT, MANIP])
+@pytest.mark.parametrize("experiment", list(Experiment))
+def test_generate_matches_stream_oracle(experiment, interaction):
     # re-derive every trial from the documented per-condition stream:
     # one normal then one uniform per repetition
-    grid = build_grid(Experiment.E1)
+    grid = build_grid(experiment)
     truth = GroundTruth(
         kind=ModelKind.SHANNON,
         coefficients={"intercept": 0.5, "id": 0.35},
         noise_sd=0.2, error_rate=0.1, seed=7)
-    trials = generate_trials(grid, truth, POINT)
+    log = generate_trials(grid, truth, interaction)
+    timeout = interaction.timeout_s
+    assert log.tasks == tuple(dataclasses.replace(t, interaction=interaction)
+                              for t in grid.variations)
     k = 0
-    for ci, task in enumerate(grid.variations):
+    for ci, task in enumerate(log.tasks):
         stream = Xoshiro256StarStar(derive_stream_seed(7, ci))
         pred = predict_mt(truth, task)
         for _ in range(grid.repetitions):
             z = stream.normal()
             u = stream.random()
-            trial = trials[k]
+            index, mt, success = log.task_index[k], log.mt[k], log.success[k]
             k += 1
+            assert index == ci
+            assert type(mt) is float and type(success) is bool
             if u < 0.1:
-                assert trial.mt == 15.0 and not trial.success
+                assert mt == timeout and not success
                 continue
-            mt = max(pred + 0.2 * z, 0.05)
-            if mt >= 15.0:
-                assert trial.mt == 15.0 and not trial.success
+            want = max(pred + 0.2 * z, 0.05)
+            if want >= timeout:
+                assert mt == timeout and not success
             else:
-                assert trial.mt == mt and trial.success
-    assert k == len(trials)
+                assert mt == want and success
+    assert k == len(log) == len(log.mt) == len(log.success)
 
 
 def test_generate_noiseless_is_exact():
@@ -173,12 +181,13 @@ def test_generate_noiseless_is_exact():
     truth = GroundTruth(
         kind=ModelKind.FINAL,
         coefficients={"intercept": 0.6, "id_t": 0.2, "id_r": 0.5})
-    trials = generate_trials(grid, truth, MANIP)
-    assert len(trials) == 48 * 5
-    for trial, task in zip(trials, (t for t in grid.variations for _ in range(5))):
-        assert trial.success
-        assert trial.mt == predict_mt(truth, trial.task)
-        assert trial.task.omega == task.omega
+    log = generate_trials(grid, truth, MANIP)
+    assert len(log) == 48 * 5
+    assert log.task_index == tuple(k for k in range(48) for _ in range(5))
+    assert all(log.success)
+    for k, mt in zip(log.task_index, log.mt):
+        assert mt == predict_mt(truth, log.tasks[k])
+    assert [t.omega for t in log.tasks] == [t.omega for t in grid.variations]
 
 
 def test_generate_error_trials_hit_timeout():
@@ -187,11 +196,11 @@ def test_generate_error_trials_hit_timeout():
         kind=ModelKind.FITTS,
         coefficients={"intercept": 1.0, "id": 0.1},
         error_rate=0.5, seed=3)
-    trials = generate_trials(grid, truth, POINT)
-    errors = [t for t in trials if not t.success]
-    assert 0 < len(errors) < len(trials)
-    assert all(t.mt == 15.0 for t in errors)
-    assert all(t.mt < 15.0 for t in trials if t.success)
+    log = generate_trials(grid, truth, POINT)
+    errors = [mt for mt, success in zip(log.mt, log.success) if not success]
+    assert 0 < len(errors) < len(log)
+    assert all(mt == 15.0 for mt in errors)
+    assert all(mt < 15.0 for mt, success in zip(log.mt, log.success) if success)
 
 
 def test_generate_slow_model_times_out():
@@ -199,11 +208,36 @@ def test_generate_slow_model_times_out():
     truth = GroundTruth(
         kind=ModelKind.FITTS,
         coefficients={"intercept": 16.0, "id": 0.0})
-    trials = generate_trials(grid, truth, POINT)
-    assert all(t.mt == 15.0 and not t.success for t in trials)
+    log = generate_trials(grid, truth, POINT)
+    assert set(log.mt) == {15.0} and not any(log.success)
     # the longer manipulation timeout leaves the same model under budget
-    trials = generate_trials(grid, truth, MANIP)
-    assert all(t.mt == 16.0 and t.success for t in trials)
+    log = generate_trials(grid, truth, MANIP)
+    assert set(log.mt) == {16.0} and all(log.success)
+    # an infinite prediction is over every budget
+    truth = dataclasses.replace(truth, coefficients={"intercept": math.inf, "id": 0.0})
+    log = generate_trials(grid, truth, MANIP)
+    assert set(log.mt) == {20.0} and not any(log.success)
+
+
+def test_generate_from_numpy_truth_holds_plain_values(tmp_path):
+    # numpy scalars in the truth give the log, and the bytes, of the
+    # equal float truth: Python floats and bools, written as such
+    grid = build_grid(Experiment.E1)
+    coefficients = {"intercept": 0.5, "id": 0.35}
+    plain = GroundTruth(ModelKind.SHANNON, coefficients,
+                        noise_sd=0.2, error_rate=0.1, seed=7)
+    scalars = GroundTruth(ModelKind.SHANNON,
+                          {k: np.float64(v) for k, v in coefficients.items()},
+                          noise_sd=np.float64(0.2), error_rate=np.float64(0.1),
+                          seed=7)
+    log = generate_trials(grid, scalars, POINT)
+    assert log == generate_trials(grid, plain, POINT)
+    assert {type(mt) for mt in log.mt} == {float}
+    assert {type(success) for success in log.success} == {bool}
+    paths = tmp_path / "plain.csv", tmp_path / "scalars.csv"
+    write_trials(paths[0], generate_trials(grid, plain, POINT), Experiment.E1)
+    write_trials(paths[1], log, Experiment.E1)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_generate_clamps_tiny_times():
@@ -211,8 +245,8 @@ def test_generate_clamps_tiny_times():
     truth = GroundTruth(
         kind=ModelKind.FITTS,
         coefficients={"intercept": 0.01, "id": 0.0})
-    trials = generate_trials(grid, truth, POINT)
-    assert all(t.mt == 0.05 and t.success for t in trials)
+    log = generate_trials(grid, truth, POINT)
+    assert set(log.mt) == {0.05} and all(log.success)
 
 
 def test_generate_restamps_interaction():
@@ -220,8 +254,28 @@ def test_generate_restamps_interaction():
     truth = GroundTruth(
         kind=ModelKind.FINAL,
         coefficients={"intercept": 0.6, "id_t": 0.2, "id_r": 0.5})
-    trials = generate_trials(grid, truth, MANIP)
-    assert all(t.task.interaction is MANIP for t in trials)
+    log = generate_trials(grid, truth, MANIP)
+    assert all(t.interaction is MANIP for t in log.tasks)
+
+
+def test_data_path_builds_no_trial(tmp_path, monkeypatch):
+    # generate, write, read, group and compare a cell while every Trial
+    # construction raises: the path carries columns only
+    def no_trial(self):
+        raise AssertionError("a Trial was built")
+
+    monkeypatch.setattr(Trial, "__post_init__", no_trial)
+    path = tmp_path / "e4.csv"
+    log = generate_trials(build_grid(Experiment.E4, MANIP),
+                          paper_scale_defaults(Experiment.E4, MANIP), MANIP)
+    write_trials(path, log, Experiment.E4)
+    read = read_trials(path)
+    assert read == log
+    for aggregate in (True, False):
+        rows = compare_models(ConditionTable(read, aggregate))
+        assert all(row.fit is not None for row in rows)
+    with pytest.raises(AssertionError, match="a Trial was built"):
+        read.trials
 
 
 def test_truth_validation():
@@ -263,12 +317,13 @@ def test_truth_accepts_seed_range_ends():
                     coefficients={"intercept": 0.4, "id": 0.3}, seed=seed)
 
 
-def test_generate_rejects_nonpositive_predictions():
+@pytest.mark.parametrize("intercept", [-1.0, 0.0, math.nan])
+def test_generate_rejects_nonpositive_predictions(intercept):
     grid = build_grid(Experiment.E1)
     truth = GroundTruth(
         kind=ModelKind.FITTS,
-        coefficients={"intercept": -1.0, "id": 0.0})
-    with pytest.raises(InvalidTruth):
+        coefficients={"intercept": intercept, "id": 0.0})
+    with pytest.raises(InvalidTruth, match="condition index 0"):
         generate_trials(grid, truth, POINT)
 
 
@@ -294,8 +349,8 @@ def test_published_scale_log_matches_recorded_digest(tmp_path, experiment, inter
         f"{experiment}-{interaction}-r{reps}-s0"]
     grid = dataclasses.replace(build_grid(experiment, interaction), repetitions=reps)
     truth = paper_scale_defaults(experiment, interaction)
-    trials = generate_trials(grid, truth, interaction)
-    assert len(trials) == 4800
+    log = generate_trials(grid, truth, interaction)
+    assert len(log) == 4800
     path = tmp_path / "log.csv"
-    write_trials(path, trials, experiment)
+    write_trials(path, log, experiment)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want

@@ -4,9 +4,10 @@ import warnings
 import pytest
 
 from fitts3d import (InteractionKind, ParseError, Pose, SchemaError, TaskSpec,
-                     Trial, build_grid, generate_trials, paper_scale_defaults,
+                     TrialLog, build_grid, generate_trials, paper_scale_defaults,
                      read_poses, read_trials, write_trials)
 from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
+from trial_rows import trial_log
 
 POINT = InteractionKind.POINTING
 MANIP = InteractionKind.MANIPULATION
@@ -16,19 +17,18 @@ def _block(tmp_path, experiment="e2", interaction=POINT, seed=0):
     grid = build_grid(experiment, interaction)
     truth = paper_scale_defaults(experiment, interaction)
     import dataclasses
-    trials = generate_trials(grid, dataclasses.replace(truth, seed=seed),
-                             interaction)
+    log = generate_trials(grid, dataclasses.replace(truth, seed=seed),
+                          interaction)
     path = tmp_path / "log.csv"
-    write_trials(path, trials, experiment)
-    return trials, path
+    write_trials(path, log, experiment)
+    return log, path
 
 
 def test_round_trip_equality(tmp_path):
-    trials, path = _block(tmp_path)
+    generated, path = _block(tmp_path)
     log = read_trials(path)
-    assert log.trials == tuple(trials)
-    assert log.experiment == "e2"
-    assert log.interaction is POINT
+    assert log == generated
+    assert log.trials == generated.trials
 
 
 def test_regeneration_is_byte_identical(tmp_path):
@@ -45,18 +45,16 @@ def test_regeneration_is_byte_identical(tmp_path):
 
 def test_write_read_preserves_float_precision(tmp_path):
     task = TaskSpec(F=3.0, W=7.5, A=12.0, interaction=MANIP)
-    trial = Trial(task, 1.2345678901234567, True)
     path = tmp_path / "one.csv"
-    write_trials(path, [trial], "e1")
+    write_trials(path, trial_log([(task, 1.2345678901234567, True)]), "e1")
     log = read_trials(path)
     assert log.trials[0].mt == 1.2345678901234567
     assert log.trials[0].task == task
-    assert log.interaction is MANIP
 
 
 def test_write_rejects_unknown_experiment(tmp_path):
     with pytest.raises(ValueError):
-        write_trials(tmp_path / "x.csv", [], "e5")
+        write_trials(tmp_path / "x.csv", trial_log([]), "e5")
 
 
 def _write(path, *lines):
@@ -90,7 +88,7 @@ def test_header_only_returns_empty_without_warning(tmp_path):
         warnings.simplefilter("always")
         log = read_trials(path)
     assert log.trials == ()
-    assert log.experiment is None and log.interaction is None
+    assert len(log) == 0
     assert caught == []
 
 
@@ -175,35 +173,34 @@ def test_rewrite_after_read_is_byte_identical(tmp_path):
     _, generated = _block(tmp_path)
     for source in (path, generated):
         again = tmp_path / "again.csv"
-        write_trials(again, read_trials(source).trials, "e2")
+        write_trials(again, read_trials(source), "e2")
         assert again.read_bytes() == source.read_bytes()
 
 
 def test_write_keeps_fresh_specs_apart(tmp_path):
-    # each trial brings a new spec object, freed once written; the row
-    # prefix cache must not hand a freed spec's prefix to a later one
-    def trials():
-        for i in range(200):
-            yield Trial(TaskSpec(F=3.0, W=5.0, A=float(i % 7),
-                                 theta=-0.0 if i % 2 else 0.0), 1.0 + i / 64, i % 3 > 0)
+    # specs equal but for the sign of a zero sit at separate task_index
+    # entries; each keeps its own row prefix, so the signs read back
+    tasks = tuple(TaskSpec(F=3.0, W=5.0, A=float(a), theta=theta)
+                  for theta in (0.0, -0.0) for a in range(7))
+    rows = range(200)  # row i: A = i % 7, theta = -0.0 for odd i
+    log = TrialLog(tasks, tuple(7 * (i % 2) + i % 7 for i in rows),
+                   tuple(1.0 + i / 64 for i in rows), tuple(i % 3 > 0 for i in rows))
+    path = tmp_path / "zeros.csv"
+    write_trials(path, log, "e1")
+    read = read_trials(path)
+    assert (read.mt, read.success) == (log.mt, log.success)
+    assert [(t.task.A, math.copysign(1.0, t.task.theta)) for t in read.trials] \
+        == [(float(i % 7), -1.0 if i % 2 else 1.0) for i in rows]
 
-    streamed, listed = tmp_path / "streamed.csv", tmp_path / "listed.csv"
-    write_trials(streamed, trials(), "e1")
-    write_trials(listed, list(trials()), "e1")
-    assert streamed.read_bytes() == listed.read_bytes()
-    log = read_trials(streamed)
-    assert [(t.task.A, math.copysign(1.0, t.task.theta)) for t in log.trials] \
-        == [(float(i % 7), -1.0 if i % 2 else 1.0) for i in range(200)]
 
-
-def test_mixed_rows_yield_none_summary(tmp_path):
+def test_mixed_rows_read_as_one_log(tmp_path):
     path = tmp_path / "mixed.csv"
     _write(path, TRIAL_CSV_HEADER,
            "e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0,1.5,1",
            "e2,manipulation,5.0,5.0,12.0,0.0,15.0,0.0,0.0,1.5,1")
     log = read_trials(path)
     assert len(log.trials) == 2
-    assert log.experiment is None and log.interaction is None
+    assert [t.interaction for t in log.tasks] == [POINT, MANIP]
 
 
 def test_error_trial_row_allows_timeout(tmp_path):
