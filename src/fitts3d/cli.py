@@ -19,8 +19,8 @@ from .metrics import MODEL_ORDER, ModelKind
 from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, build_comparison_report,
                      render_comparison, render_document, render_stepwise)
 from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
-from .tasks import (STEPWISE_CANDIDATES, InteractionKind, classify_rotation,
-                    classify_translation)
+from .tasks import (STEPWISE_CANDIDATES, InteractionKind, check_candidates,
+                    classify_rotation, classify_translation)
 from .trial_io import POSE_CSV_HEADER, read_poses, read_trials, write_trials
 
 _EXPERIMENTS = tuple(e.value for e in Experiment)
@@ -58,18 +58,10 @@ def _parse_models(spec: str):
 
 
 def _parse_candidates(spec: str):
-    names = [t.strip() for t in spec.split(",") if t.strip()]
-    if not names:
-        raise _UsageError("no candidate variables given")
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise _UsageError(f"duplicate candidate names: {', '.join(dupes)}")
-    unknown = [n for n in names if n not in STEPWISE_CANDIDATES]
-    if unknown:
-        raise _UsageError(
-            f"unknown candidates: {', '.join(unknown)}; "
-            f"choose from {', '.join(STEPWISE_CANDIDATES)}")
-    return tuple(names)
+    try:
+        return check_candidates(t.strip() for t in spec.split(",") if t.strip())
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_generate(args) -> int:

@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
                      InvalidNesting, RankDeficient)
-from .metrics import MODEL_ORDER, ModelKind, predictor_names, predictors_for
+from .metrics import (MODEL_ORDER, ModelKind, _sin_deg, predictor_names,
+                      predictors_for)
 from .special import f_sf
-from .tasks import STEPWISE_CANDIDATES
+from .tasks import STEPWISE_CANDIDATES, check_candidates
 from .trial_io import TrialLog, _log_terms
 
 RANK_TOL = 1e-10
@@ -387,22 +388,15 @@ def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
     """Design matrix of raw task variables plus the response vector of
     a ConditionTable, for stepwise selection.
 
-    Candidates come from {F, W, A, phi, theta, alpha, omega}; phi is
-    encoded as sin(phi) under the column name "sin_phi".
+    Candidates come from {F, W, A, phi, theta, alpha, omega}, checked by
+    tasks.check_candidates; phi is encoded as sin(phi) under the column
+    name "sin_phi".
     """
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("duplicate candidate names")
-    unknown = set(candidates) - set(STEPWISE_CANDIDATES)
-    if unknown:
-        raise ValueError(f"unknown candidates: {sorted(unknown)}")
     cols, names = [], []
-    for cand in candidates:
+    for cand in check_candidates(candidates):
         if cand == "phi":
             names.append("sin_phi")
-            cols.append([math.sin(math.radians(t.phi)) for t in table.tasks])
+            cols.append([_sin_deg(t.phi) for t in table.tasks])
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in table.tasks])

@@ -12,8 +12,8 @@ dump of the rest. Each distinct finite float of a column is formatted
 once with float.__repr__, the encoder's own form, and kept for every
 model of the document; a column holding a zero or an int takes repr per
 value, since 0.0 and -0.0, or 1 and 1.0, are one key but two texts.
-Other points stay in the indent=2 dump, and a value that is not finite
-sends the whole document to json.dumps(doc, indent=2) itself. Every
+Any other points, such as rows of unequal length, or a value that is
+not finite send the whole document to json.dumps(doc, indent=2). Every
 dump passes allow_nan=False, so a document holding an infinity or NaN
 raises ValueError, naming the first in document order, instead of
 becoming JSON that report rejects.
@@ -161,27 +161,19 @@ _POINTS_CLOSE = "\n" + 8 * " " + "]\n" + 6 * " " + "]"
 _PLACEHOLDER = "\x00fitts3d.points.{}\x00"
 
 
-def _point_columns(points) -> list | None:
-    """The columns of canonical points, each with the set of its value
-    types, or None for any other points. Canonical points are a non-empty
-    list of non-empty lists of one length, holding exact ints and floats:
-    the points whose indent=2 layout _encode_points reproduces."""
+def _encode_points(points, reprs: dict) -> str | None:
+    """A model's points laid out as json.dumps(doc, indent=2) lays them
+    out at depth 3, or None unless they are canonical: a non-empty list of
+    non-empty lists of one length, holding finite ints and floats; each
+    column's types and finiteness are checked as it is encoded. reprs maps
+    each float already formatted to its float.__repr__ text; only a column
+    of floats without a zero reads it."""
     if (type(points) is not list or set(map(type, points)) != {list}
             or set(map(len, points)) != {len(points[0])} or not points[0]):
         return None
-    columns = [(column, set(map(type, column))) for column in zip(*points)]
-    if not all(types <= {int, float} for _, types in columns):
-        return None
-    return columns
-
-
-def _encode_points(columns: list, reprs: dict) -> str | None:
-    """Canonical points, as _point_columns gives them, laid out as
-    json.dumps(doc, indent=2) lays them out at depth 3; None if a value is
-    not finite. reprs maps each float already formatted to its
-    float.__repr__ text; only a column of floats without a zero reads it."""
     encoded = []
-    for column, types in columns:
+    for column in zip(*points):
+        types = set(map(type, column))
         distinct = set(column)
         if types == {float} and 0.0 not in distinct:
             new = distinct.difference(reprs)
@@ -189,7 +181,7 @@ def _encode_points(columns: list, reprs: dict) -> str | None:
                 return None
             reprs.update(zip(new, map(float.__repr__, new)))
             encoded.append(map(reprs.__getitem__, column))
-        elif all(map(_is_finite, distinct)):
+        elif types <= {int, float} and all(map(_is_finite, distinct)):
             encoded.append(map(repr, column))
         else:
             return None
@@ -198,19 +190,18 @@ def _encode_points(columns: list, reprs: dict) -> str | None:
 
 
 def _dump_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2), byte for byte. Each model's canonical
-    points become a placeholder string in an indent=2 dump of the rest;
-    the splice is taken only if the rest dumps, each placeholder occurs
-    there once and every model's points could be encoded."""
+    """json.dumps(doc, indent=2), byte for byte. Each model's points that
+    are a non-empty list become a placeholder string in an indent=2 dump
+    of the rest; the splice is taken only if the rest dumps, each
+    placeholder occurs there once and every model's points are canonical."""
     models = doc.get("models")
     if isinstance(models, list):
-        spliced = {}  # encoded placeholder -> point columns
+        spliced = {}  # encoded placeholder -> points
         shallow = []
         for i, m in enumerate(models):
-            columns = _point_columns(m.get("points")) if isinstance(m, dict) else None
-            if columns is not None:
+            if isinstance(m, dict) and type(m.get("points")) is list and m["points"]:
                 token = _PLACEHOLDER.format(i)
-                spliced[json.dumps(token)] = columns
+                spliced[json.dumps(token)] = m["points"]
                 m = dict(m, points=token)
             shallow.append(m)
         if spliced:
@@ -222,8 +213,8 @@ def _dump_json(doc: dict) -> str:
             if all(rest.count(token) == 1 for token in spliced):
                 reprs = {}  # shared by every model: mt is the same in each
                 parts = []
-                for token, columns in spliced.items():
-                    encoded = _encode_points(columns, reprs)
+                for token, points in spliced.items():
+                    encoded = _encode_points(points, reprs)
                     if encoded is None:
                         break
                     head, _, rest = rest.partition(token)

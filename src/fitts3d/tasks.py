@@ -141,6 +141,22 @@ class TaskSpec:
 STEPWISE_CANDIDATES = CONDITION_FIELDS
 
 
+def check_candidates(names) -> tuple:
+    """names as a tuple; raises ValueError unless they are nonempty,
+    distinct and each one of STEPWISE_CANDIDATES."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("no candidate variables given")
+    if len(set(names)) != len(names):
+        dupes = sorted({str(n) for n in names if names.count(n) > 1})
+        raise ValueError(f"duplicate candidate names: {', '.join(dupes)}")
+    unknown = [str(n) for n in names if n not in STEPWISE_CANDIDATES]
+    if unknown:
+        raise ValueError(f"unknown candidates: {', '.join(unknown)}; "
+                         f"choose from {', '.join(STEPWISE_CANDIDATES)}")
+    return names
+
+
 @dataclass(frozen=True)
 class Trial:
     """One observed movement: the condition, the time and the outcome.

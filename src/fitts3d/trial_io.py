@@ -51,14 +51,18 @@ class TrialLog:
     distinct set of interaction and condition tokens, in first-appearance
     order, so rows written "0.0" and "-0.0" keep distinct specs.
     task_index, mt and success hold one entry per data row: the index of
-    its spec in tasks, its movement time and its outcome. len() is the
-    number of rows.
+    its spec in tasks, its movement time and its outcome, so the three
+    must have one length. len() is the number of rows.
     """
 
     tasks: tuple[TaskSpec, ...]
     task_index: tuple[int, ...]
     mt: tuple[float, ...]
     success: tuple[bool, ...]
+
+    def __post_init__(self):
+        if not len(self.task_index) == len(self.mt) == len(self.success):
+            raise ValueError("task_index, mt and success must have one length")
 
     def __len__(self) -> int:
         return len(self.task_index)

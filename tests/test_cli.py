@@ -375,6 +375,19 @@ def test_unknown_model_is_exit_2(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", [(), ("A", "A"), ("F", "bogus")])
+def test_condition_matrix_raises_the_cli_candidate_message(tmp_path, capsys, names):
+    from fitts3d import ConditionTable, condition_matrix
+
+    path, _ = _generate(tmp_path, capsys, experiment="e1")
+    assert main(["stepwise", str(path), "--candidates", ",".join(names)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.endswith("\n")
+    with pytest.raises(ValueError) as raised:
+        condition_matrix(ConditionTable(read_trials(path)), names)
+    assert str(raised.value) == err[len("usage error: "):-1]
+
+
 def test_duplicate_candidates_is_exit_2(tmp_path, capsys):
     path, _ = _generate(tmp_path, capsys, experiment="e1")
     rc = main(["stepwise", str(path), "--candidates", "A,A,W"])

@@ -355,7 +355,7 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
 
 @pytest.mark.parametrize("points,canonical", [
     ([[1, 2.5], [-0.0, 3]], True),
-    ([[math.nan, math.inf, 1e-300]], True),
+    ([[math.nan, math.inf, 1e-300]], False),  # not finite
     (None, False),
     ([], False),
     ([[]], False),
@@ -368,7 +368,7 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
     ([[1.0], [1.0, 2.0]], False),
 ])
 def test_canonical_points(points, canonical):
-    assert (report_module._point_columns(points) is not None) is canonical
+    assert (report_module._encode_points(points, {}) is not None) is canonical
 
 
 # text that holds, or nearly holds, the splice placeholders

@@ -67,6 +67,11 @@ def test_derive_stream_seed():
     assert derive_stream_seed(12345, 3) == derive_stream_seed(12345, 3)
 
 
+def test_derive_stream_seed_rejects_negative_index():
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        derive_stream_seed(0, -1)
+
+
 def _stepped_stream_seed(master_seed, index):
     """The (index + 1)-th splitmix64 output, stepped to one by one."""
     state = master_seed

@@ -1,9 +1,15 @@
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
-from fitts3d import DomainError, f_cdf, f_sf, regularized_incomplete_beta
+from fitts3d import (ConvergenceError, DomainError, f_cdf, f_sf,
+                     regularized_incomplete_beta)
+from fitts3d import special
+from fitts3d.special import _EPS, _MAX_ITER, _TINY
 
 
 def _f_density(x, d1, d2):
@@ -91,3 +97,73 @@ def test_f_tail_error_within_documented_bound(df2):
         for x in (0.1, 0.5, 0.9, 2.0, 5.0):
             assert abs(f_sf(x, df1, df2) - stats.f.sf(x, df1, df2)) <= bound, (df1, x)
             assert abs(f_cdf(x, df1, df2) - stats.f.cdf(x, df1, df2)) <= bound, (df1, x)
+
+
+def _unrolled_beta_cf(a: float, b: float, x: float) -> float:
+    # the continued fraction with its even and odd half-steps written out,
+    # kept verbatim as the oracle for special._beta_cf
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise ConvergenceError(
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def _beta_outcome(a, b, x):
+    """I_x(a, b) as its exact bits, or the error it raises."""
+    try:
+        return regularized_incomplete_beta(a, b, x).hex()
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+_SHAPE = st.one_of(st.floats(0.5, 5e6),
+                   st.sampled_from([0.5, 1.0, 2.5, 2350.0, 5e6]))
+
+
+@given(a=_SHAPE, b=_SHAPE, x=st.floats(0.0, 1.0))
+@example(a=5e6, b=5e6, x=0.5)  # does not converge
+@example(a=0.5, b=0.5, x=0.2)
+def test_beta_cf_equals_the_unrolled_oracle(a, b, x):
+    # x itself, and both sides of the switch to the symmetric fraction
+    switch = (a + 1.0) / (a + b + 2.0)
+    for x in (x, switch, math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)):
+        got = _beta_outcome(a, b, x)
+        with mock.patch.object(special, "_beta_cf", _unrolled_beta_cf):
+            assert _beta_outcome(a, b, x) == got, (a, b, x)
+
+
+def test_f_tail_reports_a_fraction_that_does_not_converge():
+    # a = b = 5e6 at x = 0.5 needs more than _MAX_ITER terms
+    with pytest.raises(ConvergenceError, match=r"did not converge \(a=5000000\.0, "
+                       r"b=5000000\.0, x=0\.5\)"):
+        f_sf(1.0, 1e7, 1e7)

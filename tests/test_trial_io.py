@@ -193,6 +193,13 @@ def test_write_keeps_fresh_specs_apart(tmp_path):
         == [(float(i % 7), -1.0 if i % 2 else 1.0) for i in rows]
 
 
+def test_log_columns_must_have_one_length():
+    a, b = TaskSpec(F=3.0, W=5.0, A=12.0), TaskSpec(F=3.0, W=5.0, A=24.0)
+    with pytest.raises(ValueError, match="must have one length"):
+        TrialLog((a, b), (0, 1, 1), (1.0, 2.0), (True, True, True))
+    assert len(TrialLog((a, b), (0, 1, 1), (1.0, 2.0, 3.0), (True, True, False))) == 3
+
+
 def test_mixed_rows_read_as_one_log(tmp_path):
     path = tmp_path / "mixed.csv"
     _write(path, TRIAL_CSV_HEADER,
