@@ -14,7 +14,10 @@ A log is held as columns (TrialLog): one TaskSpec per distinct
 condition, and per row the index of its condition, its movement time
 and its outcome. generate_trials returns this shape, write_trials writes
 it, read_trials returns it and ConditionTable groups it; TrialLog.trials
-builds Trial objects only when a caller asks.
+builds Trial objects only when a caller asks. read_trials checks each
+distinct row prefix (experiment, interaction and condition tokens) once
+and parses mt_s and success on every row; a bad row gets the same error
+text, line and column whether its prefix was seen before or not.
 """
 
 import math
@@ -129,49 +132,56 @@ def _read_lines(path, expected_header: str):
 
 
 def read_trials(path) -> TrialLog:
-    """Parse a trial log, validating every row.
+    """Parse a trial log, validating every row: each distinct row prefix
+    once, when first seen, and mt_s and success on every row.
 
     Raises SchemaError for a bad header and ParseError (with the
     1-based line number) for the first malformed row. A valid file with
     zero rows returns an empty log, which ConditionTable rejects.
     """
     lines = _read_lines(path, TRIAL_CSV_HEADER)
-    # one TaskSpec per condition, keyed on the raw interaction and
-    # condition tokens (not on parsed floats, which would merge -0.0
-    # with 0.0). index maps a key to (its position in tasks, its timeout)
-    index, tasks = {}, []
+    # prefixes (row prefix) and specs (raw interaction and condition tokens, not
+    # floats, which merge -0.0 with 0.0) map to (position in tasks, timeout)
+    prefixes, specs, tasks = {}, {}, []
     task_index, mts, successes = [], [], []
     for line_no, raw in enumerate(lines[1:], start=2):
-        row = raw.rstrip("\r").split(",")
-        if len(row) != len(TRIAL_COLUMNS):
-            raise ParseError(line_no,
-                             f"expected {len(TRIAL_COLUMNS)} fields, got {len(row)}")
-        if row[0] not in _EXPERIMENT_IDS:
-            raise ParseError(line_no, f"unknown experiment {row[0]!r}",
-                             column="experiment")
-        key = tuple(row[1:9])
-        known = index.get(key)
+        head = raw.rstrip("\r").rsplit(",", 2)  # a known prefix has 9 fields
+        known = prefixes.get(head[0])
         if known is None:
-            try:
-                interaction = InteractionKind(row[1])
-            except ValueError:
-                raise ParseError(line_no, f"unknown interaction {row[1]!r}",
-                                 column="interaction") from None
-            values = [_parse_float(token, line_no, col)
-                      for col, token in zip(_CONDITION_COLUMNS, row[2:9])]
-        mt = _parse_float(row[9], line_no, "mt_s")
-        if mt <= 0:
+            row = raw.rstrip("\r").split(",")
+            if len(row) != len(TRIAL_COLUMNS):
+                raise ParseError(line_no,
+                                 f"expected {len(TRIAL_COLUMNS)} fields, got {len(row)}")
+            if row[0] not in _EXPERIMENT_IDS:
+                raise ParseError(line_no, f"unknown experiment {row[0]!r}",
+                                 column="experiment")
+            key = tuple(row[1:9])
+            known = prefixes[head[0]] = specs.get(key)  # None until made below
+            if known is None:
+                try:
+                    interaction = InteractionKind(row[1])
+                except ValueError:
+                    raise ParseError(line_no, f"unknown interaction {row[1]!r}",
+                                     column="interaction") from None
+                values = [_parse_float(token, line_no, col)
+                          for col, token in zip(_CONDITION_COLUMNS, row[2:9])]
+        try:
+            mt = float(head[1])
+        except ValueError:
+            mt = math.nan
+        if not 0.0 < mt < math.inf:
+            _parse_float(head[1], line_no, "mt_s")  # raises unless finite
             raise ParseError(line_no, "mt_s must be > 0", column="mt_s")
-        if row[10] not in ("0", "1"):
-            raise ParseError(line_no, f"success must be 0 or 1, got {row[10]!r}",
+        success = head[2] == "1"
+        if not success and head[2] != "0":
+            raise ParseError(line_no, f"success must be 0 or 1, got {head[2]!r}",
                              column="success")
-        success = row[10] == "1"
         if known is None:
             try:
                 task = TaskSpec(*values, interaction=interaction)
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
-            known = index[key] = len(tasks), task.interaction.timeout_s
+            known = prefixes[head[0]] = specs[key] = len(tasks), interaction.timeout_s
             tasks.append(task)
         k, timeout_s = known
         if success and mt > timeout_s:
