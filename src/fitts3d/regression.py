@@ -14,6 +14,16 @@ successful trials (aggregate).
 Predictors are evaluated once per distinct condition and expanded to one
 row per observation, the design a per-trial evaluation would build, so
 the fits are identical to it.
+
+stepwise screens its candidates on the design's distinct rows when rows
+repeat: rows sharing a design row pool into their count, mean and pure
+error, and least squares on the rows becomes weighted least squares on
+the pooled rows (Draper & Smith, lack of fit). Only the step each scan
+chooses is refitted on the rows, so every reported F, p and r^2 is the
+per-row number. A scan whose pooled decision is not clear of its flip
+points by a relative margin of 1e-6 on each p-value screens on the rows
+instead (see stepwise). The p-value tie rule is absolute: every p below
+1e-12 ties, and the earliest such column enters whatever its F.
 """
 
 import math
@@ -30,12 +40,22 @@ from .tasks import STEPWISE_CANDIDATES, check_candidates
 from .trial_io import TrialLog, _log_terms
 
 RANK_TOL = 1e-10
+_RANK_DEFICIENT = "design matrix is rank deficient (collinear or constant columns)"
 
 # p-values closer than this are a tie, resolved by column order
 _P_TIE_TOL = 1e-12
 
 _ENTER_P = 0.05
 _REMOVE_P = 0.10
+
+# a pooled stepwise screen vouches for a decision only when each p-value
+# could be off by _MARGIN relative without flipping it; the largest gap
+# measured on the published cells is ~5e-11 (tests/test_stepwise_pool.py)
+_MARGIN = 1e-6
+# below this F, p = 1 - O(sqrt(F)) moves by O(sqrt(dF)) for an error dF
+_F_FLOOR = 1e-4
+# a residual sum of squares at most this share of y @ y is all rounding
+_NEAR_ZERO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,8 +131,7 @@ def ols_fit(X: DesignMatrix, y) -> ModelFit:
     M = np.column_stack([np.ones(n), X.values])
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s[0] <= 0 or np.any(s < RANK_TOL * s[0]):
-        raise RankDeficient(
-            "design matrix is rank deficient (collinear or constant columns)")
+        raise RankDeficient(_RANK_DEFICIENT)
     beta = Vt.T @ ((U.T @ yarr) / s)
     residuals = yarr - M @ beta
     ss_res = float(residuals @ residuals)
@@ -185,6 +204,160 @@ class StepwiseReport:
     hit_round_cap: bool = False  # stopped at max_rounds, still changing
 
 
+class _Unsure(Exception):
+    """A pooled screen cannot vouch for the decision the rows would make."""
+
+
+class _Pool:
+    """The rows of a design grouped by equal design rows.
+
+    Least squares on the rows is weighted least squares on the groups:
+    the residual sum of squares is the pure error (each row's squared
+    deviation from its group mean, summed in two passes) plus the
+    residual sum of squares of the group means, each weighted by its
+    group's row count. n and the residual degrees of freedom still count
+    rows. fit caches its fits by predictor names.
+    """
+
+    def __init__(self, names, y, rows, inverse, counts):
+        self.n = len(y)
+        self.counts = counts
+        self.inverse = inverse
+        means = np.bincount(inverse, weights=y) / counts
+        dev = y - means[inverse]
+        self.pure_error = np.bincount(inverse, weights=dev * dev)
+        self._pure_error = float(self.pure_error.sum())
+        root = np.sqrt(counts)
+        self._columns = {name: j + 1 for j, name in enumerate(names)}
+        # a constant column is a multiple of the intercept in every fit
+        self._constant = {name for name, constant
+                          in zip(names, (rows == rows[0]).all(axis=0)) if constant}
+        self._design = root[:, None] * np.column_stack([np.ones(len(counts)), rows])
+        self._response = root * means
+        self._scale = float(y @ y)
+        self.ss_tot = float(np.sum((y - y.mean()) ** 2))
+        self._fits = {}
+
+    def fit(self, names) -> ModelFit:
+        """The weighted fit of the named predictors, as ols_fit would
+        give it on the rows but for rounding. Raises InsufficientData and
+        RankDeficient as ols_fit does, and _Unsure when the singular-value
+        ratio is within 10x of RANK_TOL or the residual sum of squares is
+        not above 1e-6 of y @ y, where the rows might decide otherwise."""
+        names = tuple(names)
+        fit = self._fits.get(names)
+        if fit is None:
+            fit = self._fits[names] = self._fit(names)
+        return fit
+
+    def _fit(self, names):
+        if self.n <= len(names):
+            raise InsufficientData(
+                f"{self.n} rows cannot identify {len(names)} slopes plus an intercept")
+        if not self._constant.isdisjoint(names):
+            raise RankDeficient(_RANK_DEFICIENT)
+        W = self._design[:, [0] + [self._columns[name] for name in names]]
+        U, s, Vt = np.linalg.svd(W, full_matrices=False)
+        ratio = s[-1] / s[0] if len(s) == W.shape[1] else 0.0
+        if ratio < RANK_TOL / 10:
+            raise RankDeficient(_RANK_DEFICIENT)
+        if ratio < RANK_TOL * 10:
+            raise _Unsure
+        beta = Vt.T @ ((U.T @ self._response) / s)
+        residuals = self._response - W @ beta
+        ss_res = self._pure_error + float(residuals @ residuals)
+        if ss_res <= _NEAR_ZERO * self._scale:
+            raise _Unsure
+        coefficients = {"intercept": float(beta[0])}
+        for name, b in zip(names, beta[1:]):
+            coefficients[name] = float(b)
+        return ModelFit(predictor_names=names, coefficients=coefficients,
+                        r2=1.0 - ss_res / self.ss_tot, n=self.n, ss_res=ss_res,
+                        ss_tot=self.ss_tot)
+
+
+def _row_keys(values):
+    """A 64-bit hash of each row's bytes. Each word's high half, where a
+    float keeps its exponent and leading digits, is folded into its low
+    half before the multiply carries it upward."""
+    key = np.zeros(len(values), dtype=np.uint64)
+    for word in values.view(np.uint64).T:
+        key ^= word ^ (word >> np.uint64(32))
+        key *= np.uint64(0x9E3779B97F4A7C15)  # wraps around
+    return key
+
+
+def _pool(X: DesignMatrix, y):
+    """A _Pool of X's rows, or None when no design row repeats or when
+    unequal rows share a key, which is not worth resolving.
+
+    A design whose first row occurs once, such as a table of condition
+    means, is taken to have no repeats and is neither hashed nor sorted:
+    a per-trial log repeats every condition, and hashing and sorting page
+    in ~0.3 MB of numpy code that a short-lived CLI process would carry.
+    """
+    n, p = X.values.shape
+    if p == 0 or np.sum(np.all(X.values == X.values[0], axis=1)) < 2:
+        return None
+    _, first, inverse, counts = np.unique(
+        _row_keys(X.values), return_index=True, return_inverse=True,
+        return_counts=True)
+    rows = X.values[first]
+    if len(counts) == n or not np.array_equal(rows.take(inverse, axis=0), X.values):
+        return None
+    return _Pool(X.names, y, rows, inverse, counts)
+
+
+def _below(a, b, size, pooled):
+    """a < b. A pooled screen raises _Unsure when a and b are closer
+    than _MARGIN * size, so a p-value off by _MARGIN relative could
+    flip the answer."""
+    if pooled and abs(a - b) <= _MARGIN * size:
+        raise _Unsure
+    return a < b
+
+
+def _screen(names, fit, current, included, entering, pooled=False):
+    """One entry or removal scan over names; returns the chosen
+    (p, F, name, fit) or None.
+
+    fit maps predictor names to a ModelFit; current is the fit of
+    included. Entering, it picks the smallest p below 0.05 among the
+    candidates that leave a full-rank fit with residual degrees of
+    freedom; removing, the largest p above 0.10. A p within _P_TIE_TOL
+    of the best so far does not displace it. pooled makes every
+    comparison raise _Unsure unless it clears its flip point by _MARGIN
+    relative on each p; a comparison of two p-values also does so when
+    either F is below _F_FLOOR.
+    """
+    best = None
+    for name in names:
+        if entering:
+            try:
+                cand = fit(included + [name])
+                f_stat, p = partial_f_test(cand, current)
+            except (RankDeficient, InsufficientData):
+                continue
+        else:
+            cand = fit([m for m in included if m != name])
+            f_stat, p = partial_f_test(current, cand)
+        # a removal reads as an entry with each p negated: -p < -0.10,
+        # and -p < -worst - tol in place of p > worst + tol
+        q = p if entering else -p
+        if not _below(q, _ENTER_P if entering else -_REMOVE_P, abs(q), pooled):
+            continue
+        if best is not None:
+            if pooled and min(f_stat, best[1]) < _F_FLOOR:
+                raise _Unsure
+            if not _below(q, best[0] - _P_TIE_TOL, abs(q) + abs(best[0]), pooled):
+                continue
+        best = (q, f_stat, name, cand)
+    if best is None:
+        return None
+    q, f_stat, name, cand = best
+    return (q if entering else -q), f_stat, name, cand
+
+
 def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     """Bidirectional stepwise selection over the columns of X.
 
@@ -195,35 +368,54 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     fit no residual degrees of freedom are skipped. A step whose fit has
     zero residual variance reports F = inf and p = 0, which JSON output
     refuses.
-    Ties within 1e-12 go to the earlier column. Stops when a round
-    changes nothing, or after 4 * len(X.names) + 8 rounds, which sets
-    hit_round_cap.
+    Ties within 1e-12 go to the earlier column. The tolerance is
+    absolute, so every p-value below 1e-12 ties and the earliest such
+    column enters, whatever its F. Stops when a round changes nothing,
+    or after 4 * len(X.names) + 8 rounds, which sets hit_round_cap.
+
+    When design rows repeat, as in a per-trial log (a design whose first
+    row occurs once is taken to have none), each scan first screens the
+    candidates on weighted least squares over the distinct design rows,
+    then refits only the chosen step on the rows, so every reported F,
+    p and r^2 is the per-row number. A scan whose pooled decision could
+    differ from the rows' screens on the rows instead: a comparison
+    within 1e-6 relative on a p-value of its flip point (0.05, 0.10 or
+    another p-value -/+ 1e-12), two p-values compared at an F below
+    1e-4, a singular-value ratio within 10x of RANK_TOL, or a residual
+    sum of squares not above 1e-6 of y @ y.
     """
     yarr = np.asarray(y, dtype=float)
     intercept_only = ols_fit(DesignMatrix((), np.empty((yarr.shape[0], 0))), yarr)
     if intercept_only.degenerate_variance:
         return StepwiseReport((), (), {}, 0.0, intercept_only)
 
+    pool = _pool(X, yarr)
     included: list[str] = []
     current = intercept_only
     steps: list[StepwiseStep] = []
     entry_gain: dict[str, tuple[float, float]] = {}
     max_rounds = 4 * len(X.names) + 8  # guards against enter/remove cycles
 
+    def on_rows(names):
+        return ols_fit(X.subset(names), yarr)
+
+    def choose(entering):
+        names = ([n for n in X.names if n not in included] if entering
+                 else list(included))
+        if pool is not None:
+            try:
+                pick = _screen(names, pool.fit, pool.fit(included), included,
+                               entering, pooled=True)
+            except (_Unsure, RankDeficient):
+                pass  # screen every candidate on the rows
+            else:
+                names = [pick[2]] if pick else []
+        return _screen(names, on_rows, current, included, entering)
+
     for _ in range(max_rounds):
         changed = False
 
-        best = None
-        for name in X.names:
-            if name in included:
-                continue
-            try:
-                cand = ols_fit(X.subset(included + [name]), yarr)
-                f_stat, p = partial_f_test(cand, current)
-            except (RankDeficient, InsufficientData):
-                continue
-            if p < _ENTER_P and (best is None or p < best[0] - _P_TIE_TOL):
-                best = (p, f_stat, name, cand)
+        best = choose(entering=True)
         if best is not None:
             p, f_stat, name, cand = best
             before = current.r2
@@ -234,13 +426,7 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
             changed = True
 
         while included:
-            worst = None
-            for name in included:
-                reduced = ols_fit(
-                    X.subset([m for m in included if m != name]), yarr)
-                f_stat, p = partial_f_test(current, reduced)
-                if p > _REMOVE_P and (worst is None or p > worst[0] + _P_TIE_TOL):
-                    worst = (p, f_stat, name, reduced)
+            worst = choose(entering=False)
             if worst is None:
                 break
             p, f_stat, name, reduced = worst
