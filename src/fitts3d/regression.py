@@ -15,19 +15,20 @@ Predictors are evaluated once per distinct condition and expanded to one
 row per observation, the design a per-trial evaluation would build, so
 the fits are identical to it.
 
-stepwise screens its candidates on the design's distinct rows when rows
-repeat: rows sharing a design row pool into their count, mean and pure
-error, and least squares on the rows becomes weighted least squares on
-the pooled rows (Draper & Smith, lack of fit). Only the step each scan
-chooses is refitted on the rows, so every reported F, p and r^2 is the
-per-row number. A scan whose pooled decision is not clear of its flip
-points by a relative margin of 1e-6 on each p-value screens on the rows
-instead (see stepwise). The p-value tie rule is absolute: every p below
-1e-12 ties, and the earliest such column enters whatever its F.
+stepwise screens its candidates on the table's conditions when it is
+given condition_matrix's design over a per-trial table: the rows of each
+condition pool into their count, mean and pure error, and least squares
+on the rows becomes weighted least squares on the conditions (Draper &
+Smith, lack of fit). Other designs screen on the rows. Only the step
+each scan chooses is refitted on the rows, so every reported F, p and
+r^2 is the per-row number. A scan whose pooled decision is not clear of
+its flip points by a relative margin of 1e-6 on each p-value screens on
+the rows instead (see stepwise). The p-value tie rule is absolute: every
+p below 1e-12 ties, and the earliest such column enters whatever its F.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class DesignMatrix:
 
     names: tuple[str, ...]
     values: np.ndarray
+    # (one row per condition, each row's condition) when _expand built
+    # the design from a ConditionTable; stepwise pools on it
+    _grouping: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         names = tuple(str(n) for n in self.names)
@@ -209,30 +214,31 @@ class _Unsure(Exception):
 
 
 class _Pool:
-    """The rows of a design grouped by equal design rows.
+    """The rows of a design grouped by condition.
 
-    Least squares on the rows is weighted least squares on the groups:
-    the residual sum of squares is the pure error (each row's squared
-    deviation from its group mean, summed in two passes) plus the
-    residual sum of squares of the group means, each weighted by its
-    group's row count. n and the residual degrees of freedom still count
-    rows. fit caches its fits by predictor names.
+    values holds one design row per condition and rows each response
+    row's condition; counts is each condition's row count. Least squares
+    on the rows is weighted least squares on the conditions: the
+    residual sum of squares is the pure error (each row's squared
+    deviation from its condition's mean, summed in two passes) plus the
+    residual sum of squares of the condition means, each weighted by its
+    condition's row count. n and the residual degrees of freedom still
+    count rows. fit caches its fits by predictor names.
     """
 
-    def __init__(self, names, y, rows, inverse, counts):
+    def __init__(self, names, y, values, rows):
         self.n = len(y)
-        self.counts = counts
-        self.inverse = inverse
-        means = np.bincount(inverse, weights=y) / counts
-        dev = y - means[inverse]
-        self.pure_error = np.bincount(inverse, weights=dev * dev)
+        self.counts = counts = np.bincount(rows)
+        means = np.bincount(rows, weights=y) / counts
+        dev = y - means[rows]
+        self.pure_error = np.bincount(rows, weights=dev * dev)
         self._pure_error = float(self.pure_error.sum())
         root = np.sqrt(counts)
         self._columns = {name: j + 1 for j, name in enumerate(names)}
         # a constant column is a multiple of the intercept in every fit
         self._constant = {name for name, constant
-                          in zip(names, (rows == rows[0]).all(axis=0)) if constant}
-        self._design = root[:, None] * np.column_stack([np.ones(len(counts)), rows])
+                          in zip(names, (values == values[0]).all(axis=0)) if constant}
+        self._design = root[:, None] * np.column_stack([np.ones(len(counts)), values])
         self._response = root * means
         self._scale = float(y @ y)
         self.ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -276,36 +282,16 @@ class _Pool:
                         ss_tot=self.ss_tot)
 
 
-def _row_keys(values):
-    """A 64-bit hash of each row's bytes. Each word's high half, where a
-    float keeps its exponent and leading digits, is folded into its low
-    half before the multiply carries it upward."""
-    key = np.zeros(len(values), dtype=np.uint64)
-    for word in values.view(np.uint64).T:
-        key ^= word ^ (word >> np.uint64(32))
-        key *= np.uint64(0x9E3779B97F4A7C15)  # wraps around
-    return key
-
-
 def _pool(X: DesignMatrix, y):
-    """A _Pool of X's rows, or None when no design row repeats or when
-    unequal rows share a key, which is not worth resolving.
-
-    A design whose first row occurs once, such as a table of condition
-    means, is taken to have no repeats and is neither hashed nor sorted:
-    a per-trial log repeats every condition, and hashing and sorting page
-    in ~0.3 MB of numpy code that a short-lived CLI process would carry.
-    """
-    n, p = X.values.shape
-    if p == 0 or np.sum(np.all(X.values == X.values[0], axis=1)) < 2:
+    """A _Pool of X's rows grouped by condition, or None when X records
+    no grouping (it was not built by _expand) or when every condition has
+    one row, as in an aggregate table."""
+    if X._grouping is None:
         return None
-    _, first, inverse, counts = np.unique(
-        _row_keys(X.values), return_index=True, return_inverse=True,
-        return_counts=True)
-    rows = X.values[first]
-    if len(counts) == n or not np.array_equal(rows.take(inverse, axis=0), X.values):
+    values, rows = X._grouping
+    if len(rows) == len(values):
         return None
-    return _Pool(X.names, y, rows, inverse, counts)
+    return _Pool(X.names, y, values, rows)
 
 
 def _below(a, b, size, pooled):
@@ -373,19 +359,21 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     column enters, whatever its F. Stops when a round changes nothing,
     or after 4 * len(X.names) + 8 rounds, which sets hit_round_cap.
 
-    When design rows repeat, as in a per-trial log (a design whose first
-    row occurs once is taken to have none), each scan first screens the
-    candidates on weighted least squares over the distinct design rows,
-    then refits only the chosen step on the rows, so every reported F,
-    p and r^2 is the per-row number. A scan whose pooled decision could
-    differ from the rows' screens on the rows instead: a comparison
-    within 1e-6 relative on a p-value of its flip point (0.05, 0.10 or
-    another p-value -/+ 1e-12), two p-values compared at an F below
-    1e-4, a singular-value ratio within 10x of RANK_TOL, or a residual
-    sum of squares not above 1e-6 of y @ y.
+    Given condition_matrix's design over a per-trial table, each scan
+    first screens the candidates on weighted least squares over the
+    table's conditions, then refits only the chosen step on the rows, so
+    every reported F, p and r^2 is the per-row number. Other designs,
+    aggregate or hand-built, screen on the rows. A scan whose pooled
+    decision could differ from the rows' screens on the rows instead: a
+    comparison within 1e-6 relative on a p-value of its flip point
+    (0.05, 0.10 or another p-value -/+ 1e-12), two p-values compared at
+    an F below 1e-4, a singular-value ratio within 10x of RANK_TOL, or a
+    residual sum of squares not above 1e-6 of y @ y.
+
+    Raises ols_fit's ValueError unless y is one value per row of X.
     """
     yarr = np.asarray(y, dtype=float)
-    intercept_only = ols_fit(DesignMatrix((), np.empty((yarr.shape[0], 0))), yarr)
+    intercept_only = ols_fit(DesignMatrix((), np.empty((len(X.values), 0))), yarr)
     if intercept_only.degenerate_variance:
         return StepwiseReport((), (), {}, 0.0, intercept_only)
 
@@ -540,7 +528,7 @@ def fit_model(kind: ModelKind, table: ConditionTable) -> ModelFit:
     if not keep:
         raise RankDeficient(
             f"all {kind.value} predictors are constant on this data")
-    X = DesignMatrix(tuple(names[j] for j in keep), values[:, keep][table.rows])
+    X = _expand(tuple(names[j] for j in keep), values[:, keep], table.rows)
     fit = ols_fit(X, table.y)
     return replace(fit, dropped=tuple(dropped))
 
@@ -586,5 +574,15 @@ def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in table.tasks])
-    X = DesignMatrix(tuple(names), np.array(cols, dtype=float).T[table.rows])
+    X = _expand(tuple(names), np.array(cols, dtype=float).T, table.rows)
     return X, table.y.copy()
+
+
+def _expand(names, values, rows) -> DesignMatrix:
+    """The design with one row per response row, from values (one row
+    per condition) and rows (each response row's condition, every
+    condition having one or more). The grouping is recorded on it for
+    stepwise's pooled screen."""
+    X = DesignMatrix(names, values[rows])
+    object.__setattr__(X, "_grouping", (values, rows))
+    return X

@@ -1,10 +1,11 @@
 """Stepwise selection screened on pooled fits, against the per-row oracle.
 
-stepwise screens each entry and removal scan on weighted least squares
-over the distinct design rows and refits only the chosen step on the
-rows; reference_stepwise (tests/stepwise_oracle.py) fits every
-candidate on the rows. Their reports, and the reprs of their reports,
-must be equal.
+Given a design that records its conditions (condition_matrix over a
+per-trial table, or regression._expand), stepwise screens each entry and
+removal scan on weighted least squares over the conditions and refits
+only the chosen step on the rows; other designs screen on the rows.
+reference_stepwise (tests/stepwise_oracle.py) fits every candidate on
+the rows. Their reports, and the reprs of their reports, must be equal.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from fitts3d import (ConditionTable, DesignMatrix, InsufficientData,
                      paper_scale_defaults, partial_f_test, read_trials,
                      stepwise, write_trials)
 from fitts3d import regression
+import stepwise_oracle
 from stepwise_oracle import reference_stepwise
 
 CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
@@ -42,14 +44,14 @@ def _assert_matches_oracle(X, y):
     assert _outcome(stepwise, X, y) == _outcome(reference_stepwise, X, y)
 
 
-def _counting_ols_fit(monkeypatch):
+def _counting_ols_fit(monkeypatch, module=regression):
     calls = []
 
     def counting(X, y):
         calls.append(X.values.shape[0])
         return ols_fit(X, y)
 
-    monkeypatch.setattr(regression, "ols_fit", counting)
+    monkeypatch.setattr(module, "ols_fit", counting)
     return calls
 
 
@@ -70,23 +72,37 @@ def _counting_fallbacks(monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def _published(experiment, interaction):
-    """(X, y) of one published-scale cell at seed 0, per trial."""
+def _log(experiment, interaction):
+    """The trial log of one published-scale cell at seed 0."""
     grid = replace(build_grid(experiment, interaction),
                    repetitions=PUBLISHED_REPS[experiment])
-    log = generate_trials(grid, paper_scale_defaults(experiment, interaction),
-                          interaction)
-    return condition_matrix(ConditionTable(log, aggregate=False))
+    return generate_trials(grid, paper_scale_defaults(experiment, interaction),
+                           interaction)
+
+
+@lru_cache(maxsize=None)
+def _published(experiment, interaction):
+    """(X, y) of one published-scale cell at seed 0, per trial."""
+    return condition_matrix(ConditionTable(_log(experiment, interaction),
+                                           aggregate=False))
 
 
 # ---- the oracle on drawn designs --------------------------------------------
 
+def _conditions(draw, m, reps):
+    """Each row's condition, reps[i] rows for condition i, in condition
+    order or shuffled as trials interleave."""
+    rows = np.repeat(np.arange(m), reps)
+    return np.array(draw(st.permutations(list(rows)))) if draw(st.booleans()) else rows
+
+
 @st.composite
 def _designs(draw):
-    """Designs whose rows repeat, with constant, copied, collinear and
-    nearly copied columns, and a response that may be noisy, exact on the
-    columns (zero residual) or constant."""
-    m = draw(st.integers(1, 10))  # distinct design rows
+    """Designs whose conditions repeat, with constant, copied, collinear
+    and nearly copied columns, two conditions that may share a design row,
+    and a response that may be noisy, exact on the columns (zero
+    residual) or constant."""
+    m = draw(st.integers(1, 10))  # conditions
     base = np.array(draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=1, max_size=1), min_size=m, max_size=m)),
         dtype=float)
@@ -114,8 +130,13 @@ def _designs(draw):
             col = src * (1.0 + draw(st.sampled_from([1e-9, 1e-6, 1e-3])) *
                          np.arange(m))
         cols.append(col)
+    values = np.column_stack(cols)
+    if draw(st.booleans()):  # a partition finer than equal design rows
+        values[draw(st.integers(0, m - 1))] = values[draw(st.integers(0, m - 1))]
     reps = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
-    rows = np.repeat(np.column_stack(cols), reps, axis=0)
+    X = regression._expand(tuple(f"x{j}" for j in range(len(cols))), values,
+                           _conditions(draw, m, reps))
+    rows = X.values
     n, k = rows.shape
     mode = draw(st.sampled_from(["noise", "noise", "noise", "exact", "constant"]))
     beta = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]),
@@ -128,8 +149,7 @@ def _designs(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         scale = draw(st.sampled_from([1e-6, 0.1, 1.0, 3.0]))
         y = 2.0 + rows @ beta + scale * rng.standard_normal(n)
-    names = tuple(f"x{j}" for j in range(k))
-    return DesignMatrix(names, rows), y
+    return X, y
 
 
 @settings(max_examples=400, deadline=None,
@@ -163,30 +183,34 @@ def _orthogonal(v, *cols):
     return v - M @ np.linalg.lstsq(M, v, rcond=None)[0]
 
 
-_LEVELS = np.repeat(np.arange(8.0), 3)  # 8 design rows, 3 trials each
+_BLOCKS = np.repeat(np.arange(8), 3)  # 8 conditions, 3 trials each
+_CYCLES = np.tile(np.arange(8), 3)  # the same, trials interleaved
+_L8 = np.arange(8.0)
+_LEVELS = _L8[_BLOCKS]
 _NOISE = _orthogonal(np.random.default_rng(1).standard_normal(24), _LEVELS)
-_X2 = np.tile([0.0, 0, 1, 1, 2, 2, 3, 3], 3)
-_X3 = np.tile([0.0, 1, 2, 0, 1, 2, 1, 0], 3)
+_X2_8 = np.array([0.0, 0, 1, 1, 2, 2, 3, 3])
+_X3_8 = np.array([0.0, 1, 2, 0, 1, 2, 1, 0])
 _U8 = np.array([1.0, -1, 0.5, -0.5, 0.3, -0.2, 0.7, -0.8])
-_U = np.tile(_U8, 3)
+_X2, _X3, _U = _X2_8[_CYCLES], _X3_8[_CYCLES], _U8[_CYCLES]
 
 
 def _entry(t):  # x1 enters once its p falls below 0.05
-    return DesignMatrix(("x1",), _LEVELS[:, None]), _NOISE + t * _LEVELS
+    return regression._expand(("x1",), _L8[:, None], _BLOCKS), _NOISE + t * _LEVELS
 
 
 def _removal(t):  # x1 enters first and leaves once x2, x3 explain it
-    x1 = _X2 + _X3 + _U
+    X = regression._expand(("x1", "x2", "x3"),
+                           np.column_stack([_X2_8 + _X3_8 + _U8, _X2_8, _X3_8]),
+                           _CYCLES)
     noise = _orthogonal(0.3 * np.random.default_rng(1).standard_normal(24),
-                        x1, _X2, _X3)
-    return (DesignMatrix(("x1", "x2", "x3"), np.column_stack([x1, _X2, _X3])),
-            _X2 + _X3 + t * _U + noise)
+                        *X.values.T)
+    return X, _X2 + _X3 + t * _U + noise
 
 
 def _tie(t):  # x2 = x1 + t u overtakes x1 once its p is 1e-12 smaller
-    u = np.repeat(_U8, 3)  # constant on each design row of x1
-    return (DesignMatrix(("x1", "x2"), np.column_stack([_LEVELS, _LEVELS + t * u])),
-            0.5 * _LEVELS + 0.8 * u + 3.0 * _NOISE)
+    X = regression._expand(("x1", "x2"), np.column_stack([_L8, _L8 + t * _U8]),
+                           _BLOCKS)
+    return X, 0.5 * _LEVELS + 0.8 * _U8[_BLOCKS] + 3.0 * _NOISE
 
 
 @pytest.mark.parametrize("make,lo,hi,flip", [
@@ -214,9 +238,12 @@ def test_flip_points_fall_back_and_match_the_oracle(monkeypatch, make, lo, hi, f
 
 
 def test_ulp_near_tie_falls_back_and_matches_the_oracle(monkeypatch):
-    x2 = _LEVELS.copy()
-    x2[5] = np.nextafter(x2[5], math.inf)
-    X = DesignMatrix(("x1", "x2"), np.column_stack([_LEVELS, x2]))
+    # row 5 has a condition of its own, with x2 one ulp above x1
+    conditions = _BLOCKS.copy()
+    conditions[5] = 8
+    x1 = np.append(_L8, _LEVELS[5])
+    x2 = np.append(_L8, np.nextafter(_LEVELS[5], math.inf))
+    X = regression._expand(("x1", "x2"), np.column_stack([x1, x2]), conditions)
     y = 0.15 * _LEVELS + _NOISE  # p of about 0.01: a tie worth checking
     unsure = _counting_fallbacks(monkeypatch)
     report = stepwise(X, y)
@@ -242,6 +269,46 @@ def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, experiment,
         _assert_matches_oracle(*condition_matrix(ConditionTable(log, aggregate)))
 
 
+@pytest.mark.parametrize("candidates", [("W",), ("W", "A"), ("phi", "theta")])
+@pytest.mark.parametrize("experiment,interaction", CELLS)
+def test_published_cells_pool_by_condition(experiment, interaction, candidates):
+    table = ConditionTable(_log(experiment, interaction), aggregate=False)
+    X, y = condition_matrix(table, candidates)
+    values, _ = X._grouping
+    # fewer distinct design rows than conditions: rows alone would merge them
+    assert len({row.tobytes() for row in values}) < len(table.tasks)
+    assert len(regression._pool(X, y).counts) == len(table.tasks)
+    _assert_matches_oracle(X, y)
+
+
+def test_hand_built_repeated_design_screens_on_the_rows(monkeypatch):
+    X, y = _published("e4", InteractionKind.MANIPULATION)
+    X = DesignMatrix(X.names, X.values)  # the same rows, no grouping
+    calls = _counting_ols_fit(monkeypatch)
+    oracle_calls = _counting_ols_fit(monkeypatch, stepwise_oracle)
+    report, expected = stepwise(X, y), reference_stepwise(X, y)
+    assert report == expected and repr(report) == repr(expected)
+    # every candidate of every scan fitted on the rows, as the oracle does
+    assert calls == oracle_calls
+    assert len(calls) > len(report.steps) + 1
+
+
+@pytest.mark.parametrize("grouped", [True, False])
+def test_y_of_the_wrong_length_or_shape_raises_before_pooling(monkeypatch, grouped):
+    X, y = _published("e1", InteractionKind.POINTING)
+    if not grouped:  # the same rows, hand-built
+        X = DesignMatrix(X.names, X.values)
+    monkeypatch.setattr(regression, "_pool", None)  # never reached
+    message = "y must be one value per design matrix row"
+    for bad in (y[:-1], np.append(y, 1.0), y[:, None], np.asarray(y[0])):
+        with pytest.raises(ValueError) as got:
+            stepwise(X, bad)
+        assert str(got.value) == message
+    for bad in (y[:-1], np.append(y, 1.0), y[:, None]):  # the oracle's cases
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reference_stepwise(X, bad)
+
+
 def test_published_log_refits_only_the_steps(monkeypatch):
     X, y = _published("e4", InteractionKind.MANIPULATION)
     calls = _counting_ols_fit(monkeypatch)
@@ -262,10 +329,10 @@ def _replicated(draw):
     levels = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
     base = np.array(draw(st.lists(levels, min_size=m, max_size=m)), dtype=float)
     reps = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
-    rows = np.repeat(base, reps, axis=0)
+    X = regression._expand(tuple(f"x{j}" for j in range(k)), base,
+                           _conditions(draw, m, reps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    y = 1.0 + rows @ rng.standard_normal(k) + rng.standard_normal(len(rows))
-    X = DesignMatrix(tuple(f"x{j}" for j in range(k)), rows)
+    y = 1.0 + X.values @ rng.standard_normal(k) + rng.standard_normal(len(X.values))
     return X, y
 
 
@@ -275,7 +342,8 @@ def test_pooled_fit_agrees_with_the_rows(design):
     X, y = design
     pool = regression._pool(X, y)
     assume(pool is not None)
-    groups = [np.flatnonzero(pool.inverse == g) for g in range(len(pool.counts))]
+    conditions = X._grouping[1]
+    groups = [np.flatnonzero(conditions == g) for g in range(len(pool.counts))]
     for g, members in enumerate(groups):
         assert len(members) == pool.counts[g]
         assert np.all(X.values[members] == X.values[members[0]])
@@ -301,15 +369,17 @@ def test_pooled_fit_agrees_with_the_rows(design):
                     b, rel=1e-11, abs=1e-11 * scale)
 
 
-def test_pool_needs_a_repeated_row():
-    X = DesignMatrix(("x",), np.arange(6.0)[:, None])
-    assert regression._pool(X, np.arange(6.0) ** 2) is None
-    assert regression._pool(DesignMatrix((), np.empty((6, 0))), np.arange(6.0)) is None
-    # only the first row occurs once: taken as a design without repeats
-    X = DesignMatrix(("x",), [[9.0]] + [[1.0], [2.0]] * 3)
-    assert regression._pool(X, np.arange(7.0)) is None
-    assert len(regression._pool(DesignMatrix(("x",), X.values[::-1]),
-                                np.arange(7.0)).counts) == 3
+def test_pool_needs_a_repeated_row(monkeypatch):
+    log = _log("e4", InteractionKind.MANIPULATION)
+    X, y = condition_matrix(ConditionTable(log, aggregate=False))
+    hand_built = DesignMatrix(X.names, X.values)  # the same rows, no grouping
+    aggregate = condition_matrix(ConditionTable(log, aggregate=True))
+    one_each = regression._expand(("x",), _L8[:, None], np.arange(8))
+    assert len(regression._pool(X, y).counts) == 64
+    monkeypatch.setattr(regression, "np", None)  # decided before any numpy call
+    assert regression._pool(hand_built, y) is None
+    assert regression._pool(*aggregate) is None
+    assert regression._pool(one_each, _L8) is None
 
 
 def _near_rank_column(x, u):
@@ -331,10 +401,9 @@ def _near_rank_column(x, u):
     ("clear", None),
 ])
 def test_pooled_fit_defers_where_the_rows_might_differ(case, outcome):
-    u = np.repeat(_U8, 3)
-    second = {"near_rank": _near_rank_column(_LEVELS, u), "copy": _LEVELS,
-              "constant": np.full(24, 2.0), "exact": u, "clear": u}[case]
-    X = DesignMatrix(("x1", "x2"), np.column_stack([_LEVELS, second]))
+    second = {"near_rank": _near_rank_column(_L8, _U8), "copy": _L8,
+              "constant": np.full(8, 2.0), "exact": _U8, "clear": _U8}[case]
+    X = regression._expand(("x1", "x2"), np.column_stack([_L8, second]), _BLOCKS)
     y = 1.0 + _LEVELS + (0.0 if case == "exact" else 1.0) * _NOISE
     fit = regression._pool(X, y).fit
     if outcome is None:
@@ -367,16 +436,6 @@ def test_pooled_scan_defers_near_each_flip_point(monkeypatch, entering, results,
     with pytest.raises(regression._Unsure):
         scan(pooled=True)
     assert scan(pooled=False) is not None
-
-
-def test_rows_that_share_a_key_are_not_pooled(monkeypatch):
-    X = DesignMatrix(("x", "z"), [[2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 0.0]] * 3)
-    y = np.arange(12.0) % 5 + X.values[:, 0]
-    assert len(regression._pool(X, y).counts) == 4
-    monkeypatch.setattr(regression, "_row_keys",
-                        lambda values: np.zeros(len(values), np.uint64))
-    assert regression._pool(X, y) is None
-    _assert_matches_oracle(X, y)
 
 
 def test_margin_covers_the_pooled_gap_on_the_published_cells():
