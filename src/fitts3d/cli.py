@@ -12,12 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import Fitts3dError
 from .metrics import MODEL_ORDER, ModelKind
-from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, build_comparison_report,
-                     render_comparison, render_document, render_stepwise)
+from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, _comparison_json,
+                     build_comparison_report, render_comparison, render_document,
+                     render_stepwise)
 from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
 from .tasks import (STEPWISE_CANDIDATES, InteractionKind, check_candidates,
                     classify_rotation, classify_translation)
@@ -32,11 +32,14 @@ class _UsageError(Exception):
     pass
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(out_path, *parts: str) -> None:
+    """Write the parts of a verb's output, all made before the file is
+    opened, to out_path or else to stdout."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _parse_models(spec: str):
@@ -93,7 +96,7 @@ def _cmd_classify(args) -> int:
         vals = [repr(v) for v in obj.position + obj.rotation
                 + target.position + target.rotation] + [repr(w), repr(omega)]
         lines.append(",".join(vals + [str(int(t)), str(int(r)), str(int(c))]))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -107,16 +110,19 @@ def _read_table(args):
 
 def _cmd_fit(args) -> int:
     kinds = _parse_models(args.models)
-    report = build_comparison_report(_read_table(args), kinds,
-                                     include_points=args.format == JSON_FORMAT)
-    _emit(render_comparison(report, args.format), args.out)
+    table = _read_table(args)
+    report = build_comparison_report(table, kinds, include_points=False)
+    if args.format == JSON_FORMAT:
+        _emit(args.out, *_comparison_json(report, table))
+    else:
+        _emit(args.out, render_comparison(report, args.format))
     return 0
 
 
 def _cmd_compare(args) -> int:
     report = build_comparison_report(_read_table(args), MODEL_ORDER,
                                      include_points=False)
-    _emit(render_comparison(report, args.format), args.out)
+    _emit(args.out, render_comparison(report, args.format))
     return 0
 
 
@@ -125,7 +131,7 @@ def _cmd_stepwise(args) -> int:
 
     candidates = _parse_candidates(args.candidates)
     X, y = condition_matrix(_read_table(args), candidates)
-    _emit(render_stepwise(stepwise(X, y), args.format), args.out)
+    _emit(args.out, render_stepwise(stepwise(X, y), args.format))
     return 0
 
 
@@ -140,7 +146,7 @@ def _cmd_report(args) -> int:
             doc = json.load(fh, parse_constant=_reject_constant)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise Fitts3dError(f"not a JSON document: {exc}") from None
-    _emit(render_document(doc, args.format), args.out)
+    _emit(args.out, render_document(doc, args.format))
     return 0
 
 

@@ -5,20 +5,27 @@ schema has one table renderer, which reads the document, so live and
 reloaded match.
 
 JSON output is byte-identical to json.dumps(doc, indent=2). With indent
-set, Python's json uses its pure-Python encoder, so a model's canonical
-points (a non-empty list of non-empty lists of one length, holding ints
-and floats) are written column by column and spliced into the indent=2
-dump of the rest. Each distinct finite float of a column is formatted
-once with float.__repr__, the encoder's own form, and kept for every
-model of the document; a column holding a zero or an int takes repr per
-value, since 0.0 and -0.0, or 1 and 1.0, are one key but two texts.
-Any other points, such as rows of unequal length, or a value that is
-not finite send the whole document to json.dumps(doc, indent=2). Every
-dump passes allow_nan=False, so a document holding an infinity or NaN
-raises ValueError, naming the first in document order, instead of
-becoming JSON that report rejects.
+set, Python's json uses its pure-Python encoder, so points never go
+through it: each model's points are a placeholder string in an indent=2
+dump of the rest, and their text is spliced in by one routine.
 
-Only build_comparison_report fits, so only it imports regression and
+fit writes its document from the ConditionTable: each condition's
+predictor texts are formatted once per model and the response texts
+once for all models, with float.__repr__, the encoder's own form, and
+the document's parts are streamed to the output, not joined. A document
+held as lists, as build_comparison_report returns it or report reads
+it, has its canonical points (a non-empty list of non-empty lists of one
+length, holding ints and floats) written by a column encoder: each
+distinct finite float of a column is formatted once and kept for every
+model of the document; a column holding a zero or an int takes repr per
+value, since 0.0 and -0.0, or 1 and 1.0, are one key but two texts. Any
+other points, such as rows of unequal length, or a value that is not
+finite send the whole document to json.dumps(doc, indent=2). Every dump
+passes allow_nan=False, so a document holding an infinity or NaN raises
+ValueError, naming the first in document order, instead of becoming
+JSON that report rejects.
+
+Only the code that fits or reads a ConditionTable imports regression or
 numpy; rendering and checking a saved document load neither."""
 
 import json
@@ -59,8 +66,6 @@ def build_comparison_report(table: "ConditionTable", kinds,
     """Fit and rank the models on a ConditionTable into a fitts3d.report/1
     document; optionally attach each model's points, its predictors and
     the response per observation, for plotting."""
-    import numpy as np
-
     from .regression import compare_models
 
     models = []
@@ -71,10 +76,8 @@ def build_comparison_report(table: "ConditionTable", kinds,
             continue
         point_names = points = None
         if include_points:
-            names, values = table.predictors(cmp_row.kind)
-            cols = [names.index(n) for n in fit.predictor_names]
             point_names = list(fit.predictor_names) + ["mt"]
-            points = np.column_stack([values[:, cols][table.rows], table.y]).tolist()
+            points = _points(table, cmp_row.kind, fit.predictor_names)
         models.append(_model_entry(
             cmp_row.kind.value, r2=fit.r2, n=fit.n,
             coefficients=dict(fit.coefficients),
@@ -82,6 +85,16 @@ def build_comparison_report(table: "ConditionTable", kinds,
             dropped=fit.dropped, point_names=point_names, points=points))
     return {"schema": REPORT_SCHEMA, "n_trials": table.n_trials,
             "aggregate": table.aggregate, "models": models}
+
+
+def _points(table: "ConditionTable", model, names) -> list:
+    """A model's points as lists: its named predictors and the response,
+    one row per observation of the table."""
+    import numpy as np
+
+    all_names, values = table.predictors(model)
+    cols = [all_names.index(n) for n in names]
+    return np.column_stack([values[:, cols][table.rows], table.y]).tolist()
 
 
 def stepwise_document(sw: "StepwiseReport") -> dict:
@@ -189,40 +202,87 @@ def _encode_points(points, reprs: dict) -> str | None:
     return _POINTS_OPEN + _ROW_BREAK_INDENTED.join(rows) + _POINTS_CLOSE
 
 
+def _splice(doc: dict, points: dict, encode) -> list[str] | None:
+    """json.dumps(doc, indent=2) in parts, with models[i]["points"] laid
+    out by encode(points[i]) for each i in points. A placeholder string
+    stands in for those points in an indent=2 dump of the rest; None
+    unless the rest dumps, each placeholder occurs there once and encode
+    gives text for each."""
+    models = list(doc["models"])
+    spliced = {}  # encoded placeholder -> what encode takes
+    for i, p in points.items():
+        token = _PLACEHOLDER.format(i)
+        spliced[json.dumps(token)] = p
+        models[i] = dict(models[i], points=token)
+    try:
+        rest = json.dumps(dict(doc, models=models), indent=2, allow_nan=False)
+    except ValueError:  # the oracle names the first such value,
+        return None  # which may sit in points dumped before it
+    if any(rest.count(token) != 1 for token in spliced):
+        return None
+    parts = []
+    for token, p in spliced.items():
+        encoded = encode(p)
+        if encoded is None:
+            return None
+        head, _, rest = rest.partition(token)
+        parts += (head, encoded)
+    parts.append(rest)
+    return parts
+
+
 def _dump_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2), byte for byte. Each model's points that
-    are a non-empty list become a placeholder string in an indent=2 dump
-    of the rest; the splice is taken only if the rest dumps, each
-    placeholder occurs there once and every model's points are canonical."""
+    """json.dumps(doc, indent=2), byte for byte: each model's points that
+    are a non-empty list are encoded by columns and spliced in, if every
+    model's are canonical."""
     models = doc.get("models")
     if isinstance(models, list):
-        spliced = {}  # encoded placeholder -> points
-        shallow = []
-        for i, m in enumerate(models):
-            if isinstance(m, dict) and type(m.get("points")) is list and m["points"]:
-                token = _PLACEHOLDER.format(i)
-                spliced[json.dumps(token)] = m["points"]
-                m = dict(m, points=token)
-            shallow.append(m)
-        if spliced:
-            try:
-                rest = json.dumps(dict(doc, models=shallow), indent=2,
-                                  allow_nan=False)
-            except ValueError:  # the oracle names the first such value,
-                rest = ""  # which may sit in points dumped before it
-            if all(rest.count(token) == 1 for token in spliced):
-                reprs = {}  # shared by every model: mt is the same in each
-                parts = []
-                for token, points in spliced.items():
-                    encoded = _encode_points(points, reprs)
-                    if encoded is None:
-                        break
-                    head, _, rest = rest.partition(token)
-                    parts += (head, encoded)
-                else:
-                    parts.append(rest)
-                    return "".join(parts)
+        points = {i: m["points"] for i, m in enumerate(models)
+                  if isinstance(m, dict) and type(m.get("points")) is list
+                  and m["points"]}
+        reprs = {}  # shared by every model: mt is the same in each
+        parts = points and _splice(doc, points, lambda p: _encode_points(p, reprs))
+        if parts:
+            return "".join(parts)
     return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _comparison_json(report: dict, table: "ConditionTable") -> list[str]:
+    """render_comparison(report, "json-like") in parts, each fitted model
+    given its points, for a report built on table without them. A model's
+    predictor texts are formatted once per condition and the response
+    texts once for all models; a row's text is its condition's and its
+    response's. A value that is not finite sends the document, points as
+    lists, to json.dumps, which raises as the oracle does."""
+    models, points = [], {}
+    for i, m in enumerate(report["models"]):
+        if m["error"] is None:
+            names = [n for n in m["coefficients"] if n != "intercept"]
+            m = dict(m, point_names=names + ["mt"])
+            points[i] = (m["model"], names)
+        models.append(m)
+    doc = dict(report, models=models)
+    y = table.y.tolist()
+    rows = table.rows.tolist()
+    # each response's text and what follows it: a row break, or the close
+    mt = list(map(float.__repr__, y))
+    tails = [t + _ROW_BREAK_INDENTED for t in mt[:-1]] + [mt[-1] + _POINTS_CLOSE]
+
+    def encode(spec):
+        all_names, values = table.predictors(spec[0])
+        lead = values[:, [all_names.index(n) for n in spec[1]]].tolist()
+        if not all(map(math.isfinite, chain.from_iterable(lead))):
+            return None
+        lead = [_ITEM_SEP.join(map(float.__repr__, r)) + _ITEM_SEP for r in lead]
+        return _POINTS_OPEN + "".join(chain.from_iterable(
+            zip(map(lead.__getitem__, rows), tails)))
+
+    parts = all(map(math.isfinite, y)) and points and _splice(doc, points, encode)
+    if parts:
+        return parts + ["\n"]
+    for i, (model, names) in points.items():
+        models[i] = dict(models[i], points=_points(table, model, names))
+    return [json.dumps(doc, indent=2, allow_nan=False), "\n"]
 
 
 def _render(doc: dict, fmt: str) -> str:

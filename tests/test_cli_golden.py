@@ -144,6 +144,38 @@ def test_documents_match_golden():
     assert document_digests() == _golden(documents=True)
 
 
+def test_out_files_hold_the_golden_bytes(tmp_path):
+    # --out writes what stdout shows; the digests are of stdout
+    from fitts3d.trial_io import POSE_CSV_HEADER
+
+    golden = _golden(documents=False)
+    cell = "e4-manipulation"
+    log = tmp_path / f"{cell}.csv"
+    assert _run(["generate", "--experiment", "e4", "--interaction",
+                 "manipulation", "--seed", "0", "--out", str(log)])[0] == 0
+    poses = tmp_path / "poses.csv"
+    poses.write_text(POSE_CSV_HEADER + "\n"
+                     "0.0,0.0,0.0,0.0,0.0,-0.0,1.0,0.0,0.0,0.0,0.0,0.0,5.0,2.5\n",
+                     encoding="utf-8")
+    saved = tmp_path / "saved.json"
+    fit = ["fit", str(log), "--aggregate", "false", "--format", "json-like"]
+    assert _run(fit + ["--out", str(saved)])[0] == 0
+    runs = {  # the golden key of each run's stdout -> its argv
+        f"{cell}/fit-json/aggregate=false": fit,
+        f"{cell}/compare/aggregate=true": ["compare", str(log)],
+        f"{cell}/stepwise-json/aggregate=true":
+            ["stepwise", str(log), "--format", "json-like"],
+        f"{cell}/report-fit-table/aggregate=false": ["report", str(saved)],
+        "classify": ["classify", str(poses)],
+    }
+    for key, argv in runs.items():
+        out = tmp_path / "verb.out"
+        rc, stdout = _run(argv)
+        assert rc == 0 and _run(argv + ["--out", str(out)]) == (0, "")
+        assert out.read_bytes() == stdout.encode("utf-8"), key
+        assert key == "classify" or _digest(stdout) == golden[key], key
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = cli_digests(tmp)

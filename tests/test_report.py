@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fitts3d import (ConditionTable, GroundTruth, InteractionKind, ModelKind, SchemaError,
+from fitts3d import (ConditionTable, Fitts3dError, GroundTruth, InteractionKind,
+                     ModelKind, SchemaError, TaskSpec,
                      build_comparison_report, build_grid, condition_matrix,
                      format_equation, generate_trials,
                      render_comparison, render_document, render_stepwise,
                      stepwise, stepwise_document, write_trials)
+from fitts3d import cli as cli_module
 from fitts3d import report as report_module
 from fitts3d.cli import main
 from fitts3d.metrics import MODEL_ORDER
@@ -351,6 +353,154 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
         ConditionTable(log, aggregate=False), MODEL_ORDER)
     assert expected["n_trials"] == 4800
     assert capsys.readouterr().out == _oracle(expected)
+
+
+_CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4") for i in InteractionKind]
+_MODEL_SPECS = {"all": MODEL_ORDER,
+                "final,shannon": (ModelKind.FINAL, ModelKind.SHANNON),
+                "shannon,shannon": (ModelKind.SHANNON,)}
+
+
+def _small_cell(tmp_path, experiment, interaction, reps=2):
+    grid = replace(build_grid(experiment, interaction), repetitions=reps)
+    log = generate_trials(grid, paper_scale_defaults(experiment, interaction),
+                          interaction)
+    path = tmp_path / "cell.csv"
+    write_trials(path, log, experiment)
+    return log, path
+
+
+@pytest.mark.parametrize("models", _MODEL_SPECS)
+@pytest.mark.parametrize("aggregate", ["true", "false"])
+@pytest.mark.parametrize("experiment,interaction", _CELLS)
+def test_fit_json_from_the_table_matches_the_oracle(tmp_path, capsys, experiment,
+                                                    interaction, aggregate, models):
+    log, path = _small_cell(tmp_path, experiment, interaction)
+    argv = ["fit", str(path), "--aggregate", aggregate, "--models", models,
+            "--format", "json-like"]
+    out_path = tmp_path / "fit.json"
+    assert main(argv) == 0
+    assert main(argv + ["--out", str(out_path)]) == 0
+    expected = _oracle(build_comparison_report(
+        ConditionTable(log, aggregate == "true"), _MODEL_SPECS[models]))
+    assert capsys.readouterr().out == expected
+    assert out_path.read_bytes() == expected.encode("utf-8")
+
+
+def _table_json(table, kinds) -> str:
+    report = build_comparison_report(table, kinds, include_points=False)
+    return "".join(report_module._comparison_json(report, table))
+
+
+# zeros of both signs in the angles, so that sin_phi and theta1 print
+# "0.0" and "-0.0"; A = 0 makes the Fitts-form indices fail, leaving
+# entries whose points are null
+_HAND_CONDITIONS = st.builds(
+    TaskSpec, F=st.sampled_from([2.0, 4.0]), W=st.sampled_from([2.0, 5.0]),
+    A=st.sampled_from([0.0, 6.0, 12.0]),
+    phi=st.sampled_from([0.0, -0.0, 90.0]),
+    theta=st.sampled_from([0.0, -0.0, 45.0]),
+    alpha=st.sampled_from([0.0, 45.0]), omega=st.sampled_from([0.0, 7.5]))
+
+
+@st.composite
+def _hand_logs(draw):
+    rows = []
+    for task in draw(st.lists(_HAND_CONDITIONS, min_size=2, max_size=5)):
+        rows.append((task, draw(st.floats(0.1, 10.0)), True))
+        for _ in range(draw(st.integers(0, 3))):  # error trials among them
+            rows.append((task, draw(st.floats(0.1, 10.0)), draw(st.booleans())))
+    return trial_log(draw(st.permutations(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=_hand_logs(), aggregate=st.booleans())
+def test_fit_json_from_hand_made_logs_matches_the_oracle(log, aggregate):
+    try:
+        table = ConditionTable(log, aggregate)
+    except Fitts3dError:
+        assume(False)
+    assert _table_json(table, MODEL_ORDER) == _oracle(
+        build_comparison_report(table, MODEL_ORDER))
+
+
+def test_fit_json_keeps_the_first_specs_zero_and_null_points():
+    first = TaskSpec(F=2.0, W=2.0, A=0.0, phi=-0.0, theta=-0.0)
+    same = replace(first, phi=0.0, theta=0.0)  # one condition with first
+    rows = [(first, 1.0, True), (same, 1.5, False), (same, 1.25, True),
+            (TaskSpec(F=2.0, W=5.0, A=6.0, phi=0.0, theta=0.0), 2.0, False),
+            (TaskSpec(F=2.0, W=5.0, A=6.0, phi=0.0, theta=0.0), 2.0, True),
+            (TaskSpec(F=4.0, W=2.0, A=12.0, phi=90.0, theta=45.0), 3.0, True),
+            (TaskSpec(F=4.0, W=5.0, A=12.0, phi=90.0, theta=0.0), 2.5, True)]
+    for aggregate in (True, False):
+        table = ConditionTable(trial_log(rows), aggregate)
+        text = _table_json(table, MODEL_ORDER)
+        assert text == _oracle(build_comparison_report(table, MODEL_ORDER))
+        doc = json.loads(text)
+        murata, = (m for m in doc["models"] if m["model"] == "murata-iwase")
+        sines = [repr(p[1]) for p in murata["points"]]
+        assert sines[0] == "-0.0" and "0.0" in sines
+        assert any(m["points"] is None for m in doc["models"])
+
+
+def _counting(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kwargs: calls.append((args, kwargs))
+                        or fn(*args, **kwargs))
+
+
+def test_cli_fit_json_writes_points_from_the_table(tmp_path, capsys, monkeypatch):
+    # no list points are built, encoded or dumped whole on a per-trial log
+    _, path = _small_cell(tmp_path, "e4", InteractionKind.MANIPULATION, reps=3)
+    encoded, built, listed, dumped = [], [], [], []
+    _counting(monkeypatch, report_module, "_encode_points", encoded)
+    _counting(monkeypatch, cli_module, "build_comparison_report", built)
+    _counting(monkeypatch, report_module, "_points", listed)
+    _counting(monkeypatch, report_module.json, "dumps", dumped)
+    assert main(["fit", str(path), "--aggregate", "false",
+                 "--format", "json-like"]) == 0
+    monkeypatch.undo()
+    doc = json.loads(capsys.readouterr().out)
+    assert all(m["points"] for m in doc["models"])
+    assert encoded == [] and listed == []
+    assert [kwargs for _, kwargs in built] == [{"include_points": False}]
+    whole = [d for (d, *_), _ in dumped if isinstance(d, dict) and any(
+        type(m.get("points")) is list for m in d.get("models", ()))]
+    assert whole == []
+
+
+@pytest.mark.parametrize("poison", ["predictor", "response"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cli_fit_json_refuses_a_non_finite_value(tmp_path, capsys, monkeypatch,
+                                                 poison, value):
+    # the value enters after the fits; the oracle names it, the only one
+    _, path = _small_cell(tmp_path, "e4", InteractionKind.MANIPULATION)
+    build = cli_module.build_comparison_report
+    predictors = ConditionTable.predictors
+
+    def poisoned(table, kind):
+        names, values = predictors(table, kind)
+        values = values.copy()
+        values[-1, -1] = value
+        return names, values
+
+    def build_then_poison(table, kinds, **kwargs):
+        report = build(table, kinds, **kwargs)
+        if poison == "predictor":
+            monkeypatch.setattr(ConditionTable, "predictors", poisoned)
+        else:
+            table.y = np.append(table.y[:-1], value)
+        return report
+
+    monkeypatch.setattr(cli_module, "build_comparison_report", build_then_poison)
+    out_path = tmp_path / "fit.json"
+    rc = main(["fit", str(path), "--aggregate", "false", "--format", "json-like",
+               "--out", str(out_path)])
+    with pytest.raises(ValueError) as oracle:
+        _oracle([value])
+    assert (rc, capsys.readouterr()) == (1, ("", f"error: {oracle.value}\n"))
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("points,canonical", [
