@@ -4,26 +4,19 @@ to a ConditionTable, so only a log that could be grouped has one. Each
 schema has one table renderer, which reads the document, so live and
 reloaded match.
 
-JSON output is byte-identical to json.dumps(doc, indent=2). With indent
-set, Python's json uses its pure-Python encoder, so points never go
-through it: each model's points are a placeholder string in an indent=2
-dump of the rest, and their text is spliced in by one routine.
+JSON output is byte-identical to json.dumps(doc, indent=2), and a
+document held as lists, as build_comparison_report returns it or report
+reads it, is written by json.dumps(doc, indent=2, allow_nan=False)
+itself. Every dump passes allow_nan=False, so a document holding an
+infinity or NaN raises ValueError, naming the first in document order,
+instead of becoming JSON that report rejects.
 
 fit writes its document from the ConditionTable: each condition's
 predictor texts are formatted once per model and the response texts
-once for all models, with float.__repr__, the encoder's own form, and
-the document's parts are streamed to the output, not joined. A document
-held as lists, as build_comparison_report returns it or report reads
-it, has its canonical points (a non-empty list of non-empty lists of one
-length, holding ints and floats) written by a column encoder: each
-distinct finite float of a column is formatted once and kept for every
-model of the document; a column holding a zero or an int takes repr per
-value, since 0.0 and -0.0, or 1 and 1.0, are one key but two texts. Any
-other points, such as rows of unequal length, or a value that is not
-finite send the whole document to json.dumps(doc, indent=2). Every dump
-passes allow_nan=False, so a document holding an infinity or NaN raises
-ValueError, naming the first in document order, instead of becoming
-JSON that report rejects.
+once for all models, with float.__repr__, the encoder's own form; they
+are spliced in at a placeholder for each model's points in an indent=2
+dump of the rest, and the document's parts are streamed to the output,
+not joined.
 
 Only the code that fits or reads a ConditionTable imports regression or
 numpy; rendering and checking a saved document load neither."""
@@ -174,92 +167,25 @@ _POINTS_CLOSE = "\n" + 8 * " " + "]\n" + 6 * " " + "]"
 _PLACEHOLDER = "\x00fitts3d.points.{}\x00"
 
 
-def _encode_points(points, reprs: dict) -> str | None:
-    """A model's points laid out as json.dumps(doc, indent=2) lays them
-    out at depth 3, or None unless they are canonical: a non-empty list of
-    non-empty lists of one length, holding finite ints and floats; each
-    column's types and finiteness are checked as it is encoded. reprs maps
-    each float already formatted to its float.__repr__ text; only a column
-    of floats without a zero reads it."""
-    if (type(points) is not list or set(map(type, points)) != {list}
-            or set(map(len, points)) != {len(points[0])} or not points[0]):
-        return None
-    encoded = []
-    for column in zip(*points):
-        types = set(map(type, column))
-        distinct = set(column)
-        if types == {float} and 0.0 not in distinct:
-            new = distinct.difference(reprs)
-            if not all(map(math.isfinite, new)):
-                return None
-            reprs.update(zip(new, map(float.__repr__, new)))
-            encoded.append(map(reprs.__getitem__, column))
-        elif types <= {int, float} and all(map(_is_finite, distinct)):
-            encoded.append(map(repr, column))
-        else:
-            return None
-    rows = map(_ITEM_SEP.join, zip(*encoded))
-    return _POINTS_OPEN + _ROW_BREAK_INDENTED.join(rows) + _POINTS_CLOSE
-
-
-def _splice(doc: dict, points: dict, encode) -> list[str] | None:
-    """json.dumps(doc, indent=2) in parts, with models[i]["points"] laid
-    out by encode(points[i]) for each i in points. A placeholder string
-    stands in for those points in an indent=2 dump of the rest; None
-    unless the rest dumps, each placeholder occurs there once and encode
-    gives text for each."""
-    models = list(doc["models"])
-    spliced = {}  # encoded placeholder -> what encode takes
-    for i, p in points.items():
-        token = _PLACEHOLDER.format(i)
-        spliced[json.dumps(token)] = p
-        models[i] = dict(models[i], points=token)
-    try:
-        rest = json.dumps(dict(doc, models=models), indent=2, allow_nan=False)
-    except ValueError:  # the oracle names the first such value,
-        return None  # which may sit in points dumped before it
-    if any(rest.count(token) != 1 for token in spliced):
-        return None
-    parts = []
-    for token, p in spliced.items():
-        encoded = encode(p)
-        if encoded is None:
-            return None
-        head, _, rest = rest.partition(token)
-        parts += (head, encoded)
-    parts.append(rest)
-    return parts
-
-
-def _dump_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2), byte for byte: each model's points that
-    are a non-empty list are encoded by columns and spliced in, if every
-    model's are canonical."""
-    models = doc.get("models")
-    if isinstance(models, list):
-        points = {i: m["points"] for i, m in enumerate(models)
-                  if isinstance(m, dict) and type(m.get("points")) is list
-                  and m["points"]}
-        reprs = {}  # shared by every model: mt is the same in each
-        parts = points and _splice(doc, points, lambda p: _encode_points(p, reprs))
-        if parts:
-            return "".join(parts)
-    return json.dumps(doc, indent=2, allow_nan=False)
-
-
 def _comparison_json(report: dict, table: "ConditionTable") -> list[str]:
     """render_comparison(report, "json-like") in parts, each fitted model
-    given its points, for a report built on table without them. A model's
-    predictor texts are formatted once per condition and the response
-    texts once for all models; a row's text is its condition's and its
-    response's. A value that is not finite sends the document, points as
-    lists, to json.dumps, which raises as the oracle does."""
-    models, points = [], {}
+    given its points, for a report built on table without them.
+
+    A placeholder string stands in for each fitted model's points in an
+    indent=2 dump of the rest, and the points' text is spliced in at it.
+    A model's predictor texts are formatted once per condition and the
+    response texts once for all models; a row's text is its condition's
+    and its response's. A value that is not finite, or a placeholder that
+    does not occur exactly once in the dump, sends the document, points
+    as lists, to the oracle json.dumps itself, which raises on the first
+    value that is not finite."""
+    models, spliced = [], {}  # a placeholder's JSON text -> (i, model, names)
     for i, m in enumerate(report["models"]):
         if m["error"] is None:
             names = [n for n in m["coefficients"] if n != "intercept"]
-            m = dict(m, point_names=names + ["mt"])
-            points[i] = (m["model"], names)
+            token = _PLACEHOLDER.format(i)
+            spliced[json.dumps(token)] = (i, m["model"], names)
+            m = dict(m, point_names=names + ["mt"], points=token)
         models.append(m)
     doc = dict(report, models=models)
     y = table.y.tolist()
@@ -267,20 +193,26 @@ def _comparison_json(report: dict, table: "ConditionTable") -> list[str]:
     # each response's text and what follows it: a row break, or the close
     mt = list(map(float.__repr__, y))
     tails = [t + _ROW_BREAK_INDENTED for t in mt[:-1]] + [mt[-1] + _POINTS_CLOSE]
-
-    def encode(spec):
-        all_names, values = table.predictors(spec[0])
-        lead = values[:, [all_names.index(n) for n in spec[1]]].tolist()
-        if not all(map(math.isfinite, chain.from_iterable(lead))):
-            return None
-        lead = [_ITEM_SEP.join(map(float.__repr__, r)) + _ITEM_SEP for r in lead]
-        return _POINTS_OPEN + "".join(chain.from_iterable(
-            zip(map(lead.__getitem__, rows), tails)))
-
-    parts = all(map(math.isfinite, y)) and points and _splice(doc, points, encode)
-    if parts:
-        return parts + ["\n"]
-    for i, (model, names) in points.items():
+    try:
+        rest = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # the oracle names the first such value,
+        rest = None  # which may sit in points dumped before it
+    if (rest is not None and all(map(math.isfinite, y))
+            and all(rest.count(token) == 1 for token in spliced)):
+        parts = []
+        for token, (_, model, names) in spliced.items():
+            all_names, values = table.predictors(model)
+            lead = values[:, [all_names.index(n) for n in names]].tolist()
+            if not all(map(math.isfinite, chain.from_iterable(lead))):
+                break
+            lead = [_ITEM_SEP.join(map(float.__repr__, r)) + _ITEM_SEP
+                    for r in lead]
+            head, _, rest = rest.partition(token)
+            parts += (head, _POINTS_OPEN + "".join(chain.from_iterable(
+                zip(map(lead.__getitem__, rows), tails))))
+        else:
+            return parts + [rest, "\n"]
+    for i, model, names in spliced.values():
         models[i] = dict(models[i], points=_points(table, model, names))
     return [json.dumps(doc, indent=2, allow_nan=False), "\n"]
 
@@ -292,7 +224,7 @@ def _render(doc: dict, fmt: str) -> str:
             return _comparison_table(doc)
         return _stepwise_table(doc)
     if fmt == JSON_FORMAT:
-        return _dump_json(doc) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 

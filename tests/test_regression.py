@@ -8,8 +8,8 @@ from fitts3d import (ConditionTable, DesignMatrix, DomainError, EmptyCondition,
                      InsufficientData, InteractionKind, InvalidNesting,
                      ModelKind, RankDeficient, TaskSpec, compare_models,
                      condition_matrix, f_sf, fit_model, ols_fit,
-                     partial_f_test, stepwise)
-from fitts3d import regression
+                     partial_f_test, predictors_for, stepwise)
+from fitts3d import metrics, regression
 from fitts3d.synth import (Experiment, GroundTruth, build_grid, generate_trials,
                            paper_scale_defaults)
 from trial_rows import trial_log
@@ -427,6 +427,44 @@ def test_compare_models_affine_rank_invariance():
     assert [r.kind for r in rows] == [r.kind for r in rows2]
     for a, b in zip(rows, rows2):
         assert a.fit.r2 == pytest.approx(b.fit.r2, abs=1e-9)
+
+
+def _tied_models(tasks):
+    """Groups of two or more models, from metrics._MODELS, whose predictor
+    columns on tasks are equal once the constant ones are dropped: they
+    fit one design. A model that cannot express a task is left out."""
+    groups = {}
+    for kind in metrics._MODELS:
+        try:
+            rows = [tuple(predictors_for(kind, t).values()) for t in tasks]
+        except DomainError:
+            continue
+        columns = tuple(c for c in zip(*rows) if len(set(c)) > 1)
+        groups.setdefault(columns, []).append(kind)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def test_some_models_tie_on_the_paper_grids():
+    # e.g. Murata-Iwase is Shannon where every phi gives one sine
+    assert any(_tied_models(build_grid(e).variations) for e in Experiment)
+
+
+@pytest.mark.parametrize("aggregate", [True, False])
+@pytest.mark.parametrize("interaction", list(InteractionKind))
+@pytest.mark.parametrize("experiment", list(Experiment))
+def test_compare_models_gives_tied_models_one_fit(experiment, interaction,
+                                                  aggregate):
+    log = generate_trials(build_grid(experiment, interaction),
+                          paper_scale_defaults(experiment, interaction),
+                          interaction)
+    table = ConditionTable(log, aggregate)
+    fits = {row.kind: row.fit for row in compare_models(table)}
+    for group in _tied_models(table.tasks):
+        first, *others = (fits[kind] for kind in group)
+        for fit in others:
+            assert fit.r2.hex() == first.r2.hex()
+            assert list(fit.coefficients.values()) == \
+                list(first.coefficients.values())
 
 
 def test_condition_matrix():
