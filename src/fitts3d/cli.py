@@ -4,28 +4,23 @@ Verbs: generate, classify, fit, stepwise, compare, report. Exit codes:
 0 success, 1 runtime failure (bad data, a log that cannot be grouped
 into conditions, numerical degeneracy, missing file), 2 usage error.
 
-Only the verbs that fit (fit, compare, stepwise) import regression, and
-with it numpy; generate, classify and report start without them.
+Each verb imports the modules it runs inside its function, and the
+parser takes its choices from fitts3d.constants, which imports only
+enum. So report loads only cli, errors, constants and report; classify
+adds tasks and trial_io; generate adds synth and the layers it builds
+on; only the verbs that fit (fit, compare, stepwise) import regression,
+and with it numpy, after their other modules.
 """
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 
+from .constants import (FORMATS, JSON_FORMAT, STEPWISE_CANDIDATES,
+                        TABLE_FORMAT, Experiment, InteractionKind)
 from .errors import Fitts3dError
-from .metrics import MODEL_ORDER, ModelKind
-from .report import (FORMATS, JSON_FORMAT, TABLE_FORMAT, _comparison_json,
-                     build_comparison_report, render_comparison, render_document,
-                     render_stepwise)
-from .synth import Experiment, build_grid, generate_trials, paper_scale_defaults
-from .tasks import (STEPWISE_CANDIDATES, InteractionKind, check_candidates,
-                    classify_rotation, classify_translation)
-from .trial_io import POSE_CSV_HEADER, read_poses, read_trials, write_trials
 
 _EXPERIMENTS = tuple(e.value for e in Experiment)
 _INTERACTIONS = tuple(i.value for i in InteractionKind)
-_MODEL_NAMES = tuple(k.value for k in MODEL_ORDER)
 
 
 class _UsageError(Exception):
@@ -43,6 +38,8 @@ def _emit(out_path, *parts: str) -> None:
 
 
 def _parse_models(spec: str):
+    from .metrics import MODEL_ORDER, ModelKind
+
     if spec.strip() == "all":
         return MODEL_ORDER
     names = [t.strip() for t in spec.split(",") if t.strip()]
@@ -54,13 +51,16 @@ def _parse_models(spec: str):
             kind = ModelKind(name)
         except ValueError:
             raise _UsageError(
-                f"unknown model {name!r}; choose from {', '.join(_MODEL_NAMES)}") from None
+                f"unknown model {name!r}; choose from "
+                f"{', '.join(k.value for k in MODEL_ORDER)}") from None
         if kind not in kinds:
             kinds.append(kind)
     return tuple(kinds)
 
 
 def _parse_candidates(spec: str):
+    from .tasks import check_candidates
+
     try:
         return check_candidates(t.strip() for t in spec.split(",") if t.strip())
     except ValueError as exc:
@@ -68,6 +68,11 @@ def _parse_candidates(spec: str):
 
 
 def _cmd_generate(args) -> int:
+    from dataclasses import replace
+
+    from .synth import build_grid, generate_trials, paper_scale_defaults
+    from .trial_io import write_trials
+
     experiment = Experiment(args.experiment)
     interaction = InteractionKind(args.interaction)
     truth = paper_scale_defaults(experiment, interaction)
@@ -87,6 +92,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .tasks import classify_rotation, classify_translation
+    from .trial_io import POSE_CSV_HEADER, read_poses
+
     rows = read_poses(args.input)
     lines = [POSE_CSV_HEADER + ",trans_success,rot_success,combined_success"]
     for obj, target, w, omega in rows:
@@ -104,11 +112,14 @@ def _read_table(args):
     """The input log as a ConditionTable, grouped as --aggregate says;
     raises if it cannot be."""
     from .regression import ConditionTable
+    from .trial_io import read_trials
 
     return ConditionTable(read_trials(args.input), args.aggregate == "true")
 
 
 def _cmd_fit(args) -> int:
+    from .report import _comparison_json, build_comparison_report, render_comparison
+
     kinds = _parse_models(args.models)
     table = _read_table(args)
     report = build_comparison_report(table, kinds, include_points=False)
@@ -120,6 +131,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .metrics import MODEL_ORDER
+    from .report import build_comparison_report, render_comparison
+
     report = build_comparison_report(_read_table(args), MODEL_ORDER,
                                      include_points=False)
     _emit(args.out, render_comparison(report, args.format))
@@ -127,6 +141,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stepwise(args) -> int:
+    from .report import render_stepwise  # before numpy, as regression says
     from .regression import condition_matrix, stepwise
 
     candidates = _parse_candidates(args.candidates)
@@ -141,6 +156,10 @@ def _reject_constant(token):
 
 
 def _cmd_report(args) -> int:
+    import json
+
+    from .report import render_document
+
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)

@@ -30,8 +30,6 @@ p below 1e-12 ties, and the earliest such column enters whatever its F.
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
                      InvalidNesting, RankDeficient)
 from .metrics import (MODEL_ORDER, ModelKind, _sin_deg, predictor_names,
@@ -39,6 +37,10 @@ from .metrics import (MODEL_ORDER, ModelKind, _sin_deg, predictor_names,
 from .special import f_sf
 from .tasks import STEPWISE_CANDIDATES, check_candidates
 from .trial_io import TrialLog, _log_terms
+
+# numpy comes after the package's own modules: a process that compiles
+# them from source with numpy already loaded peaks up to ~1 MB higher
+import numpy as np
 
 RANK_TOL = 1e-10
 _RANK_DEFICIENT = "design matrix is rank deficient (collinear or constant columns)"

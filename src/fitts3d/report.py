@@ -25,14 +25,11 @@ import json
 import math
 from itertools import chain
 
+from .constants import FORMATS, JSON_FORMAT, TABLE_FORMAT
 from .errors import SchemaError
 
 REPORT_SCHEMA = "fitts3d.report/1"
 STEPWISE_SCHEMA = "fitts3d.stepwise/1"
-
-TABLE_FORMAT = "table"
-JSON_FORMAT = "json-like"
-FORMATS = (TABLE_FORMAT, JSON_FORMAT)
 
 
 def format_equation(coefficients: dict, names) -> str:

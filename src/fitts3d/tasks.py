@@ -12,43 +12,24 @@ Conventions used throughout the package:
 
 CONDITION_FIELDS is the one order of a condition's seven fields: the
 TaskSpec fields, the synth grid's loop order and the trial log's
-condition columns all follow it.
+condition columns all follow it. It lives in fitts3d.constants with the
+Experiment and InteractionKind enums, the two timeouts and
+STEPWISE_CANDIDATES, so the CLI parser can offer them without importing
+this module; they are re-exported here.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-POINTING_TIMEOUT_S = 15.0
-MANIPULATION_TIMEOUT_S = 20.0
+from .constants import (CONDITION_FIELDS, MANIPULATION_TIMEOUT_S,
+                        POINTING_TIMEOUT_S, STEPWISE_CANDIDATES, Experiment,
+                        InteractionKind)
 
 MIN_MT_S = 0.05
 
 # A cube looks identical under quarter turns about each of its axes, so
 # rotational error is only meaningful modulo 90 degrees per axis.
 ROTATION_SYMMETRY_DEG = 90.0
-
-# the fields that make up a condition, in TaskSpec declaration order
-CONDITION_FIELDS = ("F", "W", "A", "phi", "theta", "alpha", "omega")
-
-
-class Experiment(str, Enum):
-    E1 = "e1"
-    E2 = "e2"
-    E3 = "e3"
-    E4 = "e4"
-
-
-class InteractionKind(str, Enum):
-    POINTING = "pointing"
-    MANIPULATION = "manipulation"
-
-    @property
-    def timeout_s(self) -> float:
-        if self is InteractionKind.POINTING:
-            return POINTING_TIMEOUT_S
-        return MANIPULATION_TIMEOUT_S
-
 
 def wrap_angle_deg(angle: float) -> float:
     """Wrap an angle in degrees to the half-open interval (-180, 180]."""
@@ -133,12 +114,6 @@ class TaskSpec:
         if not 0.0 <= self.theta <= 90.0:
             raise ValueError("theta must lie in [0, 90]")
         object.__setattr__(self, "interaction", InteractionKind(self.interaction))
-
-
-# the TaskSpec fields stepwise selection may take as candidate columns;
-# the direction angle enters through its sine, matching the directional
-# term of the angle-aware models
-STEPWISE_CANDIDATES = CONDITION_FIELDS
 
 
 def check_candidates(names) -> tuple:

@@ -5,11 +5,11 @@ modules (other than the package's __init__), the demos and the benchmark
 tracer: once where it is defined and at least once where it is used.
 A name that only tests reach is code the answer does not need.
 
-The names the package looks up on first use (its __getattr__ table)
-count as exports too, and each must resolve to its module's object.
+The package exports the names of its one lookup table, each found in
+its module on first use; each must resolve to its module's object, and
+a star import must bind every one of them.
 """
 
-import ast
 import importlib
 import re
 from pathlib import Path
@@ -27,9 +27,7 @@ TEXT = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES)
 
 
 def _exported():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names] + list(fitts3d._LAZY_EXPORTS)
+    return list(fitts3d._LAZY_EXPORTS)
 
 
 def test_exports_found():
@@ -46,6 +44,16 @@ def test_lazy_export_resolves(name, module):
     owner = importlib.import_module(f"fitts3d.{module}")
     assert getattr(fitts3d, name) is getattr(owner, name)
     assert name in dir(fitts3d)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from fitts3d import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fitts3d._LAZY_EXPORTS)
+    for name, module in fitts3d._LAZY_EXPORTS.items():
+        owner = importlib.import_module(f"fitts3d.{module}")
+        assert namespace[name] is getattr(owner, name)
 
 
 def test_unknown_name_raises_attribute_error():
