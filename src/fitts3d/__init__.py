@@ -2,10 +2,11 @@
 
 The package covers the full loop from task definition to model ranking:
 difficulty indices for seven candidate models (tasks/metrics), binary
-success classification of pose pairs (tasks), factorial task grids and
-a seeded synthetic trial generator (synth), least-squares fitting with
-partial F tests and stepwise selection (regression), and CSV / report
-IO with a command line front end (trial_io, report, cli).
+success classification of pose pairs (tasks, and of whole pose files by
+column in poses), factorial task grids and a seeded synthetic trial
+generator (synth), least-squares fitting with partial F tests and
+stepwise selection (regression), and CSV / report IO with a command
+line front end (trial_io, report, cli).
 
 Every exported name is looked up in its module on first use (PEP 562),
 through the one table _LAZY_EXPORTS, and so is each of those modules,
@@ -28,8 +29,8 @@ _LAZY_EXPORTS = {name: module for module, names in {
     "tasks": (
         "MANIPULATION_TIMEOUT_S", "MIN_MT_S", "POINTING_TIMEOUT_S",
         "Experiment", "InteractionKind", "Pose", "TaskSpec", "Trial",
-        "classify_combined", "classify_rotation", "classify_translation",
-        "symmetry_reduced_delta_deg", "wrap_angle_deg"),
+        "classify_combined", "classify_rotation", "classify_translation"),
+    "poses": ("POSE_CSV_HEADER", "symmetry_reduced_delta_deg", "wrap_angle_deg"),
     "metrics": (
         "MODEL_ORDER", "ModelKind", "id_fitts", "id_hoffmann", "id_r_final",
         "id_rot_adapted", "id_shannon", "id_t_final", "id_welford",
@@ -42,7 +43,7 @@ _LAZY_EXPORTS = {name: module for module, names in {
         "ExperimentGrid", "GroundTruth", "build_grid", "generate_trials",
         "paper_scale_defaults", "predict_mt"),
     "trial_io": (
-        "POSE_CSV_HEADER", "TRIAL_CSV_HEADER", "TrialLog", "read_poses",
+        "TRIAL_CSV_HEADER", "TrialLog", "read_poses",
         "read_trials", "write_trials"),
     "report": (
         "build_comparison_report", "format_equation", "render_comparison",

@@ -6,10 +6,11 @@ into conditions, numerical degeneracy, missing file), 2 usage error.
 
 Each verb imports the modules it runs inside its function, and the
 parser takes its choices from fitts3d.constants, which imports only
-enum. So report loads only cli, errors, constants and report; classify
-adds tasks and trial_io; generate adds synth and the layers it builds
-on; only the verbs that fit (fit, compare, stepwise) import regression,
-and with it numpy, after their other modules.
+enum. So report loads only cli, errors, constants and report, and
+classify only those three and poses, neither of them dataclasses;
+generate adds tasks, trial_io, synth and the layers it builds on; only
+the verbs that fit (fit, compare, stepwise) import regression, and with
+it numpy, after their other modules.
 """
 
 import argparse
@@ -92,19 +93,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .tasks import classify_rotation, classify_translation
-    from .trial_io import POSE_CSV_HEADER, read_poses
+    from .poses import classified_csv, read_pose_columns
 
-    rows = read_poses(args.input)
-    lines = [POSE_CSV_HEADER + ",trans_success,rot_success,combined_success"]
-    for obj, target, w, omega in rows:
-        t = classify_translation(obj, target, w)
-        r = classify_rotation(obj, target, omega)
-        c = t and r
-        vals = [repr(v) for v in obj.position + obj.rotation
-                + target.position + target.rotation] + [repr(w), repr(omega)]
-        lines.append(",".join(vals + [str(int(t)), str(int(r)), str(int(c))]))
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, classified_csv(read_pose_columns(args.input)))
     return 0
 
 

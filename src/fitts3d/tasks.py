@@ -16,6 +16,11 @@ condition columns all follow it. It lives in fitts3d.constants with the
 Experiment and InteractionKind enums, the two timeouts and
 STEPWISE_CANDIDATES, so the CLI parser can offer them without importing
 this module; they are re-exported here.
+
+wrap_angle_deg, symmetry_reduced_delta_deg, ROTATION_SYMMETRY_DEG and
+the W/2 and omega tests the classifiers apply live in fitts3d.poses,
+which classifies pose files by column without building a Pose; the
+first three are re-exported here.
 """
 
 import math
@@ -24,36 +29,10 @@ from dataclasses import dataclass
 from .constants import (CONDITION_FIELDS, MANIPULATION_TIMEOUT_S,
                         POINTING_TIMEOUT_S, STEPWISE_CANDIDATES, Experiment,
                         InteractionKind)
+from .poses import (ROTATION_SYMMETRY_DEG, rotation_ok,
+                    symmetry_reduced_delta_deg, translation_ok, wrap_angle_deg)
 
 MIN_MT_S = 0.05
-
-# A cube looks identical under quarter turns about each of its axes, so
-# rotational error is only meaningful modulo 90 degrees per axis.
-ROTATION_SYMMETRY_DEG = 90.0
-
-def wrap_angle_deg(angle: float) -> float:
-    """Wrap an angle in degrees to the half-open interval (-180, 180]."""
-    r = math.fmod(angle, 360.0)
-    if r <= -180.0:
-        r += 360.0
-    elif r > 180.0:
-        r -= 360.0
-    return r
-
-
-def symmetry_reduced_delta_deg(delta: float) -> float:
-    """Reduce an angular difference modulo the quarter-turn symmetry of a
-    cube to the interval [-45, 45].
-
-    Any of the four rotations that leave a cube looking the same counts
-    as aligned, so only the residual within +-45 degrees matters.
-    """
-    r = math.fmod(delta, ROTATION_SYMMETRY_DEG)
-    if r > 45.0:
-        r -= ROTATION_SYMMETRY_DEG
-    elif r < -45.0:
-        r += ROTATION_SYMMETRY_DEG
-    return r
 
 
 @dataclass(frozen=True)
@@ -159,7 +138,7 @@ def classify_translation(obj: Pose, target: Pose, W: float) -> bool:
     target centre (at least 50 percent overlap). Boundary counts."""
     if W <= 0:
         raise ValueError("W must be positive")
-    return math.dist(obj.position, target.position) <= W / 2.0
+    return translation_ok(obj.position, target.position, W)
 
 
 def classify_rotation(obj: Pose, target: Pose, omega: float) -> bool:
@@ -167,10 +146,7 @@ def classify_rotation(obj: Pose, target: Pose, omega: float) -> bool:
     difference is within omega. Boundary counts."""
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    for o_i, t_i in zip(obj.rotation, target.rotation):
-        if abs(symmetry_reduced_delta_deg(t_i - o_i)) > omega:
-            return False
-    return True
+    return rotation_ok(obj.rotation, target.rotation, omega)
 
 
 def classify_combined(obj: Pose, target: Pose, W: float, omega: float) -> bool:

@@ -18,6 +18,11 @@ builds Trial objects only when a caller asks. read_trials checks each
 distinct row prefix (experiment, interaction and condition tokens) once
 and parses mt_s and success on every row; a bad row gets the same error
 text, line and column whether its prefix was seen before or not.
+
+The pose-file format (POSE_COLUMNS, POSE_CSV_HEADER) and its column
+reader live in fitts3d.poses, with the CSV helpers both readers share;
+read_poses builds its Pose tuples from that reader's columns, and
+POSE_COLUMNS and POSE_CSV_HEADER are re-exported here.
 """
 
 import math
@@ -25,7 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError
+from .poses import (POSE_COLUMNS, POSE_CSV_HEADER, _parse_float, _pose_rows,
+                    _read_lines, read_pose_columns)
 from .tasks import (CONDITION_FIELDS, Experiment, InteractionKind, Pose,
                     TaskSpec, Trial)
 
@@ -39,11 +46,6 @@ TRIAL_COLUMNS = ("experiment", "interaction", *_CONDITION_COLUMNS,
 TRIAL_CSV_HEADER = ",".join(TRIAL_COLUMNS)
 
 _EXPERIMENT_IDS = tuple(e.value for e in Experiment)
-
-POSE_COLUMNS = ("ox", "oy", "oz", "orx", "ory", "orz",
-                "tx", "ty", "tz", "trx", "try", "trz",
-                "W_cm", "omega_deg")
-POSE_CSV_HEADER = ",".join(POSE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -104,31 +106,6 @@ def write_trials(path, log: TrialLog, experiment) -> None:
               for k, mt, success in zip(log.task_index, log.mt, log.success)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(line_no, f"not a number: {token!r}", column=column) from None
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"not finite: {token!r}", column=column)
-    return value
-
-
-def _read_lines(path, expected_header: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline
-    if not lines:
-        raise SchemaError("empty file: missing header")
-    header = lines[0].rstrip("\r")
-    if header != expected_header:
-        raise SchemaError(
-            f"unrecognized header {header!r}; expected {expected_header!r}")
-    return lines
 
 
 def read_trials(path) -> TrialLog:
@@ -197,26 +174,9 @@ def read_poses(path):
 
     Columns: object position/rotation, target position/rotation, then
     the target width W_cm and the rotational tolerance omega_deg.
-    Returns a list of (object Pose, target Pose, W, omega) tuples.
+    Returns a list of (object Pose, target Pose, W, omega) tuples, built
+    from read_pose_columns' columns, so it raises what that raises.
     """
-    lines = _read_lines(path, POSE_CSV_HEADER)
-    rows = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        row = raw.rstrip("\r").split(",")
-        if len(row) != len(POSE_COLUMNS):
-            raise ParseError(line_no,
-                             f"expected {len(POSE_COLUMNS)} fields, got {len(row)}")
-        vals = [_parse_float(token, line_no, col)
-                for col, token in zip(POSE_COLUMNS, row)]
-        w, omega = vals[12], vals[13]
-        if w <= 0:
-            raise ParseError(line_no, "W_cm must be > 0", column="W_cm")
-        if omega < 0:
-            raise ParseError(line_no, "omega_deg must be >= 0", column="omega_deg")
-        try:
-            obj = Pose(tuple(vals[0:3]), tuple(vals[3:6]))
-            target = Pose(tuple(vals[6:9]), tuple(vals[9:12]))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        rows.append((obj, target, w, omega))
-    return rows
+    return [(Pose(obj_pos, obj_rot), Pose(target_pos, target_rot), w, omega)
+            for obj_pos, obj_rot, target_pos, target_rot, w, omega
+            in _pose_rows(read_pose_columns(path))]

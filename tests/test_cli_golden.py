@@ -7,6 +7,8 @@ saved fit and stepwise documents (table and json-like each) must match
 tests/data/cli_golden.json byte for byte. So must `render_document` on
 a set of hand-written, non-canonical documents (missing optional keys,
 extra keys, empty points, error rows, a stepwise document without r2).
+So must the stdout of `classify` on a seeded pose file of edge values
+(see tests/pose_oracle.py), written with LF and with CRLF line endings.
 Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from fitts3d import render_document
 from fitts3d.cli import main
+from pose_oracle import edge_pose_rows, pose_file_text
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -38,6 +41,8 @@ VERBS = {
 # `fitts3d report` on the document a verb saved with --format json-like
 SAVED = {"report-fit": "fit", "report-stepwise": "stepwise"}
 FORMATS = {"table": [], "json": ["--format", "json-like"]}
+# `classify` input -> its line ending; both hold edge_pose_rows(0)
+POSE_FILES = {"poses-lf": "\n", "poses-crlf": "\r\n"}
 
 _ROW = {"model": "final", "r2": 0.9, "n": 64,
         "coefficients": {"intercept": 0.4, "id_t": 0.25, "id_r": 0.45},
@@ -120,7 +125,17 @@ def cli_digests(workdir) -> dict:
                     assert rc == 0, (cell, name, fmt, flag)
                     key = f"{cell}/{name}-{fmt}/aggregate={flag}"
                     digests[key] = _digest(out)
+    for name, newline in POSE_FILES.items():
+        rc, out = _run(["classify", str(write_pose_file(workdir, name, newline))])
+        assert rc == 0, name
+        digests[f"classify/{name}"] = _digest(out)
     return digests
+
+
+def write_pose_file(workdir, name, newline) -> Path:
+    path = Path(workdir) / f"{name}.csv"
+    path.write_bytes(pose_file_text(edge_pose_rows(0), newline).encode("utf-8"))
+    return path
 
 
 def document_digests() -> dict:
@@ -146,17 +161,12 @@ def test_documents_match_golden():
 
 def test_out_files_hold_the_golden_bytes(tmp_path):
     # --out writes what stdout shows; the digests are of stdout
-    from fitts3d.trial_io import POSE_CSV_HEADER
-
     golden = _golden(documents=False)
     cell = "e4-manipulation"
     log = tmp_path / f"{cell}.csv"
     assert _run(["generate", "--experiment", "e4", "--interaction",
                  "manipulation", "--seed", "0", "--out", str(log)])[0] == 0
-    poses = tmp_path / "poses.csv"
-    poses.write_text(POSE_CSV_HEADER + "\n"
-                     "0.0,0.0,0.0,0.0,0.0,-0.0,1.0,0.0,0.0,0.0,0.0,0.0,5.0,2.5\n",
-                     encoding="utf-8")
+    poses = write_pose_file(tmp_path, "poses-crlf", "\r\n")
     saved = tmp_path / "saved.json"
     fit = ["fit", str(log), "--aggregate", "false", "--format", "json-like"]
     assert _run(fit + ["--out", str(saved)])[0] == 0
@@ -166,14 +176,14 @@ def test_out_files_hold_the_golden_bytes(tmp_path):
         f"{cell}/stepwise-json/aggregate=true":
             ["stepwise", str(log), "--format", "json-like"],
         f"{cell}/report-fit-table/aggregate=false": ["report", str(saved)],
-        "classify": ["classify", str(poses)],
+        "classify/poses-crlf": ["classify", str(poses)],
     }
     for key, argv in runs.items():
         out = tmp_path / "verb.out"
         rc, stdout = _run(argv)
         assert rc == 0 and _run(argv + ["--out", str(out)]) == (0, "")
         assert out.read_bytes() == stdout.encode("utf-8"), key
-        assert key == "classify" or _digest(stdout) == golden[key], key
+        assert _digest(stdout) == golden[key], key
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Each verb runs through fitts3d.cli.main in a fresh interpreter, which
 then reports its fitts3d modules, and whether dataclasses and numpy are
-among its modules. report loads only the parser's modules and report;
-the verbs that fit nothing never load numpy, and fit, compare and
+among its modules. report loads only the parser's modules and report,
+and classify only those and poses, neither of them dataclasses; the
+verbs that fit nothing never load numpy, and fit, compare and
 stepwise must, after every fitts3d module they load, so the check can
 tell the two apart.
 """
@@ -34,6 +35,8 @@ _RUN_VERB = "from fitts3d.cli import main\nassert main(sys.argv[1:]) == 0"
 
 REPORT_MODULES = ["fitts3d", "fitts3d.cli", "fitts3d.constants",
                   "fitts3d.errors", "fitts3d.report"]
+CLASSIFY_MODULES = ["fitts3d", "fitts3d.cli", "fitts3d.constants",
+                    "fitts3d.errors", "fitts3d.poses"]
 
 VERBS = {
     "generate": ["generate", "--experiment", "e1", "--interaction", "pointing",
@@ -108,10 +111,10 @@ def test_report_loads_only_its_modules(loaded, verb):
     assert not dataclasses
 
 
-def test_classify_loads_no_fitting_or_report_module(loaded):
-    modules = loaded("classify")[0]
-    for name in ("report", "synth", "rng", "metrics", "special", "regression"):
-        assert f"fitts3d.{name}" not in modules
+def test_classify_loads_only_its_modules(loaded):
+    modules, dataclasses, _, _ = loaded("classify")
+    assert modules == CLASSIFY_MODULES
+    assert not dataclasses
 
 
 def test_generate_loads_neither_report_nor_regression(loaded):
@@ -131,5 +134,5 @@ def test_first_use_loads_the_owning_module(tmp_path):
            "assert fitts3d.Experiment('e1') is fitts3d.tasks.Experiment.E1")
     modules, _, numpy, _ = _child(run, [], tmp_path)
     assert modules == ["fitts3d", "fitts3d.constants", "fitts3d.errors",
-                       "fitts3d.special", "fitts3d.tasks"]
+                       "fitts3d.poses", "fitts3d.special", "fitts3d.tasks"]
     assert not numpy
