@@ -31,12 +31,15 @@ for experiment in ("e1", "e3", "e4"):
 
     if experiment == "e4":
         top = report["models"][0]
-        # project the fitted plane onto one axis for a quick look
+        # project the fitted plane onto one axis for a quick look; the
+        # table holds each condition's predictors and the mean times
         coef = top["coefficients"]
-        xs = [coef["intercept"] + sum(coef[n] * v for n, v in
-                                      zip(top["point_names"][:-1], p[:-1]))
-              for p in top["points"]]
-        ys = [p[-1] for p in top["points"]]
+        kept = [n for n in coef if n != "intercept"]  # the fit's columns
+        names, values = table.predictors(ModelKind(top["model"]))
+        cols = [names.index(n) for n in kept]
+        xs = [coef["intercept"] + sum(coef[n] * row[j] for n, j in zip(kept, cols))
+              for row in values[table.rows].tolist()]
+        ys = table.y.tolist()
         try:
             import matplotlib
             matplotlib.use("Agg")

@@ -26,9 +26,11 @@ _LAZY_EXPORTS = {name: module for module, names in {
         "ConvergenceError", "DomainError", "EmptyCondition", "Fitts3dError",
         "InsufficientData", "InvalidNesting", "InvalidTruth", "ParseError",
         "RankDeficient", "SchemaError"),
+    "constants": (
+        "MANIPULATION_TIMEOUT_S", "POINTING_TIMEOUT_S", "Experiment",
+        "InteractionKind"),
     "tasks": (
-        "MANIPULATION_TIMEOUT_S", "MIN_MT_S", "POINTING_TIMEOUT_S",
-        "Experiment", "InteractionKind", "Pose", "TaskSpec", "Trial",
+        "MIN_MT_S", "Pose", "TaskSpec", "Trial",
         "classify_combined", "classify_rotation", "classify_translation"),
     "poses": ("POSE_CSV_HEADER", "symmetry_reduced_delta_deg", "wrap_angle_deg"),
     "metrics": (

@@ -113,11 +113,11 @@ def _cmd_fit(args) -> int:
 
     kinds = _parse_models(args.models)
     table = _read_table(args)
-    report = build_comparison_report(table, kinds, include_points=False)
     if args.format == JSON_FORMAT:
-        _emit(args.out, *_comparison_json(report, table))
+        _emit(args.out, *_comparison_json(table, kinds))
     else:
-        _emit(args.out, render_comparison(report, args.format))
+        _emit(args.out, render_comparison(build_comparison_report(table, kinds),
+                                          args.format))
     return 0
 
 
@@ -125,8 +125,7 @@ def _cmd_compare(args) -> int:
     from .metrics import MODEL_ORDER
     from .report import build_comparison_report, render_comparison
 
-    report = build_comparison_report(_read_table(args), MODEL_ORDER,
-                                     include_points=False)
+    report = build_comparison_report(_read_table(args), MODEL_ORDER)
     _emit(args.out, render_comparison(report, args.format))
     return 0
 

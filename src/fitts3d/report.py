@@ -5,13 +5,14 @@ schema has one table renderer, which reads the document, so live and
 reloaded match.
 
 JSON output is byte-identical to json.dumps(doc, indent=2), and a
-document held as lists, as build_comparison_report returns it or report
-reads it, is written by json.dumps(doc, indent=2, allow_nan=False)
-itself. Every dump passes allow_nan=False, so a document holding an
-infinity or NaN raises ValueError, naming the first in document order,
-instead of becoming JSON that report rejects.
+document held in memory, as build_comparison_report returns it (its
+points null) or report reads it, is written by json.dumps(doc,
+indent=2, allow_nan=False) itself. Every dump passes allow_nan=False,
+so a document holding an infinity or NaN raises ValueError, naming the
+first in document order, instead of becoming JSON that report rejects.
 
-fit writes its document from the ConditionTable: each condition's
+The ConditionTable is the one holder of a fit's points in memory, and
+fit --format json-like the one writer of them: each condition's
 predictor texts are formatted once per model and the response texts
 once for all models, with float.__repr__, the encoder's own form; they
 are spliced in at a placeholder for each model's points in an indent=2
@@ -51,11 +52,10 @@ def _model_entry(model, r2=None, n=None, coefficients=None, equation=None,
             "point_names": point_names, "points": points}
 
 
-def build_comparison_report(table: "ConditionTable", kinds,
-                            include_points: bool = True) -> dict:
+def build_comparison_report(table: "ConditionTable", kinds) -> dict:
     """Fit and rank the models on a ConditionTable into a fitts3d.report/1
-    document; optionally attach each model's points, its predictors and
-    the response per observation, for plotting."""
+    document. Its entries' points are null: the table holds them, and
+    fit --format json-like writes them from it."""
     from .regression import compare_models
 
     models = []
@@ -64,27 +64,13 @@ def build_comparison_report(table: "ConditionTable", kinds,
         if fit is None:
             models.append(_model_entry(cmp_row.kind.value, error=cmp_row.error))
             continue
-        point_names = points = None
-        if include_points:
-            point_names = list(fit.predictor_names) + ["mt"]
-            points = _points(table, cmp_row.kind, fit.predictor_names)
         models.append(_model_entry(
             cmp_row.kind.value, r2=fit.r2, n=fit.n,
             coefficients=dict(fit.coefficients),
             equation=format_equation(fit.coefficients, fit.predictor_names),
-            dropped=fit.dropped, point_names=point_names, points=points))
+            dropped=fit.dropped))
     return {"schema": REPORT_SCHEMA, "n_trials": table.n_trials,
             "aggregate": table.aggregate, "models": models}
-
-
-def _points(table: "ConditionTable", model, names) -> list:
-    """A model's points as lists: its named predictors and the response,
-    one row per observation of the table."""
-    import numpy as np
-
-    all_names, values = table.predictors(model)
-    cols = [all_names.index(n) for n in names]
-    return np.column_stack([values[:, cols][table.rows], table.y]).tolist()
 
 
 def stepwise_document(sw: "StepwiseReport") -> dict:
@@ -164,54 +150,48 @@ _POINTS_CLOSE = "\n" + 8 * " " + "]\n" + 6 * " " + "]"
 _PLACEHOLDER = "\x00fitts3d.points.{}\x00"
 
 
-def _comparison_json(report: dict, table: "ConditionTable") -> list[str]:
-    """render_comparison(report, "json-like") in parts, each fitted model
-    given its points, for a report built on table without them.
+def _comparison_json(table: "ConditionTable", kinds) -> list[str]:
+    """The fitts3d.report/1 document of the models fitted to table, each
+    fitted model given its points, as json.dumps(doc, indent=2,
+    allow_nan=False) + "\n" would write it with points as lists, in parts.
 
     A placeholder string stands in for each fitted model's points in an
     indent=2 dump of the rest, and the points' text is spliced in at it.
     A model's predictor texts are formatted once per condition and the
     response texts once for all models; a row's text is its condition's
-    and its response's. A value that is not finite, or a placeholder that
-    does not occur exactly once in the dump, sends the document, points
-    as lists, to the oracle json.dumps itself, which raises on the first
-    value that is not finite."""
-    models, spliced = [], {}  # a placeholder's JSON text -> (i, model, names)
+    and its response's. The report is built here from the table, so:
+    - a fitted model's predictors and response are finite, as
+      DesignMatrix and ols_fit raise ValueError otherwise, and their
+      float.__repr__ is the encoder's text;
+    - no text of the report holds a NUL (it is model names, equations,
+      dropped names and Fitts3dError messages), so each placeholder
+      occurs once in the dump, at its model's points;
+    - a non-finite r2 or coefficient makes the dump of the rest raise
+      the oracle's own ValueError: it is the first such value in
+      document order, as the points that follow it are finite."""
+    report = build_comparison_report(table, kinds)
+    models, spliced = [], {}  # a placeholder's JSON text -> (model, names)
     for i, m in enumerate(report["models"]):
         if m["error"] is None:
             names = [n for n in m["coefficients"] if n != "intercept"]
             token = _PLACEHOLDER.format(i)
-            spliced[json.dumps(token)] = (i, m["model"], names)
+            spliced[json.dumps(token)] = (m["model"], names)
             m = dict(m, point_names=names + ["mt"], points=token)
         models.append(m)
-    doc = dict(report, models=models)
-    y = table.y.tolist()
+    rest = json.dumps(dict(report, models=models), indent=2, allow_nan=False)
     rows = table.rows.tolist()
     # each response's text and what follows it: a row break, or the close
-    mt = list(map(float.__repr__, y))
+    mt = list(map(float.__repr__, table.y.tolist()))
     tails = [t + _ROW_BREAK_INDENTED for t in mt[:-1]] + [mt[-1] + _POINTS_CLOSE]
-    try:
-        rest = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:  # the oracle names the first such value,
-        rest = None  # which may sit in points dumped before it
-    if (rest is not None and all(map(math.isfinite, y))
-            and all(rest.count(token) == 1 for token in spliced)):
-        parts = []
-        for token, (_, model, names) in spliced.items():
-            all_names, values = table.predictors(model)
-            lead = values[:, [all_names.index(n) for n in names]].tolist()
-            if not all(map(math.isfinite, chain.from_iterable(lead))):
-                break
-            lead = [_ITEM_SEP.join(map(float.__repr__, r)) + _ITEM_SEP
-                    for r in lead]
-            head, _, rest = rest.partition(token)
-            parts += (head, _POINTS_OPEN + "".join(chain.from_iterable(
-                zip(map(lead.__getitem__, rows), tails))))
-        else:
-            return parts + [rest, "\n"]
-    for i, model, names in spliced.values():
-        models[i] = dict(models[i], points=_points(table, model, names))
-    return [json.dumps(doc, indent=2, allow_nan=False), "\n"]
+    parts = []
+    for token, (model, names) in spliced.items():
+        all_names, values = table.predictors(model)
+        lead = [_ITEM_SEP.join(map(float.__repr__, r)) + _ITEM_SEP
+                for r in values[:, [all_names.index(n) for n in names]].tolist()]
+        head, _, rest = rest.partition(token)
+        parts += (head, _POINTS_OPEN + "".join(chain.from_iterable(
+            zip(map(lead.__getitem__, rows), tails))))
+    return parts + [rest, "\n"]
 
 
 def _render(doc: dict, fmt: str) -> str:

@@ -127,6 +127,18 @@ def test_bare_import_loads_no_other_module(tmp_path):
     assert _child("import fitts3d", [], tmp_path) == (["fitts3d"], False, False, [])
 
 
+def test_constants_names_load_only_constants(tmp_path):
+    # the enums and timeouts are defined in constants, not tasks
+    run = ("import fitts3d\n"
+           "assert fitts3d.Experiment('e1') is fitts3d.Experiment.E1\n"
+           "assert fitts3d.InteractionKind.POINTING.timeout_s"
+           " == fitts3d.POINTING_TIMEOUT_S\n"
+           "assert fitts3d.MANIPULATION_TIMEOUT_S")
+    modules, dataclasses, _, _ = _child(run, [], tmp_path)
+    assert modules == ["fitts3d", "fitts3d.constants"]
+    assert not dataclasses
+
+
 def test_first_use_loads_the_owning_module(tmp_path):
     # a submodule and an exported name, each reached as an attribute
     run = ("import fitts3d\n"

@@ -5,6 +5,7 @@ per condition mean (or per successful trial), predictors_for called on
 every row, then ols_fit. Grouped results must equal it exactly.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 import fitts3d.regression as regression
 from fitts3d import (MODEL_ORDER, DesignMatrix, EmptyCondition,
                      InsufficientData, InteractionKind, ModelKind, TaskSpec,
-                     build_comparison_report, build_grid,
+                     build_grid,
                      compare_models, condition_matrix, fit_model,
                      generate_trials, ols_fit, paper_scale_defaults,
                      predictors_for, read_trials)
 from fitts3d.regression import STEPWISE_CANDIDATES, ConditionTable
+from fitts3d.report import _comparison_json
 from fitts3d.trial_io import TRIAL_CSV_HEADER
+from report_oracle import document_with_points
 from trial_rows import trial_log
 
 CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
@@ -127,7 +130,7 @@ def assert_same_fit(got, want):
 def assert_report_matches_reference(log, aggregate):
     """The report on a groupable log against the per-trial reference; a
     grouping error is compared where the table is built."""
-    report = build_comparison_report(ConditionTable(log, aggregate), MODEL_ORDER)
+    report = document_with_points(ConditionTable(log, aggregate), MODEL_ORDER)
     assert (report["n_trials"], report["aggregate"]) == (len(log), aggregate)
     trials = log.trials
     want = {k: outcome(reference_fit, k, trials, aggregate) for k in MODEL_ORDER}
@@ -198,9 +201,10 @@ def test_predictors_run_once_per_condition_and_model(monkeypatch):
         return predictors_for(kind, task)
 
     monkeypatch.setattr(regression, "predictors_for", counting)
-    report = build_comparison_report(ConditionTable(log, aggregate=False),
-                                     MODEL_ORDER)
-    assert all(m["points"] for m in report["models"])
+    # fitting every model and writing its points
+    doc = json.loads("".join(_comparison_json(ConditionTable(log, aggregate=False),
+                                              MODEL_ORDER)))
+    assert all(m["points"] for m in doc["models"])
     assert len(calls) == len(MODEL_ORDER) * 64
 
 

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -22,6 +21,7 @@ from fitts3d.cli import main
 from fitts3d.metrics import MODEL_ORDER
 from fitts3d.report import REPORT_SCHEMA, STEPWISE_SCHEMA
 from fitts3d.synth import paper_scale_defaults
+from report_oracle import document_with_points
 from trial_rows import trial_log
 
 POINT = InteractionKind.POINTING
@@ -46,7 +46,7 @@ def test_format_equation():
 
 
 def test_comparison_report_structure():
-    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
+    report = document_with_points(ConditionTable(_trials()), list(ModelKind))
     assert report["schema"] == REPORT_SCHEMA
     assert report["n_trials"] == 64 * 4
     assert report["aggregate"] is True
@@ -63,10 +63,11 @@ def test_comparison_report_structure():
 
 
 def test_comparison_report_without_points():
-    report = build_comparison_report(ConditionTable(_trials()),
-                                     [ModelKind.FITTS], include_points=False)
-    assert report["models"][0]["points"] is None
-    assert report["models"][0]["point_names"] is None
+    # the oracle's document, each entry's points null
+    table = ConditionTable(_trials())
+    full = document_with_points(table, list(ModelKind))
+    assert build_comparison_report(table, list(ModelKind)) == dict(full, models=[
+        dict(m, point_names=None, points=None) for m in full["models"]])
 
 
 def test_comparison_report_error_rows_sink():
@@ -95,7 +96,7 @@ def test_comparison_table_renders_all_rows():
 
 
 def test_comparison_json_round_trip():
-    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
+    report = document_with_points(ConditionTable(_trials()), list(ModelKind))
     text = render_comparison(report, "json-like")
     doc = json.loads(text)
     assert doc["schema"] == REPORT_SCHEMA
@@ -158,7 +159,7 @@ def test_json_refuses_non_finite_numbers():
     assert " inf " in render_stepwise(infinite, "table")
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_stepwise(infinite, "json-like")
-    report = build_comparison_report(ConditionTable(_trials()), [ModelKind.FITTS])
+    report = document_with_points(ConditionTable(_trials()), [ModelKind.FITTS])
     report["models"][0]["points"][0][0] = math.nan
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_comparison(report, "json-like")
@@ -201,7 +202,7 @@ def test_render_document_unknown_schema():
 
 
 def test_document_is_json_serializable():
-    report = build_comparison_report(ConditionTable(_trials()), list(ModelKind))
+    report = document_with_points(ConditionTable(_trials()), list(ModelKind))
     # points are plain lists of floats, so the document survives JSON
     assert json.loads(json.dumps(report)) == report
     assert report["models"][0]["model"] == "final"
@@ -347,8 +348,7 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
     assert main(["fit", str(path), "--aggregate", "false",
                  "--format", "json-like"]) == 0
     # the generated log, not the one read back
-    expected = build_comparison_report(
-        ConditionTable(log, aggregate=False), MODEL_ORDER)
+    expected = document_with_points(ConditionTable(log, aggregate=False), MODEL_ORDER)
     assert expected["n_trials"] == 4800
     _assert_same_bytes(capsys.readouterr().out.encode("utf-8"),
                        _oracle(expected).encode("utf-8"))
@@ -380,15 +380,14 @@ def test_fit_json_from_the_table_matches_the_oracle(tmp_path, capsys, experiment
     out_path = tmp_path / "fit.json"
     assert main(argv) == 0
     assert main(argv + ["--out", str(out_path)]) == 0
-    expected = _oracle(build_comparison_report(
+    expected = _oracle(document_with_points(
         ConditionTable(log, aggregate == "true"), _MODEL_SPECS[models])).encode("utf-8")
     _assert_same_bytes(capsys.readouterr().out.encode("utf-8"), expected)
     _assert_same_bytes(out_path.read_bytes(), expected)
 
 
 def _table_json(table, kinds) -> str:
-    report = build_comparison_report(table, kinds, include_points=False)
-    return "".join(report_module._comparison_json(report, table))
+    return "".join(report_module._comparison_json(table, kinds))
 
 
 # zeros of both signs in the angles, so that sin_phi and theta1 print
@@ -404,23 +403,34 @@ _HAND_CONDITIONS = st.builds(
 
 @st.composite
 def _hand_logs(draw):
+    # movement times up to ~1e308 in some logs, whose sums of squares
+    # overflow, so that r2 or a coefficient may not be finite
+    mts = st.floats(0.1, draw(st.sampled_from([10.0, 1e308])))
     rows = []
     for task in draw(st.lists(_HAND_CONDITIONS, min_size=2, max_size=5)):
-        rows.append((task, draw(st.floats(0.1, 10.0)), True))
+        rows.append((task, draw(mts), True))
         for _ in range(draw(st.integers(0, 3))):  # error trials among them
-            rows.append((task, draw(st.floats(0.1, 10.0)), draw(st.booleans())))
+            rows.append((task, draw(mts), draw(st.booleans())))
     return trial_log(draw(st.permutations(rows)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(log=_hand_logs(), aggregate=st.booleans())
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 def test_fit_json_from_hand_made_logs_matches_the_oracle(log, aggregate):
     try:
         table = ConditionTable(log, aggregate)
-    except Fitts3dError:
+    except (Fitts3dError, OverflowError):  # a mean's sum may overflow
         assume(False)
-    assert _table_json(table, MODEL_ORDER) == _oracle(
-        build_comparison_report(table, MODEL_ORDER))
+    try:
+        expected = _oracle(document_with_points(table, MODEL_ORDER))
+    except ValueError as exc:  # an r2 or coefficient that is not finite
+        with pytest.raises(ValueError) as written:
+            _table_json(table, MODEL_ORDER)
+        assert str(written.value) == str(exc)
+    else:
+        assert _table_json(table, MODEL_ORDER) == expected
 
 
 def test_fit_json_keeps_the_first_specs_zero_and_null_points():
@@ -434,7 +444,7 @@ def test_fit_json_keeps_the_first_specs_zero_and_null_points():
     for aggregate in (True, False):
         table = ConditionTable(trial_log(rows), aggregate)
         text = _table_json(table, MODEL_ORDER)
-        assert text == _oracle(build_comparison_report(table, MODEL_ORDER))
+        assert text == _oracle(document_with_points(table, MODEL_ORDER))
         doc = json.loads(text)
         murata, = (m for m in doc["models"] if m["model"] == "murata-iwase")
         sines = [repr(p[1]) for p in murata["points"]]
@@ -442,34 +452,53 @@ def test_fit_json_keeps_the_first_specs_zero_and_null_points():
         assert any(m["points"] is None for m in doc["models"])
 
 
-_TOKEN = report_module._PLACEHOLDER.format
-
-
-@pytest.mark.parametrize("text", [
-    _TOKEN, lambda i: json.dumps(_TOKEN(i)), lambda i: 'x"' + _TOKEN(i)],
-    ids=["token", "escaped-token", "after-a-quote"])
-@pytest.mark.parametrize("error_first", [False, True])
-def test_placeholder_text_in_a_report_falls_back(text, error_first):
-    # an error row whose text holds the first fitted model's placeholder,
-    # after the fitted rows as ranked or before them
+def _zero_distance_cell(aggregate):
+    """A table on which the Fitts, Hoffmann and Cha-Myung forms fail
+    (A = 0) and the others fit."""
     tasks = [TaskSpec(F=3, W=5, A=a) for a in (0.0, 12.0, 24.0, 36.0)]
-    table = ConditionTable(trial_log(
-        (t, 0.4 + 0.3 * (i + 1), True) for i, t in enumerate(tasks)))
+    return ConditionTable(trial_log(
+        (t, 0.4 + 0.3 * i + 0.01 * r, True)
+        for i, t in enumerate(tasks) for r in range(2)), aggregate)
 
-    def edited(report):
-        models = report["models"]
-        error = next(m for m in models if m["error"] is not None)
-        if error_first:
-            models = [error] + [m for m in models if m is not error]
-        first_fit = next(i for i, m in enumerate(models) if m["error"] is None)
-        models = [dict(m, error=text(first_fit)) if m is error else m
-                  for m in models]
-        return dict(report, models=models)
 
-    report = edited(build_comparison_report(table, MODEL_ORDER,
-                                            include_points=False))
-    assert "".join(report_module._comparison_json(report, table)) == _oracle(
-        edited(build_comparison_report(table, MODEL_ORDER)))
+@pytest.mark.parametrize("kind", MODEL_ORDER, ids=[k.value for k in MODEL_ORDER])
+def test_fit_json_of_each_model_alone_matches_the_oracle(kind):
+    # a one-entry document, fitted (one splice) or failed (none); its
+    # text holds no placeholder, nor a NUL that would make one ambiguous
+    for aggregate in (True, False):
+        table = _zero_distance_cell(aggregate)
+        text = _table_json(table, [kind])
+        assert text == _oracle(document_with_points(table, [kind]))
+        doc = json.loads(text)
+        entry, = doc["models"]
+        assert (entry["error"] is None) == (kind not in (
+            ModelKind.FITTS, ModelKind.HOFFMANN, ModelKind.CHA_MYUNG))
+        assert (entry["points"] is None) == (entry["error"] is not None)
+        assert "\x00" not in json.dumps(build_comparison_report(table, [kind]),
+                                        ensure_ascii=False)
+        assert "\\u0000" not in text
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=_hand_logs(), aggregate=st.booleans(),
+       kinds=st.lists(st.sampled_from(MODEL_ORDER), min_size=1, unique=True))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_json_output_matches_the_oracle(log, aggregate, kinds):
+    # the table writer's splice against json.dumps of the list-points
+    # document, on any subset of the models in any order
+    try:
+        table = ConditionTable(log, aggregate)
+    except (Fitts3dError, OverflowError):  # a mean's sum may overflow
+        assume(False)
+    try:
+        expected = _oracle(document_with_points(table, kinds))
+    except ValueError as exc:  # an r2 or coefficient that is not finite
+        with pytest.raises(ValueError) as written:
+            _table_json(table, kinds)
+        assert str(written.value) == str(exc)
+    else:
+        assert _table_json(table, kinds) == expected
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -480,45 +509,39 @@ def _counting(monkeypatch, owner, name, calls):
 
 
 def test_cli_fit_json_writes_points_from_the_table(tmp_path, capsys, monkeypatch):
-    # no list points are built or dumped whole on a per-trial log
+    # one report is built, and no document with list points is dumped
+    # whole, on a per-trial log
     _, path = _small_cell(tmp_path, "e4", InteractionKind.MANIPULATION, reps=3)
-    built, listed, dumped = [], [], []
+    built, dumped = [], []
     _counting(monkeypatch, report_module, "build_comparison_report", built)
-    _counting(monkeypatch, report_module, "_points", listed)
     _counting(monkeypatch, report_module.json, "dumps", dumped)
     assert main(["fit", str(path), "--aggregate", "false",
                  "--format", "json-like"]) == 0
     monkeypatch.undo()
     doc = json.loads(capsys.readouterr().out)
     assert all(m["points"] for m in doc["models"])
-    assert listed == []
-    assert [kwargs for _, kwargs in built] == [{"include_points": False}]
+    assert len(built) == 1
     whole = [d for (d, *_), _ in dumped if isinstance(d, dict) and any(
         type(m.get("points")) is list for m in d.get("models", ()))]
     assert whole == []
 
 
-@pytest.mark.parametrize("poison", ["predictor", "response"])
+@pytest.mark.parametrize("poison", ["r2", "coefficient"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_cli_fit_json_refuses_a_non_finite_value(tmp_path, capsys, monkeypatch,
                                                  poison, value):
-    # the value enters after the fits; the oracle names it, the only one
+    # the last fitted model's r2 or intercept, the only non-finite value:
+    # the oracle names it, and no --out file is opened
     _, path = _small_cell(tmp_path, "e4", InteractionKind.MANIPULATION)
     build = report_module.build_comparison_report
-    predictors = ConditionTable.predictors
 
-    def poisoned(table, kind):
-        names, values = predictors(table, kind)
-        values = values.copy()
-        values[-1, -1] = value
-        return names, values
-
-    def build_then_poison(table, kinds, **kwargs):
-        report = build(table, kinds, **kwargs)
-        if poison == "predictor":
-            monkeypatch.setattr(ConditionTable, "predictors", poisoned)
+    def build_then_poison(table, kinds):
+        report = build(table, kinds)
+        last = [m for m in report["models"] if m["error"] is None][-1]
+        if poison == "r2":
+            last["r2"] = value
         else:
-            table.y = np.append(table.y[:-1], value)
+            last["coefficients"]["intercept"] = value
         return report
 
     monkeypatch.setattr(report_module, "build_comparison_report", build_then_poison)
@@ -529,64 +552,3 @@ def test_cli_fit_json_refuses_a_non_finite_value(tmp_path, capsys, monkeypatch,
         _oracle([value])
     assert (rc, capsys.readouterr()) == (1, ("", f"error: {oracle.value}\n"))
     assert not out_path.exists()
-
-
-# text that holds, or nearly holds, the splice placeholders
-_SPLICE_TEXT = st.sampled_from([
-    report_module._PLACEHOLDER.format(0), report_module._PLACEHOLDER.format(1),
-    json.dumps(report_module._PLACEHOLDER.format(0)),
-    '"' + report_module._PLACEHOLDER.format(1), "\x00", "fitts3d.points.0"])
-_TEXT = st.one_of(st.text(max_size=6), _SPLICE_TEXT,
-                  st.tuples(st.text(max_size=3), _SPLICE_TEXT).map("".join))
-_NUMBER = st.one_of(
-    st.integers(-10**20, 10**20), st.floats(),
-    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
-
-
-@functools.cache
-def _splice_cell(aggregate):
-    """A table with fitted and failed models (A = 0 fails the Fitts
-    forms), and its report without points and with them."""
-    tasks = [TaskSpec(F=3, W=5, A=a) for a in (0.0, 12.0, 24.0, 36.0)]
-    table = ConditionTable(trial_log(
-        (t, 0.4 + 0.3 * i + 0.01 * r, True)
-        for i, t in enumerate(tasks) for r in range(2)), aggregate)
-    return (table, build_comparison_report(table, MODEL_ORDER, include_points=False),
-            build_comparison_report(table, MODEL_ORDER))
-
-
-def _entry_edits(entry):
-    """Edits to a model entry's text and numbers that keep its fitted
-    model and predictor names, which _comparison_json reads."""
-    if entry["error"] is not None:
-        return st.fixed_dictionaries({}, optional={"model": _TEXT, "error": _TEXT})
-    names = list(entry["coefficients"])
-    return st.fixed_dictionaries({}, optional={
-        "r2": _NUMBER, "n": st.integers(), "equation": _TEXT,
-        "dropped": st.lists(_TEXT, max_size=2),
-        "coefficients": st.lists(_NUMBER, min_size=len(names), max_size=len(names))
-        .map(lambda values: dict(zip(names, values)))})
-
-
-@settings(max_examples=300, deadline=None)
-@given(aggregate=st.booleans(), data=st.data())
-def test_json_output_matches_the_oracle(aggregate, data):
-    # the table writer's splice against json.dumps of the same document
-    # with list points, on reports whose text may hold placeholders
-    table, bare, full = _splice_cell(aggregate)
-    order = data.draw(st.permutations(range(len(bare["models"]))))
-    edits = [(i, data.draw(_entry_edits(bare["models"][i]))) for i in order]
-    n_trials = data.draw(st.integers(0, 10**6))
-
-    def edited(report):
-        return dict(report, n_trials=n_trials, models=[
-            dict(report["models"][i], **edit) for i, edit in edits])
-
-    try:
-        expected = _oracle(edited(full))
-    except ValueError as exc:  # an infinity or NaN, which JSON cannot hold
-        with pytest.raises(ValueError) as rendered:
-            report_module._comparison_json(edited(bare), table)
-        assert str(rendered.value) == str(exc)
-    else:
-        assert "".join(report_module._comparison_json(edited(bare), table)) == expected
