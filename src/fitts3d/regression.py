@@ -1,11 +1,12 @@
 """Least-squares fitting of movement-time models, partial F tests and
 bidirectional stepwise variable selection.
 
-Coefficients are solved through an orthogonal decomposition (SVD) of the
-intercept-augmented design matrix rather than the normal equations, so
-badly scaled predictor columns do not lose precision. Columns whose
-singular values fall below 1e-10 of the largest are treated as rank
-deficiencies, not silently pseudo-inverted.
+One kernel, _least_squares, solves every fit through an orthogonal
+decomposition (SVD) of the intercept-augmented design matrix rather than
+the normal equations, so badly scaled predictor columns do not lose
+precision. Singular values below 1e-10 of the largest are rank
+deficiencies, not silently pseudo-inverted; sums of squares that
+overflow raise DomainError.
 
 The analyses (fit_model, compare_models, condition_matrix) read a
 ConditionTable, which groups a TrialLog's columns once into their
@@ -30,8 +31,8 @@ p below 1e-12 ties, and the earliest such column enters whatever its F.
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import (EmptyCondition, Fitts3dError, InsufficientData,
-                     InvalidNesting, RankDeficient)
+from .errors import (DomainError, EmptyCondition, Fitts3dError,
+                     InsufficientData, InvalidNesting, RankDeficient)
 from .metrics import (MODEL_ORDER, ModelKind, _sin_deg, predictor_names,
                       predictors_for)
 from .special import f_sf
@@ -53,7 +54,7 @@ _REMOVE_P = 0.10
 
 # a pooled stepwise screen vouches for a decision only when each p-value
 # could be off by _MARGIN relative without flipping it; the largest gap
-# measured on the published cells is ~5e-11 (tests/test_stepwise_pool.py)
+# measured on the published cells is ~2e-10 (tests/test_stepwise_pool.py)
 _MARGIN = 1e-6
 # below this F, p = 1 - O(sqrt(F)) moves by O(sqrt(dF)) for an error dF
 _F_FLOOR = 1e-4
@@ -121,40 +122,48 @@ class ModelFit:
 
 
 def ols_fit(X: DesignMatrix, y) -> ModelFit:
-    """Fit y = a + X b by least squares; the residuals are summed into
-    ss_res and not kept.
-
-    Raises InsufficientData when rows <= columns and RankDeficient when
-    the augmented matrix is numerically singular.
+    """Fit y = a + X b by least squares in _least_squares, the kernel it
+    shares with stepwise's pooled screen; the residuals are summed into
+    ss_res and not kept. Raises InsufficientData when rows <= columns,
+    RankDeficient when the augmented matrix is numerically singular and
+    DomainError when a sum of squares of y overflows.
     """
     yarr = np.asarray(y, dtype=float)
-    n, p = X.values.shape
+    n = X.values.shape[0]
     if yarr.ndim != 1 or yarr.shape[0] != n:
         raise ValueError("y must be one value per design matrix row")
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
-    if n <= p:
-        raise InsufficientData(f"{n} rows cannot identify {p} slopes plus an intercept")
+    ss_tot = float(np.sum((yarr - yarr.mean()) ** 2)) if n else 0.0  # mean() warns on []
     M = np.column_stack([np.ones(n), X.values])
+    return _least_squares(M, yarr, X.names, n, ss_tot)[0]
+
+
+def _least_squares(M, r, names, n, ss_tot, pure_error=0.0, tol=RANK_TOL):
+    """The fit of r on the intercept-augmented design M over n
+    observations, its ss_res pure_error plus r's residual sum of squares,
+    and M's singular values s (descending), for ols_fit (the rows) and
+    _Pool (its weighted conditions). Raises InsufficientData when n <=
+    len(names), RankDeficient when M has fewer rows than columns or
+    s[-1] < tol * s[0], and DomainError when ss_tot or ss_res overflowed.
+    """
+    if n <= len(names):
+        raise InsufficientData(
+            f"{n} rows cannot identify {len(names)} slopes plus an intercept")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s[0] <= 0 or np.any(s < RANK_TOL * s[0]):
+    if len(s) < M.shape[1] or s[-1] < tol * s[0]:
         raise RankDeficient(_RANK_DEFICIENT)
-    beta = Vt.T @ ((U.T @ yarr) / s)
-    residuals = yarr - M @ beta
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(np.sum((yarr - yarr.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 0.0
-        degenerate = True
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-        degenerate = False
-    coefficients = {"intercept": float(beta[0])}
-    for name, b in zip(X.names, beta[1:]):
-        coefficients[name] = float(b)
-    return ModelFit(predictor_names=X.names, coefficients=coefficients, r2=r2,
-                    n=n, ss_res=ss_res, ss_tot=ss_tot,
-                    degenerate_variance=degenerate)
+    beta = Vt.T @ ((U.T @ r) / s)
+    residuals = r - M @ beta
+    ss_res = pure_error + float(residuals @ residuals)
+    # a coefficient that is not finite leaves every residual not finite
+    if not (math.isfinite(ss_tot) and math.isfinite(ss_res)):
+        raise DomainError("sums of squares overflow: the response is too large")
+    coefficients = dict(zip(("intercept",) + names, beta.tolist()))
+    degenerate = ss_tot == 0.0
+    return ModelFit(predictor_names=names, coefficients=coefficients,
+                    r2=0.0 if degenerate else 1.0 - ss_res / ss_tot, n=n,
+                    ss_res=ss_res, ss_tot=ss_tot, degenerate_variance=degenerate), s
 
 
 def partial_f_test(full: ModelFit, reduced: ModelFit):
@@ -248,40 +257,24 @@ class _Pool:
 
     def fit(self, names) -> ModelFit:
         """The weighted fit of the named predictors, as ols_fit would
-        give it on the rows but for rounding. Raises InsufficientData and
-        RankDeficient as ols_fit does, and _Unsure when the singular-value
-        ratio is within 10x of RANK_TOL or the residual sum of squares is
-        not above 1e-6 of y @ y, where the rows might decide otherwise."""
+        give it on the rows but for rounding. Raises ols_fit's errors as
+        ols_fit does, and _Unsure when the singular-value ratio is within
+        10x of RANK_TOL or the residual sum of squares is not above 1e-6
+        of y @ y, where the rows might decide otherwise."""
         names = tuple(names)
         fit = self._fits.get(names)
-        if fit is None:
-            fit = self._fits[names] = self._fit(names)
-        return fit
-
-    def _fit(self, names):
-        if self.n <= len(names):
-            raise InsufficientData(
-                f"{self.n} rows cannot identify {len(names)} slopes plus an intercept")
-        if not self._constant.isdisjoint(names):
+        if fit is not None:
+            return fit
+        # a constant column decides the rank, unless the rows are too few
+        if self.n > len(names) and not self._constant.isdisjoint(names):
             raise RankDeficient(_RANK_DEFICIENT)
         W = self._design[:, [0] + [self._columns[name] for name in names]]
-        U, s, Vt = np.linalg.svd(W, full_matrices=False)
-        ratio = s[-1] / s[0] if len(s) == W.shape[1] else 0.0
-        if ratio < RANK_TOL / 10:
-            raise RankDeficient(_RANK_DEFICIENT)
-        if ratio < RANK_TOL * 10:
+        fit, s = _least_squares(W, self._response, names, self.n, self.ss_tot,
+                                self._pure_error, RANK_TOL / 10)
+        if s[-1] / s[0] < RANK_TOL * 10 or fit.ss_res <= _NEAR_ZERO * self._scale:
             raise _Unsure
-        beta = Vt.T @ ((U.T @ self._response) / s)
-        residuals = self._response - W @ beta
-        ss_res = self._pure_error + float(residuals @ residuals)
-        if ss_res <= _NEAR_ZERO * self._scale:
-            raise _Unsure
-        coefficients = {"intercept": float(beta[0])}
-        for name, b in zip(names, beta[1:]):
-            coefficients[name] = float(b)
-        return ModelFit(predictor_names=names, coefficients=coefficients,
-                        r2=1.0 - ss_res / self.ss_tot, n=self.n, ss_res=ss_res,
-                        ss_tot=self.ss_tot)
+        self._fits[names] = fit
+        return fit
 
 
 def _pool(X: DesignMatrix, y):
@@ -448,8 +441,10 @@ class ConditionTable:
     trial given, error trials included; aggregate records the choice.
 
     Raises InsufficientData for no trials, no successful trials
-    (per-trial) or fewer than two conditions, and EmptyCondition when
-    aggregating a condition without a successful trial.
+    (per-trial) or fewer than two conditions, EmptyCondition when
+    aggregating a condition without a successful trial, and DomainError
+    when a condition's times overflow their sum; fits on the table raise
+    it when y's sums of squares overflow (see _least_squares).
     """
 
     def __init__(self, log: TrialLog, aggregate: bool = True):
@@ -481,7 +476,11 @@ class ConditionTable:
                 if not mts:
                     raise EmptyCondition(
                         f"no successful trials for condition {_log_terms(task)}")
-            y = [math.fsum(mts) / len(mts) for mts in successes]
+            try:
+                y = [math.fsum(mts) / len(mts) for mts in successes]
+            except OverflowError:  # only in-process: read_trials bounds the times
+                raise DomainError(
+                    "a condition's movement times overflow their sum") from None
             rows = range(len(tasks))
         elif not y:
             raise InsufficientData("no successful trials")

@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fitts3d import (ConditionTable, DesignMatrix, DomainError, EmptyCondition,
 from fitts3d import metrics, regression
 from fitts3d.synth import (Experiment, GroundTruth, build_grid, generate_trials,
                            paper_scale_defaults)
+from exact_oracle import exact_fit
 from trial_rows import trial_log
 
 
@@ -51,6 +54,22 @@ def test_ols_insufficient_rows():
     with pytest.raises(InsufficientData):
         ols_fit(_mat(["a", "b"], [np.array([1.0, 2.0]), np.array([3.0, 1.0])]),
                 np.array([1.0, 2.0]))
+    # an empty response is refused without numpy's warning on its mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientData, match="^0 rows cannot identify 0 slopes"):
+            ols_fit(DesignMatrix((), np.empty((0, 0))), np.empty(0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_ols_refuses_sums_of_squares_that_overflow():
+    # finite, but their sum of squares is not: r2 was NaN
+    X = _mat(["x"], [np.array([1.0, 2.0, 3.0])])
+    y = np.array([1e308, 1e300, 1.5e308])
+    for fit in (ols_fit, stepwise):
+        with pytest.raises(DomainError, match="^sums of squares overflow"):
+            fit(X, y)
 
 
 @pytest.mark.parametrize("names,values,fragment", [
@@ -109,6 +128,47 @@ def test_r2_equals_squared_correlation():
         fitted = fit.coefficients["intercept"] + fit.coefficients["x"] * x
         corr = np.corrcoef(fitted, y)[0, 1]
         assert fit.r2 == pytest.approx(corr ** 2, abs=1e-9)
+
+
+# ols_fit against exact least squares, in units of the unit roundoff u:
+# the largest errors on the paper cells are ~4.9 u for r2 (relative) and
+# ~114 u for a coefficient (relative to the largest |coefficient|); the
+# bounds leave ~10x for another BLAS
+_U = Fraction(2) ** -53
+_R2_BOUND = 64 * _U
+_COEFFICIENT_BOUND = 1024 * _U
+
+
+def test_exact_oracle_recovers_an_exact_plane():
+    x = np.arange(6.0)
+    z = np.array([0.5, -1.0, 2.0, 0.0, 1.5, 3.0])
+    coefficients, r2 = exact_fit(_mat(["x", "z"], [x, z]), 1 + 2 * x - 0.25 * z)
+    assert coefficients == {"intercept": 1, "x": 2, "z": Fraction(-1, 4)}
+    assert r2 == 1
+    assert exact_fit(_mat(["x"], [x]), np.full(6, 0.1))[1] == 0
+
+
+@pytest.mark.parametrize("experiment", list(Experiment))
+@pytest.mark.parametrize("interaction", list(InteractionKind))
+@pytest.mark.parametrize("aggregate", [True, False])
+def test_ols_fit_is_within_its_bounds_of_exact_least_squares(experiment,
+                                                            interaction,
+                                                            aggregate):
+    log = generate_trials(build_grid(experiment, interaction),
+                          paper_scale_defaults(experiment, interaction),
+                          interaction)
+    table = ConditionTable(log, aggregate)
+    for row in compare_models(table):
+        names, values = table.predictors(row.kind)
+        kept = row.fit.predictor_names  # every model fits on these cells
+        X = DesignMatrix(kept, values[:, [names.index(n) for n in kept]][table.rows])
+        fit = ols_fit(X, table.y)
+        coefficients, r2 = exact_fit(X, table.y)
+        assert abs(Fraction(fit.r2) - r2) <= _R2_BOUND * abs(r2), row.kind
+        largest = max(map(abs, coefficients.values()))
+        for name, exact in coefficients.items():
+            assert (abs(Fraction(fit.coefficients[name]) - exact)
+                    <= _COEFFICIENT_BOUND * largest), (row.kind, name)
 
 
 def test_r2_affine_invariance():
@@ -344,6 +404,20 @@ def test_fit_model_empty_condition():
     log = trial_log([(task_a, 15.0, False), (task_b, 2.0, True)])
     with pytest.raises(EmptyCondition):
         fit_model(ModelKind.FITTS, ConditionTable(log))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_condition_table_refuses_a_mean_whose_sum_overflows():
+    task_a = TaskSpec(F=3, W=5, A=12)
+    task_b = TaskSpec(F=3, W=5, A=24)
+    log = trial_log([(task_a, 1e308, True), (task_a, 1e308, True),
+                     (task_b, 2.0, True)])
+    with pytest.raises(DomainError, match="movement times overflow their sum"):
+        ConditionTable(log)
+    # per trial nothing is summed until the fit, which refuses the data
+    with pytest.raises(DomainError, match="^sums of squares overflow"):
+        fit_model(ModelKind.SHANNON, ConditionTable(log, aggregate=False))
 
 
 def test_fit_model_needs_two_conditions():

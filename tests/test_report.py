@@ -403,8 +403,8 @@ _HAND_CONDITIONS = st.builds(
 
 @st.composite
 def _hand_logs(draw):
-    # movement times up to ~1e308 in some logs, whose sums of squares
-    # overflow, so that r2 or a coefficient may not be finite
+    # movement times up to ~1e308 in some logs, whose sums overflow: the
+    # table or each model's fit then raises DomainError
     mts = st.floats(0.1, draw(st.sampled_from([10.0, 1e308])))
     rows = []
     for task in draw(st.lists(_HAND_CONDITIONS, min_size=2, max_size=5)):
@@ -421,16 +421,29 @@ def _hand_logs(draw):
 def test_fit_json_from_hand_made_logs_matches_the_oracle(log, aggregate):
     try:
         table = ConditionTable(log, aggregate)
-    except (Fitts3dError, OverflowError):  # a mean's sum may overflow
+    except Fitts3dError:
         assume(False)
-    try:
-        expected = _oracle(document_with_points(table, MODEL_ORDER))
-    except ValueError as exc:  # an r2 or coefficient that is not finite
-        with pytest.raises(ValueError) as written:
-            _table_json(table, MODEL_ORDER)
-        assert str(written.value) == str(exc)
-    else:
-        assert _table_json(table, MODEL_ORDER) == expected
+    assert _table_json(table, MODEL_ORDER) == _oracle(
+        document_with_points(table, MODEL_ORDER))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_fit_json_gives_error_rows_when_sums_of_squares_overflow():
+    # finite times whose sums of squares overflow: every model's fit
+    # refuses them, where r2 was NaN and the document could not be written
+    tasks = [TaskSpec(F=2.0, W=2.0, A=6.0), TaskSpec(F=4.0, W=5.0, A=12.0, phi=90.0),
+             TaskSpec(F=2.0, W=5.0, A=12.0, theta=45.0)]
+    table = ConditionTable(trial_log(
+        (task, mt, True) for task, mt in zip(tasks, (1e308, 1e300, 1.5e308))),
+        aggregate=False)
+    text = _table_json(table, MODEL_ORDER)
+    assert text == _oracle(document_with_points(table, MODEL_ORDER))
+    errors = {m["model"]: m["error"] for m in json.loads(text)["models"]}
+    assert len(errors) == len(MODEL_ORDER)
+    assert errors.pop("cha-myung").startswith("InsufficientData: ")  # 3 slopes
+    assert set(errors.values()) == {
+        "DomainError: sums of squares overflow: the response is too large"}
 
 
 def test_fit_json_keeps_the_first_specs_zero_and_null_points():
@@ -489,16 +502,9 @@ def test_json_output_matches_the_oracle(log, aggregate, kinds):
     # document, on any subset of the models in any order
     try:
         table = ConditionTable(log, aggregate)
-    except (Fitts3dError, OverflowError):  # a mean's sum may overflow
+    except Fitts3dError:
         assume(False)
-    try:
-        expected = _oracle(document_with_points(table, kinds))
-    except ValueError as exc:  # an r2 or coefficient that is not finite
-        with pytest.raises(ValueError) as written:
-            _table_json(table, kinds)
-        assert str(written.value) == str(exc)
-    else:
-        assert _table_json(table, kinds) == expected
+    assert _table_json(table, kinds) == _oracle(document_with_points(table, kinds))
 
 
 def _counting(monkeypatch, owner, name, calls):

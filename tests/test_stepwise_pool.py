@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fitts3d import (ConditionTable, DesignMatrix, InsufficientData,
-                     InteractionKind, RankDeficient, build_grid,
+                     InteractionKind, ModelFit, RankDeficient, build_grid,
                      condition_matrix, generate_trials, ols_fit,
                      paper_scale_defaults, partial_f_test, read_trials,
                      stepwise, write_trials)
@@ -72,19 +72,28 @@ def _counting_fallbacks(monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def _log(experiment, interaction):
-    """The trial log of one published-scale cell at seed 0."""
+def _log(experiment, interaction, seed=0):
+    """The trial log of one published-scale cell."""
     grid = replace(build_grid(experiment, interaction),
                    repetitions=PUBLISHED_REPS[experiment])
-    return generate_trials(grid, paper_scale_defaults(experiment, interaction),
-                           interaction)
+    truth = replace(paper_scale_defaults(experiment, interaction), seed=seed)
+    return generate_trials(grid, truth, interaction)
 
 
 @lru_cache(maxsize=None)
-def _published(experiment, interaction):
-    """(X, y) of one published-scale cell at seed 0, per trial."""
-    return condition_matrix(ConditionTable(_log(experiment, interaction),
+def _published(experiment, interaction, seed=0):
+    """(X, y) of one published-scale cell, per trial."""
+    return condition_matrix(ConditionTable(_log(experiment, interaction, seed),
                                            aggregate=False))
+
+
+def _ending(fit, names):
+    """The ModelFit of names, or the InsufficientData or RankDeficient
+    it raised; _Unsure and every other error propagate."""
+    try:
+        return fit(names)
+    except (InsufficientData, RankDeficient) as exc:
+        return exc
 
 
 # ---- the oracle on drawn designs --------------------------------------------
@@ -439,18 +448,22 @@ def test_pooled_scan_defers_near_each_flip_point(monkeypatch, entering, results,
 
 
 def test_margin_covers_the_pooled_gap_on_the_published_cells():
-    # every nested pair (S, S + one column) of every published cell
-    gap, pairs = 0.0, 0
-    for cell in CELLS:
-        X, y = _published(*cell)
+    # every subset of every published cell ends the same way on the rows
+    # and pooled, deferring never; then every nested pair (S, S + one
+    # column) of the fitted ones
+    gap, pairs, subsets = 0.0, 0, 0
+    for cell, seed in itertools.product(CELLS, (0, 5)):
+        X, y = _published(*cell, seed)
         pool = regression._pool(X, y)
         fits = {}
         for r in range(len(X.names) + 1):
             for names in itertools.combinations(X.names, r):
-                try:
-                    fits[names] = (ols_fit(X.subset(names), y), pool.fit(names))
-                except (InsufficientData, RankDeficient):
-                    pass
+                ends = (_ending(lambda n: ols_fit(X.subset(n), y), names),
+                        _ending(pool.fit, names))
+                assert type(ends[0]) is type(ends[1]), (cell, seed, names)
+                subsets += 1
+                if isinstance(ends[0], ModelFit):
+                    fits[names] = ends
         for names, (rows, pooled) in fits.items():
             for j in range(len(names)):
                 reduced = fits.get(names[:j] + names[j + 1:])
@@ -460,5 +473,6 @@ def test_margin_covers_the_pooled_gap_on_the_published_cells():
                 _, p_pool = partial_f_test(pooled, reduced[1])
                 gap = max(gap, abs(p_pool - p_rows) / p_rows if p_rows else p_pool)
                 pairs += 1
-    assert pairs > 500
+    assert subsets == 2 * len(CELLS) * 2 ** 7
+    assert pairs > 1000
     assert 100 * gap <= regression._MARGIN
