@@ -6,7 +6,7 @@ decomposition (SVD) of the intercept-augmented design matrix rather than
 the normal equations, so badly scaled predictor columns do not lose
 precision. Singular values below 1e-10 of the largest are rank
 deficiencies, not silently pseudo-inverted; sums of squares that
-overflow raise DomainError.
+overflow raise DomainError, with no numpy warning.
 
 The analyses (fit_model, compare_models, condition_matrix) read a
 ConditionTable, which groups a TrialLog's columns once into their
@@ -121,12 +121,13 @@ class ModelFit:
     dropped: tuple[str, ...] = ()
 
 
+@np.errstate(all="ignore")  # a sum that overflows ends in DomainError
 def ols_fit(X: DesignMatrix, y) -> ModelFit:
     """Fit y = a + X b by least squares in _least_squares, the kernel it
     shares with stepwise's pooled screen; the residuals are summed into
     ss_res and not kept. Raises InsufficientData when rows <= columns,
     RankDeficient when the augmented matrix is numerically singular and
-    DomainError when a sum of squares of y overflows.
+    DomainError, without a numpy warning, when y's sums overflow.
     """
     yarr = np.asarray(y, dtype=float)
     n = X.values.shape[0]
@@ -281,12 +282,9 @@ def _pool(X: DesignMatrix, y):
     """A _Pool of X's rows grouped by condition, or None when X records
     no grouping (it was not built by _expand) or when every condition has
     one row, as in an aggregate table."""
-    if X._grouping is None:
+    if X._grouping is None or len(X._grouping[0]) == len(X._grouping[1]):
         return None
-    values, rows = X._grouping
-    if len(rows) == len(values):
-        return None
-    return _Pool(X.names, y, values, rows)
+    return _Pool(X.names, y, *X._grouping)
 
 
 def _below(a, b, size, pooled):
@@ -339,6 +337,7 @@ def _screen(names, fit, current, included, entering, pooled=False):
     return (q if entering else -q), f_stat, name, cand
 
 
+@np.errstate(all="ignore")  # once per selection, not per pooled fit
 def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     """Bidirectional stepwise selection over the columns of X.
 
@@ -365,7 +364,8 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     an F below 1e-4, a singular-value ratio within 10x of RANK_TOL, or a
     residual sum of squares not above 1e-6 of y @ y.
 
-    Raises ols_fit's ValueError unless y is one value per row of X.
+    Raises ols_fit's ValueError unless y is one value per row of X, and
+    its DomainError, without a numpy warning, when y's sums overflow.
     """
     yarr = np.asarray(y, dtype=float)
     intercept_only = ols_fit(DesignMatrix((), np.empty((len(X.values), 0))), yarr)
@@ -451,33 +451,32 @@ class ConditionTable:
         specs = log.tasks
         if not log.task_index:
             raise InsufficientData("no trials")
-        # each condition's successful movement times; per-trial, only a
-        # successful trial brings its condition into the table. slot maps
-        # a spec's position in specs to its condition, looked up by
-        # TaskSpec equality the first time a row of that spec enters
-        index, slot, successes, rows, y = {}, [None] * len(specs), [], [], []
+        # aggregate: each condition's successful times; per trial: each
+        # successful trial's condition and time, a condition entering with
+        # its first success. slot maps a spec's position in specs to its
+        # condition, looked up by TaskSpec equality on the spec's first row
+        index, slot, times, rows, y = {}, [None] * len(specs), [], [], []
         for k, mt, success in zip(log.task_index, log.mt, log.success):
             if not (aggregate or success):
                 continue
             i = slot[k]
             if i is None:
-                i = index.get(specs[k])
-                if i is None:
-                    i = index[specs[k]] = len(successes)
-                    successes.append([])
-                slot[k] = i
-            if success:
-                successes[i].append(mt)
+                i = slot[k] = index.setdefault(specs[k], len(index))
+                if aggregate and i == len(times):
+                    times.append([])
+            if success and aggregate:
+                times[i].append(mt)
+            elif success:
                 rows.append(i)
                 y.append(mt)
         tasks = tuple(index)
         if aggregate:
-            for task, mts in zip(tasks, successes):
+            for task, mts in zip(tasks, times):
                 if not mts:
                     raise EmptyCondition(
                         f"no successful trials for condition {_log_terms(task)}")
             try:
-                y = [math.fsum(mts) / len(mts) for mts in successes]
+                y = [math.fsum(mts) / len(mts) for mts in times]
             except OverflowError:  # only in-process: read_trials bounds the times
                 raise DomainError(
                     "a condition's movement times overflow their sum") from None

@@ -9,9 +9,14 @@ with equal reprs.
 import numpy as np
 
 from fitts3d.errors import InsufficientData, RankDeficient
-from fitts3d.regression import (_ENTER_P, _P_TIE_TOL, _REMOVE_P, DesignMatrix,
-                                StepwiseReport, StepwiseStep, ols_fit,
-                                partial_f_test)
+from fitts3d.regression import (DesignMatrix, StepwiseReport, StepwiseStep,
+                                ols_fit, partial_f_test)
+
+# the rule's thresholds, stated here rather than imported, so that a
+# change to fitts3d's rule has to change the oracle on purpose
+ENTER_P = 0.05
+REMOVE_P = 0.10
+P_TIE_TOL = 1e-12  # p-values closer than this tie, and column order decides
 
 
 def reference_stepwise(X: DesignMatrix, y) -> StepwiseReport:
@@ -51,7 +56,7 @@ def reference_stepwise(X: DesignMatrix, y) -> StepwiseReport:
                 f_stat, p = partial_f_test(cand, current)
             except (RankDeficient, InsufficientData):
                 continue
-            if p < _ENTER_P and (best is None or p < best[0] - _P_TIE_TOL):
+            if p < ENTER_P and (best is None or p < best[0] - P_TIE_TOL):
                 best = (p, f_stat, name, cand)
         if best is not None:
             p, f_stat, name, cand = best
@@ -68,7 +73,7 @@ def reference_stepwise(X: DesignMatrix, y) -> StepwiseReport:
                 reduced = ols_fit(
                     X.subset([m for m in included if m != name]), yarr)
                 f_stat, p = partial_f_test(current, reduced)
-                if p > _REMOVE_P and (worst is None or p > worst[0] + _P_TIE_TOL):
+                if p > REMOVE_P and (worst is None or p > worst[0] + P_TIE_TOL):
                     worst = (p, f_stat, name, reduced)
             if worst is None:
                 break

@@ -1,11 +1,13 @@
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from fitts3d.cli import main
 from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
-from fitts3d import Trial, format_equation, read_trials
+from fitts3d import (Trial, build_grid, format_equation, generate_trials,
+                     paper_scale_defaults, read_trials, write_trials)
 
 
 def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
@@ -392,7 +394,7 @@ def test_duplicate_candidates_is_exit_2(tmp_path, capsys):
     path, _ = _generate(tmp_path, capsys, experiment="e1")
     rc = main(["stepwise", str(path), "--candidates", "A,A,W"])
     assert rc == 2
-    assert "duplicate candidate" in capsys.readouterr().err
+    assert capsys.readouterr().err == "usage error: duplicate candidate names: A\n"
 
 
 @pytest.mark.parametrize("verb,flag,value,fragment", [
@@ -415,6 +417,18 @@ def test_generate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
     assert (rc, captured.out, captured.err) == (
         1, "", "error: seed must be an integer in [0, 2**64)\n")
     assert not out_path.exists()
+
+
+def test_generate_accepts_the_largest_64_bit_seed(tmp_path, capsys):
+    # the CLI passes 2**64 - 1 through unchanged to the generator
+    path, out = _generate(tmp_path, capsys, experiment="e4",
+                          seed="18446744073709551615")
+    assert out.startswith("wrote 256 trials")
+    truth = replace(paper_scale_defaults("e4", "pointing"), seed=2**64 - 1)
+    expected = tmp_path / "expected.csv"
+    write_trials(expected, generate_trials(build_grid("e4", "pointing"), truth,
+                                           "pointing"), "e4")
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_bad_flag_value_raises_system_exit_2(tmp_path):
@@ -486,7 +500,8 @@ def test_per_trial_log_without_successes(tmp_path, capsys):
 _COND_A = "e1,pointing,3.0,5.0,12.0,90.0,0.0,0.0,0.0"
 _COND_B = "e1,pointing,3.0,5.0,24.0,90.0,0.0,0.0,0.0"
 
-# log name -> (rows after the header, --aggregate, error message)
+# log name -> (rows after the header, --aggregate, error message); the
+# last two cannot even be read
 _UNGROUPABLE = {
     "header-only": ([], "true", "no trials"),
     "header-only-per-trial": ([], "false", "no trials"),
@@ -502,6 +517,12 @@ _UNGROUPABLE = {
     "one-condition-per-trial": (
         [f"{_COND_A},0.9,1", f"{_COND_A},1.4,1", f"{_COND_B},15.0,0"], "false",
         "need at least two distinct conditions"),
+    "success-after-timeout": (
+        [f"{_COND_A},20.0,1", f"{_COND_B},0.9,1"], "true",
+        "line 2: successful trials cannot exceed the timeout"),
+    "nan-time": (
+        [f"{_COND_A},0.9,1", f"{_COND_B},1.4,1", f"{_COND_A},nan,1"], "false",
+        "line 4, column 'mt_s': not finite: 'nan'"),
 }
 
 

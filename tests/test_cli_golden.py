@@ -9,6 +9,7 @@ a set of hand-written, non-canonical documents (missing optional keys,
 extra keys, empty points, error rows, a stepwise document without r2).
 So must the stdout of `classify` on a seeded pose file of edge values
 (see tests/pose_oracle.py), written with LF and with CRLF line endings.
+`report --format json-like` must give back each saved document's bytes.
 Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -152,7 +153,12 @@ def _golden(documents: bool) -> dict:
 
 
 def test_cli_outputs_match_golden(tmp_path):
-    assert cli_digests(tmp_path) == _golden(documents=False)
+    digests = cli_digests(tmp_path)
+    assert digests == _golden(documents=False)
+    # `report --format json-like` gives back the saved document's bytes
+    for key, digest in digests.items():
+        if "/report-" in key and "-json/" in key:
+            assert digest == digests[key.replace("/report-", "/")], key
 
 
 def test_documents_match_golden():

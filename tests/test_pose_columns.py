@@ -112,6 +112,12 @@ def _assert_agrees(path):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_valid_row(), max_size=12), st.sampled_from(("\n", "\r\n")),
        st.booleans())
+# signed zeros, "1_0", a leading space, angles past 360 and values one
+# millionth outside their bounds, in a CRLF file
+@example(["0,0,0,0,0,0,2.5,0,0,92.5,-87.5,2.5,5.0,2.5",
+          "1.50,-0.0,0,190,-180,-180.0,1.50,2.5,0,0,0,0,5,0",
+          " 1.0,1_0,0,405.5,-45,135,1,10,0,45,-0.0,721.25,1_0,7.50",
+          "0,0,0,0,0,0,3,4.000001,0,2.5000001,0,0,10,2.5"], "\r\n", True)
 def test_valid_files_classify_as_the_oracle_does(workdir, rows, newline,
                                                  final_newline):
     path = _write(workdir, rows, newline, final_newline)

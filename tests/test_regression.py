@@ -61,15 +61,16 @@ def test_ols_insufficient_rows():
             ols_fit(DesignMatrix((), np.empty((0, 0))), np.empty(0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_ols_refuses_sums_of_squares_that_overflow():
-    # finite, but their sum of squares is not: r2 was NaN
+    # finite, but their sum of squares is not: r2 was NaN. The refusal is
+    # the only sign of it: numpy warns of no overflow on the way
     X = _mat(["x"], [np.array([1.0, 2.0, 3.0])])
     y = np.array([1e308, 1e300, 1.5e308])
     for fit in (ols_fit, stepwise):
-        with pytest.raises(DomainError, match="^sums of squares overflow"):
-            fit(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^sums of squares overflow"):
+                fit(X, y)
 
 
 @pytest.mark.parametrize("names,values,fragment", [
@@ -406,18 +407,18 @@ def test_fit_model_empty_condition():
         fit_model(ModelKind.FITTS, ConditionTable(log))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_condition_table_refuses_a_mean_whose_sum_overflows():
     task_a = TaskSpec(F=3, W=5, A=12)
     task_b = TaskSpec(F=3, W=5, A=24)
     log = trial_log([(task_a, 1e308, True), (task_a, 1e308, True),
                      (task_b, 2.0, True)])
-    with pytest.raises(DomainError, match="movement times overflow their sum"):
-        ConditionTable(log)
-    # per trial nothing is summed until the fit, which refuses the data
-    with pytest.raises(DomainError, match="^sums of squares overflow"):
-        fit_model(ModelKind.SHANNON, ConditionTable(log, aggregate=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before either refusal
+        with pytest.raises(DomainError, match="movement times overflow their sum"):
+            ConditionTable(log)
+        # per trial nothing is summed until the fit, which refuses the data
+        with pytest.raises(DomainError, match="^sums of squares overflow"):
+            fit_model(ModelKind.SHANNON, ConditionTable(log, aggregate=False))
 
 
 def test_fit_model_needs_two_conditions():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -416,19 +417,17 @@ def _hand_logs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(log=_hand_logs(), aggregate=st.booleans())
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_fit_json_from_hand_made_logs_matches_the_oracle(log, aggregate):
-    try:
-        table = ConditionTable(log, aggregate)
-    except Fitts3dError:
-        assume(False)
-    assert _table_json(table, MODEL_ORDER) == _oracle(
-        document_with_points(table, MODEL_ORDER))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is an error row, not a warning
+        try:
+            table = ConditionTable(log, aggregate)
+        except Fitts3dError:
+            assume(False)
+        text = _table_json(table, MODEL_ORDER)
+    assert text == _oracle(document_with_points(table, MODEL_ORDER))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_fit_json_gives_error_rows_when_sums_of_squares_overflow():
     # finite times whose sums of squares overflow: every model's fit
     # refuses them, where r2 was NaN and the document could not be written
@@ -437,7 +436,9 @@ def test_fit_json_gives_error_rows_when_sums_of_squares_overflow():
     table = ConditionTable(trial_log(
         (task, mt, True) for task, mt in zip(tasks, (1e308, 1e300, 1.5e308))),
         aggregate=False)
-    text = _table_json(table, MODEL_ORDER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = _table_json(table, MODEL_ORDER)
     assert text == _oracle(document_with_points(table, MODEL_ORDER))
     errors = {m["model"]: m["error"] for m in json.loads(text)["models"]}
     assert len(errors) == len(MODEL_ORDER)
@@ -495,16 +496,17 @@ def test_fit_json_of_each_model_alone_matches_the_oracle(kind):
 @settings(max_examples=100, deadline=None)
 @given(log=_hand_logs(), aggregate=st.booleans(),
        kinds=st.lists(st.sampled_from(MODEL_ORDER), min_size=1, unique=True))
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_json_output_matches_the_oracle(log, aggregate, kinds):
     # the table writer's splice against json.dumps of the list-points
     # document, on any subset of the models in any order
-    try:
-        table = ConditionTable(log, aggregate)
-    except Fitts3dError:
-        assume(False)
-    assert _table_json(table, kinds) == _oracle(document_with_points(table, kinds))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = ConditionTable(log, aggregate)
+        except Fitts3dError:
+            assume(False)
+        text = _table_json(table, kinds)
+    assert text == _oracle(document_with_points(table, kinds))
 
 
 def _counting(monkeypatch, owner, name, calls):

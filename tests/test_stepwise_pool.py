@@ -23,7 +23,9 @@ from fitts3d import (ConditionTable, DesignMatrix, InsufficientData,
                      condition_matrix, generate_trials, ols_fit,
                      paper_scale_defaults, partial_f_test, read_trials,
                      stepwise, write_trials)
-from fitts3d import regression
+from fitts3d import regression, render_stepwise
+from fitts3d.cli import main
+from fitts3d.constants import STEPWISE_CANDIDATES
 import stepwise_oracle
 from stepwise_oracle import reference_stepwise
 
@@ -94,6 +96,14 @@ def _ending(fit, names):
         return fit(names)
     except (InsufficientData, RankDeficient) as exc:
         return exc
+
+
+def test_the_oracle_states_the_shipped_thresholds():
+    # stated, not imported: a change to the rule must change the oracle too
+    assert (stepwise_oracle.ENTER_P, stepwise_oracle.REMOVE_P,
+            stepwise_oracle.P_TIE_TOL) == (regression._ENTER_P,
+                                           regression._REMOVE_P,
+                                           regression._P_TIE_TOL)
 
 
 # ---- the oracle on drawn designs --------------------------------------------
@@ -267,7 +277,7 @@ def test_ulp_near_tie_falls_back_and_matches_the_oracle(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 @pytest.mark.parametrize("experiment,interaction", CELLS)
-def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, experiment,
+def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, capsys, experiment,
                                                    interaction, seed):
     grid = build_grid(experiment, interaction)
     truth = replace(paper_scale_defaults(experiment, interaction), seed=seed)
@@ -275,7 +285,15 @@ def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, experiment,
     write_trials(path, generate_trials(grid, truth, interaction), experiment)
     log = read_trials(path)
     for aggregate in (True, False):
-        _assert_matches_oracle(*condition_matrix(ConditionTable(log, aggregate)))
+        table = ConditionTable(log, aggregate)
+        _assert_matches_oracle(*condition_matrix(table))
+        # `fitts3d stepwise` writes the oracle's document
+        for candidates in (STEPWISE_CANDIDATES, ("W", "A")):
+            argv = ["stepwise", str(path), "--aggregate", str(aggregate).lower(),
+                    "--candidates", ",".join(candidates), "--format", "json-like"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == render_stepwise(reference_stepwise(
+                *condition_matrix(table, candidates)), "json-like")
 
 
 @pytest.mark.parametrize("candidates", [("W",), ("W", "A"), ("phi", "theta")])

@@ -196,6 +196,11 @@ def test_rewrite_after_read_is_byte_identical(tmp_path):
         again = tmp_path / "again.csv"
         write_trials(again, read_trials(source), "e2")
         assert again.read_bytes() == source.read_bytes()
+    # a CRLF copy reads as the same log, so it rewrites to the LF bytes
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(generated.read_bytes().replace(b"\n", b"\r\n"))
+    write_trials(again, read_trials(crlf), "e2")
+    assert again.read_bytes() == generated.read_bytes()
 
 
 def test_write_keeps_fresh_specs_apart(tmp_path):
