@@ -4,8 +4,7 @@ condition fields, the stepwise candidates and the report formats.
 
 This module imports only enum, so the CLI builds its parser without
 loading the layers a verb does not run. tasks re-exports the enums,
-the timeouts, CONDITION_FIELDS and STEPWISE_CANDIDATES, and report the
-formats.
+the timeouts, CONDITION_FIELDS and STEPWISE_CANDIDATES.
 """
 
 from enum import Enum

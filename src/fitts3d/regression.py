@@ -280,11 +280,16 @@ class _Pool:
 
 def _pool(X: DesignMatrix, y):
     """A _Pool of X's rows grouped by condition, or None when X records
-    no grouping (it was not built by _expand) or when every condition has
-    one row, as in an aggregate table."""
+    no grouping (it was not built by _expand), when every condition has
+    one row, as in an aggregate table, or when the weighted design or
+    response is not finite: a value near the float maximum overflows
+    when scaled by the square root of its condition's row count."""
     if X._grouping is None or len(X._grouping[0]) == len(X._grouping[1]):
         return None
-    return _Pool(X.names, y, *X._grouping)
+    pool = _Pool(X.names, y, *X._grouping)
+    if not (np.isfinite(pool._design).all() and np.isfinite(pool._response).all()):
+        return None
+    return pool
 
 
 def _below(a, b, size, pooled):
@@ -362,7 +367,9 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     comparison within 1e-6 relative on a p-value of its flip point
     (0.05, 0.10 or another p-value -/+ 1e-12), two p-values compared at
     an F below 1e-4, a singular-value ratio within 10x of RANK_TOL, or a
-    residual sum of squares not above 1e-6 of y @ y.
+    residual sum of squares not above 1e-6 of y @ y. A design whose
+    weighted conditions overflow (a column near the float maximum)
+    screens on the rows.
 
     Raises ols_fit's ValueError unless y is one value per row of X, and
     its DomainError, without a numpy warning, when y's sums overflow.

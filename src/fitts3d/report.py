@@ -26,7 +26,7 @@ import json
 import math
 from itertools import chain
 
-from .constants import FORMATS, JSON_FORMAT, TABLE_FORMAT
+from .constants import JSON_FORMAT, TABLE_FORMAT
 from .errors import SchemaError
 
 REPORT_SCHEMA = "fitts3d.report/1"
@@ -298,12 +298,14 @@ def _comparison_from_document(doc: dict) -> dict:
             slopes = [k for k in coefficients if k != "intercept"]
             _require(format_equation(coefficients, slopes) == equation,
                      f"{where}.equation must match its coefficients")
-        dropped = m.get("dropped") or []
-        _require(_is_str_list(dropped), f"{where}.dropped must list names")
-        point_names = m.get("point_names") or None
+        # only null or a missing key takes the default; [] points are null
+        dropped = m.get("dropped")
+        _require(dropped is None or _is_str_list(dropped),
+                 f"{where}.dropped must list names")
+        point_names = m.get("point_names")
         _require(point_names is None or _is_str_list(point_names),
                  f"{where}.point_names must list names")
-        points = m.get("points") or None
+        points = m.get("points")
         what = f"{where}.points must be a list of lists of numbers"
         _require(points is None or (
             isinstance(points, list) and _all_of(points, list)), what)
@@ -311,8 +313,8 @@ def _comparison_from_document(doc: dict) -> dict:
         _require(_all_of(values, (int, float)), what)
         _require(_all_finite(values), f"{where}.points must be finite")
         entries.append(_model_entry(
-            m["model"], m.get("r2"), m.get("n"), coefficients,
-            equation, dropped, error, point_names, points))
+            m["model"], m.get("r2"), m.get("n"), coefficients, equation,
+            dropped or (), error, point_names or None, points or None))
     return {"schema": REPORT_SCHEMA, "n_trials": n_trials,
             "aggregate": aggregate, "models": entries}
 
@@ -331,13 +333,16 @@ def _check_stepwise(doc: dict) -> None:
             value = s.get(key, default)
             _require(_is_number(value), f"{where}.{key} must be a number")
             _require(math.isfinite(value), f"{where}.{key} must be finite")
-    _require(_is_str_list(doc.get("selected") or []),
+    # only null or a missing key takes the default
+    selected = doc.get("selected")
+    _require(selected is None or _is_str_list(selected),
              "'selected' must list names")
-    contributions = doc.get("contributions_percent") or {}
-    _require(isinstance(contributions, dict)
-             and _all_of(contributions.values(), (int, float)),
-             "'contributions_percent' must map names to numbers")
-    _require(all(map(math.isfinite, contributions.values())),
+    contributions = doc.get("contributions_percent")
+    _require(contributions is None or (
+        isinstance(contributions, dict)
+        and _all_of(contributions.values(), (int, float))),
+        "'contributions_percent' must map names to numbers")
+    _require(all(map(math.isfinite, (contributions or {}).values())),
              "'contributions_percent' must be finite")
     _require("r2" not in doc or _is_number(doc["r2"]), "'r2' must be a number")
     _require("r2" not in doc or math.isfinite(doc["r2"]), "'r2' must be finite")

@@ -14,12 +14,13 @@ from fractions import Fraction
 
 
 def exact_fit(X, y):
-    """(coefficients, r2) of y = a + X b by exact least squares.
+    """(coefficients, r2, ss_res) of y = a + X b by exact least squares.
 
     X is a DesignMatrix and y one float per row of it. coefficients maps
     "intercept" and each of X.names to a Fraction; r2 is a Fraction, 0
-    for a constant y as ModelFit reports it. Raises ZeroDivisionError
-    when the design is exactly singular.
+    for a constant y as ModelFit reports it, and ss_res the residual sum
+    of squares, a Fraction. Raises ZeroDivisionError when the design is
+    exactly singular.
     """
     groups = {}  # design row -> [rows, sum of their y]
     for row, v in zip(X.values.tolist(), y.tolist()):
@@ -45,7 +46,7 @@ def exact_fit(X, y):
     # at the solution the residuals are orthogonal to the design
     ss_res = squares - sum(b * m for b, m in zip(beta, moments))
     r2 = 1 - ss_res / ss_tot if ss_tot else Fraction(0)
-    return dict(zip(("intercept",) + X.names, beta)), r2
+    return dict(zip(("intercept",) + X.names, beta)), r2, ss_res
 
 
 def _gauss_jordan(a, b):

@@ -224,6 +224,36 @@ def test_report_rejects_malformed_document(tmp_path, capsys, doc, fragment, fmt)
 
 _STEP = {"action": "enter", "variable": "A", "f_stat": 12.0, "p_value": 0.01,
          "r2": 0.5}
+# a key that takes a default when null -> the error for a value of another type
+_DEFAULTED = {
+    "dropped": "models[0].dropped must list names",
+    "point_names": "models[0].point_names must list names",
+    "points": "models[0].points must be a list of lists of numbers",
+    "selected": "'selected' must list names",
+    "contributions_percent": "'contributions_percent' must map names to numbers",
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key in _DEFAULTED
+    for value in (False, 0, "", [] if key == "contributions_percent" else {})])
+@pytest.mark.parametrize("fmt", ["table", "json-like"])
+def test_report_rejects_a_falsy_value_of_the_wrong_type(tmp_path, capsys, key,
+                                                        value, fmt):
+    # only null or a missing key takes the default
+    if key in ("selected", "contributions_percent"):
+        doc = {"schema": "fitts3d.stepwise/1", "steps": [_STEP], key: value}
+    else:
+        doc = {"schema": "fitts3d.report/1", "models": [
+            {"model": "fitts", "r2": 0.5, "n": 3, "equation": "MT = 1.0000",
+             key: value}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: malformed report document: {_DEFAULTED[key]}\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -9,10 +9,17 @@ a set of hand-written, non-canonical documents (missing optional keys,
 extra keys, empty points, error rows, a stepwise document without r2).
 So must the stdout of `classify` on a seeded pose file of edge values
 (see tests/pose_oracle.py), written with LF and with CRLF line endings.
-`report --format json-like` must give back each saved document's bytes.
-Re-record (only when an output change is intended) with
+
+The fixture holds one digest per distinct output. An output that must
+be a byte copy of another (IDENTITIES: `fit`'s table is `compare`'s,
+`report` gives back what the verb that saved the document printed, and
+`classify` reads CRLF as LF) is asserted equal to it by name, and is
+not recorded. Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which checks every identity first, and writes nothing and exits 1 when
+one fails.
 """
 
 import contextlib
@@ -44,6 +51,23 @@ SAVED = {"report-fit": "fit", "report-stepwise": "stepwise"}
 FORMATS = {"table": [], "json": ["--format", "json-like"]}
 # `classify` input -> its line ending; both hold edge_pose_rows(0)
 POSE_FILES = {"poses-lf": "\n", "poses-crlf": "\r\n"}
+# an output that copies another -> (the output it copies, the identity);
+# an output is named by the middle part of its key
+IDENTITIES = {
+    "fit-table": ("compare", "`fit` (table) prints `compare`'s table"),
+    "report-fit-table": (
+        "compare", "`report` on the saved fit document prints `compare`'s table"),
+    "report-fit-json": (
+        "fit-json", "`report --format json-like` gives back the saved fit document"),
+    "report-stepwise-table": (
+        "stepwise",
+        "`report` on the saved stepwise document prints `stepwise`'s table"),
+    "report-stepwise-json": (
+        "stepwise-json",
+        "`report --format json-like` gives back the saved stepwise document"),
+    "poses-crlf": (
+        "poses-lf", "`classify` prints the same for a CRLF pose file as for LF"),
+}
 
 _ROW = {"model": "final", "r2": 0.9, "n": 64,
         "coefficients": {"intercept": 0.4, "id_t": 0.25, "id_r": 0.45},
@@ -102,7 +126,8 @@ def _digest(text: str) -> str:
 
 
 def cli_digests(workdir) -> dict:
-    """{"<cell>/<verb>/aggregate=<flag>": sha256 of stdout}."""
+    """{"<cell>/<output>/aggregate=<flag>" or "classify/<pose file>":
+    sha256 of stdout}, for every output, copies included."""
     digests = {}
     for experiment, interaction in CELLS:
         cell = f"{experiment}-{interaction}"
@@ -146,6 +171,24 @@ def document_digests() -> dict:
             for fmt in ("table", "json-like")}
 
 
+def kept_digests(digests: dict) -> tuple[dict, list[str]]:
+    """The digests the fixture holds (every output no identity names as
+    a copy), and a line for each identity that fails, naming the cell
+    and the --aggregate flag."""
+    kept, broken = {}, []
+    for key, digest in digests.items():
+        parts = key.split("/")
+        if parts[1] not in IDENTITIES:
+            kept[key] = digest
+            continue
+        parts[1], identity = IDENTITIES[parts[1]]
+        if digest != digests["/".join(parts)]:
+            where = (parts[0] if len(parts) == 2 else
+                     f"{parts[0]} --aggregate {parts[2].partition('=')[2]}")
+            broken.append(f"{where}: {identity}")
+    return kept, broken
+
+
 def _golden(documents: bool) -> dict:
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     return {k: v for k, v in expected.items()
@@ -153,12 +196,9 @@ def _golden(documents: bool) -> dict:
 
 
 def test_cli_outputs_match_golden(tmp_path):
-    digests = cli_digests(tmp_path)
-    assert digests == _golden(documents=False)
-    # `report --format json-like` gives back the saved document's bytes
-    for key, digest in digests.items():
-        if "/report-" in key and "-json/" in key:
-            assert digest == digests[key.replace("/report-", "/")], key
+    kept, broken = kept_digests(cli_digests(tmp_path))
+    assert not broken, "\n".join(broken)
+    assert kept == _golden(documents=False)
 
 
 def test_documents_match_golden():
@@ -176,13 +216,13 @@ def test_out_files_hold_the_golden_bytes(tmp_path):
     saved = tmp_path / "saved.json"
     fit = ["fit", str(log), "--aggregate", "false", "--format", "json-like"]
     assert _run(fit + ["--out", str(saved)])[0] == 0
-    runs = {  # the golden key of each run's stdout -> its argv
+    runs = {  # the golden key of each run's stdout (IDENTITIES) -> its argv
         f"{cell}/fit-json/aggregate=false": fit,
         f"{cell}/compare/aggregate=true": ["compare", str(log)],
         f"{cell}/stepwise-json/aggregate=true":
             ["stepwise", str(log), "--format", "json-like"],
-        f"{cell}/report-fit-table/aggregate=false": ["report", str(saved)],
-        "classify/poses-crlf": ["classify", str(poses)],
+        f"{cell}/compare/aggregate=false": ["report", str(saved)],
+        "classify/poses-lf": ["classify", str(poses)],
     }
     for key, argv in runs.items():
         out = tmp_path / "verb.out"
@@ -194,7 +234,9 @@ def test_out_files_hold_the_golden_bytes(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = cli_digests(tmp)
+        digests, broken = kept_digests(cli_digests(tmp))
+    if broken:
+        sys.exit("identities fail, nothing written:\n" + "\n".join(broken))
     digests.update(document_digests())
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",

@@ -133,20 +133,27 @@ def test_r2_equals_squared_correlation():
 
 # ols_fit against exact least squares, in units of the unit roundoff u:
 # the largest errors on the paper cells are ~4.9 u for r2 (relative) and
-# ~114 u for a coefficient (relative to the largest |coefficient|); the
+# ~114 u for a coefficient (relative to the largest |coefficient|), and
+# on stepwise's steps ~56 u for F and ~1.9 u for r2 (both relative); the
 # bounds leave ~10x for another BLAS
 _U = Fraction(2) ** -53
 _R2_BOUND = 64 * _U
 _COEFFICIENT_BOUND = 1024 * _U
+_F_BOUND = 1024 * _U
 
 
 def test_exact_oracle_recovers_an_exact_plane():
     x = np.arange(6.0)
     z = np.array([0.5, -1.0, 2.0, 0.0, 1.5, 3.0])
-    coefficients, r2 = exact_fit(_mat(["x", "z"], [x, z]), 1 + 2 * x - 0.25 * z)
+    coefficients, r2, ss_res = exact_fit(_mat(["x", "z"], [x, z]),
+                                         1 + 2 * x - 0.25 * z)
     assert coefficients == {"intercept": 1, "x": 2, "z": Fraction(-1, 4)}
-    assert r2 == 1
-    assert exact_fit(_mat(["x"], [x]), np.full(6, 0.1))[1] == 0
+    assert (r2, ss_res) == (1, 0)
+    assert exact_fit(_mat(["x"], [x]), np.full(6, 0.1))[1:] == (0, 0)
+    # y = 0, 0, 0, 0, 0, 1 on x alone: ss_res = Syy - Sxy^2 / Sxx
+    # = 5/6 - (5/2)^2 / (35/2) = 10/21
+    y = np.array([0.0, 0, 0, 0, 0, 1])
+    assert exact_fit(_mat(["x"], [x]), y)[2] == Fraction(10, 21)
 
 
 @pytest.mark.parametrize("experiment", list(Experiment))
@@ -164,12 +171,47 @@ def test_ols_fit_is_within_its_bounds_of_exact_least_squares(experiment,
         kept = row.fit.predictor_names  # every model fits on these cells
         X = DesignMatrix(kept, values[:, [names.index(n) for n in kept]][table.rows])
         fit = ols_fit(X, table.y)
-        coefficients, r2 = exact_fit(X, table.y)
+        coefficients, r2, _ = exact_fit(X, table.y)
         assert abs(Fraction(fit.r2) - r2) <= _R2_BOUND * abs(r2), row.kind
         largest = max(map(abs, coefficients.values()))
         for name, exact in coefficients.items():
             assert (abs(Fraction(fit.coefficients[name]) - exact)
                     <= _COEFFICIENT_BOUND * largest), (row.kind, name)
+
+
+@pytest.mark.parametrize("experiment", list(Experiment))
+@pytest.mark.parametrize("interaction", list(InteractionKind))
+@pytest.mark.parametrize("aggregate", [True, False])
+def test_stepwise_steps_are_within_their_bounds_of_exact_least_squares(
+        experiment, interaction, aggregate):
+    log = generate_trials(build_grid(experiment, interaction),
+                          paper_scale_defaults(experiment, interaction),
+                          interaction)
+    X, y = condition_matrix(ConditionTable(log, aggregate))
+    exact = {}  # a set of names -> the exact (r2, ss_res) of its fit
+
+    def exact_of(names):
+        key = frozenset(names)
+        if key not in exact:
+            exact[key] = exact_fit(X.subset(tuple(names)), y)[1:]
+        return exact[key]
+
+    steps = stepwise(X, y).steps
+    assert steps
+    included = []
+    for step in steps:
+        before = list(included)
+        if step.action == "enter":
+            included.append(step.name)
+            full, reduced = included, before
+        else:
+            included.remove(step.name)
+            full, reduced = before, included
+        ss_full, ss_reduced = exact_of(full)[1], exact_of(reduced)[1]
+        f_stat = (ss_reduced - ss_full) / (ss_full / (len(y) - len(full) - 1))
+        r2 = exact_of(included)[0]
+        assert abs(Fraction(step.f_stat) - f_stat) <= _F_BOUND * f_stat, step
+        assert abs(Fraction(step.r2) - r2) <= _R2_BOUND * abs(r2), step
 
 
 def test_r2_affine_invariance():

@@ -8,8 +8,10 @@ reference_stepwise (tests/stepwise_oracle.py) fits every candidate on
 the rows. Their reports, and the reprs of their reports, must be equal.
 """
 
+import csv
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -345,6 +347,35 @@ def test_published_log_refits_only_the_steps(monkeypatch):
     assert set(calls) == {len(y)}
     monkeypatch.undo()
     assert report == reference_stepwise(X, y)
+
+
+@pytest.mark.parametrize("big", ["1e308", "1.5e308"])
+def test_a_column_near_the_float_maximum_screens_on_the_rows(tmp_path, capsys, big):
+    # A = 12 cm rewritten as big: sqrt(n_i) times it overflows the pooled
+    # design, so per trial the selection screens on the rows
+    grid = build_grid("e1", InteractionKind.POINTING)
+    truth = replace(paper_scale_defaults("e1", InteractionKind.POINTING), seed=0)
+    path = tmp_path / "log.csv"
+    write_trials(path, generate_trials(grid, truth, InteractionKind.POINTING), "e1")
+    rows = list(csv.reader(path.open(newline="")))
+    column = rows[0].index("A_cm")
+    for row in rows[1:]:
+        row[column] = big if row[column] == "12.0" else row[column]
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    log = read_trials(path)
+    for aggregate, selected in ((True, ["W"]), (False, ["W", "F"])):
+        X, y = condition_matrix(ConditionTable(log, aggregate))
+        with np.errstate(over="ignore"):
+            assert regression._pool(X, y) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning
+            assert [s.name for s in stepwise(X, y).steps] == selected
+        _assert_matches_oracle(X, y)
+        argv = ["stepwise", str(path), "--aggregate", str(aggregate).lower()]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == render_stepwise(
+            reference_stepwise(X, y), "table")
 
 
 # ---- the pooled fit itself ------------------------------------------------------
