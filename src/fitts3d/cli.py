@@ -145,6 +145,14 @@ def _reject_constant(token):
     raise Fitts3dError(f"not a JSON document: {token} is not a JSON value")
 
 
+class _FloatMemo(dict):
+    """float(text) for each distinct number text, parsed on first sight."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
 def _cmd_report(args) -> int:
     import json
 
@@ -152,7 +160,12 @@ def _cmd_report(args) -> int:
 
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            # a fit document repeats its response texts in every model's
+            # points and a condition's predictor texts in each of its
+            # rows, so a memo of one read parses each distinct text once;
+            # float(text) is json's own parse, so the values are the same
+            doc = json.load(fh, parse_constant=_reject_constant,
+                            parse_float=_FloatMemo().__getitem__)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise Fitts3dError(f"not a JSON document: {exc}") from None
     _emit(args.out, render_document(doc, args.format))

@@ -19,6 +19,12 @@ are spliced in at a placeholder for each model's points in an indent=2
 dump of the rest, and the document's parts are streamed to the output,
 not joined.
 
+A saved document's null means the default only for the optional lists
+and maps (dropped, point_names, points, selected,
+contributions_percent); a null models, steps, n_trials, aggregate, step
+f_stat, p_value or r2, or stepwise r2 is malformed. A missing key takes
+its default, and a missing stepwise r2 prints no final r2 line.
+
 Only the code that fits or reads a ConditionTable imports regression or
 numpy; rendering and checking a saved document load neither."""
 

@@ -1,13 +1,16 @@
 import json
+import operator
 import warnings
 from dataclasses import replace
 
 import pytest
 
+from fitts3d import report as report_module
 from fitts3d.cli import main
 from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
 from fitts3d import (Trial, build_grid, format_equation, generate_trials,
-                     paper_scale_defaults, read_trials, write_trials)
+                     paper_scale_defaults, read_trials, render_document,
+                     write_trials)
 
 
 def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
@@ -289,6 +292,66 @@ def test_report_renders_saved_stepwise_document(tmp_path, capsys):
     table = capsys.readouterr().out
     assert main(["stepwise", str(path)]) == 0
     assert capsys.readouterr().out == table
+
+
+def _assert_report_prints_render_document(path, capsys):
+    """fitts3d report prints render_document of json.loads' document."""
+    text = path.read_text(encoding="utf-8")
+    for fmt in ("table", "json-like"):
+        assert main(["report", str(path), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == render_document(json.loads(text), fmt)
+
+
+def test_report_reads_a_published_scale_per_trial_document(tmp_path, capsys,
+                                                           monkeypatch):
+    # e4 pointing at the published 4 800 trials, every model fitted per trial
+    grid = replace(build_grid("e4", "pointing"), repetitions=75)
+    log = tmp_path / "log.csv"
+    write_trials(log, generate_trials(grid, paper_scale_defaults("e4", "pointing"),
+                                      "pointing"), "e4")
+    path = tmp_path / "fit.json"
+    assert main(["fit", str(log), "--aggregate", "false", "--format", "json-like",
+                 "--out", str(path)]) == 0
+    _assert_report_prints_render_document(path, capsys)
+    # each read parses a number text once: every model shares the response
+    # column's floats, and a second read shares none of them
+    docs = []
+    monkeypatch.setattr(report_module, "render_document",
+                        lambda doc, fmt: docs.append(doc) or "")
+    assert main(["report", str(path)]) == main(["report", str(path)]) == 0
+    mt = [[[row[-1] for row in m["points"]] for m in doc["models"]] for doc in docs]
+    assert len(mt[0]) == 7 and len(mt[0][0]) == docs[0]["models"][0]["n"] > 4000
+    assert all(all(map(operator.is_, mt[0][0], other)) for other in mt[0][1:])
+    assert not any(map(operator.is_, mt[0][0], mt[1][0]))
+
+
+# number texts whose parse a memo of texts must keep apart or alike: both
+# zeros, an exponent in capitals, an underflow to 0.0, 17 digits, a
+# mantissa longer than a double holds, and ints beside equal floats
+_NUMBER_TEXTS = """{
+  "schema": "fitts3d.report/1", "n_trials": 6, "aggregate": false,
+  "models": [{"model": "fitts", "r2": 0.30000000000000004, "n": 6,
+    "coefficients": {"intercept": 1E+2, "id": -0.0},
+    "equation": "MT = 100.0000 + 0.0000*id", "dropped": [], "error": null,
+    "point_names": ["id", "mt"],
+    "points": [[-0.0, 0.30000000000000004], [0.0, 1e-400], [-0.0, 0.0],
+               [1E+2, 100.0], [100, 1],
+               [3.14159265358979323846264338327950288419716939937510, 1.0]]}]
+}
+"""
+
+
+def test_report_reads_each_number_text_as_json_does(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_NUMBER_TEXTS, encoding="utf-8")
+    _assert_report_prints_render_document(path, capsys)
+    assert main(["report", str(path), "--format", "json-like"]) == 0
+    points = json.loads(capsys.readouterr().out)["models"][0]["points"]
+    assert json.dumps(points) == (
+        "[[-0.0, 0.30000000000000004], [0.0, 0.0], [-0.0, 0.0], [100.0, 100.0], "
+        "[100, 1], [3.141592653589793, 1.0]]")
 
 
 def test_stepwise_runs(tmp_path, capsys):

@@ -317,6 +317,85 @@ def test_finite_points_whose_sum_is_not_finite_still_render(points):
     assert json.loads(render_document(doc, "json-like"))["models"][0]["points"] == points
 
 
+_MISSING = object()
+_NO_FINAL_R2 = object()  # a missing stepwise r2's default: no line for it
+_COMPARISON_DOC = {"schema": REPORT_SCHEMA, "n_trials": 2, "aggregate": False,
+                   "models": [dict(_FIT_ROW, dropped=["id_r"],
+                                   points=[[1.0, 0.7], [2.0, 1.0]])]}
+_STEPWISE_DOC = {"schema": STEPWISE_SCHEMA, "steps": [_STEP], "selected": ["A"],
+                 "contributions_percent": {"A": 50.0}, "r2": 0.5}
+
+
+def _document_with(path, value):
+    """A copy of a well-formed document with path ("key", "models[0].key"
+    or "steps[0].key") set to value, or removed if value is _MISSING."""
+    *outer, key = path.replace("[0]", "").split(".")
+    stepwise = (outer or [key])[0] in ("steps", "selected",
+                                       "contributions_percent", "r2")
+    doc = json.loads(json.dumps(_STEPWISE_DOC if stepwise else _COMPARISON_DOC))
+    holder = doc[outer[0]][0] if outer else doc
+    if value is _MISSING:
+        del holder[key]
+    else:
+        holder[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,expected", [
+    # null is the default only for the optional lists and maps
+    ("models[0].dropped", None, []),
+    ("models[0].point_names", None, _MISSING),
+    ("models[0].points", None, _MISSING),
+    ("selected", None, []),
+    ("contributions_percent", None, {}),
+    # any other null is malformed
+    ("models", None, "'models' must be a list"),
+    ("n_trials", None, "'n_trials' must be an integer"),
+    ("aggregate", None, "'aggregate' must be true or false"),
+    ("steps", None, "'steps' must be a list"),
+    ("steps[0].f_stat", None, "steps[0].f_stat must be a number"),
+    ("steps[0].p_value", None, "steps[0].p_value must be a number"),
+    ("steps[0].r2", None, "steps[0].r2 must be a number"),
+    ("r2", None, "'r2' must be a number"),
+    # a missing key takes its default
+    ("models[0].dropped", _MISSING, []),
+    ("models[0].point_names", _MISSING, None),
+    ("models[0].points", _MISSING, None),
+    ("models", _MISSING, []),
+    ("n_trials", _MISSING, 0),
+    ("aggregate", _MISSING, True),
+    ("steps", _MISSING, []),
+    ("steps[0].f_stat", _MISSING, 0.0),
+    ("steps[0].p_value", _MISSING, 1.0),
+    ("steps[0].r2", _MISSING, 0.0),
+    ("selected", _MISSING, []),
+    ("contributions_percent", _MISSING, {}),
+    ("r2", _MISSING, _NO_FINAL_R2),
+])
+def test_a_null_or_missing_key_is_its_default_or_malformed(path, value, expected):
+    doc = _document_with(path, value)
+    if isinstance(expected, str):
+        for fmt in ("table", "json-like"):
+            with pytest.raises(SchemaError) as err:
+                render_document(doc, fmt)
+            assert str(err.value) == f"malformed report document: {expected}"
+        return
+    text = render_document(doc, "table")
+    if expected is _NO_FINAL_R2:
+        assert text == render_document(_STEPWISE_DOC, "table").replace(
+            "final r2: 0.5000\n", "")
+        return
+    # the default renders as the document that holds it; a comparison is
+    # re-written with its defaults, a stepwise document as it was read
+    default = _document_with(path, expected)
+    assert text == render_document(default, "table")
+    if doc["schema"] == REPORT_SCHEMA:
+        assert render_document(doc, "json-like") == render_document(default,
+                                                                    "json-like")
+    else:
+        assert json.loads(render_document(doc, "json-like")) == doc
+
+
 def _oracle(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 

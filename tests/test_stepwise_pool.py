@@ -357,7 +357,8 @@ def test_a_column_near_the_float_maximum_screens_on_the_rows(tmp_path, capsys, b
     truth = replace(paper_scale_defaults("e1", InteractionKind.POINTING), seed=0)
     path = tmp_path / "log.csv"
     write_trials(path, generate_trials(grid, truth, InteractionKind.POINTING), "e1")
-    rows = list(csv.reader(path.open(newline="")))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     column = rows[0].index("A_cm")
     for row in rows[1:]:
         row[column] = big if row[column] == "12.0" else row[column]
