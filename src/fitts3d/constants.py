@@ -3,8 +3,7 @@ they carry: experiments, interaction kinds with their timeouts, the
 condition fields, the stepwise candidates and the report formats.
 
 This module imports only enum, so the CLI builds its parser without
-loading the layers a verb does not run. tasks re-exports the enums,
-the timeouts, CONDITION_FIELDS and STEPWISE_CANDIDATES.
+loading the layers a verb does not run.
 """
 
 from enum import Enum

@@ -14,12 +14,11 @@ trans_success,rot_success,combined_success.
 
 The rules are stated once, per value: wrap_angle_deg,
 symmetry_reduced_delta_deg, translation_ok (the W/2 test) and
-rotation_ok (the omega test). tasks classifies Pose objects with them
-and re-exports the first two and ROTATION_SYMMETRY_DEG. trial_io builds
-its Pose tuples from read_pose_columns, reads trial logs with this
-module's _read_lines and _parse_float, and re-exports POSE_COLUMNS and
-POSE_CSV_HEADER. This module imports only math and errors, so the
-classify verb loads neither dataclasses nor tasks.
+rotation_ok (the omega test). tasks classifies Pose objects with them.
+trial_io builds its Pose tuples from read_pose_columns and reads trial
+logs with this module's _read_lines and _parse_float. This module
+imports only math and errors, so the classify verb loads neither
+dataclasses nor tasks.
 """
 
 import math

@@ -26,17 +26,19 @@ r^2 is the per-row number. A scan whose pooled decision is not clear of
 its flip points by a relative margin of 1e-6 on each p-value screens on
 the rows instead (see stepwise). The p-value tie rule is absolute: every
 p below 1e-12 ties, and the earliest such column enters whatever its F.
+No scan is offered an exactly constant candidate.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
+from .constants import STEPWISE_CANDIDATES
 from .errors import (DomainError, EmptyCondition, Fitts3dError,
                      InsufficientData, InvalidNesting, RankDeficient)
 from .metrics import (MODEL_ORDER, ModelKind, _sin_deg, predictor_names,
                       predictors_for)
 from .special import f_sf
-from .tasks import STEPWISE_CANDIDATES, check_candidates
+from .tasks import check_candidates
 from .trial_io import TrialLog, _log_terms
 
 # numpy comes after the package's own modules: a process that compiles
@@ -247,9 +249,6 @@ class _Pool:
         self._pure_error = float(self.pure_error.sum())
         root = np.sqrt(counts)
         self._columns = {name: j + 1 for j, name in enumerate(names)}
-        # a constant column is a multiple of the intercept in every fit
-        self._constant = {name for name, constant
-                          in zip(names, (values == values[0]).all(axis=0)) if constant}
         self._design = root[:, None] * np.column_stack([np.ones(len(counts)), values])
         self._response = root * means
         self._scale = float(y @ y)
@@ -266,9 +265,6 @@ class _Pool:
         fit = self._fits.get(names)
         if fit is not None:
             return fit
-        # a constant column decides the rank, unless the rows are too few
-        if self.n > len(names) and not self._constant.isdisjoint(names):
-            raise RankDeficient(_RANK_DEFICIENT)
         W = self._design[:, [0] + [self._columns[name] for name in names]]
         fit, s = _least_squares(W, self._response, names, self.n, self.ss_tot,
                                 self._pure_error, RANK_TOL / 10)
@@ -348,12 +344,12 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
 
     Each round first enters the candidate with the smallest partial-F
     p-value if that p-value is below 0.05, then removes included
-    variables whose p-value rose above 0.10 (largest first).
-    Candidates that would make the matrix rank deficient or leave the
-    fit no residual degrees of freedom are skipped. A step whose fit has
-    zero residual variance reports F = inf and p = 0, which JSON output
-    refuses.
-    Ties within 1e-12 go to the earlier column. The tolerance is
+    variables whose p-value rose above 0.10 (largest first). An exactly
+    constant column (-0.0 equals 0.0) is never offered; other candidates
+    that would make the matrix rank deficient or leave the fit no
+    residual degrees of freedom are skipped. A step whose fit has zero
+    residual variance reports F = inf and p = 0, which JSON output
+    refuses. Ties within 1e-12 go to the earlier column. The tolerance is
     absolute, so every p-value below 1e-12 ties and the earliest such
     column enters, whatever its F. Stops when a round changes nothing,
     or after 4 * len(X.names) + 8 rounds, which sets hit_round_cap.
@@ -379,6 +375,9 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     if intercept_only.degenerate_variance:
         return StepwiseReport((), (), {}, 0.0, intercept_only)
 
+    # an exactly constant column is a multiple of the intercept: never offered
+    offered = [name for name, constant
+               in zip(X.names, (X.values == X.values[0]).all(axis=0)) if not constant]
     pool = _pool(X, yarr)
     included: list[str] = []
     current = intercept_only
@@ -390,7 +389,7 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
         return ols_fit(X.subset(names), yarr)
 
     def choose(entering):
-        names = ([n for n in X.names if n not in included] if entering
+        names = ([n for n in offered if n not in included] if entering
                  else list(included))
         if pool is not None:
             try:

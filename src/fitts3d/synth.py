@@ -26,11 +26,11 @@ import math
 from dataclasses import dataclass, replace
 from itertools import product
 
+from .constants import CONDITION_FIELDS, Experiment, InteractionKind
 from .errors import InvalidTruth
 from .metrics import ModelKind, predictor_names, predictors_for
 from .rng import box_muller, derive_stream_seed, lockstep_uniforms
-from .tasks import (CONDITION_FIELDS, MIN_MT_S, Experiment, InteractionKind,
-                    TaskSpec)
+from .tasks import MIN_MT_S, TaskSpec
 from .trial_io import TrialLog
 
 

@@ -15,22 +15,18 @@ TaskSpec fields, the synth grid's loop order and the trial log's
 condition columns all follow it. It lives in fitts3d.constants with the
 Experiment and InteractionKind enums, the two timeouts and
 STEPWISE_CANDIDATES, so the CLI parser can offer them without importing
-this module; they are re-exported here.
+this module.
 
 wrap_angle_deg, symmetry_reduced_delta_deg, ROTATION_SYMMETRY_DEG and
 the W/2 and omega tests the classifiers apply live in fitts3d.poses,
-which classifies pose files by column without building a Pose; the
-first three are re-exported here.
+which classifies pose files by column without building a Pose.
 """
 
 import math
 from dataclasses import dataclass
 
-from .constants import (CONDITION_FIELDS, MANIPULATION_TIMEOUT_S,
-                        POINTING_TIMEOUT_S, STEPWISE_CANDIDATES, Experiment,
-                        InteractionKind)
-from .poses import (ROTATION_SYMMETRY_DEG, rotation_ok,
-                    symmetry_reduced_delta_deg, translation_ok, wrap_angle_deg)
+from .constants import CONDITION_FIELDS, STEPWISE_CANDIDATES, InteractionKind
+from .poses import rotation_ok, translation_ok, wrap_angle_deg
 
 MIN_MT_S = 0.05
 

@@ -21,8 +21,7 @@ text, line and column whether its prefix was seen before or not.
 
 The pose-file format (POSE_COLUMNS, POSE_CSV_HEADER) and its column
 reader live in fitts3d.poses, with the CSV helpers both readers share;
-read_poses builds its Pose tuples from that reader's columns, and
-POSE_COLUMNS and POSE_CSV_HEADER are re-exported here.
+read_poses builds its Pose tuples from that reader's columns.
 """
 
 import math
@@ -30,11 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
+from .constants import CONDITION_FIELDS, Experiment, InteractionKind
 from .errors import ParseError
-from .poses import (POSE_COLUMNS, POSE_CSV_HEADER, _parse_float, _pose_rows,
-                    _read_lines, read_pose_columns)
-from .tasks import (CONDITION_FIELDS, Experiment, InteractionKind, Pose,
-                    TaskSpec, Trial)
+from .poses import _parse_float, _pose_rows, _read_lines, read_pose_columns
+from .tasks import Pose, TaskSpec, Trial
 
 # the log column of each of CONDITION_FIELDS, in that order
 _CONDITION_COLUMNS = ("F_cm", "W_cm", "A_cm", "phi_deg", "theta_deg",

@@ -7,7 +7,8 @@ import pytest
 
 from fitts3d import report as report_module
 from fitts3d.cli import main
-from fitts3d.trial_io import POSE_CSV_HEADER, TRIAL_CSV_HEADER
+from fitts3d.poses import POSE_CSV_HEADER
+from fitts3d.trial_io import TRIAL_CSV_HEADER
 from fitts3d import (Trial, build_grid, format_equation, generate_trials,
                      paper_scale_defaults, read_trials, render_document,
                      write_trials)

@@ -19,7 +19,7 @@ import pytest
 
 import fitts3d
 from fitts3d.cli import main
-from fitts3d.trial_io import POSE_CSV_HEADER
+from fitts3d.poses import POSE_CSV_HEADER
 
 SRC = str(Path(fitts3d.__file__).resolve().parents[1])
 
@@ -143,7 +143,7 @@ def test_first_use_loads_the_owning_module(tmp_path):
     # a submodule and an exported name, each reached as an attribute
     run = ("import fitts3d\n"
            "assert fitts3d.special.f_sf is fitts3d.f_sf\n"
-           "assert fitts3d.Experiment('e1') is fitts3d.tasks.Experiment.E1")
+           "assert fitts3d.tasks.TaskSpec is fitts3d.TaskSpec")
     modules, _, numpy, _ = _child(run, [], tmp_path)
     assert modules == ["fitts3d", "fitts3d.constants", "fitts3d.errors",
                        "fitts3d.poses", "fitts3d.special", "fitts3d.tasks"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fitts3d import poses, tasks, trial_io
+from fitts3d import poses, trial_io
 from fitts3d.cli import main
 from fitts3d.errors import ParseError, SchemaError
 from pose_oracle import (BOUNDARY_ROWS, CLASSIFY_HEADER, edge_pose_rows,
@@ -187,11 +187,3 @@ def test_header_only_file_has_empty_columns(workdir):
     path = _write(workdir, [])
     assert poses.read_pose_columns(path) == [[] for _ in poses.POSE_COLUMNS]
     _assert_agrees(path)
-
-
-@pytest.mark.parametrize("module,name", [
-    (tasks, "wrap_angle_deg"), (tasks, "symmetry_reduced_delta_deg"),
-    (tasks, "ROTATION_SYMMETRY_DEG"), (trial_io, "POSE_COLUMNS"),
-    (trial_io, "POSE_CSV_HEADER")])
-def test_reexported_names_are_the_poses_objects(module, name):
-    assert getattr(module, name) is getattr(poses, name)

@@ -8,8 +8,12 @@ A name that only tests reach is code the answer does not need.
 The package exports the names of its one lookup table, each found in
 its module on first use; each must resolve to its module's object, and
 a star import must bind every one of them.
+
+Each name has one home: a library module uses every name it imports, so
+no module re-exports another's names.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -54,6 +58,30 @@ def test_star_import_binds_every_export():
     for name, module in fitts3d._LAZY_EXPORTS.items():
         owner = importlib.import_module(f"fitts3d.{module}")
         assert namespace[name] is getattr(owner, name)
+
+
+def _unused_imports(path):
+    """The names the module at path imports and never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_an_unused_name(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import math, os.path as p\nfrom .x import (a, b as c)\n"
+                    "def f():\n    import json\n    return a + math.pi + json\n",
+                    encoding="utf-8")
+    assert _unused_imports(path) == ["c", "p"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path) == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -49,14 +49,34 @@ def _assert_matches_oracle(X, y):
 
 
 def _counting_ols_fit(monkeypatch, module=regression):
+    """The (names, row count) of each row fit, in call order."""
     calls = []
 
     def counting(X, y):
-        calls.append(X.values.shape[0])
+        calls.append((X.names, X.values.shape[0]))
         return ols_fit(X, y)
 
     monkeypatch.setattr(module, "ols_fit", counting)
     return calls
+
+
+def _counting_pooled_fits(monkeypatch):
+    """The names of each pooled fit, in call order."""
+    calls = []
+    fit = regression._Pool.fit
+
+    def counting(self, names):
+        calls.append(tuple(names))
+        return fit(self, names)
+
+    monkeypatch.setattr(regression._Pool, "fit", counting)
+    return calls
+
+
+def _constant_names(X):
+    """The names of X's exactly constant columns."""
+    return {name for name, constant
+            in zip(X.names, (X.values == X.values[0]).all(axis=0)) if constant}
 
 
 def _counting_fallbacks(monkeypatch):
@@ -177,7 +197,15 @@ def _designs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_designs())
 def test_stepwise_matches_the_oracle_on_drawn_designs(design):
-    _assert_matches_oracle(*design)
+    X, y = design
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _counting_ols_fit(mp)
+        pooled = _counting_pooled_fits(mp)
+        _assert_matches_oracle(X, y)
+    # a constant column can never enter, so no fit is given one
+    constant = _constant_names(X)
+    assert not any(constant.intersection(names) for names, _ in rows)
+    assert not any(constant.intersection(names) for names in pooled)
 
 
 # ---- the oracle at flip points -----------------------------------------------
@@ -317,8 +345,13 @@ def test_hand_built_repeated_design_screens_on_the_rows(monkeypatch):
     oracle_calls = _counting_ols_fit(monkeypatch, stepwise_oracle)
     report, expected = stepwise(X, y), reference_stepwise(X, y)
     assert report == expected and repr(report) == repr(expected)
-    # every candidate of every scan fitted on the rows, as the oracle does
-    assert calls == oracle_calls
+    # every candidate of every scan fitted on the rows, as the oracle
+    # does, but for the constant F, which no scan offers
+    constant = _constant_names(X)
+    assert constant == {"F"}
+    offered = [call for call in oracle_calls if not constant.intersection(call[0])]
+    assert calls == offered
+    assert len(offered) < len(oracle_calls)
     assert len(calls) > len(report.steps) + 1
 
 
@@ -344,7 +377,7 @@ def test_published_log_refits_only_the_steps(monkeypatch):
     report = stepwise(X, y)
     # the intercept-only fit, then one per-row refit per step
     assert len(calls) == len(report.steps) + 1 == 5
-    assert set(calls) == {len(y)}
+    assert {rows for _, rows in calls} == {len(y)}
     monkeypatch.undo()
     assert report == reference_stepwise(X, y)
 

@@ -7,7 +7,7 @@ import pytest
 from fitts3d import (InteractionKind, Pose, TaskSpec, Trial, classify_combined,
                      classify_rotation, classify_translation,
                      symmetry_reduced_delta_deg, wrap_angle_deg)
-from fitts3d.tasks import CONDITION_FIELDS, STEPWISE_CANDIDATES
+from fitts3d.constants import CONDITION_FIELDS, STEPWISE_CANDIDATES
 
 
 def test_condition_fields_are_task_spec_field_order():

@@ -12,9 +12,9 @@ import fitts3d.trial_io
 from fitts3d import (InteractionKind, ParseError, Pose, SchemaError, TaskSpec,
                      TrialLog, build_grid, generate_trials, paper_scale_defaults,
                      read_poses, read_trials, write_trials)
-from fitts3d.trial_io import (_CONDITION_COLUMNS, _EXPERIMENT_IDS, POSE_CSV_HEADER,
-                              TRIAL_COLUMNS, TRIAL_CSV_HEADER, _parse_float,
-                              _read_lines)
+from fitts3d.poses import POSE_CSV_HEADER
+from fitts3d.trial_io import (_CONDITION_COLUMNS, _EXPERIMENT_IDS, TRIAL_COLUMNS,
+                              TRIAL_CSV_HEADER, _parse_float, _read_lines)
 from trial_rows import trial_log
 
 POINT = InteractionKind.POINTING
