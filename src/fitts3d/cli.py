@@ -153,12 +153,14 @@ class _FloatMemo(dict):
         return value
 
 
-def _cmd_report(args) -> int:
+def _render_saved(path, fmt) -> str:
+    """render_document of the JSON document at path; the document is
+    freed when this returns."""
     import json
 
     from .report import render_document
 
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             # a fit document repeats its response texts in every model's
             # points and a condition's predictor texts in each of its
@@ -168,7 +170,24 @@ def _cmd_report(args) -> int:
                             parse_float=_FloatMemo().__getitem__)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise Fitts3dError(f"not a JSON document: {exc}") from None
-    _emit(args.out, render_document(doc, args.format))
+    return render_document(doc, fmt)
+
+
+def _cmd_report(args) -> int:
+    import gc
+
+    # a JSON tree has no cycles and reference counting frees it, but its
+    # tens of thousands of lists would set off collections that walk it;
+    # the document is freed before the collector resumes, so none do
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        text = _render_saved(args.input, args.format)
+    finally:
+        if paused:
+            gc.enable()
+    _emit(args.out, text)
     return 0
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import operator
 import warnings
@@ -6,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from fitts3d import report as report_module
-from fitts3d.cli import main
+from fitts3d.cli import _render_saved, main
 from fitts3d.poses import POSE_CSV_HEADER
 from fitts3d.trial_io import TRIAL_CSV_HEADER
 from fitts3d import (Trial, build_grid, format_equation, generate_trials,
@@ -305,16 +306,30 @@ def _assert_report_prints_render_document(path, capsys):
         assert captured.out == render_document(json.loads(text), fmt)
 
 
-def test_report_reads_a_published_scale_per_trial_document(tmp_path, capsys,
-                                                           monkeypatch):
-    # e4 pointing at the published 4 800 trials, every model fitted per trial
-    grid = replace(build_grid("e4", "pointing"), repetitions=75)
-    log = tmp_path / "log.csv"
+def _per_trial_fit_document(directory, repetitions=None):
+    """fit --aggregate false --format json-like of e4 pointing with every
+    model, at paper scale or with the repetitions given."""
+    grid = build_grid("e4", "pointing")
+    if repetitions is not None:
+        grid = replace(grid, repetitions=repetitions)
+    log = directory / "log.csv"
     write_trials(log, generate_trials(grid, paper_scale_defaults("e4", "pointing"),
                                       "pointing"), "e4")
-    path = tmp_path / "fit.json"
+    path = directory / "fit.json"
     assert main(["fit", str(log), "--aggregate", "false", "--format", "json-like",
                  "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def published_document(tmp_path_factory):
+    # e4 pointing at the published 4 800 trials, every model fitted per trial
+    return _per_trial_fit_document(tmp_path_factory.mktemp("published"), 75)
+
+
+def test_report_reads_a_published_scale_per_trial_document(published_document,
+                                                           capsys, monkeypatch):
+    path = published_document
     _assert_report_prints_render_document(path, capsys)
     # each read parses a number text once: every model shares the response
     # column's floats, and a second read shares none of them
@@ -326,6 +341,96 @@ def test_report_reads_a_published_scale_per_trial_document(tmp_path, capsys,
     assert len(mt[0]) == 7 and len(mt[0][0]) == docs[0]["models"][0]["n"] > 4000
     assert all(all(map(operator.is_, mt[0][0], other)) for other in mt[0][1:])
     assert not any(map(operator.is_, mt[0][0], mt[1][0]))
+
+
+@pytest.fixture
+def collector():
+    """Gives the cycle collector back the state it had before the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# an exit path of report -> (document text or None for no file, --format,
+# exit code, start of stderr)
+_REPORT_EXITS = {
+    "table": (json.dumps(_document_holding("r2", 0.9)), "table", 0, ""),
+    "json-like": (json.dumps(_document_holding("r2", 0.9)), "json-like", 0, ""),
+    "not-json": ("not json", "table", 1, "error: not a JSON document: Expecting"),
+    "nan": ('{"schema": "fitts3d.report/1", "models": [{"r2": NaN}]}', "table", 1,
+            "error: not a JSON document: NaN is not a JSON value"),
+    "malformed": (json.dumps({"schema": "fitts3d.report/1", "models": [1]}),
+                  "table", 1, "error: malformed report document: models[0]"),
+    "missing": (None, "table", 1, "error: no such file: "),
+    "int-too-large": (json.dumps({"schema": "fitts3d.stepwise/1",
+                                  "steps": [dict(_STEP, f_stat=10 ** 400)]}),
+                      "json-like", 1, "error: int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("exit_path", list(_REPORT_EXITS))
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["collector-enabled", "collector-disabled"])
+def test_report_gives_the_collector_back_its_state(tmp_path, capsys, monkeypatch,
+                                                   collector, enabled, exit_path):
+    text, fmt, rc, err = _REPORT_EXITS[exit_path]
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    seen = []  # the collector's state while the document is rendered
+    render = report_module.render_document
+    monkeypatch.setattr(report_module, "render_document",
+                        lambda doc, fmt: seen.append(gc.isenabled()) or render(doc, fmt))
+    (gc.enable if enabled else gc.disable)()
+    assert main(["report", str(path), "--format", fmt]) == rc
+    assert gc.isenabled() is enabled
+    assert seen == ([False] if exit_path in ("table", "json-like", "malformed",
+                                             "int-too-large") else [])
+    assert capsys.readouterr().err.startswith(err)
+
+
+def test_report_runs_no_collection_over_the_document(published_document, capsys,
+                                                     collector):
+    # without the pause, loading the document's ~35 000 lists sets off ~40
+    # young collections; with it freed only after the collector resumes,
+    # the next collection starts with all of them young
+    young = []  # the young objects each collection starts with
+
+    def record(phase, info):
+        if phase == "start":
+            young.append(gc.get_count()[0])
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        for fmt in ("table", "json-like"):
+            gc.collect()
+            del young[:]
+            assert main(["report", str(published_document), "--format", fmt]) == 0
+            assert len(young) <= 1 and all(count < 5000 for count in young), young
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json-like"])
+def test_a_rendered_document_leaves_no_garbage_that_grows_with_it(
+        tmp_path, published_document, collector, fmt):
+    # report reads with the collector paused, so reference counting alone
+    # must free what load and render make: nothing for the table, and for
+    # json-like only the indenting encoder's closures, as many for any size
+    paper = _per_trial_fit_document(tmp_path)
+    gc.disable()
+    _render_saved(paper, fmt)  # first-use imports and caches
+    found = []
+    for path in (paper, published_document):
+        gc.collect()
+        _render_saved(path, fmt)
+        found.append(gc.collect())
+    if fmt == "table":
+        assert found == [0, 0]
+    else:
+        assert found[0] == found[1]
 
 
 # number texts whose parse a memo of texts must keep apart or alike: both

@@ -373,9 +373,12 @@ def test_stepwise_removal_phase():
     x2 = rng.normal(size=200)
     x3 = x1 + x2 + rng.normal(size=200) * 0.05
     y = 2.0 * x1 + 1.8 * x2 + rng.normal(size=200) * 0.2
-    report = stepwise(_mat(["x3", "x1", "x2"], [x3, x1, x2]), y)
+    X = _mat(["x3", "x1", "x2"], [x3, x1, x2])
+    report = stepwise(X, y)
     assert [(s.action, s.name) for s in report.steps] == [
         ("enter", "x3"), ("enter", "x1"), ("enter", "x2"), ("remove", "x3")]
+    # the one design whose steps hold a removal to the exact oracle
+    _assert_steps_near_exact(X, y)
     assert set(report.selected) == {"x1", "x2"}
     # final selection never keeps a variable with partial p above .10
     for name in report.selected:
