@@ -11,9 +11,14 @@ classify only those three and poses, neither of them dataclasses;
 generate adds tasks, trial_io, synth and the layers it builds on; only
 the verbs that fit (fit, compare, stepwise) import regression, and with
 it numpy, after their other modules.
+
+main() builds the parser on its first call and reuses it, so a caller
+that runs several verbs in one process pays for argparse once, and a
+table-format verb leaves no cyclic garbage.
 """
 
 import argparse
+import functools
 import sys
 
 from .constants import (FORMATS, JSON_FORMAT, STEPWISE_CANDIDATES,
@@ -247,9 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it found it and reads sys.argv,
+# sys.stdout and sys.stderr only when it runs, so one parser serves every
+# call while no default is mutable and no action appends
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb; returns its exit code. The parser is built on the
+    first call and reused, so in-process callers pay for argparse once
+    and a table-format verb leaves no cyclic garbage."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

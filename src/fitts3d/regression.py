@@ -137,7 +137,10 @@ def ols_fit(X: DesignMatrix, y) -> ModelFit:
         raise ValueError("y must be one value per design matrix row")
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
-    ss_tot = float(np.sum((yarr - yarr.mean()) ** 2)) if n else 0.0  # mean() warns on []
+    # a constant response's mean can round off its value, which would
+    # leave ss_tot rounding noise and r2 meaningless; mean() warns on []
+    constant = n == 0 or yarr.min() == yarr.max()
+    ss_tot = 0.0 if constant else float(np.sum((yarr - yarr.mean()) ** 2))
     M = np.column_stack([np.ones(n), X.values])
     return _least_squares(M, yarr, X.names, n, ss_tot)[0]
 

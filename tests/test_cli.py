@@ -413,24 +413,93 @@ def test_report_runs_no_collection_over_the_document(published_document, capsys,
     capsys.readouterr()
 
 
+# the ways to render a saved document: the helper report runs while the
+# collector is paused, and the verb itself
+_RENDERERS = {
+    "render-saved": lambda path, fmt, out: _render_saved(path, fmt),
+    "report": lambda path, fmt, out: main(["report", str(path), "--format", fmt,
+                                           "--out", str(out)]),
+}
+
+
+@pytest.mark.parametrize("renderer", list(_RENDERERS))
 @pytest.mark.parametrize("fmt", ["table", "json-like"])
 def test_a_rendered_document_leaves_no_garbage_that_grows_with_it(
-        tmp_path, published_document, collector, fmt):
+        tmp_path, published_document, collector, fmt, renderer):
     # report reads with the collector paused, so reference counting alone
     # must free what load and render make: nothing for the table, and for
     # json-like only the indenting encoder's closures, as many for any size
+    render = _RENDERERS[renderer]
+    out = tmp_path / "out.txt"
     paper = _per_trial_fit_document(tmp_path)
     gc.disable()
-    _render_saved(paper, fmt)  # first-use imports and caches
+    render(paper, fmt, out)  # first-use imports and caches
     found = []
     for path in (paper, published_document):
         gc.collect()
-        _render_saved(path, fmt)
+        render(path, fmt, out)
         found.append(gc.collect())
     if fmt == "table":
         assert found == [0, 0]
     else:
         assert found[0] == found[1]
+
+
+def _pose_file(directory):
+    path = directory / "poses.csv"
+    path.write_text(POSE_CSV_HEADER + "\n"
+                    "0.0,0.0,0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,5.0,2.5\n",
+                    encoding="utf-8")
+    return path
+
+
+# a verb call -> (its arguments, given a directory holding log.csv,
+# poses.csv and fit.json, and its exit code)
+_CALLS = {
+    "generate": (lambda d: ["generate", "--experiment", "e1", "--interaction",
+                            "pointing", "--out", str(d / "new.csv")], 0),
+    "classify": (lambda d: ["classify", str(d / "poses.csv")], 0),
+    "compare": (lambda d: ["compare", str(d / "log.csv")], 0),
+    "fit": (lambda d: ["fit", str(d / "log.csv"), "--aggregate", "false"], 0),
+    "stepwise": (lambda d: ["stepwise", str(d / "log.csv")], 0),
+    "report": (lambda d: ["report", str(d / "fit.json")], 0),
+    "usage-error": (lambda d: ["fit", str(d / "log.csv"), "--models", "einstein"], 2),
+    "missing-file": (lambda d: ["compare", str(d / "absent.csv")], 1),
+}
+
+
+def _garbage_of_a_second_call(argv, rc):
+    """What gc.collect() finds after main(argv) when an equal call has
+    already made the first-use imports, caches and the parser."""
+    assert main(argv) == rc
+    gc.disable()
+    gc.collect()
+    assert main(argv) == rc
+    return gc.collect()
+
+
+@pytest.mark.parametrize("call", list(_CALLS))
+def test_an_in_process_verb_leaves_no_cyclic_garbage(tmp_path, capsys, collector,
+                                                     call):
+    # main() reuses one parser, and argparse's is cyclic: a parser built
+    # per call would leave ~300 objects for the collector each time
+    _per_trial_fit_document(tmp_path)
+    _pose_file(tmp_path)
+    args, rc = _CALLS[call]
+    assert _garbage_of_a_second_call(args(tmp_path), rc) == 0
+    capsys.readouterr()
+
+
+def test_an_in_process_json_like_fit_leaves_garbage_that_does_not_grow(
+        tmp_path, published_document, capsys, collector):
+    # the indenting encoder's closures, as many for any size of log
+    paper = _per_trial_fit_document(tmp_path).parent / "log.csv"
+    published = published_document.parent / "log.csv"
+    found = [_garbage_of_a_second_call(
+        ["fit", str(log), "--aggregate", "false", "--format", "json-like",
+         "--out", str(tmp_path / "fit-again.json")], 0) for log in (paper, published)]
+    assert found[0] == found[1]
+    assert capsys.readouterr().err == ""
 
 
 # number texts whose parse a memo of texts must keep apart or alike: both

@@ -27,7 +27,7 @@ from fitts3d.regression import STEPWISE_CANDIDATES, ConditionTable
 from fitts3d.report import _comparison_json
 from fitts3d.trial_io import TRIAL_CSV_HEADER
 from report_oracle import document_with_points
-from trial_rows import trial_log
+from trial_rows import task_specs, trial_log
 
 CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
          for i in (InteractionKind.POINTING, InteractionKind.MANIPULATION)]
@@ -254,21 +254,9 @@ def test_aggregated_table_fits_condition_means():
 
 # ---- property: any trial log, stated row by row ---------------------------
 
-_conditions = st.builds(
-    TaskSpec,
-    F=st.sampled_from([2.0, 4.0]),
-    W=st.sampled_from([2.0, 5.0]),
-    A=st.sampled_from([0.0, 6.0, 12.0]),
-    phi=st.sampled_from([0.0, 90.0, 225.0]),
-    theta=st.sampled_from([0.0, 45.0]),
-    alpha=st.sampled_from([0.0, 45.0]),
-    omega=st.sampled_from([0.0, 7.5]),
-    interaction=st.sampled_from(list(InteractionKind)))
-
-
 @st.composite
 def _trial_logs(draw):
-    conditions = draw(st.lists(_conditions, min_size=1, max_size=6, unique=True))
+    conditions = draw(st.lists(task_specs, min_size=1, max_size=6, unique=True))
     rows = []
     for task in conditions:
         for _ in range(draw(st.integers(1, 5))):

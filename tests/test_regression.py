@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fitts3d import (ConditionTable, DesignMatrix, DomainError, EmptyCondition,
-                     InsufficientData, InteractionKind, InvalidNesting,
-                     ModelKind, RankDeficient, TaskSpec, compare_models,
-                     condition_matrix, f_sf, fit_model, ols_fit,
-                     partial_f_test, predictors_for, stepwise)
+from fitts3d import (MODEL_ORDER, ConditionTable, DesignMatrix, DomainError,
+                     EmptyCondition, InsufficientData, InteractionKind,
+                     InvalidNesting, ModelKind, RankDeficient, TaskSpec,
+                     compare_models, condition_matrix, f_sf, fit_model,
+                     ols_fit, partial_f_test, predictors_for, stepwise)
 from fitts3d import metrics, regression
 from fitts3d.synth import (Experiment, GroundTruth, build_grid, generate_trials,
                            paper_scale_defaults)
 from exact_oracle import exact_fit
-from trial_rows import trial_log
+from trial_rows import task_specs, trial_log
 
 
 def _mat(names, cols):
@@ -96,13 +98,14 @@ def test_ols_rejects_bad_response(y, fragment):
         ols_fit(_mat(["x"], [np.arange(5.0)]), y)
 
 
-def test_ols_constant_response():
-    x = np.arange(8.0)
-    fit = ols_fit(_mat(["x"], [x]), np.full(8, 2.5))
+@pytest.mark.parametrize("n,value", [(8, 2.5), (3, 0.1)])  # 0.1 * 3 / 3 != 0.1
+def test_ols_constant_response(n, value):
+    x = np.arange(n, dtype=float)
+    fit = ols_fit(_mat(["x"], [x]), np.full(n, value))
     assert fit.degenerate_variance
-    assert fit.r2 == 0.0
+    assert fit.r2 == 0.0 and fit.ss_tot == 0.0
     assert abs(fit.coefficients["x"]) < 1e-9
-    assert fit.coefficients["intercept"] == pytest.approx(2.5, abs=1e-9)
+    assert fit.coefficients["intercept"] == pytest.approx(value, abs=1e-9)
 
 
 def test_residual_orthogonality():
@@ -160,13 +163,19 @@ def _table(experiment, interaction, aggregate, published=False):
         grid, paper_scale_defaults(experiment, interaction), interaction), aggregate)
 
 
+def _fitted_design(table, kind, kept):
+    """The design fit_model fits on table: the columns of the model's
+    predictors named in kept, one row per response row."""
+    names, values = table.predictors(kind)
+    return DesignMatrix(kept, values[:, [names.index(n) for n in kept]][table.rows])
+
+
 def _assert_fits_near_exact(table):
-    """Every model's ols_fit on table is within its bounds of exact."""
+    """Every model's fit from compare_models on table is within its
+    bounds of exact."""
     for row in compare_models(table):
-        names, values = table.predictors(row.kind)
-        kept = row.fit.predictor_names  # every model fits on these cells
-        X = DesignMatrix(kept, values[:, [names.index(n) for n in kept]][table.rows])
-        fit = ols_fit(X, table.y)
+        fit = row.fit  # every model fits on these cells
+        X = _fitted_design(table, row.kind, fit.predictor_names)
         coefficients, r2, _ = exact_fit(X, table.y)
         assert abs(Fraction(fit.r2) - r2) <= _R2_BOUND * abs(r2), row.kind
         largest = max(map(abs, coefficients.values()))
@@ -245,6 +254,128 @@ def test_published_scale_fits_and_steps_are_within_their_bounds_of_exact(
     table = _table(experiment, interaction, aggregate=False, published=True)
     _assert_fits_near_exact(table)
     _assert_steps_near_exact(*condition_matrix(table), r2_absolute=True)
+
+
+# On small drawn logs a design can be ill conditioned and a response can
+# barely vary, so each bound takes the scale its rounding has. A fit's
+# coefficients are held to kappa^2 u of the largest |coefficient|, with
+# kappa = s[0] / s[-1] of the intercept-augmented design. Its r2 is held
+# to u y.y / SS_tot: the residuals round relative to y, and r2 divides
+# their squares by SS_tot. partial_f_test's F, one column dropped, is
+# held to u (SS_reduced / SS_full) df sqrt(y.y / SS_full): F's relative
+# error is that of SS_full, whose residuals round relative to y, so it
+# grows as the full fit nears y. Where F is near 0 its relative error
+# has no bound. Over 8 000 drawn logs (10 292 fits, 17 483 pairs) the worst errors were
+# 3.5, 6.8 and 3.8 of these units.
+_DRAWN_BOUND = 64
+
+
+@st.composite
+def _small_logs(draw):
+    """2 to 8 conditions of 1 to 5 trials, times in [0.1, 10] s, some
+    failed; each condition's first trial succeeds, so that both
+    groupings of the log make a table."""
+    rows = []
+    for task in draw(st.lists(task_specs, min_size=2, max_size=8, unique=True)):
+        for i in range(draw(st.integers(1, 5))):
+            success = i == 0 or draw(st.sampled_from((True, True, False)))
+            rows.append((task, draw(st.floats(0.1, 10.0)), success))
+    return trial_log(draw(st.permutations(rows)))
+
+
+def _kappa(X):
+    """s[0] / s[-1] of X's intercept-augmented design."""
+    s = np.linalg.svd(np.column_stack([np.ones(len(X.values)), X.values]),
+                      compute_uv=False)
+    return Fraction(s[0] / s[-1])
+
+
+def _fit_model_errors(table):
+    """Holds fit_model's outcome for every model on table to exact least
+    squares, where its predictors can be built: the exactly constant
+    predictors dropped, InsufficientData only for too few rows and
+    RankDeficient only for an exactly singular design. Returns each
+    fit's r2 error and its worst coefficient error, in the units of the
+    bounds above."""
+    errors = []
+    for kind in MODEL_ORDER:
+        try:
+            names, values = table.predictors(kind)
+        except DomainError:  # a task outside the model's domain
+            with pytest.raises(DomainError):
+                fit_model(kind, table)
+            continue
+        constant = tuple(n for n, col in zip(names, values.T) if col.min() == col.max())
+        try:
+            fit = fit_model(kind, table)
+        except InsufficientData:
+            assert len(table.y) <= len(names) - len(constant), kind
+            continue
+        except RankDeficient:
+            kept = tuple(n for n in names if n not in constant)
+            if kept:
+                with pytest.raises(ZeroDivisionError):
+                    exact_fit(_fitted_design(table, kind, kept), table.y)
+            continue
+        assert fit.dropped == constant, kind
+        X = _fitted_design(table, kind, fit.predictor_names)
+        coefficients, r2, _ = exact_fit(X, table.y)
+        largest = max(map(abs, coefficients.values()))
+        worst = max(abs(Fraction(fit.coefficients[name]) - exact)
+                    for name, exact in coefficients.items())
+        ss_tot = _centred_squares(table.y)  # 0 for a constant response
+        r2_unit = _U * _squares(table.y) / ss_tot if ss_tot else _U
+        errors.append((kind, abs(Fraction(fit.r2) - r2) / r2_unit,
+                       worst / (largest * _kappa(X) ** 2 * _U)))
+    return errors
+
+
+def _squares(y):
+    return sum(Fraction(v) ** 2 for v in y.tolist())
+
+
+def _centred_squares(y):
+    return _squares(y) - sum(map(Fraction, y.tolist())) ** 2 / len(y)
+
+
+def _partial_f_errors(X, y):
+    """partial_f_test's F error, in the unit of the bound above, for the
+    full fit on X's non-constant columns that keep the design full rank,
+    taken in order, against each column dropped in turn."""
+    kept = []
+    for name, col in zip(X.names, X.values.T):
+        if col.min() == col.max() or len(y) - len(kept) - 2 < 1:
+            continue
+        try:
+            exact_fit(X.subset((*kept, name)), y)
+        except ZeroDivisionError:
+            continue
+        kept.append(name)
+    full = ols_fit(X.subset(kept), y)
+    ss_full = exact_fit(X.subset(kept), y)[2]
+    df = len(y) - len(kept) - 1
+    errors = []
+    for name in kept if ss_full else ():  # an exact fit's F is infinite
+        rest = tuple(n for n in kept if n != name)
+        ss_reduced = exact_fit(X.subset(rest), y)[2]
+        f_stat, _ = partial_f_test(full, ols_fit(X.subset(rest), y))
+        exact = (ss_reduced - ss_full) / (ss_full / df)
+        scale = ss_reduced / ss_full * df * math.sqrt(_squares(y) / ss_full)
+        errors.append((name, abs(Fraction(f_stat) - exact) / (_U * Fraction(scale))))
+    return errors
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_logs(), st.booleans())
+def test_fits_and_partial_f_on_drawn_logs_are_within_their_bounds_of_exact(
+        log, aggregate):
+    table = ConditionTable(log, aggregate)
+    for kind, r2_error, coefficient_error in _fit_model_errors(table):
+        assert r2_error <= _DRAWN_BOUND, kind
+        assert coefficient_error <= _DRAWN_BOUND, kind
+    for name, f_error in _partial_f_errors(*condition_matrix(table)):
+        assert f_error <= _DRAWN_BOUND, name
 
 
 def test_r2_affine_invariance():
@@ -408,9 +539,10 @@ def test_stepwise_skips_candidate_without_residual_df():
     assert report.steps == stepwise(X.subset(["A"]), y).steps
 
 
-def test_stepwise_degenerate_response():
-    X = _mat(["x"], [np.arange(10.0)])
-    report = stepwise(X, np.full(10, 1.0))
+@pytest.mark.parametrize("n,value", [(10, 1.0), (3, 0.1)])
+def test_stepwise_degenerate_response(n, value):
+    X = _mat(["x"], [np.arange(n, dtype=float)])
+    report = stepwise(X, np.full(n, value))
     assert report.steps == ()
     assert report.selected == ()
     assert report.r2 == 0.0

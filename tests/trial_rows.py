@@ -4,9 +4,23 @@ trial_log turns (task, mt, success) rows into the TrialLog columns that
 generate_trials and read_trials return: one spec per distinct task
 object, in first-appearance order, so that equal specs differing in the
 sign of a zero stay apart, as they do in a log written with both.
+task_specs draws a TaskSpec at a few levels of each task variable.
 """
 
-from fitts3d import TrialLog
+from hypothesis import strategies as st
+
+from fitts3d import InteractionKind, TaskSpec, TrialLog
+
+task_specs = st.builds(
+    TaskSpec,
+    F=st.sampled_from([2.0, 4.0]),
+    W=st.sampled_from([2.0, 5.0]),
+    A=st.sampled_from([0.0, 6.0, 12.0]),
+    phi=st.sampled_from([0.0, 90.0, 225.0]),
+    theta=st.sampled_from([0.0, 45.0]),
+    alpha=st.sampled_from([0.0, 45.0]),
+    omega=st.sampled_from([0.0, 7.5]),
+    interaction=st.sampled_from(list(InteractionKind)))
 
 
 def trial_log(rows) -> TrialLog:
