@@ -15,15 +15,12 @@ import os
 import tempfile
 
 from fitts3d import (ConditionTable, InteractionKind, ModelKind,
-                     build_comparison_report, build_grid, generate_trials,
-                     paper_scale_defaults, render_comparison)
+                     build_comparison_report, generate_cell, render_comparison)
 
 interaction = InteractionKind.POINTING
 
 for experiment in ("e1", "e3", "e4"):
-    grid = build_grid(experiment, interaction)
-    truth = paper_scale_defaults(experiment, interaction)
-    log = generate_trials(grid, truth, interaction)
+    log = generate_cell(experiment, interaction)
     table = ConditionTable(log, aggregate=True)  # per-condition means
     report = build_comparison_report(table, list(ModelKind))
     print(f"== {experiment} ==")

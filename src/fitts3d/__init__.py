@@ -42,8 +42,8 @@ _LAZY_EXPORTS = {name: module for module, names in {
     "rng": ("Xoshiro256StarStar", "derive_stream_seed", "lockstep_uniforms"),
     "synth": (
         "GRID_LEVELS", "GRID_REPETITIONS", "PAPER_ERROR_RATE", "PAPER_MEAN_MT",
-        "ExperimentGrid", "GroundTruth", "build_grid", "generate_trials",
-        "paper_scale_defaults", "predict_mt"),
+        "ExperimentGrid", "GroundTruth", "build_grid", "generate_cell",
+        "generate_trials", "paper_scale_defaults", "predict_mt"),
     "trial_io": (
         "TRIAL_CSV_HEADER", "TrialLog", "read_poses",
         "read_trials", "write_trials"),

@@ -3,6 +3,7 @@
 Verbs: generate, classify, fit, stepwise, compare, report. Exit codes:
 0 success, 1 runtime failure (bad data, a log that cannot be grouped
 into conditions, numerical degeneracy, missing file), 2 usage error.
+generate writes synth.generate_cell of its flags.
 
 Each verb imports the modules it runs inside its function, and the
 parser takes its choices from fitts3d.constants, which imports only
@@ -51,16 +52,14 @@ def _parse_models(spec: str):
     names = [t.strip() for t in spec.split(",") if t.strip()]
     if not names:
         raise _UsageError("no models given")
-    kinds = []
+    kinds = []  # a repeated name stays: compare_models fits each model once
     for name in names:
         try:
-            kind = ModelKind(name)
+            kinds.append(ModelKind(name))
         except ValueError:
             raise _UsageError(
                 f"unknown model {name!r}; choose from "
                 f"{', '.join(k.value for k in MODEL_ORDER)}") from None
-        if kind not in kinds:
-            kinds.append(kind)
     return tuple(kinds)
 
 
@@ -74,25 +73,15 @@ def _parse_candidates(spec: str):
 
 
 def _cmd_generate(args) -> int:
-    from dataclasses import replace
-
-    from .synth import build_grid, generate_trials, paper_scale_defaults
+    from .synth import generate_cell
     from .trial_io import write_trials
 
-    experiment = Experiment(args.experiment)
-    interaction = InteractionKind(args.interaction)
-    truth = paper_scale_defaults(experiment, interaction)
-    overrides = {"seed": args.seed}
-    if args.noise_sd is not None:
-        overrides["noise_sd"] = args.noise_sd
-    if args.error_rate is not None:
-        overrides["error_rate"] = args.error_rate
-    truth = replace(truth, **overrides)
-    grid = build_grid(experiment, interaction)
-    log = generate_trials(grid, truth, interaction)
-    write_trials(args.out, log, experiment)
+    log = generate_cell(args.experiment, args.interaction, seed=args.seed,
+                        noise_sd=args.noise_sd, error_rate=args.error_rate)
+    write_trials(args.out, log, args.experiment)
+    conditions = len(log.tasks)
     print(f"wrote {len(log)} trials "
-          f"({len(grid.variations)} conditions x {grid.repetitions} repetitions) "
+          f"({conditions} conditions x {len(log) // conditions} repetitions) "
           f"to {args.out}")
     return 0
 

@@ -19,7 +19,9 @@ order (F, W, A, phi, theta, alpha, omega, slowest to fastest), which
 fixes the condition index used for per-condition random substreams.
 
 generate_trials returns a block as a TrialLog, the columns read_trials
-returns for the same log, and builds no Trial per row.
+returns for the same log, and builds no Trial per row. generate_cell is
+the recipe for one paper cell: the experiment's grid, generated under
+paper_scale_defaults with the seed, noise and error rate given.
 """
 
 import math
@@ -258,3 +260,17 @@ def paper_scale_defaults(experiment: Experiment,
         noise_sd=DEFAULT_NOISE_SD,
         error_rate=PAPER_ERROR_RATE[(experiment, interaction)],
         seed=0)
+
+
+def generate_cell(experiment: Experiment, interaction: InteractionKind, *,
+                  seed: int = 0, noise_sd: float | None = None,
+                  error_rate: float | None = None) -> TrialLog:
+    """One paper cell: generate_trials on the experiment's grid under
+    paper_scale_defaults, with seed and, unless None, noise_sd and
+    error_rate in place of its values; InvalidTruth on an invalid one."""
+    truth = paper_scale_defaults(experiment, interaction)
+    truth = replace(
+        truth, seed=seed,
+        noise_sd=truth.noise_sd if noise_sd is None else noise_sd,
+        error_rate=truth.error_rate if error_rate is None else error_rate)
+    return generate_trials(build_grid(experiment, interaction), truth, interaction)

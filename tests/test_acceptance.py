@@ -9,7 +9,6 @@ as a one-line-per-criterion checklist.
 import math
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,16 +18,16 @@ from fitts3d import (ConditionTable, DesignMatrix, GroundTruth,
                      Xoshiro256StarStar, build_grid,
                      classify_combined, classify_rotation,
                      classify_translation, compare_models, derive_stream_seed,
-                     f_cdf, f_sf, fit_model, generate_trials, ols_fit,
-                     paper_scale_defaults, partial_f_test, predictors_for,
-                     read_trials, stepwise, write_trials)
+                     f_cdf, f_sf, fit_model, generate_cell, generate_trials,
+                     ols_fit, paper_scale_defaults, partial_f_test,
+                     predictors_for, read_trials, stepwise, write_trials)
 from fitts3d.synth import GRID_REPETITIONS, Experiment
+from cells import CELLS
 from fitts3d import (id_fitts, id_hoffmann, id_r_final, id_rot_adapted,
                      id_shannon, id_t_final, id_welford, predictors_cha_myung,
                      predictors_murata)
 
 POINT = InteractionKind.POINTING
-MANIP = InteractionKind.MANIPULATION
 
 LOG2 = math.log(2.0)
 
@@ -232,11 +231,9 @@ def test_criterion_05_ranking_reproduction():
     t0 = time.perf_counter()
     wins = {}
     for experiment in ("e4", "e3"):
-        grid = build_grid(experiment)
-        base = paper_scale_defaults(experiment, POINT)
         top = 0
         for seed in range(100):
-            trials = generate_trials(grid, replace(base, seed=seed), POINT)
+            trials = generate_cell(experiment, POINT, seed=seed)
             rows = compare_models(ConditionTable(trials), ModelKind)
             if rows[0].fit is not None and rows[0].kind is ModelKind.FINAL:
                 top += 1
@@ -365,19 +362,17 @@ def test_criterion_08_f_cdf_accuracy():
 
 def test_criterion_10_round_trip_determinism(tmp_path):
     total = 0
-    for experiment in ("e1", "e2", "e3", "e4"):
-        for interaction in (POINT, MANIP):
-            grid = build_grid(experiment, interaction)
-            truth = paper_scale_defaults(experiment, interaction)
-            log = generate_trials(grid, truth, interaction)
-            path = tmp_path / f"{experiment}_{interaction.value}.csv"
-            write_trials(path, log, experiment)
-            assert read_trials(path) == log
-            again = tmp_path / f"{experiment}_{interaction.value}_again.csv"
-            write_trials(again, generate_trials(grid, truth, interaction),
-                         experiment)
-            assert again.read_bytes() == path.read_bytes()
-            total += len(log)
+    for experiment, interaction in CELLS:
+        grid = build_grid(experiment, interaction)
+        truth = paper_scale_defaults(experiment, interaction)
+        log = generate_trials(grid, truth, interaction)
+        path = tmp_path / f"{experiment}_{interaction}.csv"
+        write_trials(path, log, experiment)
+        assert read_trials(path) == log
+        again = tmp_path / f"{experiment}_{interaction}_again.csv"
+        write_trials(again, generate_trials(grid, truth, interaction), experiment)
+        assert again.read_bytes() == path.read_bytes()
+        total += len(log)
     assert total == 2 * (240 + 240 + 240 + 256)
     print(f"PASS criterion 10: write/read identity and byte-identical "
           f"regeneration on all 8 synthetic sets ({total} trials)")

@@ -2,7 +2,6 @@ import gc
 import json
 import operator
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -10,9 +9,9 @@ from fitts3d import report as report_module
 from fitts3d.cli import _render_saved, main
 from fitts3d.poses import POSE_CSV_HEADER
 from fitts3d.trial_io import TRIAL_CSV_HEADER
-from fitts3d import (Trial, build_grid, format_equation, generate_trials,
-                     paper_scale_defaults, read_trials, render_document,
-                     write_trials)
+from fitts3d import (Trial, format_equation, generate_cell, read_trials,
+                     render_document, write_trials)
+from cells import PUBLISHED_REPS, cell_log
 
 
 def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
@@ -309,12 +308,8 @@ def _assert_report_prints_render_document(path, capsys):
 def _per_trial_fit_document(directory, repetitions=None):
     """fit --aggregate false --format json-like of e4 pointing with every
     model, at paper scale or with the repetitions given."""
-    grid = build_grid("e4", "pointing")
-    if repetitions is not None:
-        grid = replace(grid, repetitions=repetitions)
     log = directory / "log.csv"
-    write_trials(log, generate_trials(grid, paper_scale_defaults("e4", "pointing"),
-                                      "pointing"), "e4")
+    write_trials(log, cell_log("e4", "pointing", repetitions), "e4")
     path = directory / "fit.json"
     assert main(["fit", str(log), "--aggregate", "false", "--format", "json-like",
                  "--out", str(path)]) == 0
@@ -324,7 +319,8 @@ def _per_trial_fit_document(directory, repetitions=None):
 @pytest.fixture(scope="module")
 def published_document(tmp_path_factory):
     # e4 pointing at the published 4 800 trials, every model fitted per trial
-    return _per_trial_fit_document(tmp_path_factory.mktemp("published"), 75)
+    return _per_trial_fit_document(tmp_path_factory.mktemp("published"),
+                                   PUBLISHED_REPS["e4"])
 
 
 def test_report_reads_a_published_scale_per_trial_document(published_document,
@@ -687,15 +683,19 @@ def test_generate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
     assert not out_path.exists()
 
 
-def test_generate_accepts_the_largest_64_bit_seed(tmp_path, capsys):
+@pytest.mark.parametrize("experiment,seed,given", [
+    ("e1", "5", {}), ("e2", "5", {"noise-sd": 0.3}), ("e3", "5", {"error-rate": 0.1}),
     # the CLI passes 2**64 - 1 through unchanged to the generator
-    path, out = _generate(tmp_path, capsys, experiment="e4",
-                          seed="18446744073709551615")
-    assert out.startswith("wrote 256 trials")
-    truth = replace(paper_scale_defaults("e4", "pointing"), seed=2**64 - 1)
+    ("e4", "18446744073709551615", {"noise-sd": 0.0, "error-rate": 0.5}),
+])
+def test_generate_writes_generate_cell_of_its_flags(tmp_path, capsys, experiment,
+                                                     seed, given):
+    path, _ = _generate(tmp_path, capsys, experiment=experiment, seed=seed, extra=[
+        arg for flag, value in given.items() for arg in (f"--{flag}", str(value))])
+    log = generate_cell(experiment, "pointing", seed=int(seed), **{
+        flag.replace("-", "_"): value for flag, value in given.items()})
     expected = tmp_path / "expected.csv"
-    write_trials(expected, generate_trials(build_grid("e4", "pointing"), truth,
-                                           "pointing"), "e4")
+    write_trials(expected, log, experiment)
     assert path.read_bytes() == expected.read_bytes()
 
 

@@ -32,12 +32,11 @@ from pathlib import Path
 
 from fitts3d import render_document
 from fitts3d.cli import main
+from cells import CELLS
 from pose_oracle import edge_pose_rows, pose_file_text
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
-CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
-         for i in ("pointing", "manipulation")]
 VERBS = {
     "compare": ["compare"],
     "compare-json": ["compare", "--format", "json-like"],

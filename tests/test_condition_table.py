@@ -19,25 +19,14 @@ from hypothesis import strategies as st
 import fitts3d.regression as regression
 from fitts3d import (MODEL_ORDER, DesignMatrix, EmptyCondition,
                      InsufficientData, InteractionKind, ModelKind, TaskSpec,
-                     build_grid,
-                     compare_models, condition_matrix, fit_model,
-                     generate_trials, ols_fit, paper_scale_defaults,
+                     compare_models, condition_matrix, fit_model, ols_fit,
                      predictors_for, read_trials)
 from fitts3d.regression import STEPWISE_CANDIDATES, ConditionTable
 from fitts3d.report import _comparison_json
 from fitts3d.trial_io import TRIAL_CSV_HEADER
+from cells import CELLS, cell_log
 from report_oracle import document_with_points
 from trial_rows import task_specs, trial_log
-
-CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
-         for i in (InteractionKind.POINTING, InteractionKind.MANIPULATION)]
-
-
-def _cell_log(experiment, interaction, seed=0):
-    grid = build_grid(experiment, interaction)
-    truth = replace(paper_scale_defaults(experiment, interaction), seed=seed)
-    return generate_trials(grid, truth, interaction)
-
 
 # ---- per-trial reference --------------------------------------------------
 
@@ -157,7 +146,7 @@ def assert_report_matches_reference(log, aggregate):
 @pytest.mark.parametrize("aggregate", [True, False])
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggregate):
-    log = _cell_log(experiment, interaction)
+    log = cell_log(experiment, interaction)
     trials = log.trials
     table = ConditionTable(log, aggregate)
     rows = {r.kind: r for r in compare_models(table)}
@@ -179,7 +168,7 @@ def test_grouped_fits_equal_per_trial_reference(experiment, interaction, aggrega
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate):
     # row- and column-major copies of one design give the same fit
-    table = ConditionTable(_cell_log(experiment, interaction), aggregate)
+    table = ConditionTable(cell_log(experiment, interaction), aggregate)
     for kind in MODEL_ORDER:
         fit = outcome(fit_model, kind, table)
         if isinstance(fit, tuple):
@@ -193,7 +182,7 @@ def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate
 
 
 def test_predictors_run_once_per_condition_and_model(monkeypatch):
-    log = _cell_log("e4", InteractionKind.POINTING)  # 64 conditions x 4
+    log = cell_log("e4", InteractionKind.POINTING)  # 64 conditions x 4
     calls = []
 
     def counting(kind, task):
@@ -248,7 +237,7 @@ def test_first_spec_to_enter_is_kept(tmp_path):
 
 
 def test_aggregated_table_fits_condition_means():
-    table = ConditionTable(_cell_log("e1", InteractionKind.POINTING), True)
+    table = ConditionTable(cell_log("e1", InteractionKind.POINTING), True)
     assert fit_model(ModelKind.FITTS, table).n == 48
 
 

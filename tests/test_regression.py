@@ -14,8 +14,8 @@ from fitts3d import (MODEL_ORDER, ConditionTable, DesignMatrix, DomainError,
                      compare_models, condition_matrix, f_sf, fit_model,
                      ols_fit, partial_f_test, predictors_for, stepwise)
 from fitts3d import metrics, regression
-from fitts3d.synth import (Experiment, GroundTruth, build_grid, generate_trials,
-                           paper_scale_defaults)
+from fitts3d.synth import Experiment, GroundTruth, build_grid, generate_trials
+from cells import PUBLISHED_REPS, cell_log
 from exact_oracle import exact_fit
 from trial_rows import task_specs, trial_log
 
@@ -151,16 +151,12 @@ _F_BOUND = 1024 * _U
 # relative error is the absolute one over that r2. Those steps' r2 is
 # held to an absolute bound.
 _STEP_R2_ABSOLUTE_BOUND = 64 * _U
-_PUBLISHED_REPS = {"e1": 100, "e2": 100, "e3": 100, "e4": 75}  # 4 800 trials
 
 
 def _table(experiment, interaction, aggregate, published=False):
     """The ConditionTable of one cell at paper or published scale."""
-    grid = build_grid(experiment, interaction)
-    if published:
-        grid = replace(grid, repetitions=_PUBLISHED_REPS[experiment])
-    return ConditionTable(generate_trials(
-        grid, paper_scale_defaults(experiment, interaction), interaction), aggregate)
+    reps = PUBLISHED_REPS[experiment] if published else None
+    return ConditionTable(cell_log(experiment, interaction, reps), aggregate)
 
 
 def _fitted_design(table, kind, kept):
@@ -552,10 +548,7 @@ def test_stepwise_degenerate_response(n, value):
 @pytest.mark.parametrize("interaction", list(InteractionKind))
 @pytest.mark.parametrize("aggregate", [True, False])
 def test_stepwise_converges_on_paper_cells(experiment, interaction, aggregate):
-    truth = paper_scale_defaults(experiment, interaction)
-    trials = generate_trials(build_grid(experiment, interaction), truth,
-                             interaction)
-    report = stepwise(*condition_matrix(ConditionTable(trials, aggregate)))
+    report = stepwise(*condition_matrix(_table(experiment, interaction, aggregate)))
     assert report.hit_round_cap is False
 
 
@@ -578,11 +571,9 @@ def test_stepwise_flags_round_cap(monkeypatch):
     assert report.selected == ()
 
 
-def _noiseless_trials(kind, coefficients, experiment, reps=None):
-    truth = GroundTruth(kind, coefficients)
-    grid = build_grid(experiment)
-    trials = generate_trials(grid, truth, InteractionKind.POINTING)
-    return trials
+def _noiseless_trials(kind, coefficients, experiment):
+    return generate_trials(build_grid(experiment), GroundTruth(kind, coefficients),
+                           InteractionKind.POINTING)
 
 
 def test_fit_model_recovers_planted_line():
@@ -739,10 +730,7 @@ def test_some_models_tie_on_the_paper_grids():
 @pytest.mark.parametrize("experiment", list(Experiment))
 def test_compare_models_gives_tied_models_one_fit(experiment, interaction,
                                                   aggregate):
-    log = generate_trials(build_grid(experiment, interaction),
-                          paper_scale_defaults(experiment, interaction),
-                          interaction)
-    table = ConditionTable(log, aggregate)
+    table = _table(experiment, interaction, aggregate)
     fits = {row.kind: row.fit for row in compare_models(table)}
     for group in _tied_models(table.tasks):
         first, *others = (fits[kind] for kind in group)

@@ -21,7 +21,7 @@ from fitts3d import report as report_module
 from fitts3d.cli import main
 from fitts3d.metrics import MODEL_ORDER
 from fitts3d.report import REPORT_SCHEMA, STEPWISE_SCHEMA
-from fitts3d.synth import paper_scale_defaults
+from cells import CELLS, PUBLISHED_REPS, cell_log
 from report_oracle import document_with_points
 from trial_rows import trial_log
 
@@ -413,16 +413,12 @@ def _assert_same_bytes(actual: bytes, expected: bytes) -> None:
                 pytrace=False)
 
 
-@pytest.mark.parametrize("experiment,interaction,reps", [
-    ("e1", InteractionKind.POINTING, 100),
-    ("e4", InteractionKind.MANIPULATION, 75),  # zero-holding columns
-])
+@pytest.mark.parametrize("experiment,interaction", [
+    ("e1", "pointing"), ("e4", "manipulation")])  # e4: zero-holding columns
 def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
-                                                     experiment, interaction, reps):
+                                                     experiment, interaction):
     # one published cell, 4 800 trials fitted per trial
-    grid = replace(build_grid(experiment, interaction), repetitions=reps)
-    truth = paper_scale_defaults(experiment, interaction)
-    log = generate_trials(grid, truth, interaction)
+    log = cell_log(experiment, interaction, PUBLISHED_REPS[experiment])
     path = tmp_path / "cell.csv"
     write_trials(path, log, experiment)
     assert main(["fit", str(path), "--aggregate", "false",
@@ -434,16 +430,13 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
                        _oracle(expected).encode("utf-8"))
 
 
-_CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4") for i in InteractionKind]
 _MODEL_SPECS = {"all": MODEL_ORDER,
                 "final,shannon": (ModelKind.FINAL, ModelKind.SHANNON),
                 "shannon,shannon": (ModelKind.SHANNON,)}
 
 
 def _small_cell(tmp_path, experiment, interaction, reps=2):
-    grid = replace(build_grid(experiment, interaction), repetitions=reps)
-    log = generate_trials(grid, paper_scale_defaults(experiment, interaction),
-                          interaction)
+    log = cell_log(experiment, interaction, reps)
     path = tmp_path / "cell.csv"
     write_trials(path, log, experiment)
     return log, path
@@ -451,7 +444,7 @@ def _small_cell(tmp_path, experiment, interaction, reps=2):
 
 @pytest.mark.parametrize("models", _MODEL_SPECS)
 @pytest.mark.parametrize("aggregate", ["true", "false"])
-@pytest.mark.parametrize("experiment,interaction", _CELLS)
+@pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_fit_json_from_the_table_matches_the_oracle(tmp_path, capsys, experiment,
                                                     interaction, aggregate, models):
     log, path = _small_cell(tmp_path, experiment, interaction)

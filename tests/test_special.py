@@ -73,6 +73,8 @@ def test_f_edges():
     assert f_sf(math.inf, 2, 5) == 0.0
     with pytest.raises(DomainError):
         f_cdf(1.0, 0, 5)
+    with pytest.raises(DomainError, match="positive degrees of freedom"):
+        f_sf(1.0, 0, 5)
 
 
 def test_f_deep_tail_precision():

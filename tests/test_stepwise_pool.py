@@ -12,7 +12,6 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -21,19 +20,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fitts3d import (ConditionTable, DesignMatrix, InsufficientData,
-                     InteractionKind, ModelFit, RankDeficient, build_grid,
-                     condition_matrix, generate_trials, ols_fit,
-                     paper_scale_defaults, partial_f_test, read_trials,
+                     InteractionKind, ModelFit, RankDeficient,
+                     condition_matrix, ols_fit, partial_f_test, read_trials,
                      stepwise, write_trials)
 from fitts3d import regression, render_stepwise
 from fitts3d.cli import main
 from fitts3d.constants import STEPWISE_CANDIDATES
+from cells import CELLS, PUBLISHED_REPS, cell_log
 import stepwise_oracle
 from stepwise_oracle import reference_stepwise
-
-CELLS = [(e, i) for e in ("e1", "e2", "e3", "e4")
-         for i in (InteractionKind.POINTING, InteractionKind.MANIPULATION)]
-PUBLISHED_REPS = {"e1": 100, "e2": 100, "e3": 100, "e4": 75}  # 4 800 trials
 
 
 def _outcome(select, X, y):
@@ -96,19 +91,10 @@ def _counting_fallbacks(monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def _log(experiment, interaction, seed=0):
-    """The trial log of one published-scale cell."""
-    grid = replace(build_grid(experiment, interaction),
-                   repetitions=PUBLISHED_REPS[experiment])
-    truth = replace(paper_scale_defaults(experiment, interaction), seed=seed)
-    return generate_trials(grid, truth, interaction)
-
-
-@lru_cache(maxsize=None)
 def _published(experiment, interaction, seed=0):
     """(X, y) of one published-scale cell, per trial."""
-    return condition_matrix(ConditionTable(_log(experiment, interaction, seed),
-                                           aggregate=False))
+    log = cell_log(experiment, interaction, PUBLISHED_REPS[experiment], seed)
+    return condition_matrix(ConditionTable(log, aggregate=False))
 
 
 def _ending(fit, names):
@@ -309,10 +295,8 @@ def test_ulp_near_tie_falls_back_and_matches_the_oracle(monkeypatch):
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, capsys, experiment,
                                                    interaction, seed):
-    grid = build_grid(experiment, interaction)
-    truth = replace(paper_scale_defaults(experiment, interaction), seed=seed)
     path = tmp_path / "log.csv"
-    write_trials(path, generate_trials(grid, truth, interaction), experiment)
+    write_trials(path, cell_log(experiment, interaction, seed=seed), experiment)
     log = read_trials(path)
     for aggregate in (True, False):
         table = ConditionTable(log, aggregate)
@@ -329,7 +313,8 @@ def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, capsys, experiment,
 @pytest.mark.parametrize("candidates", [("W",), ("W", "A"), ("phi", "theta")])
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_published_cells_pool_by_condition(experiment, interaction, candidates):
-    table = ConditionTable(_log(experiment, interaction), aggregate=False)
+    table = ConditionTable(cell_log(experiment, interaction, PUBLISHED_REPS[experiment]),
+                           aggregate=False)
     X, y = condition_matrix(table, candidates)
     values, _ = X._grouping
     # fewer distinct design rows than conditions: rows alone would merge them
@@ -386,10 +371,8 @@ def test_published_log_refits_only_the_steps(monkeypatch):
 def test_a_column_near_the_float_maximum_screens_on_the_rows(tmp_path, capsys, big):
     # A = 12 cm rewritten as big: sqrt(n_i) times it overflows the pooled
     # design, so per trial the selection screens on the rows
-    grid = build_grid("e1", InteractionKind.POINTING)
-    truth = replace(paper_scale_defaults("e1", InteractionKind.POINTING), seed=0)
     path = tmp_path / "log.csv"
-    write_trials(path, generate_trials(grid, truth, InteractionKind.POINTING), "e1")
+    write_trials(path, cell_log("e1", "pointing"), "e1")
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     column = rows[0].index("A_cm")
@@ -462,7 +445,7 @@ def test_pooled_fit_agrees_with_the_rows(design):
 
 
 def test_pool_needs_a_repeated_row(monkeypatch):
-    log = _log("e4", InteractionKind.MANIPULATION)
+    log = cell_log("e4", "manipulation", PUBLISHED_REPS["e4"])
     X, y = condition_matrix(ConditionTable(log, aggregate=False))
     hand_built = DesignMatrix(X.names, X.values)  # the same rows, no grouping
     aggregate = condition_matrix(ConditionTable(log, aggregate=True))

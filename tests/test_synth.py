@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -9,10 +10,12 @@ import pytest
 
 from fitts3d import (ConditionTable, GroundTruth, InteractionKind, InvalidTruth,
                      ModelKind, TaskSpec, Trial, Xoshiro256StarStar, build_grid,
-                     compare_models, derive_stream_seed, generate_trials,
-                     paper_scale_defaults, predict_mt, read_trials, write_trials)
+                     compare_models, derive_stream_seed, generate_cell,
+                     generate_trials, paper_scale_defaults, predict_mt,
+                     read_trials, write_trials)
 from fitts3d.synth import (GRID_LEVELS, GRID_REPETITIONS, PAPER_ERROR_RATE,
                            PAPER_MEAN_MT, Experiment)
+from cells import CELLS, PUBLISHED_REPS
 
 POINT = InteractionKind.POINTING
 MANIP = InteractionKind.MANIPULATION
@@ -90,15 +93,13 @@ def test_grid_accepts_plain_strings():
 
 
 def test_defaults_match_published_means():
-    for experiment in Experiment:
-        for interaction in (POINT, MANIP):
-            truth = paper_scale_defaults(experiment, interaction)
-            grid = build_grid(experiment, interaction)
-            mean = math.fsum(
-                predict_mt(truth, t) for t in grid.variations) / len(grid.variations)
-            assert mean == pytest.approx(
-                PAPER_MEAN_MT[(experiment, interaction)], abs=1e-9), (
-                experiment, interaction)
+    for experiment, interaction in CELLS:
+        truth = paper_scale_defaults(experiment, interaction)
+        grid = build_grid(experiment, interaction)
+        mean = math.fsum(
+            predict_mt(truth, t) for t in grid.variations) / len(grid.variations)
+        assert mean == pytest.approx(
+            PAPER_MEAN_MT[(experiment, interaction)], abs=1e-9), (experiment, interaction)
 
 
 def test_defaults_structure():
@@ -135,9 +136,8 @@ def test_generate_trials_uses_no_scalar_stream(monkeypatch):
 
     monkeypatch.setattr(Xoshiro256StarStar, "__init__", no_scalar_stream)
     for experiment in Experiment:
-        grid = build_grid(experiment)
-        trials = generate_trials(grid, paper_scale_defaults(experiment, POINT), POINT)
-        assert len(trials) == len(grid.variations) * grid.repetitions
+        trials = generate_cell(experiment, POINT)
+        assert len(trials) == len(trials.tasks) * GRID_REPETITIONS[experiment]
 
 
 @pytest.mark.parametrize("interaction", [POINT, MANIP])
@@ -266,8 +266,7 @@ def test_data_path_builds_no_trial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Trial, "__post_init__", no_trial)
     path = tmp_path / "e4.csv"
-    log = generate_trials(build_grid(Experiment.E4, MANIP),
-                          paper_scale_defaults(Experiment.E4, MANIP), MANIP)
+    log = generate_cell(Experiment.E4, MANIP)
     write_trials(path, log, Experiment.E4)
     read = read_trials(path)
     assert read == log
@@ -293,6 +292,8 @@ def test_truth_validation():
     with pytest.raises(InvalidTruth):
         GroundTruth(kind=ModelKind.FITTS,
                     coefficients={"intercept": 0.4, "id": 0.3}, error_rate=-0.2)
+    with pytest.raises(InvalidTruth, match=r"error_rate must lie in \[0, 1\)"):
+        generate_cell("e1", POINT, error_rate=1.0)
 
 
 @pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -math.inf])
@@ -300,6 +301,8 @@ def test_truth_rejects_non_finite_noise(noise_sd):
     with pytest.raises(InvalidTruth, match="noise_sd must be nonnegative and finite"):
         GroundTruth(kind=ModelKind.FITTS,
                     coefficients={"intercept": 0.4, "id": 0.3}, noise_sd=noise_sd)
+    with pytest.raises(InvalidTruth, match="noise_sd must be nonnegative and finite"):
+        generate_cell("e1", POINT, noise_sd=noise_sd)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 1.5, 2.0, True])
@@ -309,6 +312,8 @@ def test_truth_rejects_seed_outside_64_bits(seed):
     with pytest.raises(InvalidTruth, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         GroundTruth(kind=ModelKind.FITTS,
                     coefficients={"intercept": 0.4, "id": 0.3}, seed=seed)
+    with pytest.raises(InvalidTruth, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        generate_cell("e1", POINT, seed=seed)
 
 
 def test_truth_accepts_seed_range_ends():
@@ -336,9 +341,29 @@ def test_predict_mt_value():
         0.4 + 0.3 * math.log2(4.8), abs=1e-12)
 
 
+@pytest.mark.parametrize("experiment,interaction", CELLS)
+def test_generate_cell_is_the_grid_under_the_paper_truth(experiment, interaction):
+    grid = build_grid(experiment, interaction)
+    paper = paper_scale_defaults(experiment, interaction)
+    # a value given replaces the paper's; one left out keeps it
+    for given in ({}, {"seed": 5}, {"seed": 2**64 - 1}, {"seed": 5, "noise_sd": 0.3},
+                  {"seed": 5, "error_rate": 0.1},
+                  {"seed": 5, "noise_sd": 0.0, "error_rate": 0.5}):
+        assert (generate_cell(experiment, interaction, **given) == generate_trials(
+            grid, dataclasses.replace(paper, **given), interaction)), given
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the benchmark's recorded sha256 of each default-seed log, read-only here
-DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-PUBLISHED_REPS = {"e1": 100, "e2": 100, "e3": 100, "e4": 75}  # 4 800 trials a cell
+DIGESTS = PERFBENCH / "digests.json"
+
+
+def test_published_reps_are_the_benchmarks():
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    tables = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "PUBLISHED_REPS" for t in node.targets)]
+    assert tables == [PUBLISHED_REPS]
 
 
 @pytest.mark.parametrize("interaction", ["pointing", "manipulation"])

@@ -55,6 +55,8 @@ def test_task_spec_validation():
         TaskSpec(F=3, W=5, A=12, theta=91)
     with pytest.raises(ValueError):
         TaskSpec(F=3, W=5, A=12, alpha=-1)
+    with pytest.raises(ValueError, match="^omega must be finite$"):
+        TaskSpec(F=3, W=5, A=12, omega=math.nan)
 
 
 def test_trial_validation():
@@ -79,6 +81,8 @@ def test_classify_translation_boundary():
     assert classify_translation(obj, Pose((2.5, 0, 0)), 5.0)
     assert not classify_translation(obj, Pose((2.5000001, 0, 0)), 5.0)
     assert classify_translation(obj, Pose((0, 0, 0)), 5.0)
+    with pytest.raises(ValueError, match="^W must be positive$"):
+        classify_translation(obj, obj, 0.0)
 
 
 def test_classify_rotation_symmetry():
@@ -91,6 +95,8 @@ def test_classify_rotation_symmetry():
     assert classify_rotation(obj, Pose((0, 0, 0), (2.5, 0, 0)), 2.5)
     # every axis must pass
     assert not classify_rotation(obj, Pose((0, 0, 0), (1, 1, 50)), 2.5)
+    with pytest.raises(ValueError, match="^omega must be nonnegative$"):
+        classify_rotation(obj, obj, -0.5)
 
 
 def test_symmetry_reduction_range():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tempfile
 import warnings
@@ -15,19 +14,15 @@ from fitts3d import (InteractionKind, ParseError, Pose, SchemaError, TaskSpec,
 from fitts3d.poses import POSE_CSV_HEADER
 from fitts3d.trial_io import (_CONDITION_COLUMNS, _EXPERIMENT_IDS, TRIAL_COLUMNS,
                               TRIAL_CSV_HEADER, _parse_float, _read_lines)
+from cells import cell_log
 from trial_rows import trial_log
 
 POINT = InteractionKind.POINTING
 MANIP = InteractionKind.MANIPULATION
 
 
-def _block(tmp_path, experiment="e2", interaction=POINT, seed=0, repetitions=None):
-    grid = build_grid(experiment, interaction)
-    if repetitions is not None:
-        grid = dataclasses.replace(grid, repetitions=repetitions)
-    truth = paper_scale_defaults(experiment, interaction)
-    log = generate_trials(grid, dataclasses.replace(truth, seed=seed),
-                          interaction)
+def _block(tmp_path, experiment="e2", interaction=POINT, repetitions=None):
+    log = cell_log(experiment, interaction, repetitions)
     path = tmp_path / "log.csv"
     write_trials(path, log, experiment)
     return log, path
