@@ -34,9 +34,9 @@ for experiment in ("e1", "e3", "e4"):
         kept = [n for n in coef if n != "intercept"]  # the fit's columns
         names, values = table.predictors(ModelKind(top["model"]))
         cols = [names.index(n) for n in kept]
-        xs = [coef["intercept"] + sum(coef[n] * row[j] for n, j in zip(kept, cols))
-              for row in values[table.rows].tolist()]
-        ys = table.y.tolist()
+        xs = [coef["intercept"] + sum(coef[n] * values[i][j] for n, j in zip(kept, cols))
+              for i in table.rows]
+        ys = table.y
         try:
             import matplotlib
             matplotlib.use("Agg")

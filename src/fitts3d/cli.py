@@ -10,8 +10,9 @@ parser takes its choices from fitts3d.constants, which imports only
 enum. So report loads only cli, errors, constants and report, and
 classify only those three and poses, neither of them dataclasses;
 generate adds tasks, trial_io, synth and the layers it builds on; only
-the verbs that fit (fit, compare, stepwise) import regression, and with
-it numpy, after their other modules.
+the verbs that fit (fit, compare, stepwise) import regression. Of them
+only stepwise, which builds a DesignMatrix, loads numpy, after every
+other module: fit and compare fit from the ConditionTable's exact sums.
 
 main() builds the parser on its first call and reuses it, so a caller
 that runs several verbs in one process pays for argparse once, and a
@@ -125,8 +126,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stepwise(args) -> int:
-    from .report import render_stepwise  # before numpy, as regression says
     from .regression import condition_matrix, stepwise
+    from .report import render_stepwise
 
     candidates = _parse_candidates(args.candidates)
     X, y = condition_matrix(_read_table(args), candidates)

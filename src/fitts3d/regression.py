@@ -1,36 +1,45 @@
 """Least-squares fitting of movement-time models, partial F tests and
 bidirectional stepwise variable selection.
 
-One kernel, _least_squares, solves every fit through an orthogonal
-decomposition (SVD) of the intercept-augmented design matrix rather than
-the normal equations, so badly scaled predictor columns do not lose
-precision. Singular values below 1e-10 of the largest are rank
-deficiencies, not silently pseudo-inverted; sums of squares that
-overflow raise DomainError, with no numpy warning.
+Every fit is exact, and each number it reports is rounded once. A
+least-squares fit depends on its observations only through each
+distinct design row's count and response sum, and the response's sum of
+squares. Every float is an integer times a power of two, so each design
+column and the response are scaled to integers by one power of two
+each, and the bordered Gram [[M'M, M'y], [y'M, y'y]] of the
+intercept-augmented design M is formed from those sums in integers.
+_solve eliminates it fraction-free (Bareiss, Math. Comp. 1968) and
+rounds each coefficient, ss_res, ss_tot and r^2 by one int/int true
+division, which CPython rounds correctly. So each is the float nearest
+the exact least-squares value on any platform, and one too large for a
+float raises DomainError.
+
+The rank rule is numerical: a design is rank deficient when the
+smallest singular value of M is below RANK_TOL (1e-10) times its
+largest. It is decided on the exact Gram (see _full_rank).
 
 The analyses (fit_model, compare_models, condition_matrix) read a
 ConditionTable, which groups a TrialLog's columns once into their
-distinct conditions and fixes the response: condition means or
-successful trials (aggregate).
-Predictors are evaluated once per distinct condition and expanded to one
-row per observation, the design a per-trial evaluation would build, so
-the fits are identical to it.
+distinct conditions, fixes the response (condition means or successful
+trials, aggregate) and holds its exact per-condition sums; predictors
+are evaluated once per distinct condition. ols_fit and stepwise group a
+DesignMatrix's identical rows instead, so a per-trial design and its
+conditions give the same numbers, bit for bit. stepwise forms one Gram
+of all its candidates and fits each subset on its principal submatrix.
+The p-value tie rule is absolute: every p below 1e-12 ties, and the
+earliest such column enters whatever its F. No scan is offered an
+exactly constant candidate.
 
-stepwise screens its candidates on the table's conditions when it is
-given condition_matrix's design over a per-trial table: the rows of each
-condition pool into their count, mean and pure error, and least squares
-on the rows becomes weighted least squares on the conditions (Draper &
-Smith, lack of fit). Other designs screen on the rows. Only the step
-each scan chooses is refitted on the rows, so every reported F, p and
-r^2 is the per-row number. A scan whose pooled decision is not clear of
-its flip points by a relative margin of 1e-6 on each p-value screens on
-the rows instead (see stepwise). The p-value tie rule is absolute: every
-p below 1e-12 ties, and the earliest such column enters whatever its F.
-No scan is offered an exactly constant candidate.
+numpy is imported only where a DesignMatrix is built or read (ols_fit,
+stepwise, condition_matrix): fit_model and compare_models, and with
+them the fit and compare verbs, never load it.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import mul, or_, rshift
 
 from .constants import STEPWISE_CANDIDATES
 from .errors import (DomainError, EmptyCondition, Fitts3dError,
@@ -41,27 +50,18 @@ from .special import f_sf
 from .tasks import check_candidates
 from .trial_io import TrialLog, _log_terms
 
-# numpy comes after the package's own modules: a process that compiles
-# them from source with numpy already loaded peaks up to ~1 MB higher
-import numpy as np
-
 RANK_TOL = 1e-10
 _RANK_DEFICIENT = "design matrix is rank deficient (collinear or constant columns)"
+_OVERFLOW = "sums of squares overflow: the response is too large"
+# RANK_TOL**2 as _TOL2_NUM / 2**_TOL2_SHIFT
+_TOL_NUM, _TOL_DEN = RANK_TOL.as_integer_ratio()
+_TOL2_NUM, _TOL2_SHIFT = _TOL_NUM ** 2, 2 * (_TOL_DEN.bit_length() - 1)
 
 # p-values closer than this are a tie, resolved by column order
 _P_TIE_TOL = 1e-12
 
 _ENTER_P = 0.05
 _REMOVE_P = 0.10
-
-# a pooled stepwise screen vouches for a decision only when each p-value
-# could be off by _MARGIN relative without flipping it; the largest gap
-# measured on the published cells is ~2e-10 (tests/test_stepwise_pool.py)
-_MARGIN = 1e-6
-# below this F, p = 1 - O(sqrt(F)) moves by O(sqrt(dF)) for an error dF
-_F_FLOOR = 1e-4
-# a residual sum of squares at most this share of y @ y is all rounding
-_NEAR_ZERO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,21 +70,21 @@ class DesignMatrix:
     column is implicit and added at fit time."""
 
     names: tuple[str, ...]
-    values: np.ndarray
-    # (one row per condition, each row's condition) when _expand built
-    # the design from a ConditionTable; stepwise pools on it
-    _grouping: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    values: "numpy.ndarray"
+    # (each column's value per condition, the ConditionTable, its
+    # response) when condition_matrix built the design: see _conditions
+    _table: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         names = tuple(str(n) for n in self.names)
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
         if any(not n for n in names):
             raise ValueError("column names must be nonempty")
-        # always column-major: BLAS rounds the fit's M @ beta differently
-        # for row-major designs, so the layout would change last bits
-        values = np.array(self.values, dtype=float, copy=True, order="F")
+        values = np.array(self.values, dtype=float, copy=True)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")
         if values.shape[1] != len(names):
@@ -107,8 +107,9 @@ class ModelFit:
 
     coefficients holds the intercept under the key "intercept" and one
     slope per retained predictor; ss_res and ss_tot are the residual and
-    total sums of squares over the n observations. dropped lists
-    predictor columns that were constant on the data and therefore
+    total sums of squares over the n observations. Each of these and r2
+    is the exact least-squares value rounded once (see _solve). dropped
+    lists predictor columns that were constant on the data and therefore
     excluded before fitting. degenerate_variance marks a constant
     response, where r^2 is reported as 0 by convention.
     """
@@ -123,53 +124,268 @@ class ModelFit:
     dropped: tuple[str, ...] = ()
 
 
-@np.errstate(all="ignore")  # a sum that overflows ends in DomainError
 def ols_fit(X: DesignMatrix, y) -> ModelFit:
-    """Fit y = a + X b by least squares in _least_squares, the kernel it
-    shares with stepwise's pooled screen; the residuals are summed into
-    ss_res and not kept. Raises InsufficientData when rows <= columns,
-    RankDeficient when the augmented matrix is numerically singular and
-    DomainError, without a numpy warning, when y's sums overflow.
+    """Fit y = a + X b by exact least squares on X's distinct rows (see
+    _solve). Raises ValueError unless y is one finite value per row of
+    X, InsufficientData when rows <= columns, RankDeficient when the
+    augmented design fails the rank rule and DomainError when a result
+    is too large for a float.
     """
+    return _fit(X.names, *_conditions(X, _response(X, y)))
+
+
+def _response(X: DesignMatrix, y):
+    """y as a float array, checked to be one finite value per row of X."""
+    import numpy as np
+
     yarr = np.asarray(y, dtype=float)
-    n = X.values.shape[0]
-    if yarr.ndim != 1 or yarr.shape[0] != n:
+    if yarr.ndim != 1 or yarr.shape[0] != X.values.shape[0]:
         raise ValueError("y must be one value per design matrix row")
     if not np.all(np.isfinite(yarr)):
         raise ValueError("y must be finite")
-    # a constant response's mean can round off its value, which would
-    # leave ss_tot rounding noise and r2 meaningless; mean() warns on []
-    constant = n == 0 or yarr.min() == yarr.max()
-    ss_tot = 0.0 if constant else float(np.sum((yarr - yarr.mean()) ** 2))
-    M = np.column_stack([np.ones(n), X.values])
-    return _least_squares(M, yarr, X.names, n, ss_tot)[0]
+    return yarr
 
 
-def _least_squares(M, r, names, n, ss_tot, pure_error=0.0, tol=RANK_TOL):
-    """The fit of r on the intercept-augmented design M over n
-    observations, its ss_res pure_error plus r's residual sum of squares,
-    and M's singular values s (descending), for ols_fit (the rows) and
-    _Pool (its weighted conditions). Raises InsufficientData when n <=
-    len(names), RankDeficient when M has fewer rows than columns or
-    s[-1] < tol * s[0], and DomainError when ss_tot or ss_res overflowed.
+def _conditions(X: DesignMatrix, y):
+    """(columns, counts, sums, squares, scale) of X's distinct rows and the
+    response y (see _gram): the table's own when condition_matrix built X
+    from a ConditionTable and y is its response, else by _grouped."""
+    import numpy as np
+
+    if X._table is not None:
+        columns, table, response = X._table
+        if np.array_equal(y, response):
+            return columns, table.counts, table.sums, table.squares, table.scale
+    columns, counts, ys = _grouped(X.values, y)
+    return (columns, counts, *_response_sums(counts, ys))
+
+
+def _grouped(values, y):
+    """(columns, counts, ys) of the distinct rows of the 2-d array values:
+    one tuple per column, holding each distinct row's value, each one's
+    number of rows, and y's values listed one distinct row after another."""
+    import numpy as np
+
+    n, k = values.shape
+    if not (n and k):
+        return [()] * k, [n] if n else [], y.tolist()
+    order = np.lexsort(values.T)
+    ordered = values[order]
+    starts = np.flatnonzero(np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1)))
+    counts = np.diff(np.append(starts, n)).tolist()
+    return [tuple(c) for c in ordered[starts].T.tolist()], counts, y[order].tolist()
+
+
+def _integers(values):
+    """(ints, scale): each of the floats values times 2**scale, an exact
+    integer, with scale the least that does this for the smallest
+    nonzero value. Raises OverflowError or ValueError for a value that
+    is not finite."""
+    smallest = min(values, default=0.0)  # movement times are positive
+    if smallest <= 0.0:
+        smallest = min(filter(None, map(abs, values)), default=0.0)
+    if not smallest:
+        return [0] * len(values), 0
+    # every float is a multiple of its 53-bit ulp, so of the smallest's
+    scale = min(1074, 53 - math.frexp(smallest)[1])
+    try:
+        return list(map(int, map(math.ldexp, values, repeat(scale)))), scale
+    except OverflowError:  # too wide an exponent range for a float
+        return [(m << scale) // d
+                for m, d in map(float.as_integer_ratio, values)], scale
+
+
+def _column(values):
+    """_integers of a design column, with their common factors of two
+    taken out: small integers keep the elimination cheap."""
+    ints, scale = _integers(values)
+    common = reduce(or_, ints, 0)
+    zeros = max(0, (common & -common).bit_length() - 1)
+    return list(map(rshift, ints, repeat(zeros))), scale - zeros
+
+
+def _response_sums(counts, ys):
+    """(sums, squares, scale) of ys taken in runs of counts: each run's
+    sum and sum of squares, as exact integers at the scale 2**scale of
+    _integers."""
+    ints, scale = _integers(ys)
+    sums, squares, start = [], [], 0
+    for count in counts:
+        run = ints[start:start + count]
+        start += count
+        sums.append(sum(run))
+        squares.append(sum(map(mul, run, run)))
+    return tuple(sums), tuple(squares), scale
+
+
+def _gram(columns, counts, sums, squares):
+    """(gram, scales): the bordered Gram of the intercept-augmented design
+    whose distinct rows hold the values of columns, each counts[i] times,
+    with a response of sums and squares per row, scaled as _column and
+    _response_sums scale them. Row and column 0 are the intercept's and
+    the last the response's; scales[j] is column j's power of two (0 for
+    the intercept), the response's being the sums' own."""
+    scaled = [([1] * len(counts), 0), *map(_column, columns)]
+    ints = [col for col, _ in scaled]
+    size = len(ints)
+    gram = [[0] * (size + 1) for _ in range(size + 1)]
+    for i, col in enumerate(ints):
+        weighted = list(map(mul, counts, col))
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = sum(map(mul, weighted, ints[j]))
+        gram[i][size] = gram[size][i] = sum(map(mul, col, sums))
+    gram[size][size] = sum(squares)
+    return gram, [scale for _, scale in scaled]
+
+
+def _fit(names, columns, counts, sums, squares, scale) -> ModelFit:
+    """The exact fit of the named columns (see _gram), checked for rank."""
+    gram, scales = _gram(columns, counts, sums, squares)
+    return _solve(gram, scales, scale, tuple(names), range(1, len(names) + 1))
+
+
+def _solve(gram, scales, scale, names, columns, check_rank=True) -> ModelFit:
+    """The fit of the response on the intercept and the named columns
+    (indices into gram, see _gram), the response scaled by 2**scale.
+
+    The principal submatrix of gram on the intercept, columns and the
+    response is eliminated fraction-free (_eliminate). Its corner is
+    then det * ss_res and back substitution gives det times each
+    coefficient, in integers, det being the Gram's determinant. Each
+    reported number is one correctly rounded int/int division. Raises
+    InsufficientData when there are no more observations than names,
+    RankDeficient when check_rank and the design fails the rank rule,
+    s_min < RANK_TOL * s_max of the intercept-augmented design, decided
+    on the exact Gram by _full_rank, and DomainError when a result is
+    too large for a float.
     """
+    n = gram[0][0]
     if n <= len(names):
         raise InsufficientData(
             f"{n} rows cannot identify {len(names)} slopes plus an intercept")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if len(s) < M.shape[1] or s[-1] < tol * s[0]:
+    idx = [0, *columns]
+    if check_rank and not _full_rank(gram, scales, idx):
         raise RankDeficient(_RANK_DEFICIENT)
-    beta = Vt.T @ ((U.T @ r) / s)
-    residuals = r - M @ beta
-    ss_res = pure_error + float(residuals @ residuals)
-    # a coefficient that is not finite leaves every residual not finite
-    if not (math.isfinite(ss_tot) and math.isfinite(ss_res)):
-        raise DomainError("sums of squares overflow: the response is too large")
-    coefficients = dict(zip(("intercept",) + names, beta.tolist()))
-    degenerate = ss_tot == 0.0
-    return ModelFit(predictor_names=names, coefficients=coefficients,
-                    r2=0.0 if degenerate else 1.0 - ss_res / ss_tot, n=n,
-                    ss_res=ss_res, ss_tot=ss_tot, degenerate_variance=degenerate), s
+    last = len(gram) - 1
+    order = idx + [last]
+    a = [[gram[i][j] for j in order] for i in order]
+    p = len(idx)
+    if not _eliminate(a, p):  # exactly singular, past an unchecked rule
+        raise RankDeficient(_RANK_DEFICIENT)
+    det = a[p - 1][p - 1]
+    x = [0] * p  # det times each coefficient of the scaled columns
+    for k in reversed(range(p)):
+        x[k] = (det * a[k][p] - sum(map(mul, a[k][k + 1:p], x[k + 1:]))) // a[k][k]
+    residual = a[p][p]  # det * 4**scale * ss_res
+    spread = n * gram[last][last] - gram[0][last] ** 2  # n * 4**scale * ss_tot
+    coefficients = {name: _ratio(v, det, scales[j] - scale)
+                    for name, v, j in zip(("intercept",) + names, x, idx)}
+    ss_res = _ratio(residual, det, -2 * scale)
+    ss_tot = _ratio(spread, n, -2 * scale)
+    # 1 - ss_res / ss_tot, in [0, 1]
+    r2 = (spread * det - residual * n) / (spread * det) if spread else 0.0
+    return ModelFit(predictor_names=names, coefficients=coefficients, r2=r2,
+                    n=n, ss_res=ss_res, ss_tot=ss_tot,
+                    degenerate_variance=not spread)
+
+
+def _ratio(num, den, shift):
+    """num / den * 2**shift, correctly rounded; DomainError when it is
+    too large for a float."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError(_OVERFLOW) from None
+
+
+def _eliminate(a, steps) -> bool:
+    """Eliminate the first steps columns of the symmetric integer matrix
+    a fraction-free (Bareiss), in place on its upper triangle. After
+    step k each a[i][j], k < i <= j, is the minor of a's rows 0..k, i and
+    columns 0..k, j, so every division is exact and each pivot a[k][k]
+    is a leading principal minor. Returns False, and stops, at the first
+    pivot that is not positive: a is then not positive definite."""
+    size = len(a)
+    previous = 1
+    for k in range(steps):
+        pivot, row = a[k][k], a[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, size):
+            factor, target = row[i], a[i]
+            for j in range(i, size):
+                target[j] = (pivot * target[j] - factor * row[j]) // previous
+        previous = pivot
+    return True
+
+
+def _full_rank(gram, scales, idx) -> bool:
+    """Whether the intercept-augmented design whose Gram G is gram's
+    principal submatrix on idx passes the rank rule s_min >= RANK_TOL *
+    s_max, that is, for the eigenvalues l = s**2 of G, l_min >=
+    RANK_TOL**2 * l_max.
+
+    It is decided exactly, as whether G - RANK_TOL**2 * l * I is positive
+    definite, for l first the trace of G (at least l_max: passing decides
+    full rank), then G's largest diagonal entry (at most l_max: failing
+    decides rank deficiency) and, only between the two, a float estimate
+    of l_max (_largest_eigenvalue). G is taken unscaled, times one power
+    of two, so the rule sees the design's own columns.
+    """
+    top = max(scales[i] for i in idx)
+    g = [[gram[i][j] << (2 * top - scales[i] - scales[j]) for j in idx] for i in idx]
+    diagonal = [g[i][i] for i in range(len(g))]
+    if _clears(g, sum(diagonal), 0):
+        return True
+    if not _clears(g, max(diagonal), 0):
+        return False
+    return _clears(g, *_largest_eigenvalue(g))
+
+
+def _clears(g, num, exp) -> bool:
+    """Whether g - RANK_TOL**2 * num * 2**exp * I is positive definite,
+    in integers: g is scaled by the power of two that clears the
+    denominators."""
+    shift, c = _TOL2_SHIFT, _TOL2_NUM * num
+    if exp >= 0:
+        c <<= exp
+    else:
+        shift -= exp
+    a = [[(v << shift) - (c if i == j else 0) for j, v in enumerate(row)]
+         for i, row in enumerate(g)]
+    return _eliminate(a, len(a))
+
+
+def _largest_eigenvalue(g):
+    """(m, e): m * 2**e, a float estimate of the largest eigenvalue of the
+    symmetric positive semidefinite integer matrix g, by cyclic Jacobi
+    rotations (Golub & Van Loan, Matrix Computations, 8.5) on g scaled
+    below 1."""
+    e = max(g[i][i] for i in range(len(g))).bit_length()
+    a = [[v / (1 << e) for v in row] for row in g]
+    size = len(a)
+    for _ in range(64):
+        if math.fsum(a[p][q] ** 2 for p in range(size)
+                     for q in range(p + 1, size)) <= 1e-36:
+            break
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                if not a[p][q]:
+                    continue
+                tau = (a[q][q] - a[p][p]) / (2 * a[p][q])
+                t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for row in a:  # columns p and q
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = ([c * u - s * v for u, v in zip(a[p], a[q])],
+                              [s * u + c * v for u, v in zip(a[p], a[q])])
+    m, d = max(a[i][i] for i in range(size)).as_integer_ratio()
+    return m, e - (d.bit_length() - 1)
 
 
 def partial_f_test(full: ModelFit, reduced: ModelFit):
@@ -226,122 +442,31 @@ class StepwiseReport:
     hit_round_cap: bool = False  # stopped at max_rounds, still changing
 
 
-class _Unsure(Exception):
-    """A pooled screen cannot vouch for the decision the rows would make."""
+@dataclass(frozen=True)
+class StepwiseStep:
+    action: str  # "enter" or "remove"
+    name: str
+    f_stat: float
+    p_value: float
+    r2: float  # cumulative r^2 after this step
 
 
-class _Pool:
-    """The rows of a design grouped by condition.
+@dataclass(frozen=True)
+class StepwiseReport:
+    """Trace of a bidirectional stepwise selection.
 
-    values holds one design row per condition and rows each response
-    row's condition; counts is each condition's row count. Least squares
-    on the rows is weighted least squares on the conditions: the
-    residual sum of squares is the pure error (each row's squared
-    deviation from its condition's mean, summed in two passes) plus the
-    residual sum of squares of the condition means, each weighted by its
-    condition's row count. n and the residual degrees of freedom still
-    count rows. fit caches its fits by predictor names.
+    contributions maps each finally selected variable to the percentage
+    of total variance it explained at the step where it (last) entered.
     """
 
-    def __init__(self, names, y, values, rows):
-        self.n = len(y)
-        self.counts = counts = np.bincount(rows)
-        means = np.bincount(rows, weights=y) / counts
-        dev = y - means[rows]
-        self.pure_error = np.bincount(rows, weights=dev * dev)
-        self._pure_error = float(self.pure_error.sum())
-        root = np.sqrt(counts)
-        self._columns = {name: j + 1 for j, name in enumerate(names)}
-        self._design = root[:, None] * np.column_stack([np.ones(len(counts)), values])
-        self._response = root * means
-        self._scale = float(y @ y)
-        self.ss_tot = float(np.sum((y - y.mean()) ** 2))
-        self._fits = {}
-
-    def fit(self, names) -> ModelFit:
-        """The weighted fit of the named predictors, as ols_fit would
-        give it on the rows but for rounding. Raises ols_fit's errors as
-        ols_fit does, and _Unsure when the singular-value ratio is within
-        10x of RANK_TOL or the residual sum of squares is not above 1e-6
-        of y @ y, where the rows might decide otherwise."""
-        names = tuple(names)
-        fit = self._fits.get(names)
-        if fit is not None:
-            return fit
-        W = self._design[:, [0] + [self._columns[name] for name in names]]
-        fit, s = _least_squares(W, self._response, names, self.n, self.ss_tot,
-                                self._pure_error, RANK_TOL / 10)
-        if s[-1] / s[0] < RANK_TOL * 10 or fit.ss_res <= _NEAR_ZERO * self._scale:
-            raise _Unsure
-        self._fits[names] = fit
-        return fit
+    steps: tuple[StepwiseStep, ...]
+    selected: tuple[str, ...]
+    contributions: dict[str, float]
+    r2: float
+    fit: ModelFit
+    hit_round_cap: bool = False  # stopped at max_rounds, still changing
 
 
-def _pool(X: DesignMatrix, y):
-    """A _Pool of X's rows grouped by condition, or None when X records
-    no grouping (it was not built by _expand), when every condition has
-    one row, as in an aggregate table, or when the weighted design or
-    response is not finite: a value near the float maximum overflows
-    when scaled by the square root of its condition's row count."""
-    if X._grouping is None or len(X._grouping[0]) == len(X._grouping[1]):
-        return None
-    pool = _Pool(X.names, y, *X._grouping)
-    if not (np.isfinite(pool._design).all() and np.isfinite(pool._response).all()):
-        return None
-    return pool
-
-
-def _below(a, b, size, pooled):
-    """a < b. A pooled screen raises _Unsure when a and b are closer
-    than _MARGIN * size, so a p-value off by _MARGIN relative could
-    flip the answer."""
-    if pooled and abs(a - b) <= _MARGIN * size:
-        raise _Unsure
-    return a < b
-
-
-def _screen(names, fit, current, included, entering, pooled=False):
-    """One entry or removal scan over names; returns the chosen
-    (p, F, name, fit) or None.
-
-    fit maps predictor names to a ModelFit; current is the fit of
-    included. Entering, it picks the smallest p below 0.05 among the
-    candidates that leave a full-rank fit with residual degrees of
-    freedom; removing, the largest p above 0.10. A p within _P_TIE_TOL
-    of the best so far does not displace it. pooled makes every
-    comparison raise _Unsure unless it clears its flip point by _MARGIN
-    relative on each p; a comparison of two p-values also does so when
-    either F is below _F_FLOOR.
-    """
-    best = None
-    for name in names:
-        if entering:
-            try:
-                cand = fit(included + [name])
-                f_stat, p = partial_f_test(cand, current)
-            except (RankDeficient, InsufficientData):
-                continue
-        else:
-            cand = fit([m for m in included if m != name])
-            f_stat, p = partial_f_test(current, cand)
-        # a removal reads as an entry with each p negated: -p < -0.10,
-        # and -p < -worst - tol in place of p > worst + tol
-        q = p if entering else -p
-        if not _below(q, _ENTER_P if entering else -_REMOVE_P, abs(q), pooled):
-            continue
-        if best is not None:
-            if pooled and min(f_stat, best[1]) < _F_FLOOR:
-                raise _Unsure
-            if not _below(q, best[0] - _P_TIE_TOL, abs(q) + abs(best[0]), pooled):
-                continue
-        best = (q, f_stat, name, cand)
-    if best is None:
-        return None
-    q, f_stat, name, cand = best
-    return (q if entering else -q), f_stat, name, cand
-
-
-@np.errstate(all="ignore")  # once per selection, not per pooled fit
 def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     """Bidirectional stepwise selection over the columns of X.
 
@@ -357,57 +482,57 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     column enters, whatever its F. Stops when a round changes nothing,
     or after 4 * len(X.names) + 8 rounds, which sets hit_round_cap.
 
-    Given condition_matrix's design over a per-trial table, each scan
-    first screens the candidates on weighted least squares over the
-    table's conditions, then refits only the chosen step on the rows, so
-    every reported F, p and r^2 is the per-row number. Other designs,
-    aggregate or hand-built, screen on the rows. A scan whose pooled
-    decision could differ from the rows' screens on the rows instead: a
-    comparison within 1e-6 relative on a p-value of its flip point
-    (0.05, 0.10 or another p-value -/+ 1e-12), two p-values compared at
-    an F below 1e-4, a singular-value ratio within 10x of RANK_TOL, or a
-    residual sum of squares not above 1e-6 of y @ y. A design whose
-    weighted conditions overflow (a column near the float maximum)
-    screens on the rows.
+    X's identical rows are grouped once and one exact Gram of all its
+    columns is formed; each subset is fitted on its principal submatrix,
+    so every fit is ols_fit's on that subset, bit for bit. When the
+    offered columns together pass the rank rule, every subset of them
+    does (Cauchy interlacing: a principal submatrix's eigenvalues lie
+    within the whole's), so the rule is checked once; otherwise it is
+    checked for each subset.
 
-    Raises ols_fit's ValueError unless y is one value per row of X, and
-    its DomainError, without a numpy warning, when y's sums overflow.
+    Raises ols_fit's ValueError unless y is one finite value per row of
+    X, and its DomainError when a result is too large for a float.
     """
-    yarr = np.asarray(y, dtype=float)
-    intercept_only = ols_fit(DesignMatrix((), np.empty((len(X.values), 0))), yarr)
+    columns, counts, sums, squares, scale = _conditions(X, _response(X, y))
+    gram, scales = _gram(columns, counts, sums, squares)
+    index = {name: j for j, name in enumerate(X.names, start=1)}
+    # an exactly constant column is a multiple of the intercept: never offered
+    offered = [name for name, col in zip(X.names, columns) if min(col) != max(col)]
+    each_subset = not _full_rank(gram, scales, [0, *map(index.get, offered)])
+    fits = {}
+
+    def fit(names):
+        names = tuple(names)
+        found = fits.get(names)
+        if found is None:
+            found = fits[names] = _solve(gram, scales, scale, names,
+                                         list(map(index.get, names)), each_subset)
+        return found
+
+    intercept_only = fit(())
     if intercept_only.degenerate_variance:
         return StepwiseReport((), (), {}, 0.0, intercept_only)
 
-    # an exactly constant column is a multiple of the intercept: never offered
-    offered = [name for name, constant
-               in zip(X.names, (X.values == X.values[0]).all(axis=0)) if not constant]
-    pool = _pool(X, yarr)
     included: list[str] = []
     current = intercept_only
     steps: list[StepwiseStep] = []
     entry_gain: dict[str, tuple[float, float]] = {}
     max_rounds = 4 * len(X.names) + 8  # guards against enter/remove cycles
 
-    def on_rows(names):
-        return ols_fit(X.subset(names), yarr)
-
-    def choose(entering):
-        names = ([n for n in offered if n not in included] if entering
-                 else list(included))
-        if pool is not None:
-            try:
-                pick = _screen(names, pool.fit, pool.fit(included), included,
-                               entering, pooled=True)
-            except (_Unsure, RankDeficient):
-                pass  # screen every candidate on the rows
-            else:
-                names = [pick[2]] if pick else []
-        return _screen(names, on_rows, current, included, entering)
-
     for _ in range(max_rounds):
         changed = False
 
-        best = choose(entering=True)
+        best = None
+        for name in offered:
+            if name in included:
+                continue
+            try:
+                cand = fit(included + [name])
+                f_stat, p = partial_f_test(cand, current)
+            except (RankDeficient, InsufficientData):
+                continue
+            if p < _ENTER_P and (best is None or p < best[0] - _P_TIE_TOL):
+                best = (p, f_stat, name, cand)
         if best is not None:
             p, f_stat, name, cand = best
             before = current.r2
@@ -418,7 +543,12 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
             changed = True
 
         while included:
-            worst = choose(entering=False)
+            worst = None
+            for name in included:
+                reduced = fit([m for m in included if m != name])
+                f_stat, p = partial_f_test(current, reduced)
+                if p > _REMOVE_P and (worst is None or p > worst[0] + _P_TIE_TOL):
+                    worst = (p, f_stat, name, reduced)
             if worst is None:
                 break
             p, f_stat, name, reduced = worst
@@ -443,41 +573,45 @@ class ConditionTable:
     tasks holds the distinct TaskSpecs in the order they enter the
     table, grouped by TaskSpec equality; the first spec to enter is
     kept when equal specs differ in the sign of a zero. y is the
-    response: with aggregate=True the mean successful movement time of
-    each condition (one row per condition), otherwise each successful
-    trial's movement time in trial order. rows gives, for each response
-    row, the index of its condition in tasks. n_trials counts every
-    trial given, error trials included; aggregate records the choice.
+    response, a tuple: with aggregate=True the mean successful movement
+    time of each condition, fsum(mts) / n rounded once (one row per
+    condition), otherwise each successful trial's movement time in trial
+    order. rows gives, for each response row, the index of its condition
+    in tasks. n_trials counts every trial given, error trials included;
+    aggregate records the choice.
+
+    Each condition's response rows are summed exactly: counts[i] is the
+    number of condition i's rows, and sums[i] and squares[i] are their
+    sum and sum of squares times 2**scale and 4**scale, integers, with
+    one scale for the table. The fits are made from these.
 
     Raises InsufficientData for no trials, no successful trials
     (per-trial) or fewer than two conditions, EmptyCondition when
     aggregating a condition without a successful trial, and DomainError
-    when a condition's times overflow their sum; fits on the table raise
-    it when y's sums of squares overflow (see _least_squares).
+    when a condition's times overflow their sum or a time is not finite;
+    fits on the table raise it when a result is too large for a float.
     """
 
     def __init__(self, log: TrialLog, aggregate: bool = True):
         specs = log.tasks
         if not log.task_index:
             raise InsufficientData("no trials")
-        # aggregate: each condition's successful times; per trial: each
-        # successful trial's condition and time, a condition entering with
-        # its first success. slot maps a spec's position in specs to its
-        # condition, looked up by TaskSpec equality on the spec's first row
-        index, slot, times, rows, y = {}, [None] * len(specs), [], [], []
-        for k, mt, success in zip(log.task_index, log.mt, log.success):
-            if not (aggregate or success):
-                continue
+        # each condition's successful times; per trial only the successful
+        # trials enter, a condition with its first success. slot maps a
+        # spec's position in specs to its condition, looked up by TaskSpec
+        # equality on the spec's first row
+        index, slot, times = {}, [None] * len(specs), []
+        trials = zip(log.task_index, log.mt, log.success) if aggregate else zip(
+            compress(log.task_index, log.success), compress(log.mt, log.success),
+            repeat(True))
+        for k, mt, success in trials:
             i = slot[k]
             if i is None:
                 i = slot[k] = index.setdefault(specs[k], len(index))
-                if aggregate and i == len(times):
+                if i == len(times):
                     times.append([])
-            if success and aggregate:
+            if success:
                 times[i].append(mt)
-            elif success:
-                rows.append(i)
-                y.append(mt)
         tasks = tuple(index)
         if aggregate:
             for task, mts in zip(tasks, times):
@@ -490,36 +624,45 @@ class ConditionTable:
                 raise DomainError(
                     "a condition's movement times overflow their sum") from None
             rows = range(len(tasks))
-        elif not y:
-            raise InsufficientData("no successful trials")
+            times = [[mt] for mt in y]
+        else:
+            y = tuple(compress(log.mt, log.success))
+            if not y:
+                raise InsufficientData("no successful trials")
+            rows = map(slot.__getitem__, compress(log.task_index, log.success))
         if len(tasks) < 2:
             raise InsufficientData("need at least two distinct conditions")
+        self.counts = tuple(map(len, times))
+        try:
+            self.sums, self.squares, self.scale = _response_sums(
+                self.counts, list(chain.from_iterable(times)))
+        except (OverflowError, ValueError):  # only in-process, as above
+            raise DomainError("movement times must be finite") from None
         self.n_trials = len(log)
         self.aggregate = bool(aggregate)
         self.tasks = tasks
-        self.rows = np.array(rows, dtype=np.intp)
-        self.y = np.array(y, dtype=float)
-        self.rows.flags.writeable = False
-        self.y.flags.writeable = False
+        self.rows = tuple(rows)
+        self.y = tuple(y)
         self._predictors = {}
 
     def predictors(self, kind: ModelKind):
-        """(names, values) of a model's regressors, one row of values per
-        distinct condition. predictors_for runs once per condition and
-        model; the first condition it rejects raises its DomainError."""
+        """(names, values) of a model's regressors: values holds one tuple
+        of floats per distinct condition. predictors_for runs once per
+        condition and model; the first condition it rejects raises its
+        DomainError."""
         kind = ModelKind(kind)
         cached = self._predictors.get(kind)
         if cached is None:
-            values = np.array([list(predictors_for(kind, task).values())
-                               for task in self.tasks], dtype=float)
-            values.flags.writeable = False
+            values = tuple(tuple(map(float, predictors_for(kind, task).values()))
+                           for task in self.tasks)
             cached = self._predictors[kind] = (predictor_names(kind), values)
         return cached
 
 
 def fit_model(kind: ModelKind, table: ConditionTable) -> ModelFit:
     """Fit one movement-time model to the response of a ConditionTable
-    (condition means or successful trials, as the table was grouped).
+    (condition means or successful trials, as the table was grouped),
+    from the table's exact sums.
 
     Predictor columns that are constant on the data are dropped and
     recorded on the returned fit.
@@ -527,18 +670,16 @@ def fit_model(kind: ModelKind, table: ConditionTable) -> ModelFit:
     kind = ModelKind(kind)
     names, values = table.predictors(kind)
     keep, dropped = [], []
-    for j, name in enumerate(names):
-        col = values[:, j]
-        span = float(col.max() - col.min())
-        if span > 1e-12 * max(1.0, float(np.abs(col).max())):
-            keep.append(j)
+    for name, col in zip(names, zip(*values)):
+        if max(col) - min(col) > 1e-12 * max(1.0, max(map(abs, col))):
+            keep.append((name, col))
         else:
             dropped.append(name)
     if not keep:
         raise RankDeficient(
             f"all {kind.value} predictors are constant on this data")
-    X = _expand(tuple(names[j] for j in keep), values[:, keep], table.rows)
-    fit = ols_fit(X, table.y)
+    kept, columns = zip(*keep)
+    fit = _fit(kept, columns, table.counts, table.sums, table.squares, table.scale)
     return replace(fit, dropped=tuple(dropped))
 
 
@@ -569,12 +710,14 @@ def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
 
 def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
     """Design matrix of raw task variables plus the response vector of
-    a ConditionTable, for stepwise selection.
+    a ConditionTable, for stepwise selection, one row per response row.
 
     Candidates come from {F, W, A, phi, theta, alpha, omega}, checked by
     tasks.check_candidates; phi is encoded as sin(phi) under the column
     name "sin_phi".
     """
+    import numpy as np
+
     cols, names = [], []
     for cand in check_candidates(candidates):
         if cand == "phi":
@@ -583,15 +726,8 @@ def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in table.tasks])
-    X = _expand(tuple(names), np.array(cols, dtype=float).T, table.rows)
-    return X, table.y.copy()
-
-
-def _expand(names, values, rows) -> DesignMatrix:
-    """The design with one row per response row, from values (one row
-    per condition) and rows (each response row's condition, every
-    condition having one or more). The grouping is recorded on it for
-    stepwise's pooled screen."""
-    X = DesignMatrix(names, values[rows])
-    object.__setattr__(X, "_grouping", (values, rows))
-    return X
+    rows = np.fromiter(table.rows, dtype=np.intp, count=len(table.rows))
+    X = DesignMatrix(tuple(names), np.array(list(zip(*cols)), dtype=float)[rows])
+    y = np.array(table.y, dtype=float)
+    object.__setattr__(X, "_table", (tuple(map(tuple, cols)), table, y.copy()))
+    return X, y

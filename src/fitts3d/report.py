@@ -4,20 +4,20 @@ to a ConditionTable, so only a log that could be grouped has one. Each
 schema has one table renderer, which reads the document, so live and
 reloaded match.
 
-JSON output is byte-identical to json.dumps(doc, indent=2), and a
-document held in memory, as build_comparison_report returns it (its
-points null) or report reads it, is written by json.dumps(doc,
-indent=2, allow_nan=False) itself. Every dump passes allow_nan=False,
-so a document holding an infinity or NaN raises ValueError, naming the
-first in document order, instead of becoming JSON that report rejects.
+JSON output is byte-identical to json.dumps(doc, indent=2,
+allow_nan=False). Every dump passes allow_nan=False, so a document
+holding an infinity or NaN raises ValueError, naming the first in
+document order, instead of becoming JSON that report rejects.
 
 The ConditionTable is the one holder of a fit's points in memory, and
-fit --format json-like the one writer of them: each condition's
+fit --format json-like their one writer from it: each condition's
 predictor texts are formatted once per model and the response texts
-once for all models, with float.__repr__, the encoder's own form; they
-are spliced in at a placeholder for each model's points in an indent=2
-dump of the rest, and the document's parts are streamed to the output,
-not joined.
+once for all models, with float.__repr__, the encoder's own form. A
+comparison's points, written from the table or re-rendered from a saved
+document, are spliced in at a placeholder for each model's points in an
+indent=2 dump of the rest (_spliced), as the pure-Python encoder would
+be slow on their numbers; fit streams the parts to the output, not
+joined.
 
 A saved document's null means the default only for the optional lists
 and maps (dropped, point_names, points, selected,
@@ -25,11 +25,14 @@ contributions_percent); a null models, steps, n_trials, aggregate, step
 f_stat, p_value or r2, or stepwise r2 is malformed. A missing key takes
 its default, and a missing stepwise r2 prints no final r2 line.
 
-Only the code that fits or reads a ConditionTable imports regression or
-numpy; rendering and checking a saved document load neither."""
+Only the code that fits or reads a ConditionTable imports regression;
+rendering and checking a saved document do not. A comparison is fitted
+from the table's exact sums, so neither loads numpy: only stepwise's
+DesignMatrix does."""
 
 import json
 import math
+from functools import partial
 from itertools import chain
 
 from .constants import JSON_FORMAT, TABLE_FORMAT
@@ -150,64 +153,136 @@ def _stepwise_table(doc: dict) -> str:
 # a model's points sit at depth 3 (document > models > model); these are
 # their indent=2 separators and brackets
 _ITEM_SEP = ",\n" + 10 * " "
-_ROW_BREAK_INDENTED = "\n" + 8 * " " + "],\n" + 8 * " " + "[\n" + 10 * " "
-_POINTS_OPEN = "[\n" + 8 * " " + "[\n" + 10 * " "
-_POINTS_CLOSE = "\n" + 8 * " " + "]\n" + 6 * " " + "]"
+_ROW_SEP = ",\n" + 8 * " "
+_ROW_OPEN = "[\n" + 10 * " "
+_ROW_CLOSE = "\n" + 8 * " " + "]"
+_ROW_BREAK = _ROW_CLOSE + _ROW_SEP + _ROW_OPEN
+_POINTS_OPEN = "[\n" + 8 * " "
+_POINTS_CLOSE = "\n" + 6 * " " + "]"
 _PLACEHOLDER = "\x00fitts3d.points.{}\x00"
+
+
+def _points_json(rows) -> str:
+    """A model's points as an indent=2 dump writes them, from the text of
+    each row's numbers joined by _ITEM_SEP; an empty row's text is "".
+    Without empty rows, the text is _rows_json of the rows joined by
+    _ROW_BREAK."""
+    if all(rows):
+        return _rows_json(_ROW_BREAK.join(rows))
+    return _POINTS_OPEN + _ROW_SEP.join(
+        _ROW_OPEN + r + _ROW_CLOSE if r else "[]" for r in rows) + _POINTS_CLOSE
+
+
+def _rows_json(body) -> str:
+    """Points whose rows, none empty, are joined by _ROW_BREAK in body."""
+    return _POINTS_OPEN + _ROW_OPEN + body + _ROW_CLOSE + _POINTS_CLOSE
+
+
+def _spliced(doc: dict, points: dict):
+    """json.dumps(doc, indent=2, allow_nan=False) + "\n" in parts, where
+    points maps the index of a model in doc["models"] to the text of its
+    points (_points_json), written in place of that model's "points".
+
+    A placeholder string stands in for each of those points in an indent=2
+    dump of the rest, and the text is spliced in at it. So the dump of the
+    rest raises the oracle's own ValueError for a non-finite number
+    outside those points. Returns None when a placeholder's text does not
+    occur exactly once in that dump (a string of doc equal to it)."""
+    tokens = {i: _PLACEHOLDER.format(i) for i in points}
+    models = [dict(m, points=tokens[i]) if i in tokens else m
+              for i, m in enumerate(doc["models"])]
+    rest = json.dumps(dict(doc, models=models), indent=2, allow_nan=False)
+    texts = {i: json.dumps(token) for i, token in tokens.items()}
+    if any(rest.count(text) != 1 for text in texts.values()):
+        return None
+    parts = []
+    for i, text in texts.items():
+        head, _, rest = rest.partition(text)
+        parts += (head, points[i])
+    return parts + [rest, "\n"]
 
 
 def _comparison_json(table: "ConditionTable", kinds) -> list[str]:
     """The fitts3d.report/1 document of the models fitted to table, each
     fitted model given its points, as json.dumps(doc, indent=2,
-    allow_nan=False) + "\n" would write it with points as lists, in parts.
+    allow_nan=False) + "\n" would write it with points as lists, in parts
+    (_spliced).
 
-    A placeholder string stands in for each fitted model's points in an
-    indent=2 dump of the rest, and the points' text is spliced in at it.
     A model's predictor texts are formatted once per condition and the
-    response texts once for all models; a row's text is its condition's
-    and its response's. The report is built here from the table, so:
+    response texts, each with the row break after it, once for all
+    models; a row's text is its condition's and its response's, joined
+    as _points_json joins rows. The report is built here from the table,
+    so:
     - a fitted model's predictors and response are finite, as
-      DesignMatrix and ols_fit raise ValueError otherwise, and their
-      float.__repr__ is the encoder's text;
+      predictors_for and ConditionTable raise DomainError otherwise, and
+      their float.__repr__ is the encoder's text;
     - no text of the report holds a NUL (it is model names, equations,
       dropped names and Fitts3dError messages), so each placeholder
-      occurs once in the dump, at its model's points;
-    - a non-finite r2 or coefficient makes the dump of the rest raise
-      the oracle's own ValueError: it is the first such value in
-      document order, as the points that follow it are finite."""
+      occurs once in the dump, and _spliced returns parts."""
     report = build_comparison_report(table, kinds)
-    models, spliced = [], {}  # a placeholder's JSON text -> (model, names)
+    mt = list(map(float.__repr__, table.y))
+    tails = [t + _ROW_BREAK for t in mt[:-1]] + mt[-1:]
+    models, points = [], {}
     for i, m in enumerate(report["models"]):
         if m["error"] is None:
             names = [n for n in m["coefficients"] if n != "intercept"]
-            token = _PLACEHOLDER.format(i)
-            spliced[json.dumps(token)] = (m["model"], names)
-            m = dict(m, point_names=names + ["mt"], points=token)
+            all_names, values = table.predictors(m["model"])
+            cols = [all_names.index(n) for n in names]
+            lead = [_ITEM_SEP.join([float.__repr__(row[c]) for c in cols]) + _ITEM_SEP
+                    for row in values]
+            points[i] = _rows_json("".join(chain.from_iterable(
+                zip(map(lead.__getitem__, table.rows), tails))))
+            m = dict(m, point_names=names + ["mt"])
         models.append(m)
-    rest = json.dumps(dict(report, models=models), indent=2, allow_nan=False)
-    rows = table.rows.tolist()
-    # each response's text and what follows it: a row break, or the close
-    mt = list(map(float.__repr__, table.y.tolist()))
-    tails = [t + _ROW_BREAK_INDENTED for t in mt[:-1]] + [mt[-1] + _POINTS_CLOSE]
-    parts = []
-    for token, (model, names) in spliced.items():
-        all_names, values = table.predictors(model)
-        lead = [_ITEM_SEP.join(map(float.__repr__, r)) + _ITEM_SEP
-                for r in values[:, [all_names.index(n) for n in names]].tolist()]
-        head, _, rest = rest.partition(token)
-        parts += (head, _POINTS_OPEN + "".join(chain.from_iterable(
-            zip(map(lead.__getitem__, rows), tails))))
-    return parts + [rest, "\n"]
+    return _spliced(dict(report, models=models), points)
+
+
+def _saved_points(doc: dict) -> dict:
+    """{index of a model: the text of its points (_points_json)} for each
+    model of a fitts3d.report/1 document whose points are a nonempty list
+    of lists of finite numbers (not bools), in the encoder's texts:
+    float.__repr__ and int.__repr__.
+
+    Each distinct number object is formatted once: a document the report
+    verb read holds one float per distinct number text (cli._FloatMemo),
+    and repeats each response and predictor text across its models."""
+    found, models = {}, doc.get("models")
+    for i, m in enumerate(models if isinstance(models, list) else ()):
+        points = m.get("points") if isinstance(m, dict) else None
+        if not (isinstance(points, list) and points and _all_of(points, list)):
+            continue
+        values = list(chain.from_iterable(points))
+        if _all_of(values, (int, float)) and _all_finite(values):
+            found[i] = points, values
+    if not found:
+        return {}
+    distinct = dict(zip(map(id, chain.from_iterable(v for _, v in found.values())),
+                        chain.from_iterable(v for _, v in found.values())))
+    text = float.__repr__ if _all_of(distinct.values(), float) else _number_text
+    texts = dict(zip(distinct, map(text, distinct.values()))).__getitem__
+    return {i: _points_json(list(map(_ITEM_SEP.join, map(
+        partial(map, texts), map(partial(map, id), points)))))
+        for i, (points, _) in found.items()}
+
+
+def _number_text(v) -> str:
+    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
 
 
 def _render(doc: dict, fmt: str) -> str:
-    """The one format switch: a document's table, or the document as JSON."""
+    """The one format switch: a document's table, or the document as JSON,
+    a comparison's points spliced in (_spliced)."""
     if fmt == TABLE_FORMAT:
         if doc["schema"] == REPORT_SCHEMA:
             return _comparison_table(doc)
         return _stepwise_table(doc)
     if fmt == JSON_FORMAT:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        comparison = isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA
+        points = _saved_points(doc) if comparison else {}
+        parts = _spliced(doc, points) if points else None
+        if parts is None:
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return "".join(parts)
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -14,16 +14,19 @@ from fractions import Fraction
 
 
 def exact_fit(X, y):
-    """(coefficients, r2, ss_res) of y = a + X b by exact least squares.
+    """(coefficients, r2, ss_res, ss_tot) of y = a + X b by exact least
+    squares.
 
-    X is a DesignMatrix and y one float per row of it. coefficients maps
+    X is a DesignMatrix and y one float per row of it (any sequence of
+    floats). coefficients maps
     "intercept" and each of X.names to a Fraction; r2 is a Fraction, 0
-    for a constant y as ModelFit reports it, and ss_res the residual sum
-    of squares, a Fraction. Raises ZeroDivisionError when the design is
-    exactly singular.
+    for a constant y as ModelFit reports it, ss_res the residual sum of
+    squares and ss_tot the total sum of squares about y's mean, each a
+    Fraction. Raises ZeroDivisionError when the design is exactly
+    singular.
     """
     groups = {}  # design row -> [rows, sum of their y]
-    for row, v in zip(X.values.tolist(), y.tolist()):
+    for row, v in zip(X.values.tolist(), y):
         group = groups.setdefault(tuple(row), [0, Fraction(0)])
         group[0] += 1
         group[1] += Fraction(v)
@@ -40,13 +43,13 @@ def exact_fit(X, y):
         for j in range(i):
             gram[i][j] = gram[j][i]
     beta = _gauss_jordan(gram, moments)
-    ys = [Fraction(v) for v in y.tolist()]
+    ys = [Fraction(v) for v in y]
     total, squares = sum(ys), sum(v * v for v in ys)
     ss_tot = squares - total * total / len(ys)
     # at the solution the residuals are orthogonal to the design
     ss_res = squares - sum(b * m for b, m in zip(beta, moments))
     r2 = 1 - ss_res / ss_tot if ss_tot else Fraction(0)
-    return dict(zip(("intercept",) + X.names, beta)), r2, ss_res
+    return dict(zip(("intercept",) + X.names, beta)), r2, ss_res, ss_tot
 
 
 def _gauss_jordan(a, b):

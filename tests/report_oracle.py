@@ -10,8 +10,6 @@ allow_nan=False) + "\\n" must equal that writer's output byte for byte,
 or raise the same ValueError.
 """
 
-import numpy as np
-
 from fitts3d.regression import compare_models
 from fitts3d.report import REPORT_SCHEMA, _model_entry, format_equation
 
@@ -42,4 +40,4 @@ def _points(table, model, names) -> list:
     one row per observation of the table."""
     all_names, values = table.predictors(model)
     cols = [all_names.index(n) for n in names]
-    return np.column_stack([values[:, cols][table.rows], table.y]).tolist()
+    return [[values[c][j] for j in cols] + [mt] for c, mt in zip(table.rows, table.y)]

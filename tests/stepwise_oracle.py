@@ -1,8 +1,8 @@
 """The scalar stepwise selection, kept as the oracle for fitts3d's.
 
-reference_stepwise fits every candidate of every round on the rows, as
-fitts3d.regression.stepwise did before it screened candidates on pooled
-fits over the distinct design rows; the two must return equal reports
+reference_stepwise fits every candidate of every round with ols_fit on
+the rows, where fitts3d.regression.stepwise fits each subset from one
+exact Gram of all its candidates; the two must return equal reports
 with equal reprs.
 """
 

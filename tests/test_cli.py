@@ -24,6 +24,13 @@ def _generate(tmp_path, capsys, name="log.csv", experiment="e4", seed="0",
     return path, capsys.readouterr().out
 
 
+def _log_file(tmp_path):
+    """The paper-scale e4 pointing log at seed 0, as generate writes it."""
+    path = tmp_path / "log.csv"
+    write_trials(path, cell_log("e4", "pointing"), "e4")
+    return path
+
+
 def test_generate_writes_log(tmp_path, capsys):
     path, out = _generate(tmp_path, capsys)
     assert "wrote 256 trials (64 conditions x 4 repetitions)" in out
@@ -52,7 +59,7 @@ def test_generate_noise_override(tmp_path, capsys):
 
 
 def test_fit_table_output(tmp_path, capsys):
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
     rc = main(["fit", str(path), "--models", "final,fitts"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -63,7 +70,7 @@ def test_fit_table_output(tmp_path, capsys):
 
 
 def test_fit_json_output_parses(tmp_path, capsys):
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
     rc = main(["fit", str(path), "--format", "json-like"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
@@ -73,7 +80,7 @@ def test_fit_json_output_parses(tmp_path, capsys):
 
 
 def test_fit_out_file(tmp_path, capsys):
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
     out_path = tmp_path / "fit.txt"
     rc = main(["fit", str(path), "--out", str(out_path)])
     assert rc == 0
@@ -82,7 +89,7 @@ def test_fit_out_file(tmp_path, capsys):
 
 
 def test_compare_lists_all_models(tmp_path, capsys):
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
     rc = main(["compare", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -94,7 +101,7 @@ def test_compare_lists_all_models(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["fit", "compare", "stepwise"])
 def test_analysis_verbs_build_no_trial(tmp_path, capsys, monkeypatch, verb):
     # the verbs group the log's columns; no Trial object is built
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
 
     def refuse(self):
         raise AssertionError("a Trial was built")
@@ -108,7 +115,7 @@ def test_analysis_verbs_build_no_trial(tmp_path, capsys, monkeypatch, verb):
 
 
 def test_report_round_trip(tmp_path, capsys):
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
     doc_path = tmp_path / "report.json"
     rc = main(["compare", str(path), "--format", "json-like",
                "--out", str(doc_path)])
@@ -635,7 +642,7 @@ def test_missing_input_is_exit_1(tmp_path, capsys):
 
 
 def test_unknown_model_is_exit_2(tmp_path, capsys):
-    path, _ = _generate(tmp_path, capsys)
+    path = _log_file(tmp_path)
     rc = main(["fit", str(path), "--models", "einstein"])
     assert rc == 2
     assert "unknown model" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import math
 import os
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_fit_does_not_depend_on_design_layout(experiment, interaction, aggregate
             continue
         names, values = table.predictors(kind)
         cols = [names.index(n) for n in fit.predictor_names]
-        design = values[:, cols][table.rows]
+        design = np.array(values)[:, cols][list(table.rows)]
         row_major = DesignMatrix(fit.predictor_names, np.ascontiguousarray(design))
         col_major = DesignMatrix(fit.predictor_names, np.asfortranarray(design))
         assert_same_fit(ols_fit(row_major, table.y), ols_fit(col_major, table.y))
@@ -197,6 +198,14 @@ def test_predictors_run_once_per_condition_and_model(monkeypatch):
     assert len(calls) == len(MODEL_ORDER) * 64
 
 
+def _exact_sums(table):
+    """Each condition's sum and sum of squares of its response rows, from
+    the table's integers and their power of two."""
+    unit = Fraction(2) ** -table.scale
+    return ([s * unit for s in table.sums],
+            [q * unit * unit for q in table.squares])
+
+
 def test_table_layout():
     a = TaskSpec(F=2.0, W=4.0, A=8.0)
     b = TaskSpec(F=2.0, W=4.0, A=16.0)
@@ -205,16 +214,21 @@ def test_table_layout():
     per_trial = ConditionTable(log, aggregate=False)
     assert (per_trial.n_trials, per_trial.aggregate) == (5, False)
     assert per_trial.tasks == (b, a)
-    assert per_trial.rows.tolist() == [0, 1, 0, 1]
-    assert per_trial.y.tolist() == [1.0, 3.0, 5.0, 4.0]
+    assert per_trial.rows == (0, 1, 0, 1)
+    assert per_trial.y == (1.0, 3.0, 5.0, 4.0)
+    # b's rows 1.0 and 5.0, a's 3.0 and 4.0, summed exactly at one scale
+    assert per_trial.counts == (2, 2)
+    assert _exact_sums(per_trial) == ([6, 7], [26, 25])
     means = ConditionTable(log, aggregate=True)
     assert (means.n_trials, means.aggregate) == (5, True)
     assert means.tasks == (b, a)
-    assert means.rows.tolist() == [0, 1]
-    assert means.y.tolist() == [3.0, 3.5]
+    assert means.rows == (0, 1)
+    assert means.y == (3.0, 3.5)
+    assert means.counts == (1, 1)
+    assert _exact_sums(means) == ([3, Fraction(7, 2)], [9, Fraction(49, 4)])
     names, values = means.predictors(ModelKind.FINAL)
     assert names == ("id_t", "id_r")
-    assert values.shape == (2, 2)
+    assert [list(map(type, row)) for row in values] == [[float, float]] * 2
     assert means.predictors(ModelKind.FINAL)[1] is values  # cached
 
 
@@ -230,10 +244,10 @@ def test_first_spec_to_enter_is_kept(tmp_path):
     log = read_trials(path)
     per_trial = ConditionTable(log, aggregate=False)
     assert math.copysign(1.0, per_trial.tasks[0].theta) == 1.0
-    assert per_trial.y.tolist() == [1.25, 2.0]
+    assert per_trial.y == (1.25, 2.0)
     means = ConditionTable(log, aggregate=True)
     assert math.copysign(1.0, means.tasks[0].theta) == -1.0
-    assert means.y.tolist() == [1.25, 2.0]
+    assert means.y == (1.25, 2.0)
 
 
 def test_aggregated_table_fits_condition_means():
@@ -268,6 +282,15 @@ def test_grouped_matches_reference_on_any_trials(log, aggregate):
         assert table == rows  # same exception, same message
         return
     assert_report_matches_reference(log, aggregate)
+    # each condition's response rows summed exactly, as fsum rounds them
+    groups = [[] for _ in table.tasks]
+    for i, v in zip(table.rows, table.y):
+        groups[i].append(v)
+    assert table.counts == tuple(map(len, groups))
+    sums, squares = _exact_sums(table)
+    assert sums == [sum(map(Fraction, g)) for g in groups]
+    assert squares == [sum(Fraction(v) ** 2 for v in g) for g in groups]
+    assert list(map(float, sums)) == list(map(math.fsum, groups))
     got = outcome(condition_matrix, table, STEPWISE_CANDIDATES)
     X_ref, y_ref = reference_condition_matrix(trials, aggregate)
     assert np.array_equal(got[0].values, X_ref) and np.array_equal(got[1], y_ref)
@@ -327,12 +350,14 @@ def test_table_from_columns_equals_table_from_trials(rows):
             continue
         assert not isinstance(got, tuple), got
         assert repr(got.tasks) == repr(want.tasks)  # the sign of a zero too
-        assert got.rows.tolist() == want.rows.tolist()
-        assert got.y.tobytes() == want.y.tobytes()
+        assert got.rows == want.rows
+        assert list(map(float.hex, got.y)) == list(map(float.hex, want.y))
+        assert (got.counts, got.sums, got.squares, got.scale) == \
+            (want.counts, want.sums, want.squares, want.scale)
         assert got.n_trials == want.n_trials == len(rows)
         # and both against the per-trial reference: the spec kept for a
         # condition is the first whose row enters, errors only if aggregating
         ref_tasks, ref_y = ref
         assert repr(got.tasks) == repr(tuple(dict.fromkeys(ref_tasks)))
         assert [got.tasks[i] for i in got.rows] == ref_tasks
-        assert got.y.tobytes() == np.array(ref_y, dtype=float).tobytes()
+        assert list(map(float.hex, got.y)) == list(map(float.hex, ref_y))

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from fitts3d import (MODEL_ORDER, ConditionTable, DesignMatrix, DomainError,
                      EmptyCondition, InsufficientData, InteractionKind,
-                     InvalidNesting, ModelKind, RankDeficient, TaskSpec,
+                     InvalidNesting, ModelFit, ModelKind, RankDeficient, TaskSpec,
                      compare_models, condition_matrix, f_sf, fit_model,
                      ols_fit, partial_f_test, predictors_for, stepwise)
 from fitts3d import metrics, regression
 from fitts3d.synth import Experiment, GroundTruth, build_grid, generate_trials
 from cells import PUBLISHED_REPS, cell_log
 from exact_oracle import exact_fit
+from stepwise_oracle import reference_stepwise
 from trial_rows import task_specs, trial_log
 
 
@@ -134,23 +136,17 @@ def test_r2_equals_squared_correlation():
         assert fit.r2 == pytest.approx(corr ** 2, abs=1e-9)
 
 
-# ols_fit against exact least squares, in units of the unit roundoff u:
-# the largest errors on the paper cells are ~4.9 u for r2 (relative) and
-# ~114 u for a coefficient (relative to the largest |coefficient|), and
-# on stepwise's steps ~56 u for F and ~1.9 u for r2 (both relative); the
-# bounds leave ~10x for another BLAS
+# Every fit is exact least squares rounded once: its r2, each
+# coefficient, ss_res and ss_tot are float() of tests/exact_oracle.py's
+# values, bit for bit. A step's F is partial_f_test's, from two rounded
+# residual sums of squares R (reduced) and S (full) on df residual
+# degrees of freedom; each is within u of exact, so F = (R - S) df / S is
+# within a few u (R + S) df / S of exact, F_UNITS of them. On the paper
+# cells a step's F is also held to _F_BOUND relative, the bound it had
+# when the fits were float: the worst seen is ~39 u.
 _U = Fraction(2) ** -53
-_R2_BOUND = 64 * _U
-_COEFFICIENT_BOUND = 1024 * _U
+_F_UNITS = 4
 _F_BOUND = 1024 * _U
-# At published scale, per trial, the largest errors are ~2.5 u for r2,
-# ~425 u for a coefficient and ~282 u for a step's F, all inside the
-# bounds above. A step's r2 is within ~3.5 u absolute but up to ~192 u
-# relative: under the absolute p tie rule a column may enter at a small
-# r2 (e1-manipulation's first step enters F at r2 = 0.013), and its
-# relative error is the absolute one over that r2. Those steps' r2 is
-# held to an absolute bound.
-_STEP_R2_ABSOLUTE_BOUND = 64 * _U
 
 
 def _table(experiment, interaction, aggregate, published=False):
@@ -163,39 +159,49 @@ def _fitted_design(table, kind, kept):
     """The design fit_model fits on table: the columns of the model's
     predictors named in kept, one row per response row."""
     names, values = table.predictors(kind)
-    return DesignMatrix(kept, values[:, [names.index(n) for n in kept]][table.rows])
+    cols = [names.index(n) for n in kept]
+    return DesignMatrix(kept, np.array(values)[:, cols][list(table.rows)])
 
 
-def _assert_fits_near_exact(table):
-    """Every model's fit from compare_models on table is within its
-    bounds of exact."""
+def _assert_exact(fit, X, y):
+    """fit is X's exact least-squares fit to y, each number rounded once."""
+    coefficients, r2, ss_res, ss_tot = exact_fit(X, y)
+    assert fit.coefficients == {name: float(v) for name, v in coefficients.items()}
+    assert (fit.r2, fit.ss_res, fit.ss_tot) == (float(r2), float(ss_res),
+                                                float(ss_tot))
+    assert fit.degenerate_variance == (ss_tot == 0)
+
+
+def _assert_fits_exact(table):
+    """Every model's fit from compare_models on table is exact."""
     for row in compare_models(table):
         fit = row.fit  # every model fits on these cells
-        X = _fitted_design(table, row.kind, fit.predictor_names)
-        coefficients, r2, _ = exact_fit(X, table.y)
-        assert abs(Fraction(fit.r2) - r2) <= _R2_BOUND * abs(r2), row.kind
-        largest = max(map(abs, coefficients.values()))
-        for name, exact in coefficients.items():
-            assert (abs(Fraction(fit.coefficients[name]) - exact)
-                    <= _COEFFICIENT_BOUND * largest), (row.kind, name)
+        _assert_exact(fit, _fitted_design(table, row.kind, fit.predictor_names),
+                      table.y)
 
 
-def _assert_steps_near_exact(X, y, r2_absolute=False):
-    """Every step stepwise takes on (X, y) has its F within _F_BOUND
-    relative of exact and its r2 within _R2_BOUND relative, or within
-    _STEP_R2_ABSOLUTE_BOUND absolute if r2_absolute."""
+def _f_error(f_stat, full, reduced, df):
+    """F's error, in units of u (R + S) df / S, against the exact F of the
+    exact residual sums of squares full (S) and reduced (R)."""
+    exact = (reduced - full) * df / full
+    return abs(Fraction(f_stat) - exact) / (_U * (reduced + full) * df / full)
+
+
+def _assert_steps_exact(X, y):
+    """Every step stepwise takes on (X, y) has the exact r2 and its F
+    within _F_UNITS of exact; its fit is ols_fit's on the same columns."""
     exact = {}  # a set of names -> the exact (r2, ss_res) of its fit
 
     def exact_of(names):
         key = frozenset(names)
         if key not in exact:
-            exact[key] = exact_fit(X.subset(tuple(names)), y)[1:]
+            exact[key] = exact_fit(X.subset(tuple(names)), y)[1:3]
         return exact[key]
 
-    steps = stepwise(X, y).steps
-    assert steps
+    report = stepwise(X, y)
+    assert report.steps
     included = []
-    for step in steps:
+    for step in report.steps:
         before = list(included)
         if step.action == "enter":
             included.append(step.name)
@@ -203,67 +209,54 @@ def _assert_steps_near_exact(X, y, r2_absolute=False):
         else:
             included.remove(step.name)
             full, reduced = before, included
+        df = len(y) - len(full) - 1
         ss_full, ss_reduced = exact_of(full)[1], exact_of(reduced)[1]
-        f_stat = (ss_reduced - ss_full) / (ss_full / (len(y) - len(full) - 1))
-        r2 = exact_of(included)[0]
-        r2_bound = _STEP_R2_ABSOLUTE_BOUND if r2_absolute else _R2_BOUND * abs(r2)
+        assert _f_error(step.f_stat, ss_full, ss_reduced, df) <= _F_UNITS, step
+        f_stat = (ss_reduced - ss_full) * df / ss_full
         assert abs(Fraction(step.f_stat) - f_stat) <= _F_BOUND * f_stat, step
-        assert abs(Fraction(step.r2) - r2) <= r2_bound, step
+        assert step.r2 == float(exact_of(included)[0]), step
+    assert report.fit == ols_fit(X.subset(report.selected), y)
 
 
 def test_exact_oracle_recovers_an_exact_plane():
     x = np.arange(6.0)
     z = np.array([0.5, -1.0, 2.0, 0.0, 1.5, 3.0])
-    coefficients, r2, ss_res = exact_fit(_mat(["x", "z"], [x, z]),
-                                         1 + 2 * x - 0.25 * z)
+    coefficients, r2, ss_res, _ = exact_fit(_mat(["x", "z"], [x, z]),
+                                            1 + 2 * x - 0.25 * z)
     assert coefficients == {"intercept": 1, "x": 2, "z": Fraction(-1, 4)}
     assert (r2, ss_res) == (1, 0)
-    assert exact_fit(_mat(["x"], [x]), np.full(6, 0.1))[1:] == (0, 0)
+    assert exact_fit(_mat(["x"], [x]), np.full(6, 0.1))[1:] == (0, 0, 0)
     # y = 0, 0, 0, 0, 0, 1 on x alone: ss_res = Syy - Sxy^2 / Sxx
-    # = 5/6 - (5/2)^2 / (35/2) = 10/21
+    # = 5/6 - (5/2)^2 / (35/2) = 10/21, and ss_tot = 1 - 1/6
     y = np.array([0.0, 0, 0, 0, 0, 1])
-    assert exact_fit(_mat(["x"], [x]), y)[2] == Fraction(10, 21)
+    assert exact_fit(_mat(["x"], [x]), y)[2:] == (Fraction(10, 21), Fraction(5, 6))
 
 
 @pytest.mark.parametrize("experiment", list(Experiment))
 @pytest.mark.parametrize("interaction", list(InteractionKind))
 @pytest.mark.parametrize("aggregate", [True, False])
-def test_ols_fit_is_within_its_bounds_of_exact_least_squares(experiment,
-                                                            interaction,
-                                                            aggregate):
-    _assert_fits_near_exact(_table(experiment, interaction, aggregate))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fits_are_exact_least_squares(experiment, interaction, aggregate, seed):
+    _assert_fits_exact(ConditionTable(cell_log(experiment, interaction, seed=seed),
+                                      aggregate))
 
 
 @pytest.mark.parametrize("experiment", list(Experiment))
 @pytest.mark.parametrize("interaction", list(InteractionKind))
 @pytest.mark.parametrize("aggregate", [True, False])
-def test_stepwise_steps_are_within_their_bounds_of_exact_least_squares(
-        experiment, interaction, aggregate):
-    _assert_steps_near_exact(*condition_matrix(
-        _table(experiment, interaction, aggregate)))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stepwise_steps_are_exact_least_squares(experiment, interaction,
+                                                aggregate, seed):
+    table = ConditionTable(cell_log(experiment, interaction, seed=seed), aggregate)
+    _assert_steps_exact(*condition_matrix(table))
 
 
 @pytest.mark.parametrize("experiment", list(Experiment))
 @pytest.mark.parametrize("interaction", list(InteractionKind))
-def test_published_scale_fits_and_steps_are_within_their_bounds_of_exact(
-        experiment, interaction):
+def test_published_scale_fits_and_steps_are_exact(experiment, interaction):
     table = _table(experiment, interaction, aggregate=False, published=True)
-    _assert_fits_near_exact(table)
-    _assert_steps_near_exact(*condition_matrix(table), r2_absolute=True)
-
-
-# On small drawn logs a design can be ill conditioned and a response can
-# barely vary, so each bound takes the scale its rounding has. A fit's
-# coefficients are held to kappa^2 u of the largest |coefficient|, with
-# kappa = s[0] / s[-1] of the intercept-augmented design. Its r2 is held
-# to u y.y / SS_tot: the residuals round relative to y, and r2 divides
-# their squares by SS_tot. partial_f_test's F, one column dropped, is
-# held to u (SS_reduced / SS_full) df sqrt(y.y / SS_full): F's relative
-# error is that of SS_full, whose residuals round relative to y, so it
-# grows as the full fit nears y. Where F is near 0 its relative error
-# has no bound. Over 8 000 drawn logs (10 292 fits, 17 483 pairs) the worst errors were
-# 3.5, 6.8 and 3.8 of these units.
-_DRAWN_BOUND = 64
+    _assert_fits_exact(table)
+    _assert_steps_exact(*condition_matrix(table))
 
 
 @st.composite
@@ -279,21 +272,11 @@ def _small_logs(draw):
     return trial_log(draw(st.permutations(rows)))
 
 
-def _kappa(X):
-    """s[0] / s[-1] of X's intercept-augmented design."""
-    s = np.linalg.svd(np.column_stack([np.ones(len(X.values)), X.values]),
-                      compute_uv=False)
-    return Fraction(s[0] / s[-1])
-
-
-def _fit_model_errors(table):
+def _assert_fit_model_exact(table):
     """Holds fit_model's outcome for every model on table to exact least
     squares, where its predictors can be built: the exactly constant
     predictors dropped, InsufficientData only for too few rows and
-    RankDeficient only for an exactly singular design. Returns each
-    fit's r2 error and its worst coefficient error, in the units of the
-    bounds above."""
-    errors = []
+    RankDeficient only for an exactly singular design."""
     for kind in MODEL_ORDER:
         try:
             names, values = table.predictors(kind)
@@ -301,7 +284,8 @@ def _fit_model_errors(table):
             with pytest.raises(DomainError):
                 fit_model(kind, table)
             continue
-        constant = tuple(n for n, col in zip(names, values.T) if col.min() == col.max())
+        constant = tuple(n for n, col in zip(names, zip(*values))
+                         if min(col) == max(col))
         try:
             fit = fit_model(kind, table)
         except InsufficientData:
@@ -314,30 +298,13 @@ def _fit_model_errors(table):
                     exact_fit(_fitted_design(table, kind, kept), table.y)
             continue
         assert fit.dropped == constant, kind
-        X = _fitted_design(table, kind, fit.predictor_names)
-        coefficients, r2, _ = exact_fit(X, table.y)
-        largest = max(map(abs, coefficients.values()))
-        worst = max(abs(Fraction(fit.coefficients[name]) - exact)
-                    for name, exact in coefficients.items())
-        ss_tot = _centred_squares(table.y)  # 0 for a constant response
-        r2_unit = _U * _squares(table.y) / ss_tot if ss_tot else _U
-        errors.append((kind, abs(Fraction(fit.r2) - r2) / r2_unit,
-                       worst / (largest * _kappa(X) ** 2 * _U)))
-    return errors
+        _assert_exact(fit, _fitted_design(table, kind, fit.predictor_names), table.y)
 
 
-def _squares(y):
-    return sum(Fraction(v) ** 2 for v in y.tolist())
-
-
-def _centred_squares(y):
-    return _squares(y) - sum(map(Fraction, y.tolist())) ** 2 / len(y)
-
-
-def _partial_f_errors(X, y):
-    """partial_f_test's F error, in the unit of the bound above, for the
-    full fit on X's non-constant columns that keep the design full rank,
-    taken in order, against each column dropped in turn."""
+def _assert_partial_f_near_exact(X, y):
+    """partial_f_test's F within _F_UNITS of exact, for the full fit on
+    X's non-constant columns that keep the design full rank, taken in
+    order, against each column dropped in turn."""
     kept = []
     for name, col in zip(X.names, X.values.T):
         if col.min() == col.max() or len(y) - len(kept) - 2 < 1:
@@ -350,28 +317,20 @@ def _partial_f_errors(X, y):
     full = ols_fit(X.subset(kept), y)
     ss_full = exact_fit(X.subset(kept), y)[2]
     df = len(y) - len(kept) - 1
-    errors = []
     for name in kept if ss_full else ():  # an exact fit's F is infinite
         rest = tuple(n for n in kept if n != name)
-        ss_reduced = exact_fit(X.subset(rest), y)[2]
         f_stat, _ = partial_f_test(full, ols_fit(X.subset(rest), y))
-        exact = (ss_reduced - ss_full) / (ss_full / df)
-        scale = ss_reduced / ss_full * df * math.sqrt(_squares(y) / ss_full)
-        errors.append((name, abs(Fraction(f_stat) - exact) / (_U * Fraction(scale))))
-    return errors
+        ss_reduced = exact_fit(X.subset(rest), y)[2]
+        assert _f_error(f_stat, ss_full, ss_reduced, df) <= _F_UNITS, name
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_small_logs(), st.booleans())
-def test_fits_and_partial_f_on_drawn_logs_are_within_their_bounds_of_exact(
-        log, aggregate):
+def test_fits_and_partial_f_on_drawn_logs_are_exact(log, aggregate):
     table = ConditionTable(log, aggregate)
-    for kind, r2_error, coefficient_error in _fit_model_errors(table):
-        assert r2_error <= _DRAWN_BOUND, kind
-        assert coefficient_error <= _DRAWN_BOUND, kind
-    for name, f_error in _partial_f_errors(*condition_matrix(table)):
-        assert f_error <= _DRAWN_BOUND, name
+    _assert_fit_model_exact(table)
+    _assert_partial_f_near_exact(*condition_matrix(table))
 
 
 def test_r2_affine_invariance():
@@ -505,7 +464,7 @@ def test_stepwise_removal_phase():
     assert [(s.action, s.name) for s in report.steps] == [
         ("enter", "x3"), ("enter", "x1"), ("enter", "x2"), ("remove", "x3")]
     # the one design whose steps hold a removal to the exact oracle
-    _assert_steps_near_exact(X, y)
+    _assert_steps_exact(X, y)
     assert set(report.selected) == {"x1", "x2"}
     # final selection never keeps a variable with partial p above .10
     for name in report.selected:
@@ -753,3 +712,69 @@ def test_condition_matrix():
         condition_matrix(table, ("A", "bogus"))
     with pytest.raises(ValueError):
         condition_matrix(table, ())
+
+
+# ---- wide exponents ----------------------------------------------------------
+
+# one exact fit of a design whose entries span 1e-300 to 1e300 works on
+# integers of a few thousand bits; each call must stay under this bound
+_WIDE_CALL_S = 0.5
+
+
+def _spread(*scales):
+    return st.builds(lambda m, e: m * e, st.floats(-2.0, 2.0), st.sampled_from(scales))
+
+
+# the rank rule compares each column's norm with the intercept's, so a
+# column reaching 1e300 fails it: most columns span 1e-300 to 1
+_WIDE = _spread(1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300)
+_WIDE_BELOW_ONE = _spread(1e-300, 1e-150, 1e-20, 1.0, 1.0, 1.0)
+
+
+@st.composite
+def _wide_designs(draw):
+    """Up to 3 columns on 4 to 12 rows, each column's entries and the
+    response's spanning 1e-300 to 1e300, or a column's to 1."""
+    n = draw(st.integers(4, 12))
+    columns = [draw(st.lists(draw(st.sampled_from([_WIDE, _WIDE_BELOW_ONE,
+                                                    _WIDE_BELOW_ONE])),
+                             min_size=n, max_size=n))
+               for _ in range(draw(st.integers(1, 3)))]
+    y = np.array(draw(st.lists(_WIDE, min_size=n, max_size=n)))
+    return _mat([f"x{j}" for j in range(len(columns))], columns), y
+
+
+def _timed(fn, *args):
+    """(fn's result or the Fitts3dError it raised, as (type, message)),
+    checked to take under _WIDE_CALL_S."""
+    start = time.perf_counter()
+    try:
+        result = fn(*args)
+    except (DomainError, InsufficientData, RankDeficient) as exc:
+        result = type(exc), str(exc)
+    assert time.perf_counter() - start < _WIDE_CALL_S
+    return result
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_wide_designs())
+def test_fits_on_wide_exponents_are_exact_and_bounded_in_time(design):
+    X, y = design
+    fit = _timed(ols_fit, X, y)
+    if isinstance(fit, ModelFit):
+        _assert_exact(fit, X, y)
+    elif fit[0] is DomainError:  # some exact result is beyond the floats
+        coefficients, r2, ss_res, ss_tot = exact_fit(X, y)
+        with pytest.raises(OverflowError):
+            [float(v) for v in (*coefficients.values(), ss_res, ss_tot)]
+    elif fit[0] is RankDeficient:  # numpy's singular values agree, but near the rule
+        s = np.linalg.svd(np.column_stack([np.ones(len(y)), X.values]),
+                          compute_uv=False)
+        assert s[-1] < 2 * regression.RANK_TOL * s[0]
+    report = _timed(stepwise, X, y)
+    try:
+        expected = reference_stepwise(X, y)
+    except (DomainError, InsufficientData, RankDeficient) as exc:
+        expected = type(exc), str(exc)
+    assert report == expected

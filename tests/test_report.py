@@ -173,6 +173,8 @@ def test_json_refuses_non_finite_numbers():
                 {"coefficients": {"intercept": math.nan}}]},
     {"schema": REPORT_SCHEMA, "aggregate": -math.inf,
      "models": [{"points": [[math.nan, 1.0]]}]},
+    # finite points spliced in, the non-finite value after them
+    {"schema": REPORT_SCHEMA, "models": [{"points": [[1.0, 2]]}, {"r2": math.nan}]},
 ])
 def test_json_error_names_the_oracles_value(doc):
     # non-finite values in points and elsewhere: the first in document
@@ -428,6 +430,85 @@ def test_published_scale_fit_json_matches_the_oracle(tmp_path, capsys,
     assert expected["n_trials"] == 4800
     _assert_same_bytes(capsys.readouterr().out.encode("utf-8"),
                        _oracle(expected).encode("utf-8"))
+
+
+def _splices(monkeypatch):
+    """The outcome of each _spliced call, None when it fell back."""
+    outcomes = []
+    spliced = report_module._spliced
+
+    def counting(doc, points):
+        outcomes.append(spliced(doc, points))
+        return outcomes[-1]
+
+    monkeypatch.setattr(report_module, "_spliced", counting)
+    return outcomes
+
+
+def test_report_json_of_a_published_scale_document_is_its_dump(tmp_path, capsys,
+                                                               monkeypatch):
+    # the saved 4 800-trial document: report writes its points by splicing
+    log = cell_log("e4", "pointing", PUBLISHED_REPS["e4"])
+    path, saved = tmp_path / "cell.csv", tmp_path / "fit.json"
+    write_trials(path, log, "e4")
+    assert main(["fit", str(path), "--aggregate", "false", "--format", "json-like",
+                 "--out", str(saved)]) == 0
+    splices = _splices(monkeypatch)
+    assert main(["report", str(saved), "--format", "json-like"]) == 0
+    assert len(splices) == 1 and splices[0] is not None
+    _assert_same_bytes(capsys.readouterr().out.encode("utf-8"), saved.read_bytes())
+    doc = json.loads(saved.read_text(encoding="utf-8"))
+    assert doc["n_trials"] == 4800 and len(doc["models"]) == 7
+    assert all(len(m["points"]) == m["n"] > 4000 for m in doc["models"])
+    _assert_same_bytes(render_document(doc, "json-like").encode("utf-8"),
+                       _oracle(doc).encode("utf-8"))
+
+
+def _hand_written(points, error="DomainError: id_fitts needs A >= 0 and W > 0"):
+    """A complete fitts3d.report/1 document: a fitted row with points and an
+    error row."""
+    coefficients = {"intercept": 1, "id_t": -0.0, "id_r": 0.25}
+    return {"schema": REPORT_SCHEMA, "n_trials": 9, "aggregate": False, "models": [
+        {"model": "final", "r2": 1, "n": 9, "coefficients": coefficients,
+         "equation": format_equation(coefficients, ["id_t", "id_r"]),
+         "dropped": [], "error": None, "point_names": ["id_t", "id_r", "mt"],
+         "points": points},
+        {"model": "fitts", "r2": None, "n": None, "coefficients": None,
+         "equation": None, "dropped": [], "error": error, "point_names": None,
+         "points": None}]}
+
+
+@pytest.mark.parametrize("points", [
+    [[1, 2.5, -0.0], [0.0, -3, 2**70]],  # ints, a negative zero, a big int
+    [[1.0, 2.0, 0.5], [], [3, -0.0, 1e-310]],  # an empty row, a subnormal
+    [[]],
+    [[0.1], [0.2, 0.30000000000000004]],
+])
+def test_report_json_splices_hand_written_points(monkeypatch, points):
+    doc = _hand_written(points)
+    splices = _splices(monkeypatch)
+    assert render_document(doc, "json-like") == _oracle(doc)
+    assert len(splices) == 1 and splices[0] is not None
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": REPORT_SCHEMA, "models": None},
+    {"schema": REPORT_SCHEMA, "models": ["not a model", {"points": [[1.5, True]]},
+                                         {"points": [["a"], [2.5]]}, {"points": [[0.5]]}]},
+    [{"schema": REPORT_SCHEMA}],
+])
+def test_render_comparison_json_of_any_document_is_its_dump(doc):
+    # render_comparison does not check its document: what is not a list
+    # of lists of numbers is left to json.dumps
+    assert render_comparison(doc, "json-like") == _oracle(doc)
+
+
+def test_report_json_falls_back_when_a_string_is_a_placeholder(monkeypatch):
+    # the error row's text equals the placeholder of the first row's points
+    doc = _hand_written([[1.0, 2.0, 3.0]], error="\x00fitts3d.points.0\x00")
+    splices = _splices(monkeypatch)
+    assert render_document(doc, "json-like") == _oracle(doc)
+    assert splices == [None]
 
 
 _MODEL_SPECS = {"all": MODEL_ORDER,

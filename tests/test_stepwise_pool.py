@@ -1,11 +1,12 @@
-"""Stepwise selection screened on pooled fits, against the per-row oracle.
+"""Stepwise selection fitted from one exact Gram, against the per-row oracle.
 
-Given a design that records its conditions (condition_matrix over a
-per-trial table, or regression._expand), stepwise screens each entry and
-removal scan on weighted least squares over the conditions and refits
-only the chosen step on the rows; other designs screen on the rows.
-reference_stepwise (tests/stepwise_oracle.py) fits every candidate on
-the rows. Their reports, and the reprs of their reports, must be equal.
+stepwise groups its design's identical rows once (or, for
+condition_matrix's design and response, takes the table's exact sums),
+forms one exact Gram of all its candidates and fits each subset on its
+principal submatrix. reference_stepwise (tests/stepwise_oracle.py) fits
+every candidate with ols_fit on the rows. Both are exact least squares
+rounded once, so their reports, and the reprs of their reports, must be
+equal, and each step's r2 is float() of tests/exact_oracle.py's.
 """
 
 import csv
@@ -16,17 +17,18 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fitts3d import (ConditionTable, DesignMatrix, InsufficientData,
                      InteractionKind, ModelFit, RankDeficient,
-                     condition_matrix, ols_fit, partial_f_test, read_trials,
-                     stepwise, write_trials)
+                     condition_matrix, ols_fit, read_trials, stepwise,
+                     write_trials)
 from fitts3d import regression, render_stepwise
 from fitts3d.cli import main
 from fitts3d.constants import STEPWISE_CANDIDATES
 from cells import CELLS, PUBLISHED_REPS, cell_log
+from exact_oracle import exact_fit
 import stepwise_oracle
 from stepwise_oracle import reference_stepwise
 
@@ -43,28 +45,28 @@ def _assert_matches_oracle(X, y):
     assert _outcome(stepwise, X, y) == _outcome(reference_stepwise, X, y)
 
 
-def _counting_ols_fit(monkeypatch, module=regression):
-    """The (names, row count) of each row fit, in call order."""
+def _assert_steps_exact(X, y):
+    """Each step's r2 is the exact r2 of the columns included after it."""
+    included = []
+    for step in stepwise(X, y).steps:
+        if step.action == "enter":
+            included.append(step.name)
+        else:
+            included.remove(step.name)
+        assert step.r2 == float(exact_fit(X.subset(included), y)[1]), step
+
+
+def _counting(monkeypatch, name):
+    """The arguments of each call of regression's function name, in call
+    order."""
     calls = []
+    function = getattr(regression, name)
 
-    def counting(X, y):
-        calls.append((X.names, X.values.shape[0]))
-        return ols_fit(X, y)
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(module, "ols_fit", counting)
-    return calls
-
-
-def _counting_pooled_fits(monkeypatch):
-    """The names of each pooled fit, in call order."""
-    calls = []
-    fit = regression._Pool.fit
-
-    def counting(self, names):
-        calls.append(tuple(names))
-        return fit(self, names)
-
-    monkeypatch.setattr(regression._Pool, "fit", counting)
+    monkeypatch.setattr(regression, name, counting)
     return calls
 
 
@@ -74,20 +76,10 @@ def _constant_names(X):
             in zip(X.names, (X.values == X.values[0]).all(axis=0)) if constant}
 
 
-def _counting_fallbacks(monkeypatch):
-    """The pooled scans that could not vouch for their decision."""
-    unsure = []
-    screen = regression._screen
-
-    def counting(*args, **kwargs):
-        try:
-            return screen(*args, **kwargs)
-        except regression._Unsure:
-            unsure.append(args[0])
-            raise
-
-    monkeypatch.setattr(regression, "_screen", counting)
-    return unsure
+def _expand(names, values, conditions):
+    """The design with one row per entry of conditions, each the row of
+    values (one per condition) it names."""
+    return DesignMatrix(names, values[conditions])
 
 
 @lru_cache(maxsize=None)
@@ -99,11 +91,11 @@ def _published(experiment, interaction, seed=0):
 
 def _ending(fit, names):
     """The ModelFit of names, or the InsufficientData or RankDeficient
-    it raised; _Unsure and every other error propagate."""
+    it raised; every other error propagates."""
     try:
         return fit(names)
     except (InsufficientData, RankDeficient) as exc:
-        return exc
+        return type(exc), str(exc)
 
 
 def test_the_oracle_states_the_shipped_thresholds():
@@ -161,8 +153,8 @@ def _designs(draw):
     if draw(st.booleans()):  # a partition finer than equal design rows
         values[draw(st.integers(0, m - 1))] = values[draw(st.integers(0, m - 1))]
     reps = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
-    X = regression._expand(tuple(f"x{j}" for j in range(len(cols))), values,
-                           _conditions(draw, m, reps))
+    X = _expand(tuple(f"x{j}" for j in range(len(cols))), values,
+                _conditions(draw, m, reps))
     rows = X.values
     n, k = rows.shape
     mode = draw(st.sampled_from(["noise", "noise", "noise", "exact", "constant"]))
@@ -185,13 +177,12 @@ def _designs(draw):
 def test_stepwise_matches_the_oracle_on_drawn_designs(design):
     X, y = design
     with pytest.MonkeyPatch.context() as mp:
-        rows = _counting_ols_fit(mp)
-        pooled = _counting_pooled_fits(mp)
-        _assert_matches_oracle(X, y)
+        fits = _counting(mp, "_solve")
+        outcome = _outcome(stepwise, X, y)
+    assert outcome == _outcome(reference_stepwise, X, y)
     # a constant column can never enter, so no fit is given one
     constant = _constant_names(X)
-    assert not any(constant.intersection(names) for names, _ in rows)
-    assert not any(constant.intersection(names) for names in pooled)
+    assert not any(constant.intersection(call[3]) for call in fits)
 
 
 # ---- the oracle at flip points -----------------------------------------------
@@ -230,21 +221,19 @@ _X2, _X3, _U = _X2_8[_CYCLES], _X3_8[_CYCLES], _U8[_CYCLES]
 
 
 def _entry(t):  # x1 enters once its p falls below 0.05
-    return regression._expand(("x1",), _L8[:, None], _BLOCKS), _NOISE + t * _LEVELS
+    return _expand(("x1",), _L8[:, None], _BLOCKS), _NOISE + t * _LEVELS
 
 
 def _removal(t):  # x1 enters first and leaves once x2, x3 explain it
-    X = regression._expand(("x1", "x2", "x3"),
-                           np.column_stack([_X2_8 + _X3_8 + _U8, _X2_8, _X3_8]),
-                           _CYCLES)
+    X = _expand(("x1", "x2", "x3"),
+                np.column_stack([_X2_8 + _X3_8 + _U8, _X2_8, _X3_8]), _CYCLES)
     noise = _orthogonal(0.3 * np.random.default_rng(1).standard_normal(24),
                         *X.values.T)
     return X, _X2 + _X3 + t * _U + noise
 
 
 def _tie(t):  # x2 = x1 + t u overtakes x1 once its p is 1e-12 smaller
-    X = regression._expand(("x1", "x2"), np.column_stack([_L8, _L8 + t * _U8]),
-                           _BLOCKS)
+    X = _expand(("x1", "x2"), np.column_stack([_L8, _L8 + t * _U8]), _BLOCKS)
     return X, 0.5 * _LEVELS + 0.8 * _U8[_BLOCKS] + 3.0 * _NOISE
 
 
@@ -253,7 +242,10 @@ def _tie(t):  # x2 = x1 + t u overtakes x1 once its p is 1e-12 smaller
     (_removal, 0.0, 1.0, "remove"),
     (_tie, 0.0, 1.0, "tie"),
 ])
-def test_flip_points_fall_back_and_match_the_oracle(monkeypatch, make, lo, hi, flip):
+def test_flip_points_match_the_oracle_exactly(make, lo, hi, flip):
+    # two adjacent inputs that the rule decides differently: the scan
+    # decides each on exact fits, so as the oracle does, and each step's
+    # r2 is the exact one
     lo, hi = _flip_point(make, lo, hi)
     a, b = (reference_stepwise(*make(t)) for t in (lo, hi))
     if flip == "tie":  # the same p to 1e-12 decides which column enters
@@ -265,28 +257,40 @@ def test_flip_points_fall_back_and_match_the_oracle(monkeypatch, make, lo, hi, f
         assert extra.p_value == pytest.approx(0.05 if flip == "enter" else 0.10,
                                               rel=1e-12)
     for t in (lo, hi):
-        unsure = _counting_fallbacks(monkeypatch)
-        stepwise(*make(t))
-        assert unsure
-        monkeypatch.undo()
         _assert_matches_oracle(*make(t))
+        _assert_steps_exact(*make(t))
 
 
-def test_ulp_near_tie_falls_back_and_matches_the_oracle(monkeypatch):
+def test_ulp_near_tie_matches_the_oracle():
     # row 5 has a condition of its own, with x2 one ulp above x1
     conditions = _BLOCKS.copy()
     conditions[5] = 8
     x1 = np.append(_L8, _LEVELS[5])
     x2 = np.append(_L8, np.nextafter(_LEVELS[5], math.inf))
-    X = regression._expand(("x1", "x2"), np.column_stack([x1, x2]), conditions)
+    X = _expand(("x1", "x2"), np.column_stack([x1, x2]), conditions)
     y = 0.15 * _LEVELS + _NOISE  # p of about 0.01: a tie worth checking
-    unsure = _counting_fallbacks(monkeypatch)
     report = stepwise(X, y)
     assert [s.name for s in report.steps] == ["x1"]
     assert 1e-4 < report.steps[0].p_value < 0.05
-    assert unsure == [["x1", "x2"]]  # the first entry scan, on both columns
-    monkeypatch.undo()
+    # both columns together fail the rank rule, though not exactly singular
+    with pytest.raises(RankDeficient):
+        ols_fit(X, y)
+    exact_fit(X, y)
     _assert_matches_oracle(X, y)
+    _assert_steps_exact(X, y)
+
+
+def test_mirrored_candidates_tie_exactly():
+    # x2 = 7 - x1 spans what x1 does: their fits are one exact number, so
+    # their p-values are equal and the earlier column enters, either way round
+    X = _expand(("x1", "x2"), np.column_stack([_L8, 7.0 - _L8]), _BLOCKS)
+    y = 0.3 * _LEVELS + _NOISE
+    for names in (("x1", "x2"), ("x2", "x1")):
+        design = X.subset(names)
+        first, second = (ols_fit(design.subset([n]), y) for n in names)
+        assert first.r2 == second.r2 and first.ss_res == second.ss_res
+        assert [s.name for s in stepwise(design, y).steps] == [names[0]]
+        _assert_matches_oracle(design, y)
 
 
 # ---- the oracle on the paper's logs -------------------------------------------
@@ -312,65 +316,70 @@ def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, capsys, experiment,
 
 @pytest.mark.parametrize("candidates", [("W",), ("W", "A"), ("phi", "theta")])
 @pytest.mark.parametrize("experiment,interaction", CELLS)
-def test_published_cells_pool_by_condition(experiment, interaction, candidates):
+def test_published_cells_fit_from_the_tables_sums(experiment, interaction,
+                                                  candidates):
     table = ConditionTable(cell_log(experiment, interaction, PUBLISHED_REPS[experiment]),
                            aggregate=False)
     X, y = condition_matrix(table, candidates)
-    values, _ = X._grouping
-    # fewer distinct design rows than conditions: rows alone would merge them
-    assert len({row.tobytes() for row in values}) < len(table.tasks)
-    assert len(regression._pool(X, y).counts) == len(table.tasks)
+    # fewer distinct design rows than conditions: the rows merge them
+    assert len({row.tobytes() for row in X.values}) < len(table.tasks)
+    hand_built = DesignMatrix(X.names, X.values)  # grouped by its rows
+    assert stepwise(X, y) == stepwise(hand_built, y)
     _assert_matches_oracle(X, y)
 
 
-def test_hand_built_repeated_design_screens_on_the_rows(monkeypatch):
+def test_hand_built_repeated_design_matches_the_oracle(monkeypatch):
     X, y = _published("e4", InteractionKind.MANIPULATION)
-    X = DesignMatrix(X.names, X.values)  # the same rows, no grouping
-    calls = _counting_ols_fit(monkeypatch)
-    oracle_calls = _counting_ols_fit(monkeypatch, stepwise_oracle)
-    report, expected = stepwise(X, y), reference_stepwise(X, y)
+    X = DesignMatrix(X.names, X.values)  # the same rows, no table
+    fits = _counting(monkeypatch, "_solve")
+    checks = _counting(monkeypatch, "_full_rank")
+    report = stepwise(X, y)
+    monkeypatch.undo()
+    expected = reference_stepwise(X, y)
     assert report == expected and repr(report) == repr(expected)
-    # every candidate of every scan fitted on the rows, as the oracle
-    # does, but for the constant F, which no scan offers
+    # no fit is given the constant F, which no scan offers
     constant = _constant_names(X)
     assert constant == {"F"}
-    offered = [call for call in oracle_calls if not constant.intersection(call[0])]
-    assert calls == offered
-    assert len(offered) < len(oracle_calls)
-    assert len(calls) > len(report.steps) + 1
+    assert not any(constant.intersection(call[3]) for call in fits)
+    # the offered columns pass the rank rule together, so every subset
+    # of them does: one check
+    assert len(checks) == 1
+    assert len(fits) > len(report.steps) + 1
 
 
 @pytest.mark.parametrize("grouped", [True, False])
-def test_y_of_the_wrong_length_or_shape_raises_before_pooling(monkeypatch, grouped):
+def test_y_of_the_wrong_length_or_shape_raises_before_grouping(monkeypatch, grouped):
     X, y = _published("e1", InteractionKind.POINTING)
     if not grouped:  # the same rows, hand-built
         X = DesignMatrix(X.names, X.values)
-    monkeypatch.setattr(regression, "_pool", None)  # never reached
+    monkeypatch.setattr(regression, "_grouped", None)  # never reached
     message = "y must be one value per design matrix row"
     for bad in (y[:-1], np.append(y, 1.0), y[:, None], np.asarray(y[0])):
         with pytest.raises(ValueError) as got:
             stepwise(X, bad)
         assert str(got.value) == message
+    monkeypatch.undo()
     for bad in (y[:-1], np.append(y, 1.0), y[:, None]):  # the oracle's cases
         with pytest.raises(ValueError, match=f"^{message}$"):
             reference_stepwise(X, bad)
 
 
-def test_published_log_refits_only_the_steps(monkeypatch):
+def test_published_log_forms_one_gram(monkeypatch):
     X, y = _published("e4", InteractionKind.MANIPULATION)
-    calls = _counting_ols_fit(monkeypatch)
+    grams = _counting(monkeypatch, "_gram")
+    groupings = _counting(monkeypatch, "_grouped")
+    checks = _counting(monkeypatch, "_full_rank")
     report = stepwise(X, y)
-    # the intercept-only fit, then one per-row refit per step
-    assert len(calls) == len(report.steps) + 1 == 5
-    assert {rows for _, rows in calls} == {len(y)}
+    # the table's sums, one Gram of every candidate and one rank check
+    assert (len(grams), len(groupings), len(checks)) == (1, 0, 1)
     monkeypatch.undo()
     assert report == reference_stepwise(X, y)
 
 
 @pytest.mark.parametrize("big", ["1e308", "1.5e308"])
-def test_a_column_near_the_float_maximum_screens_on_the_rows(tmp_path, capsys, big):
-    # A = 12 cm rewritten as big: sqrt(n_i) times it overflows the pooled
-    # design, so per trial the selection screens on the rows
+def test_a_column_near_the_float_maximum_matches_the_oracle(tmp_path, capsys, big):
+    # A = 12 cm rewritten as big: its squares are far beyond the float
+    # range, which the exact Gram does not mind
     path = tmp_path / "log.csv"
     write_trials(path, cell_log("e1", "pointing"), "e1")
     with path.open(newline="") as fh:
@@ -383,19 +392,18 @@ def test_a_column_near_the_float_maximum_screens_on_the_rows(tmp_path, capsys, b
     log = read_trials(path)
     for aggregate, selected in ((True, ["W"]), (False, ["W", "F"])):
         X, y = condition_matrix(ConditionTable(log, aggregate))
-        with np.errstate(over="ignore"):
-            assert regression._pool(X, y) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no overflow warning
             assert [s.name for s in stepwise(X, y).steps] == selected
         _assert_matches_oracle(X, y)
+        _assert_steps_exact(X, y)
         argv = ["stepwise", str(path), "--aggregate", str(aggregate).lower()]
         assert main(argv) == 0
         assert capsys.readouterr().out == render_stepwise(
             reference_stepwise(X, y), "table")
 
 
-# ---- the pooled fit itself ------------------------------------------------------
+# ---- the fits from one Gram ------------------------------------------------------
 
 @st.composite
 def _replicated(draw):
@@ -404,141 +412,121 @@ def _replicated(draw):
     levels = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
     base = np.array(draw(st.lists(levels, min_size=m, max_size=m)), dtype=float)
     reps = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
-    X = regression._expand(tuple(f"x{j}" for j in range(k)), base,
-                           _conditions(draw, m, reps))
+    X = _expand(tuple(f"x{j}" for j in range(k)), base, _conditions(draw, m, reps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = 1.0 + X.values @ rng.standard_normal(k) + rng.standard_normal(len(X.values))
     return X, y
 
 
+def _gram_fits(X, y):
+    """The fit of each subset of X's columns from one Gram, as stepwise
+    makes it, by the names of the subset."""
+    columns, counts, sums, squares, scale = regression._conditions(X, y)
+    gram, scales = regression._gram(columns, counts, sums, squares)
+    index = {name: j for j, name in enumerate(X.names, start=1)}
+    return lambda names: regression._solve(gram, scales, scale, tuple(names),
+                                           [index[n] for n in names])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_replicated())
-def test_pooled_fit_agrees_with_the_rows(design):
+def test_one_gram_fits_each_subset_as_ols_fit_does(design):
     X, y = design
-    pool = regression._pool(X, y)
-    assume(pool is not None)
-    conditions = X._grouping[1]
-    groups = [np.flatnonzero(conditions == g) for g in range(len(pool.counts))]
-    for g, members in enumerate(groups):
-        assert len(members) == pool.counts[g]
-        assert np.all(X.values[members] == X.values[members[0]])
-        mean = math.fsum(y[members]) / len(members)
-        want = math.fsum((v - mean) ** 2 for v in y[members])
-        assert pool.pure_error[g] == pytest.approx(want, rel=1e-12, abs=1e-300)
+    # each distinct row's count and exact response sums
+    columns, counts, sums, squares, scale = regression._conditions(X, y)
+    unit = 2.0 ** -scale
+    for row, count, total, square in zip(zip(*columns), counts, sums, squares):
+        members = y[(X.values == row).all(axis=1)]
+        assert len(members) == count
+        assert total == sum(int(v / unit) for v in members)
+        assert square == sum(int(v / unit) ** 2 for v in members)
+    fit = _gram_fits(X, y)
     for r in range(len(X.names) + 1):
         for names in itertools.combinations(X.names, r):
-            try:
-                rows = ols_fit(X.subset(names), y)
-            except (InsufficientData, RankDeficient):
-                continue
-            M = np.column_stack([np.ones(len(y)), X.subset(names).values])
-            if np.linalg.cond(M) > 1e4:
-                continue
-            pooled = pool.fit(names)
-            assert pooled.n == rows.n and pooled.predictor_names == rows.predictor_names
-            assert pooled.ss_res == pytest.approx(rows.ss_res, rel=1e-11)
-            assert pooled.r2 == pytest.approx(rows.r2, rel=1e-11, abs=1e-14)
-            scale = max(abs(b) for b in rows.coefficients.values())
-            for name, b in rows.coefficients.items():
-                assert pooled.coefficients[name] == pytest.approx(
-                    b, rel=1e-11, abs=1e-11 * scale)
+            ending = _ending(fit, names)
+            assert ending == _ending(lambda n: ols_fit(X.subset(n), y), names)
+            if isinstance(ending, ModelFit):
+                coefficients, r2, ss_res, ss_tot = exact_fit(X.subset(names), y)
+                assert (ending.r2, ending.ss_res, ending.ss_tot) == (
+                    float(r2), float(ss_res), float(ss_tot))
+                assert ending.coefficients == {
+                    name: float(v) for name, v in coefficients.items()}
 
 
-def test_pool_needs_a_repeated_row(monkeypatch):
+def test_the_tables_sums_serve_only_its_response(monkeypatch):
     log = cell_log("e4", "manipulation", PUBLISHED_REPS["e4"])
-    X, y = condition_matrix(ConditionTable(log, aggregate=False))
-    hand_built = DesignMatrix(X.names, X.values)  # the same rows, no grouping
-    aggregate = condition_matrix(ConditionTable(log, aggregate=True))
-    one_each = regression._expand(("x",), _L8[:, None], np.arange(8))
-    assert len(regression._pool(X, y).counts) == 64
-    monkeypatch.setattr(regression, "np", None)  # decided before any numpy call
-    assert regression._pool(hand_built, y) is None
-    assert regression._pool(*aggregate) is None
-    assert regression._pool(one_each, _L8) is None
+    table = ConditionTable(log, aggregate=False)
+    X, y = condition_matrix(table)
+    columns, *sums = regression._conditions(X, y)
+    assert sums == [table.counts, table.sums, table.squares, table.scale]
+    assert len(columns[0]) == len(table.tasks) == 64
+    # another response, or the same rows hand-built, are grouped by rows
+    hand_built = DesignMatrix(X.names, X.values)
+    groupings = _counting(monkeypatch, "_grouped")
+    for design, response in ((X, 2.0 * y), (hand_built, y)):
+        columns, counts, *_ = regression._conditions(design, response)
+        assert sum(counts) == len(y) and len(counts) == len(table.tasks)
+    assert len(groupings) == 2
+    assert stepwise(X, 2.0 * y) == stepwise(hand_built, 2.0 * y)
 
 
-def _near_rank_column(x, u):
-    """x + eps u, with eps chosen so that [1, x, x + eps u] has a
-    singular-value ratio within 10x of RANK_TOL."""
-    for eps in 10.0 ** -np.arange(6.0, 12.0, 0.5):
-        col = x + eps * u
-        s = np.linalg.svd(np.column_stack([np.ones(len(x)), x, col]), compute_uv=False)
-        if 2 * regression.RANK_TOL / 10 < s[-1] / s[0] < regression.RANK_TOL * 10 / 2:
-            return col
-    raise AssertionError("no eps puts the ratio near RANK_TOL")
+def _near_rank_design(ratio):
+    """[x, x + eps u] on 8 rows, with eps chosen so that the singular
+    values of [1, x, x + eps u] have s_min / s_max = ratio * RANK_TOL."""
+    lo, hi = 1e-14, 1e-6
+    for _ in range(200):
+        eps = math.sqrt(lo * hi)
+        M = np.column_stack([np.ones(8), _L8, _L8 + eps * _U8])
+        s = np.linalg.svd(M, compute_uv=False)
+        if s[-1] / s[0] < ratio * regression.RANK_TOL:
+            lo = eps
+        else:
+            hi = eps
+    assert s[-1] / s[0] == pytest.approx(ratio * regression.RANK_TOL, rel=1e-5)
+    return DesignMatrix(("x1", "x2"), M[:, 1:])
 
 
-@pytest.mark.parametrize("case,outcome", [
-    ("near_rank", regression._Unsure),
-    ("copy", RankDeficient),
-    ("constant", RankDeficient),
-    ("exact", regression._Unsure),
-    ("clear", None),
-])
-def test_pooled_fit_defers_where_the_rows_might_differ(case, outcome):
-    second = {"near_rank": _near_rank_column(_L8, _U8), "copy": _L8,
-              "constant": np.full(8, 2.0), "exact": _U8, "clear": _U8}[case]
-    X = regression._expand(("x1", "x2"), np.column_stack([_L8, second]), _BLOCKS)
+@pytest.mark.parametrize("ratio,estimated", [
+    (0.5, False), (0.9, True), (0.999, True), (1.001, True), (1.1, False),
+    (2.0, False)])
+def test_rank_rule_at_its_threshold(monkeypatch, ratio, estimated):
+    # s_min < RANK_TOL * s_max is decided on the exact Gram; only within
+    # a trace's width of the threshold does it need the float estimate
+    # of the largest eigenvalue
+    X = _near_rank_design(ratio)
+    estimates = _counting(monkeypatch, "_largest_eigenvalue")
+    outcome = _ending(lambda names: ols_fit(X, _L8 + _U8), X.names)
+    assert isinstance(outcome, ModelFit) == (ratio > 1)
+    assert bool(estimates) == estimated
+
+
+@pytest.mark.parametrize("case", ["copy", "constant", "exact", "clear"])
+def test_gram_fit_outcomes(case):
+    second = {"copy": _L8, "constant": np.full(8, 2.0), "exact": _U8,
+              "clear": _U8}[case]
+    X = _expand(("x1", "x2"), np.column_stack([_L8, second]), _BLOCKS)
     y = 1.0 + _LEVELS + (0.0 if case == "exact" else 1.0) * _NOISE
-    fit = regression._pool(X, y).fit
-    if outcome is None:
-        assert fit(("x1", "x2")).ss_res > 0
+    outcome = _ending(_gram_fits(X, y), ("x1", "x2"))
+    assert outcome == _ending(lambda names: ols_fit(X, y), X.names)
+    if case in ("copy", "constant"):
+        assert outcome[0] is RankDeficient
+    elif case == "exact":  # no residual at all, exactly
+        assert outcome.ss_res == 0.0 and outcome.r2 == 1.0
     else:
-        with pytest.raises(outcome):
-            fit(("x1", "x2"))
+        assert outcome.ss_res > 0
 
 
-@pytest.mark.parametrize("entering,results,included", [
-    # p within 1e-6 relative of 0.05
-    (True, {("a",): (4.3, 0.05 * (1 - 1e-7))}, []),
-    # p of b within 1e-6 relative of p of a less 1e-12
-    (True, {("a",): (9.0, 0.01), ("b",): (9.0, 0.01 - 1e-12 + 1e-9)}, []),
-    # p within 1e-6 relative of 0.10, removing
-    (False, {("b",): (2.7, 0.10 * (1 + 1e-7)), ("a",): (50.0, 1e-9)}, ["a", "b"]),
-    # two removal p-values apart by 1e-2, but at an F below 1e-4
-    (False, {("b",): (1e-5, 0.99), ("a",): (5e-5, 0.98)}, ["a", "b"]),
-])
-def test_pooled_scan_defers_near_each_flip_point(monkeypatch, entering, results,
-                                                 included):
-    # (F, p) per fit; a fit is named by its predictors
-    monkeypatch.setattr(regression, "partial_f_test",
-                        lambda full, reduced: results[full if entering else reduced])
-    names = [fit[-1] for fit in results] if entering else included
-
-    def scan(pooled):
-        return regression._screen(names, tuple, None, included, entering, pooled)
-
-    with pytest.raises(regression._Unsure):
-        scan(pooled=True)
-    assert scan(pooled=False) is not None
-
-
-def test_margin_covers_the_pooled_gap_on_the_published_cells():
-    # every subset of every published cell ends the same way on the rows
-    # and pooled, deferring never; then every nested pair (S, S + one
-    # column) of the fitted ones
-    gap, pairs, subsets = 0.0, 0, 0
-    for cell, seed in itertools.product(CELLS, (0, 5)):
-        X, y = _published(*cell, seed)
-        pool = regression._pool(X, y)
-        fits = {}
+def test_one_gram_fits_every_subset_of_the_published_cells():
+    # every subset of every published cell ends the same way from the
+    # table's sums and from the rows grouped afresh
+    subsets = 0
+    for cell in CELLS:
+        X, y = _published(*cell)
+        from_rows = _gram_fits(DesignMatrix(X.names, X.values), y)
+        from_table = _gram_fits(X, y)
         for r in range(len(X.names) + 1):
             for names in itertools.combinations(X.names, r):
-                ends = (_ending(lambda n: ols_fit(X.subset(n), y), names),
-                        _ending(pool.fit, names))
-                assert type(ends[0]) is type(ends[1]), (cell, seed, names)
+                ends = (_ending(from_table, names), _ending(from_rows, names))
+                assert ends[0] == ends[1], (cell, names)
                 subsets += 1
-                if isinstance(ends[0], ModelFit):
-                    fits[names] = ends
-        for names, (rows, pooled) in fits.items():
-            for j in range(len(names)):
-                reduced = fits.get(names[:j] + names[j + 1:])
-                if reduced is None:
-                    continue
-                _, p_rows = partial_f_test(rows, reduced[0])
-                _, p_pool = partial_f_test(pooled, reduced[1])
-                gap = max(gap, abs(p_pool - p_rows) / p_rows if p_rows else p_pool)
-                pairs += 1
-    assert subsets == 2 * len(CELLS) * 2 ** 7
-    assert pairs > 1000
-    assert 100 * gap <= regression._MARGIN
+    assert subsets == len(CELLS) * 2 ** 7
