@@ -6,8 +6,6 @@ Walk the translational index formulas over a range of target
 separations, then show how each model adapts to rotational tasks.
 """
 
-import numpy as np
-
 from fitts3d import (ModelKind, TaskSpec, id_fitts, id_hoffmann, id_r_final,
                      id_rot_adapted, id_shannon, id_t_final, id_welford,
                      predictors_for)
@@ -18,7 +16,7 @@ F = 3.0   # object size, cm
 print("translational indices, W = 5 cm, F = 3 cm")
 print(f"{'A':>6}  {'fitts':>7}  {'hoffmann':>8}  {'welford':>7}  "
       f"{'shannon':>7}  {'id_t':>7}")
-for A in np.arange(6.0, 49.0, 6.0):
+for A in (6.0 * k for k in range(1, 9)):
     print(f"{A:6.1f}  {id_fitts(A, W):7.3f}  "
           f"{id_hoffmann(A, W, F):8.3f}  {id_welford(A, W):7.3f}  "
           f"{id_shannon(A, W):7.3f}  {id_t_final(A, W, F):7.3f}")

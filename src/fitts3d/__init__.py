@@ -11,11 +11,9 @@ line front end (trial_io, report, cli).
 Every exported name is looked up in its module on first use (PEP 562),
 through the one table _LAZY_EXPORTS, and so is each of those modules,
 so `import fitts3d` loads no other fitts3d module. A process loads only
-the modules it uses: the report verb never loads tasks or synth. numpy
-is loaded only where a DesignMatrix is built (ols_fit, stepwise,
-condition_matrix, and so the stepwise verb); fit_model and
-compare_models, and the fit and compare verbs, fit without it. __all__ is the table's
-names, so `from fitts3d import *` binds every one of them.
+the modules it uses: the report verb never loads tasks or synth. The
+package imports only the standard library. __all__ is the table's names,
+so `from fitts3d import *` binds every one of them.
 """
 
 import importlib

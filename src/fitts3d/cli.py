@@ -10,9 +10,8 @@ parser takes its choices from fitts3d.constants, which imports only
 enum. So report loads only cli, errors, constants and report, and
 classify only those three and poses, neither of them dataclasses;
 generate adds tasks, trial_io, synth and the layers it builds on; only
-the verbs that fit (fit, compare, stepwise) import regression. Of them
-only stepwise, which builds a DesignMatrix, loads numpy, after every
-other module: fit and compare fit from the ConditionTable's exact sums.
+the verbs that fit (fit, compare, stepwise) import regression. No verb
+loads numpy.
 
 main() builds the parser on its first call and reuses it, so a caller
 that runs several verbs in one process pays for argparse once, and a

@@ -29,10 +29,6 @@ of all its candidates and fits each subset on its principal submatrix.
 The p-value tie rule is absolute: every p below 1e-12 ties, and the
 earliest such column enters whatever its F. No scan is offered an
 exactly constant candidate.
-
-numpy is imported only where a DesignMatrix is built or read (ols_fit,
-stepwise, condition_matrix): fit_model and compare_models, and with
-them the fit and compare verbs, never load it.
 """
 
 import math
@@ -67,38 +63,41 @@ _REMOVE_P = 0.10
 @dataclass(frozen=True)
 class DesignMatrix:
     """Named predictor columns for a set of observations. The intercept
-    column is implicit and added at fit time."""
+    column is implicit and added at fit time. values is given as any 2-d
+    sequence of numbers (a numpy array among them: its ndim must be 2)
+    and held as a tuple of row tuples of floats."""
 
     names: tuple[str, ...]
-    values: "numpy.ndarray"
-    # (each column's value per condition, the ConditionTable, its
-    # response) when condition_matrix built the design: see _conditions
+    values: tuple[tuple[float, ...], ...]
+    # (each column's value per condition, the ConditionTable) when
+    # condition_matrix built the design: see _conditions
     _table: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
     def __post_init__(self):
-        import numpy as np
-
         names = tuple(str(n) for n in self.names)
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
         if any(not n for n in names):
             raise ValueError("column names must be nonempty")
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.ndim != 2:
+        try:
+            values = (tuple(tuple(map(float, row)) for row in self.values)
+                      if getattr(self.values, "ndim", 2) == 2 else None)
+        except TypeError:
+            values = None
+        if values is None:
             raise ValueError("values must be a 2-d array")
-        if values.shape[1] != len(names):
+        if any(len(row) != len(names) for row in values):
             raise ValueError("one name per column required")
-        if not np.all(np.isfinite(values)):
+        if not all(map(math.isfinite, chain.from_iterable(values))):
             raise ValueError("design matrix entries must be finite")
-        values.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
 
     def subset(self, names) -> "DesignMatrix":
         idx = [self.names.index(n) for n in names]
         return DesignMatrix(tuple(self.names[i] for i in idx),
-                            self.values[:, idx])
+                            [[row[i] for i in idx] for row in self.values])
 
 
 @dataclass(frozen=True)
@@ -131,49 +130,45 @@ def ols_fit(X: DesignMatrix, y) -> ModelFit:
     augmented design fails the rank rule and DomainError when a result
     is too large for a float.
     """
-    return _fit(X.names, *_conditions(X, _response(X, y)))
-
-
-def _response(X: DesignMatrix, y):
-    """y as a float array, checked to be one finite value per row of X."""
-    import numpy as np
-
-    yarr = np.asarray(y, dtype=float)
-    if yarr.ndim != 1 or yarr.shape[0] != X.values.shape[0]:
-        raise ValueError("y must be one value per design matrix row")
-    if not np.all(np.isfinite(yarr)):
-        raise ValueError("y must be finite")
-    return yarr
+    return _fit(X.names, *_conditions(X, y))
 
 
 def _conditions(X: DesignMatrix, y):
     """(columns, counts, sums, squares, scale) of X's distinct rows and the
     response y (see _gram): the table's own when condition_matrix built X
-    from a ConditionTable and y is its response, else by _grouped."""
-    import numpy as np
-
-    if X._table is not None:
-        columns, table, response = X._table
-        if np.array_equal(y, response):
-            return columns, table.counts, table.sums, table.squares, table.scale
-    columns, counts, ys = _grouped(X.values, y)
+    from a ConditionTable and y is its response, else by _grouped, y
+    checked by _response first."""
+    if X._table is not None and y is X._table[1].y:
+        columns, table = X._table
+        return columns, table.counts, table.sums, table.squares, table.scale
+    columns, counts, ys = _grouped(X, _response(X, y))
     return (columns, counts, *_response_sums(counts, ys))
 
 
-def _grouped(values, y):
-    """(columns, counts, ys) of the distinct rows of the 2-d array values:
-    one tuple per column, holding each distinct row's value, each one's
-    number of rows, and y's values listed one distinct row after another."""
-    import numpy as np
+def _response(X: DesignMatrix, y):
+    """y as a list of floats, checked to be one finite value per row of X.
+    A numpy y must be 1-d: float() would take each entry of a column."""
+    try:
+        ys = list(map(float, y)) if getattr(y, "ndim", 1) == 1 else None
+    except TypeError:
+        ys = None
+    if ys is None or len(ys) != len(X.values):
+        raise ValueError("y must be one value per design matrix row")
+    if not all(map(math.isfinite, ys)):
+        raise ValueError("y must be finite")
+    return ys
 
-    n, k = values.shape
-    if not (n and k):
-        return [()] * k, [n] if n else [], y.tolist()
-    order = np.lexsort(values.T)
-    ordered = values[order]
-    starts = np.flatnonzero(np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1)))
-    counts = np.diff(np.append(starts, n)).tolist()
-    return [tuple(c) for c in ordered[starts].T.tolist()], counts, y[order].tolist()
+
+def _grouped(X: DesignMatrix, ys):
+    """(columns, counts, ys) of the distinct rows of X, in first-seen
+    order: one tuple per column, holding each distinct row's value, each
+    one's number of rows, and ys listed one distinct row after another."""
+    groups = {}
+    for row, v in zip(X.values, ys):
+        groups.setdefault(row, []).append(v)
+    columns = list(zip(*groups)) if groups else [()] * len(X.names)
+    return (columns, list(map(len, groups.values())),
+            list(chain.from_iterable(groups.values())))
 
 
 def _integers(values):
@@ -442,31 +437,6 @@ class StepwiseReport:
     hit_round_cap: bool = False  # stopped at max_rounds, still changing
 
 
-@dataclass(frozen=True)
-class StepwiseStep:
-    action: str  # "enter" or "remove"
-    name: str
-    f_stat: float
-    p_value: float
-    r2: float  # cumulative r^2 after this step
-
-
-@dataclass(frozen=True)
-class StepwiseReport:
-    """Trace of a bidirectional stepwise selection.
-
-    contributions maps each finally selected variable to the percentage
-    of total variance it explained at the step where it (last) entered.
-    """
-
-    steps: tuple[StepwiseStep, ...]
-    selected: tuple[str, ...]
-    contributions: dict[str, float]
-    r2: float
-    fit: ModelFit
-    hit_round_cap: bool = False  # stopped at max_rounds, still changing
-
-
 def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     """Bidirectional stepwise selection over the columns of X.
 
@@ -491,9 +461,13 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     checked for each subset.
 
     Raises ols_fit's ValueError unless y is one finite value per row of
-    X, and its DomainError when a result is too large for a float.
+    X, its InsufficientData for a design with no rows, and its
+    DomainError when a result is too large for a float.
     """
-    columns, counts, sums, squares, scale = _conditions(X, _response(X, y))
+    columns, counts, sums, squares, scale = _conditions(X, y)
+    if not counts:
+        raise InsufficientData(
+            f"0 rows cannot identify {len(X.names)} slopes plus an intercept")
     gram, scales = _gram(columns, counts, sums, squares)
     index = {name: j for j, name in enumerate(X.names, start=1)}
     # an exactly constant column is a multiple of the intercept: never offered
@@ -711,13 +685,13 @@ def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
 def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
     """Design matrix of raw task variables plus the response vector of
     a ConditionTable, for stepwise selection, one row per response row.
+    The response is table.y itself, which stepwise and ols_fit fit from
+    the table's exact sums.
 
     Candidates come from {F, W, A, phi, theta, alpha, omega}, checked by
     tasks.check_candidates; phi is encoded as sin(phi) under the column
     name "sin_phi".
     """
-    import numpy as np
-
     cols, names = [], []
     for cand in check_candidates(candidates):
         if cand == "phi":
@@ -726,8 +700,9 @@ def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in table.tasks])
-    rows = np.fromiter(table.rows, dtype=np.intp, count=len(table.rows))
-    X = DesignMatrix(tuple(names), np.array(list(zip(*cols)), dtype=float)[rows])
-    y = np.array(table.y, dtype=float)
-    object.__setattr__(X, "_table", (tuple(map(tuple, cols)), table, y.copy()))
-    return X, y
+    # checked once per condition, then one row per response row
+    X = DesignMatrix(tuple(names), tuple(zip(*cols)))
+    conditions = X.values
+    object.__setattr__(X, "values", tuple(map(conditions.__getitem__, table.rows)))
+    object.__setattr__(X, "_table", (tuple(zip(*conditions)), table))
+    return X, table.y

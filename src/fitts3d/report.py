@@ -26,9 +26,7 @@ f_stat, p_value or r2, or stepwise r2 is malformed. A missing key takes
 its default, and a missing stepwise r2 prints no final r2 line.
 
 Only the code that fits or reads a ConditionTable imports regression;
-rendering and checking a saved document do not. A comparison is fitted
-from the table's exact sums, so neither loads numpy: only stepwise's
-DesignMatrix does."""
+rendering and checking a saved document do not."""
 
 import json
 import math

@@ -26,8 +26,8 @@ def exact_fit(X, y):
     singular.
     """
     groups = {}  # design row -> [rows, sum of their y]
-    for row, v in zip(X.values.tolist(), y):
-        group = groups.setdefault(tuple(row), [0, Fraction(0)])
+    for row, v in zip(X.values, y):
+        group = groups.setdefault(row, [0, Fraction(0)])
         group[0] += 1
         group[1] += Fraction(v)
     p = len(X.names) + 1

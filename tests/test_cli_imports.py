@@ -3,10 +3,8 @@
 Each verb runs through fitts3d.cli.main in a fresh interpreter, which
 then reports its fitts3d modules, and whether dataclasses and numpy are
 among its modules. report loads only the parser's modules and report,
-and classify only those and poses, neither of them dataclasses. Only
-stepwise, which builds a DesignMatrix, loads numpy, after every fitts3d
-module it loads, so the check can tell the two apart: fit and compare
-fit from the ConditionTable's exact sums without it.
+and classify only those and poses, neither of them dataclasses. No verb
+loads numpy: the package imports only the standard library.
 """
 
 import json
@@ -26,10 +24,8 @@ SRC = str(Path(fitts3d.__file__).resolve().parents[1])
 _CHILD = """\
 import json, sys
 {run}
-names = [m for m in sys.modules if m == "numpy" or m.split(".")[0] == "fitts3d"]
-after = names[names.index("numpy") + 1:] if "numpy" in names else []
-print(json.dumps([sorted(m for m in names if m != "numpy"),
-                  "dataclasses" in sys.modules, "numpy" in sys.modules, after]))
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "fitts3d"),
+                  "dataclasses" in sys.modules, "numpy" in sys.modules]))
 """
 _RUN_VERB = "from fitts3d.cli import main\nassert main(sys.argv[1:]) == 0"
 
@@ -52,8 +48,7 @@ VERBS = {
 
 
 def _child(run, argv, cwd):
-    """(fitts3d modules, dataclasses loaded, numpy loaded, fitts3d modules
-    that finished importing after numpy) after run."""
+    """(fitts3d modules, dataclasses loaded, numpy loaded) after run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run([sys.executable, "-c", _CHILD.format(run=run), *argv],
@@ -90,28 +85,20 @@ def loaded(inputs):
     return get
 
 
-@pytest.mark.parametrize("verb", ["generate", "classify", "report-table",
-                                  "report-json-like", "fit", "compare"])
+@pytest.mark.parametrize("verb", list(VERBS))
 def test_verb_does_not_load_numpy(loaded, verb):
     assert not loaded(verb)[2]
 
 
-def test_stepwise_loads_numpy_last(loaded):
-    # after every fitts3d module, regression among them: compiling a
-    # module with numpy loaded raises the peak RSS
-    modules, _, numpy, after = loaded("stepwise")
-    assert numpy and "fitts3d.regression" in modules and after == []
-
-
 @pytest.mark.parametrize("verb", ["report-table", "report-json-like"])
 def test_report_loads_only_its_modules(loaded, verb):
-    modules, dataclasses, _, _ = loaded(verb)
+    modules, dataclasses, _ = loaded(verb)
     assert modules == REPORT_MODULES
     assert not dataclasses
 
 
 def test_classify_loads_only_its_modules(loaded):
-    modules, dataclasses, _, _ = loaded("classify")
+    modules, dataclasses, _ = loaded("classify")
     assert modules == CLASSIFY_MODULES
     assert not dataclasses
 
@@ -123,7 +110,7 @@ def test_generate_loads_neither_report_nor_regression(loaded):
 
 
 def test_bare_import_loads_no_other_module(tmp_path):
-    assert _child("import fitts3d", [], tmp_path) == (["fitts3d"], False, False, [])
+    assert _child("import fitts3d", [], tmp_path) == (["fitts3d"], False, False)
 
 
 def test_constants_names_load_only_constants(tmp_path):
@@ -133,7 +120,7 @@ def test_constants_names_load_only_constants(tmp_path):
            "assert fitts3d.InteractionKind.POINTING.timeout_s"
            " == fitts3d.POINTING_TIMEOUT_S\n"
            "assert fitts3d.MANIPULATION_TIMEOUT_S")
-    modules, dataclasses, _, _ = _child(run, [], tmp_path)
+    modules, dataclasses, _ = _child(run, [], tmp_path)
     assert modules == ["fitts3d", "fitts3d.constants"]
     assert not dataclasses
 
@@ -143,7 +130,7 @@ def test_first_use_loads_the_owning_module(tmp_path):
     run = ("import fitts3d\n"
            "assert fitts3d.special.f_sf is fitts3d.f_sf\n"
            "assert fitts3d.tasks.TaskSpec is fitts3d.TaskSpec")
-    modules, _, numpy, _ = _child(run, [], tmp_path)
+    modules, _, numpy = _child(run, [], tmp_path)
     assert modules == ["fitts3d", "fitts3d.constants", "fitts3d.errors",
                        "fitts3d.poses", "fitts3d.special", "fitts3d.tasks"]
     assert not numpy

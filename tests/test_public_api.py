@@ -10,7 +10,10 @@ its module on first use; each must resolve to its module's object, and
 a star import must bind every one of them.
 
 Each name has one home: a library module uses every name it imports, so
-no module re-exports another's names.
+no module re-exports another's names, and defines each top-level name
+once, so no later definition silently replaces an earlier one. No
+library module imports numpy: the package needs only the standard
+library.
 """
 
 import ast
@@ -82,6 +85,43 @@ def test_unused_imports_finds_an_unused_name(tmp_path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path) == []
+
+
+def _redefined(path):
+    """The top-level names the module at path defines more than once, by
+    def, class or assignment."""
+    defined = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend(n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return sorted({name for name in defined if defined.count(name) > 1})
+
+
+def test_redefined_finds_a_second_definition(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("A, b = 1, 2\nc: int = 3\nclass A:\n    x = 1\n"
+                    "def f():\n    c = 4\nasync def b():\n    pass\nd[0] = 5\n",
+                    encoding="utf-8")
+    assert _redefined(path) == ["A", "b"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_each_name_once(path):
+    assert _redefined(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -81,6 +81,10 @@ def test_ols_refuses_sums_of_squares_that_overflow():
     (("a", "a"), np.zeros((3, 2)), "column names must be unique"),
     (("a", ""), np.zeros((3, 2)), "column names must be nonempty"),
     (("a",), np.zeros(3), "values must be a 2-d array"),
+    (("a",), np.zeros((3, 1, 1)), "values must be a 2-d array"),
+    (("a",), [1.0, 2.0], "values must be a 2-d array"),
+    (("a",), [[[1.0]], [[2.0]]], "values must be a 2-d array"),
+    (("a", "b"), [[1.0, 2.0], [3.0]], "one name per column required"),
     (("a", "b"), np.zeros((3, 1)), "one name per column required"),
     (("a",), np.array([[1.0], [math.nan], [2.0]]), "entries must be finite"),
     (("a",), np.array([[1.0], [math.inf], [2.0]]), "entries must be finite"),
@@ -93,6 +97,8 @@ def test_design_matrix_validation(names, values, fragment):
 @pytest.mark.parametrize("y,fragment", [
     (np.zeros(4), "one value per design matrix row"),
     (np.zeros((5, 1)), "one value per design matrix row"),
+    (np.float64(1.0), "one value per design matrix row"),
+    ([[1.0]] * 5, "one value per design matrix row"),
     (np.array([1.0, 2.0, math.nan, 3.0, 4.0]), "y must be finite"),
 ])
 def test_ols_rejects_bad_response(y, fragment):
@@ -306,8 +312,8 @@ def _assert_partial_f_near_exact(X, y):
     X's non-constant columns that keep the design full rank, taken in
     order, against each column dropped in turn."""
     kept = []
-    for name, col in zip(X.names, X.values.T):
-        if col.min() == col.max() or len(y) - len(kept) - 2 < 1:
+    for name, col in zip(X.names, zip(*X.values)):
+        if min(col) == max(col) or len(y) - len(kept) - 2 < 1:
             continue
         try:
             exact_fit(X.subset((*kept, name)), y)
@@ -494,9 +500,15 @@ def test_stepwise_skips_candidate_without_residual_df():
     assert report.steps == stepwise(X.subset(["A"]), y).steps
 
 
-@pytest.mark.parametrize("n,value", [(10, 1.0), (3, 0.1)])
+@pytest.mark.parametrize("n,value", [(10, 1.0), (3, 0.1), (0, 1.0)])
 def test_stepwise_degenerate_response(n, value):
     X = _mat(["x"], [np.arange(n, dtype=float)])
+    if not n:  # no rows: ols_fit's refusal
+        for fit in (ols_fit, stepwise):
+            with pytest.raises(InsufficientData,
+                               match="^0 rows cannot identify 1 slopes plus an intercept$"):
+                fit(X, np.full(n, value))
+        return
     report = stepwise(X, np.full(n, value))
     assert report.steps == ()
     assert report.selected == ()
@@ -704,8 +716,8 @@ def test_condition_matrix():
         ModelKind.FITTS, {"intercept": 0.4, "id": 0.3}, Experiment.E1))
     X, y = condition_matrix(table, ("F", "W", "A", "phi"))
     assert X.names == ("F", "W", "A", "sin_phi")
-    assert X.values.shape == (48, 4)
-    assert len(y) == 48
+    assert len(X.values) == 48 and {len(row) for row in X.values} == {4}
+    assert y is table.y and len(y) == 48
     with pytest.raises(ValueError):
         condition_matrix(table, ("A", "A"))
     with pytest.raises(ValueError):
