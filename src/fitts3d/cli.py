@@ -8,10 +8,11 @@ generate writes synth.generate_cell of its flags.
 Each verb imports the modules it runs inside its function, and the
 parser takes its choices from fitts3d.constants, which imports only
 enum. So report loads only cli, errors, constants and report, and
-classify only those three and poses, neither of them dataclasses;
-generate adds tasks, trial_io, synth and the layers it builds on; only
-the verbs that fit (fit, compare, stepwise) import regression. No verb
-loads numpy.
+classify only those three and poses; generate adds tasks, trial_io,
+synth and the layers it builds on; only the verbs that fit (fit,
+compare, stepwise) import regression, and only stepwise the F tail in
+special. Only generate loads dataclasses (synth's grid and truth); the
+other records are plain classes. No verb loads numpy.
 
 main() builds the parser on its first call and reuses it, so a caller
 that runs several verbs in one process pays for argparse once, and a

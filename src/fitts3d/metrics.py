@@ -20,12 +20,10 @@ table of models and the one place to add a model.
 """
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .tasks import TaskSpec
+from .tasks import TaskSpec, _Record
 
 TRANSLATION = "translation"
 ROTATION = "rotation"
@@ -136,12 +134,12 @@ def _one_index(task: TaskSpec, t: float, r: float) -> tuple[float, ...]:
 # One entry per model: regressor names, translational index of a task
 # condition c, rotational base form (adapted by id_rot_adapted), and the
 # regressor values from c and its translational and rotational bits t, r.
-@dataclass(frozen=True)
-class _Model:
-    names: tuple[str, ...]
-    translation: Callable[[TaskSpec], float]
-    rotation: Callable[[float, float], float]
-    values: Callable[[TaskSpec, float, float], tuple[float, ...]] = _one_index
+class _Model(_Record):
+    _fields = ("names", "translation", "rotation", "values")
+
+    def __init__(self, names: tuple[str, ...], translation, rotation,
+                 values=_one_index):
+        self._set(names, translation, rotation, values)
 
 
 _MODELS = {

@@ -17,8 +17,7 @@ symmetry_reduced_delta_deg, translation_ok (the W/2 test) and
 rotation_ok (the omega test). tasks classifies Pose objects with them.
 trial_io builds its Pose tuples from read_pose_columns and reads trial
 logs with this module's _read_lines and _parse_float. This module
-imports only math and errors, so the classify verb loads neither
-dataclasses nor tasks.
+imports only math and errors, so the classify verb loads no tasks.
 """
 
 import math

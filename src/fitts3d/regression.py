@@ -32,7 +32,6 @@ exactly constant candidate.
 """
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import mul, or_, rshift
@@ -42,8 +41,7 @@ from .errors import (DomainError, EmptyCondition, Fitts3dError,
                      InsufficientData, InvalidNesting, RankDeficient)
 from .metrics import (MODEL_ORDER, ModelKind, _sin_deg, predictor_names,
                       predictors_for)
-from .special import f_sf
-from .tasks import check_candidates
+from .tasks import _Record, check_candidates
 from .trial_io import TrialLog, _log_terms
 
 RANK_TOL = 1e-10
@@ -60,29 +58,27 @@ _ENTER_P = 0.05
 _REMOVE_P = 0.10
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(_Record):
     """Named predictor columns for a set of observations. The intercept
     column is implicit and added at fit time. values is given as any 2-d
     sequence of numbers (a numpy array among them: its ndim must be 2)
     and held as a tuple of row tuples of floats."""
 
-    names: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
+    _fields = ("names", "values")
     # (each column's value per condition, the ConditionTable) when
     # condition_matrix built the design: see _conditions
-    _table: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    _table = None
 
-    def __post_init__(self):
-        names = tuple(str(n) for n in self.names)
+    def __init__(self, names: tuple[str, ...],
+                 values: tuple[tuple[float, ...], ...]):
+        names = tuple(str(n) for n in names)
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
         if any(not n for n in names):
             raise ValueError("column names must be nonempty")
         try:
-            values = (tuple(tuple(map(float, row)) for row in self.values)
-                      if getattr(self.values, "ndim", 2) == 2 else None)
+            values = (tuple(tuple(map(float, row)) for row in values)
+                      if getattr(values, "ndim", 2) == 2 else None)
         except TypeError:
             values = None
         if values is None:
@@ -91,8 +87,7 @@ class DesignMatrix:
             raise ValueError("one name per column required")
         if not all(map(math.isfinite, chain.from_iterable(values))):
             raise ValueError("design matrix entries must be finite")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
+        self._set(names, values)
 
     def subset(self, names) -> "DesignMatrix":
         idx = [self.names.index(n) for n in names]
@@ -100,8 +95,7 @@ class DesignMatrix:
                             [[row[i] for i in idx] for row in self.values])
 
 
-@dataclass(frozen=True)
-class ModelFit:
+class ModelFit(_Record):
     """Result of one least-squares fit; it keeps no per-row residuals.
 
     coefficients holds the intercept under the key "intercept" and one
@@ -113,14 +107,15 @@ class ModelFit:
     response, where r^2 is reported as 0 by convention.
     """
 
-    predictor_names: tuple[str, ...]
-    coefficients: dict[str, float]
-    r2: float
-    n: int
-    ss_res: float
-    ss_tot: float
-    degenerate_variance: bool = False
-    dropped: tuple[str, ...] = ()
+    _fields = ("predictor_names", "coefficients", "r2", "n", "ss_res",
+               "ss_tot", "degenerate_variance", "dropped")
+
+    def __init__(self, predictor_names: tuple[str, ...],
+                 coefficients: dict[str, float], r2: float, n: int,
+                 ss_res: float, ss_tot: float, degenerate_variance: bool = False,
+                 dropped: tuple[str, ...] = ()):
+        self._set(predictor_names, coefficients, r2, n, ss_res, ss_tot,
+                  degenerate_variance, dropped)
 
 
 def ols_fit(X: DesignMatrix, y) -> ModelFit:
@@ -409,32 +404,36 @@ def partial_f_test(full: ModelFit, reduced: ModelFit):
             return 0.0, 1.0
         return math.inf, 0.0
     f_stat = num / den
+    from .special import f_sf  # here, so compare and fit, which test no F, skip it
     return f_stat, f_sf(f_stat, extra, df_full)
 
 
-@dataclass(frozen=True)
-class StepwiseStep:
-    action: str  # "enter" or "remove"
-    name: str
-    f_stat: float
-    p_value: float
-    r2: float  # cumulative r^2 after this step
+class StepwiseStep(_Record):
+    """One step of a stepwise selection: action is "enter" or "remove",
+    and r2 is the cumulative r^2 after the step."""
+
+    _fields = ("action", "name", "f_stat", "p_value", "r2")
+
+    def __init__(self, action: str, name: str, f_stat: float, p_value: float,
+                 r2: float):
+        self._set(action, name, f_stat, p_value, r2)
 
 
-@dataclass(frozen=True)
-class StepwiseReport:
+class StepwiseReport(_Record):
     """Trace of a bidirectional stepwise selection.
 
     contributions maps each finally selected variable to the percentage
     of total variance it explained at the step where it (last) entered.
+    hit_round_cap marks a selection stopped at max_rounds, still changing.
     """
 
-    steps: tuple[StepwiseStep, ...]
-    selected: tuple[str, ...]
-    contributions: dict[str, float]
-    r2: float
-    fit: ModelFit
-    hit_round_cap: bool = False  # stopped at max_rounds, still changing
+    _fields = ("steps", "selected", "contributions", "r2", "fit",
+               "hit_round_cap")
+
+    def __init__(self, steps: tuple[StepwiseStep, ...], selected: tuple[str, ...],
+                 contributions: dict[str, float], r2: float, fit: ModelFit,
+                 hit_round_cap: bool = False):
+        self._set(steps, selected, contributions, r2, fit, hit_round_cap)
 
 
 def stepwise(X: DesignMatrix, y) -> StepwiseReport:
@@ -654,17 +653,18 @@ def fit_model(kind: ModelKind, table: ConditionTable) -> ModelFit:
             f"all {kind.value} predictors are constant on this data")
     kept, columns = zip(*keep)
     fit = _fit(kept, columns, table.counts, table.sums, table.squares, table.scale)
-    return replace(fit, dropped=tuple(dropped))
+    return fit._replace(dropped=tuple(dropped))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(_Record):
     """One line of a model comparison: either a fit or the error that
     prevented one."""
 
-    kind: ModelKind
-    fit: ModelFit | None = None
-    error: str | None = None
+    _fields = ("kind", "fit", "error")
+
+    def __init__(self, kind: ModelKind, fit: ModelFit | None = None,
+                 error: str | None = None):
+        self._set(kind, fit, error)
 
 
 def compare_models(table: ConditionTable, kinds=MODEL_ORDER):

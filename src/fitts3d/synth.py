@@ -200,7 +200,7 @@ def generate_trials(grid: ExperimentGrid, truth: GroundTruth,
     """
     interaction = InteractionKind(interaction)
     timeout = interaction.timeout_s
-    tasks = tuple(replace(task, interaction=interaction) for task in grid.variations)
+    tasks = tuple(task._replace(interaction=interaction) for task in grid.variations)
     # plain floats, so the log holds (and writes) Python floats even when
     # the truth holds numpy scalars
     predictions = [float(predict_mt(truth, task)) for task in tasks]

@@ -20,10 +20,14 @@ this module.
 wrap_angle_deg, symmetry_reduced_delta_deg, ROTATION_SYMMETRY_DEG and
 the W/2 and omega tests the classifiers apply live in fitts3d.poses,
 which classifies pose files by column without building a Pose.
+
+_Record, the base of every record here and in trial_io, metrics and
+regression, behaves as a frozen dataclass without importing dataclasses
+(and inspect), which the verbs that fit therefore never load.
 """
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .constants import CONDITION_FIELDS, STEPWISE_CANDIDATES, InteractionKind
 from .poses import rotation_ok, translation_ok, wrap_angle_deg
@@ -31,29 +35,68 @@ from .poses import rotation_ok, translation_ok, wrap_angle_deg
 MIN_MT_S = 0.05
 
 
-@dataclass(frozen=True)
-class Pose:
+class _Record:
+    """An immutable record of the two or more fields named in _fields, in
+    __init__ parameter order; a subclass's __init__ checks its arguments
+    and stores them with _set. Records compare (same class only), hash
+    and repr by their fields (the tuple _values) as a frozen dataclass
+    does, and _replace(**changes) builds a new record through __init__,
+    so its checks run again."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))
+
+    def _set(self, *values):
+        # object.__setattr__ keeps the values inline; filling __dict__
+        # would make each later attribute read several times slower
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values), **changes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Pose(_Record):
     """Position (cm) and per-axis rotation (degrees) of a rigid object.
 
     Rotations are normalised to (-180, 180] on construction.
     """
 
-    position: tuple[float, float, float]
-    rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    _fields = ("position", "rotation")
 
-    def __post_init__(self):
-        pos = tuple(float(v) for v in self.position)
-        rot = tuple(wrap_angle_deg(float(v)) for v in self.rotation)
+    def __init__(self, position: tuple[float, float, float],
+                 rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)):
+        pos = tuple(float(v) for v in position)
+        rot = tuple(wrap_angle_deg(float(v)) for v in rotation)
         if len(pos) != 3 or len(rot) != 3:
             raise ValueError("Pose needs 3 position and 3 rotation components")
         if not all(math.isfinite(v) for v in pos + rot):
             raise ValueError("Pose components must be finite")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "rotation", rot)
+        self._set(pos, rot)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(_Record):
     """One experimental condition.
 
     F : cube side of the manipulated object, cm (> 0)
@@ -65,30 +108,27 @@ class TaskSpec:
     omega : rotational tolerance per axis, degrees (>= 0)
     """
 
-    F: float
-    W: float
-    A: float
-    phi: float = 0.0
-    theta: float = 0.0
-    alpha: float = 0.0
-    omega: float = 0.0
-    interaction: InteractionKind = InteractionKind.POINTING
+    _fields = (*CONDITION_FIELDS, "interaction")
 
-    def __post_init__(self):
-        for name in CONDITION_FIELDS:
-            v = float(getattr(self, name))
+    def __init__(self, F: float, W: float, A: float, phi: float = 0.0,
+                 theta: float = 0.0, alpha: float = 0.0, omega: float = 0.0,
+                 interaction: InteractionKind = InteractionKind.POINTING):
+        values = []
+        for name, v in zip(CONDITION_FIELDS, (F, W, A, phi, theta, alpha, omega)):
+            v = float(v)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        if self.F <= 0 or self.W <= 0:
+            values.append(v)
+        F, W, A, phi, theta, alpha, omega = values
+        if F <= 0 or W <= 0:
             raise ValueError("F and W must be positive")
-        if self.A < 0 or self.alpha < 0 or self.omega < 0:
+        if A < 0 or alpha < 0 or omega < 0:
             raise ValueError("A, alpha and omega must be nonnegative")
-        if not 0.0 <= self.phi < 360.0:
+        if not 0.0 <= phi < 360.0:
             raise ValueError("phi must lie in [0, 360)")
-        if not 0.0 <= self.theta <= 90.0:
+        if not 0.0 <= theta <= 90.0:
             raise ValueError("theta must lie in [0, 90]")
-        object.__setattr__(self, "interaction", InteractionKind(self.interaction))
+        self._set(*values, InteractionKind(interaction))
 
 
 def check_candidates(names) -> tuple:
@@ -107,26 +147,22 @@ def check_candidates(names) -> tuple:
     return names
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(_Record):
     """One observed movement: the condition, the time and the outcome.
 
     Successful trials always finish within the interaction timeout;
     error trials are recorded at the timeout by the synthesizer.
     """
 
-    task: TaskSpec
-    mt: float
-    success: bool
+    _fields = ("task", "mt", "success")
 
-    def __post_init__(self):
-        mt = float(self.mt)
+    def __init__(self, task: TaskSpec, mt: float, success: bool):
+        mt = float(mt)
         if not math.isfinite(mt) or mt <= 0:
             raise ValueError("mt must be positive and finite")
-        if self.success and mt > self.task.interaction.timeout_s:
+        if success and mt > task.interaction.timeout_s:
             raise ValueError("successful trials cannot exceed the timeout")
-        object.__setattr__(self, "mt", mt)
-        object.__setattr__(self, "success", bool(self.success))
+        self._set(task, mt, bool(success))
 
 
 def classify_translation(obj: Pose, target: Pose, W: float) -> bool:

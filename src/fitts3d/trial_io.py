@@ -25,14 +25,13 @@ read_poses builds its Pose tuples from that reader's columns.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
 from .constants import CONDITION_FIELDS, Experiment, InteractionKind
 from .errors import ParseError
 from .poses import _parse_float, _pose_rows, _read_lines, read_pose_columns
-from .tasks import Pose, TaskSpec, Trial
+from .tasks import Pose, TaskSpec, Trial, _Record
 
 # the log column of each of CONDITION_FIELDS, in that order
 _CONDITION_COLUMNS = ("F_cm", "W_cm", "A_cm", "phi_deg", "theta_deg",
@@ -46,8 +45,7 @@ TRIAL_CSV_HEADER = ",".join(TRIAL_COLUMNS)
 _EXPERIMENT_IDS = tuple(e.value for e in Experiment)
 
 
-@dataclass(frozen=True)
-class TrialLog:
+class TrialLog(_Record):
     """A trial log, generated or parsed from a file, held as columns.
 
     tasks has one TaskSpec per condition; read_trials makes one per
@@ -55,17 +53,19 @@ class TrialLog:
     order, so rows written "0.0" and "-0.0" keep distinct specs.
     task_index, mt and success hold one entry per data row: the index of
     its spec in tasks, its movement time and its outcome, so the three
-    must have one length. len() is the number of rows.
+    must have one length, and each index must lie in range(len(tasks)).
+    len() is the number of rows.
     """
 
-    tasks: tuple[TaskSpec, ...]
-    task_index: tuple[int, ...]
-    mt: tuple[float, ...]
-    success: tuple[bool, ...]
+    _fields = ("tasks", "task_index", "mt", "success")
 
-    def __post_init__(self):
-        if not len(self.task_index) == len(self.mt) == len(self.success):
+    def __init__(self, tasks: tuple[TaskSpec, ...], task_index: tuple[int, ...],
+                 mt: tuple[float, ...], success: tuple[bool, ...]):
+        if not len(task_index) == len(mt) == len(success):
             raise ValueError("task_index, mt and success must have one length")
+        if not set(task_index) <= set(range(len(tasks))):  # 4x cheaper than min, max
+            raise ValueError("task_index must index tasks")
+        self._set(tasks, task_index, mt, success)
 
     def __len__(self) -> int:
         return len(self.task_index)

@@ -103,10 +103,10 @@ def test_analysis_verbs_build_no_trial(tmp_path, capsys, monkeypatch, verb):
     # the verbs group the log's columns; no Trial object is built
     path = _log_file(tmp_path)
 
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("a Trial was built")
 
-    monkeypatch.setattr(Trial, "__post_init__", refuse)
+    monkeypatch.setattr(Trial, "__init__", refuse)
     for aggregate in ("true", "false"):
         assert main([verb, str(path), "--aggregate", aggregate]) == 0
     assert capsys.readouterr().err == ""

@@ -3,8 +3,10 @@
 Each verb runs through fitts3d.cli.main in a fresh interpreter, which
 then reports its fitts3d modules, and whether dataclasses and numpy are
 among its modules. report loads only the parser's modules and report,
-and classify only those and poses, neither of them dataclasses. No verb
-loads numpy: the package imports only the standard library.
+and classify only those and poses. The verbs that fit (fit, compare,
+stepwise) load a fixed list of modules, stepwise alone the F tail in
+special. Only generate loads dataclasses. No verb loads numpy: the
+package imports only the standard library.
 """
 
 import json
@@ -33,6 +35,9 @@ REPORT_MODULES = ["fitts3d", "fitts3d.cli", "fitts3d.constants",
                   "fitts3d.errors", "fitts3d.report"]
 CLASSIFY_MODULES = ["fitts3d", "fitts3d.cli", "fitts3d.constants",
                     "fitts3d.errors", "fitts3d.poses"]
+FIT_MODULES = ["fitts3d", "fitts3d.cli", "fitts3d.constants", "fitts3d.errors",
+               "fitts3d.metrics", "fitts3d.poses", "fitts3d.regression",
+               "fitts3d.report", "fitts3d.tasks", "fitts3d.trial_io"]
 
 VERBS = {
     "generate": ["generate", "--experiment", "e1", "--interaction", "pointing",
@@ -103,10 +108,21 @@ def test_classify_loads_only_its_modules(loaded):
     assert not dataclasses
 
 
+@pytest.mark.parametrize("verb", ["fit", "compare", "stepwise"])
+def test_fitting_verb_loads_only_its_modules(loaded, verb):
+    modules, dataclasses, _ = loaded(verb)
+    # partial_f_test imports the F tail when it first runs: only stepwise
+    special = ["fitts3d.special"] if verb == "stepwise" else []
+    assert modules == sorted(FIT_MODULES + special)
+    assert not dataclasses
+
+
 def test_generate_loads_neither_report_nor_regression(loaded):
-    modules = loaded("generate")[0]
+    modules, dataclasses, _ = loaded("generate")
     assert "fitts3d.report" not in modules
     assert "fitts3d.regression" not in modules
+    # synth's ExperimentGrid and GroundTruth are still dataclasses
+    assert dataclasses
 
 
 def test_bare_import_loads_no_other_module(tmp_path):

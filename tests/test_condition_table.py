@@ -9,7 +9,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -78,7 +77,7 @@ def reference_fit(kind, trials, aggregate):
         raise regression.RankDeficient(
             f"all {kind.value} predictors are constant on this data")
     X = DesignMatrix(tuple(names[j] for j in keep), values[:, keep])
-    return replace(ols_fit(X, y), dropped=tuple(dropped))
+    return ols_fit(X, y)._replace(dropped=tuple(dropped))
 
 
 def reference_points(kind, fit, trials, aggregate):

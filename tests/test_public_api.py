@@ -13,7 +13,8 @@ Each name has one home: a library module uses every name it imports, so
 no module re-exports another's names, and defines each top-level name
 once, so no later definition silently replaces an earlier one. No
 library module imports numpy: the package needs only the standard
-library.
+library. Only synth imports dataclasses: the other records are plain
+classes on tasks._Record, so the verbs that fit never load it.
 """
 
 import ast
@@ -121,7 +122,10 @@ def test_module_does_not_import_numpy(path):
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module and not node.level}
-    assert not {name for name in imported if name.split(".")[0] == "numpy"}
+    roots = {name.split(".")[0] for name in imported}
+    assert "numpy" not in roots
+    if path.name != "synth.py":
+        assert "dataclasses" not in roots
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,7 +1,6 @@
 import math
 import time
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -376,12 +375,12 @@ def test_partial_f_perfect_fit():
     f_stat, p = partial_f_test(full, reduced)
     assert f_stat > 1e12 and p < 1e-15  # numerically perfect fit
     # exact zero residual variance takes the infinite-F branch
-    f_stat, p = partial_f_test(replace(full, ss_res=0.0), reduced)
+    f_stat, p = partial_f_test(full._replace(ss_res=0.0), reduced)
     assert math.isinf(f_stat)
     assert p == 0.0
     # both residuals exactly zero: no evidence either way
-    assert partial_f_test(replace(full, ss_res=0.0),
-                          replace(reduced, ss_res=0.0)) == (0.0, 1.0)
+    assert partial_f_test(full._replace(ss_res=0.0),
+                          reduced._replace(ss_res=0.0)) == (0.0, 1.0)
 
 
 def test_partial_f_needs_residual_degrees_of_freedom():
@@ -669,7 +668,7 @@ def test_compare_models_affine_rank_invariance():
     log = generate_trials(build_grid(Experiment.E4), truth,
                           InteractionKind.POINTING)
     rows = compare_models(ConditionTable(log))
-    scaled = replace(log, mt=tuple(1.2 * mt + 0.3 for mt in log.mt))
+    scaled = log._replace(mt=tuple(1.2 * mt + 0.3 for mt in log.mt))
     rows2 = compare_models(ConditionTable(scaled))
     assert [r.kind for r in rows] == [r.kind for r in rows2]
     for a, b in zip(rows, rows2):

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
@@ -156,7 +155,7 @@ def test_stepwise_json_round_trip():
 def test_json_refuses_non_finite_numbers():
     # report rejects Infinity and NaN, so no verb may write them
     sw = _stepwise_report()
-    infinite = replace(sw, steps=(replace(sw.steps[0], f_stat=math.inf),) + sw.steps[1:])
+    infinite = sw._replace(steps=(sw.steps[0]._replace(f_stat=math.inf),) + sw.steps[1:])
     assert " inf " in render_stepwise(infinite, "table")
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_stepwise(infinite, "json-like")
@@ -602,7 +601,7 @@ def test_fit_json_gives_error_rows_when_sums_of_squares_overflow():
 
 def test_fit_json_keeps_the_first_specs_zero_and_null_points():
     first = TaskSpec(F=2.0, W=2.0, A=0.0, phi=-0.0, theta=-0.0)
-    same = replace(first, phi=0.0, theta=0.0)  # one condition with first
+    same = first._replace(phi=0.0, theta=0.0)  # one condition with first
     rows = [(first, 1.0, True), (same, 1.5, False), (same, 1.25, True),
             (TaskSpec(F=2.0, W=5.0, A=6.0, phi=0.0, theta=0.0), 2.0, False),
             (TaskSpec(F=2.0, W=5.0, A=6.0, phi=0.0, theta=0.0), 2.0, True),

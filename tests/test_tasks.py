@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from fitts3d.constants import CONDITION_FIELDS, STEPWISE_CANDIDATES
 
 def test_condition_fields_are_task_spec_field_order():
     # build_grid and read_trials pass a condition's values positionally
-    assert tuple(f.name for f in fields(TaskSpec)) == (*CONDITION_FIELDS, "interaction")
+    assert TaskSpec._fields == (*CONDITION_FIELDS, "interaction")
     assert STEPWISE_CANDIDATES is CONDITION_FIELDS
 
 

@@ -218,6 +218,10 @@ def test_log_columns_must_have_one_length():
     a, b = TaskSpec(F=3.0, W=5.0, A=12.0), TaskSpec(F=3.0, W=5.0, A=24.0)
     with pytest.raises(ValueError, match="must have one length"):
         TrialLog((a, b), (0, 1, 1), (1.0, 2.0), (True, True, True))
+    # each row's index must name one of tasks: -1 would count the row as b
+    for bad in ((0, -1, 1), (0, 2, 1)):
+        with pytest.raises(ValueError, match="task_index must index tasks"):
+            TrialLog((a, b), bad, (1.0, 2.0, 3.0), (True, True, True))
     assert len(TrialLog((a, b), (0, 1, 1), (1.0, 2.0, 3.0), (True, True, False))) == 3
 
 
