@@ -126,12 +126,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stepwise(args) -> int:
-    from .regression import condition_matrix, stepwise
+    from .regression import _table_stepwise
     from .report import render_stepwise
 
     candidates = _parse_candidates(args.candidates)
-    X, y = condition_matrix(_read_table(args), candidates)
-    _emit(args.out, render_stepwise(stepwise(X, y), args.format))
+    report = _table_stepwise(_read_table(args), candidates)
+    _emit(args.out, render_stepwise(report, args.format))
     return 0
 
 

@@ -22,10 +22,11 @@ The analyses (fit_model, compare_models, condition_matrix) read a
 ConditionTable, which groups a TrialLog's columns once into their
 distinct conditions, fixes the response (condition means or successful
 trials, aggregate) and holds its exact per-condition sums; predictors
-are evaluated once per distinct condition. ols_fit and stepwise group a
-DesignMatrix's identical rows instead, so a per-trial design and its
-conditions give the same numbers, bit for bit. stepwise forms one Gram
-of all its candidates and fits each subset on its principal submatrix.
+are evaluated once per distinct condition. fit_model and _table_stepwise
+(the CLI's stepwise) fit from those sums; ols_fit and stepwise group a
+DesignMatrix's identical rows, so a per-trial design and its conditions
+give the same numbers, bit for bit. stepwise forms one Gram of all its
+candidates and fits each subset on its principal submatrix.
 The p-value tie rule is absolute: every p below 1e-12 ties, and the
 earliest such column enters whatever its F. No scan is offered an
 exactly constant candidate.
@@ -65,9 +66,6 @@ class DesignMatrix(_Record):
     and held as a tuple of row tuples of floats."""
 
     _fields = ("names", "values")
-    # (each column's value per condition, the ConditionTable) when
-    # condition_matrix built the design: see _conditions
-    _table = None
 
     def __init__(self, names: tuple[str, ...],
                  values: tuple[tuple[float, ...], ...]):
@@ -129,20 +127,10 @@ def ols_fit(X: DesignMatrix, y) -> ModelFit:
 
 
 def _conditions(X: DesignMatrix, y):
-    """(columns, counts, sums, squares, scale) of X's distinct rows and the
-    response y (see _gram): the table's own when condition_matrix built X
-    from a ConditionTable and y is its response, else by _grouped, y
-    checked by _response first."""
-    if X._table is not None and y is X._table[1].y:
-        columns, table = X._table
-        return columns, table.counts, table.sums, table.squares, table.scale
-    columns, counts, ys = _grouped(X, _response(X, y))
-    return (columns, counts, *_response_sums(counts, ys))
-
-
-def _response(X: DesignMatrix, y):
-    """y as a list of floats, checked to be one finite value per row of X.
-    A numpy y must be 1-d: float() would take each entry of a column."""
+    """(columns, counts, sums, squares, scale) of X's distinct rows in
+    first-seen order (see _gram) and y, which must be one finite value
+    per row of X, else ValueError. A numpy y must be 1-d: float() would
+    take each entry of a column."""
     try:
         ys = list(map(float, y)) if getattr(y, "ndim", 1) == 1 else None
     except TypeError:
@@ -151,19 +139,13 @@ def _response(X: DesignMatrix, y):
         raise ValueError("y must be one value per design matrix row")
     if not all(map(math.isfinite, ys)):
         raise ValueError("y must be finite")
-    return ys
-
-
-def _grouped(X: DesignMatrix, ys):
-    """(columns, counts, ys) of the distinct rows of X, in first-seen
-    order: one tuple per column, holding each distinct row's value, each
-    one's number of rows, and ys listed one distinct row after another."""
     groups = {}
     for row, v in zip(X.values, ys):
         groups.setdefault(row, []).append(v)
     columns = list(zip(*groups)) if groups else [()] * len(X.names)
-    return (columns, list(map(len, groups.values())),
-            list(chain.from_iterable(groups.values())))
+    counts = list(map(len, groups.values()))
+    return (columns, counts,
+            *_response_sums(counts, list(chain.from_iterable(groups.values()))))
 
 
 def _integers(values):
@@ -451,26 +433,31 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     column enters, whatever its F. Stops when a round changes nothing,
     or after 4 * len(X.names) + 8 rounds, which sets hit_round_cap.
 
-    X's identical rows are grouped once and one exact Gram of all its
-    columns is formed; each subset is fitted on its principal submatrix,
-    so every fit is ols_fit's on that subset, bit for bit. When the
-    offered columns together pass the rank rule, every subset of them
-    does (Cauchy interlacing: a principal submatrix's eigenvalues lie
-    within the whole's), so the rule is checked once; otherwise it is
-    checked for each subset.
+    X's identical rows are grouped once (_table_stepwise takes a table's
+    sums instead) and one exact Gram of all its columns is formed; each
+    subset is fitted on its principal submatrix, so every fit is
+    ols_fit's on that subset, bit for bit. When the offered columns
+    together pass the rank rule, every subset of them does (Cauchy
+    interlacing: a principal submatrix's eigenvalues lie within the
+    whole's), so the rule is checked once; otherwise it is checked for
+    each subset.
 
     Raises ols_fit's ValueError unless y is one finite value per row of
     X, its InsufficientData for a design with no rows, and its
     DomainError when a result is too large for a float.
     """
-    columns, counts, sums, squares, scale = _conditions(X, y)
+    return _stepwise(X.names, *_conditions(X, y))
+
+
+def _stepwise(names, columns, counts, sums, squares, scale) -> StepwiseReport:
+    """stepwise on the named columns' distinct rows and sums (_gram)."""
     if not counts:
         raise InsufficientData(
-            f"0 rows cannot identify {len(X.names)} slopes plus an intercept")
+            f"0 rows cannot identify {len(names)} slopes plus an intercept")
     gram, scales = _gram(columns, counts, sums, squares)
-    index = {name: j for j, name in enumerate(X.names, start=1)}
+    index = {name: j for j, name in enumerate(names, start=1)}
     # an exactly constant column is a multiple of the intercept: never offered
-    offered = [name for name, col in zip(X.names, columns) if min(col) != max(col)]
+    offered = [name for name, col in zip(names, columns) if min(col) != max(col)]
     each_subset = not _full_rank(gram, scales, [0, *map(index.get, offered)])
     fits = {}
 
@@ -490,7 +477,7 @@ def stepwise(X: DesignMatrix, y) -> StepwiseReport:
     current = intercept_only
     steps: list[StepwiseStep] = []
     entry_gain: dict[str, tuple[float, float]] = {}
-    max_rounds = 4 * len(X.names) + 8  # guards against enter/remove cycles
+    max_rounds = 4 * len(names) + 8  # guards against enter/remove cycles
 
     for _ in range(max_rounds):
         changed = False
@@ -685,13 +672,21 @@ def compare_models(table: ConditionTable, kinds=MODEL_ORDER):
 def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
     """Design matrix of raw task variables plus the response vector of
     a ConditionTable, for stepwise selection, one row per response row.
-    The response is table.y itself, which stepwise and ols_fit fit from
-    the table's exact sums.
+    The response is table.y itself. `fitts3d stepwise` fits the same
+    numbers, bit for bit, from the table's sums (_table_stepwise).
 
     Candidates come from {F, W, A, phi, theta, alpha, omega}, checked by
     tasks.check_candidates; phi is encoded as sin(phi) under the column
     name "sin_phi".
     """
+    X = _condition_design(table, candidates)
+    # checked once per condition, then one row per response row
+    object.__setattr__(X, "values", tuple(map(X.values.__getitem__, table.rows)))
+    return X, table.y
+
+
+def _condition_design(table: ConditionTable, candidates) -> DesignMatrix:
+    """condition_matrix's design, one row per condition of table.tasks."""
     cols, names = [], []
     for cand in check_candidates(candidates):
         if cand == "phi":
@@ -700,9 +695,12 @@ def condition_matrix(table: ConditionTable, candidates=STEPWISE_CANDIDATES):
         else:
             names.append(cand)
             cols.append([float(getattr(t, cand)) for t in table.tasks])
-    # checked once per condition, then one row per response row
-    X = DesignMatrix(tuple(names), tuple(zip(*cols)))
-    conditions = X.values
-    object.__setattr__(X, "values", tuple(map(conditions.__getitem__, table.rows)))
-    object.__setattr__(X, "_table", (tuple(zip(*conditions)), table))
-    return X, table.y
+    return DesignMatrix(tuple(names), tuple(zip(*cols)))
+
+
+def _table_stepwise(table: ConditionTable, candidates) -> StepwiseReport:
+    """stepwise(*condition_matrix(table, candidates)), bit for bit, from
+    the table's exact per-condition sums, no row expanded or grouped."""
+    X = _condition_design(table, candidates)
+    return _stepwise(X.names, list(zip(*X.values)), table.counts, table.sums,
+                     table.squares, table.scale)

@@ -134,6 +134,8 @@ class TaskSpec(_Record):
 def check_candidates(names) -> tuple:
     """names as a tuple; raises ValueError unless they are nonempty,
     distinct and each one of STEPWISE_CANDIDATES."""
+    if isinstance(names, str):  # not its characters
+        raise ValueError("candidates are a sequence of names, not one string")
     names = tuple(names)
     if not names:
         raise ValueError("no candidate variables given")

@@ -723,6 +723,10 @@ def test_condition_matrix():
         condition_matrix(table, ("A", "bogus"))
     with pytest.raises(ValueError):
         condition_matrix(table, ())
+    # one string is not a sequence of names, whatever its characters
+    for one in ("AW", "phi"):
+        with pytest.raises(ValueError, match="sequence of names"):
+            condition_matrix(table, one)
 
 
 # ---- wide exponents ----------------------------------------------------------

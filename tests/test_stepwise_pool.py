@@ -1,12 +1,13 @@
 """Stepwise selection fitted from one exact Gram, against the per-row oracle.
 
-stepwise groups its design's identical rows once (or, for
-condition_matrix's design and response, takes the table's exact sums),
-forms one exact Gram of all its candidates and fits each subset on its
-principal submatrix. reference_stepwise (tests/stepwise_oracle.py) fits
-every candidate with ols_fit on the rows. Both are exact least squares
-rounded once, so their reports, and the reprs of their reports, must be
-equal, and each step's r2 is float() of tests/exact_oracle.py's.
+stepwise groups its design's identical rows once, forms one exact Gram
+of all its candidates and fits each subset on its principal submatrix.
+regression._table_stepwise, which `fitts3d stepwise` calls, makes the
+same selection from a ConditionTable's exact per-condition sums, with no
+row expanded or grouped. reference_stepwise (tests/stepwise_oracle.py)
+fits every candidate with ols_fit on the rows. All are exact least
+squares rounded once, so their reports, and the reprs of their reports,
+must be equal, and each step's r2 is float() of tests/exact_oracle.py's.
 """
 
 import csv
@@ -83,10 +84,24 @@ def _expand(names, values, conditions):
 
 
 @lru_cache(maxsize=None)
-def _published(experiment, interaction, seed=0):
+def _published_table(experiment, interaction):
+    """The per-trial ConditionTable of one published-scale cell."""
+    log = cell_log(experiment, interaction, PUBLISHED_REPS[experiment])
+    return ConditionTable(log, aggregate=False)
+
+
+def _published(experiment, interaction):
     """(X, y) of one published-scale cell, per trial."""
-    log = cell_log(experiment, interaction, PUBLISHED_REPS[experiment], seed)
-    return condition_matrix(ConditionTable(log, aggregate=False))
+    return condition_matrix(_published_table(experiment, interaction))
+
+
+def _table_sums(table, candidates=STEPWISE_CANDIDATES):
+    """(names, columns, counts, sums, squares, scale) of the candidates'
+    values on each condition of table and the table's exact sums, as
+    _table_stepwise fits them."""
+    X = regression._condition_design(table, candidates)
+    return (X.names, list(zip(*X.values)), table.counts, table.sums,
+            table.squares, table.scale)
 
 
 def _ending(fit, names):
@@ -318,13 +333,15 @@ def test_stepwise_matches_the_oracle_on_paper_logs(tmp_path, capsys, experiment,
 @pytest.mark.parametrize("experiment,interaction", CELLS)
 def test_published_cells_fit_from_the_tables_sums(experiment, interaction,
                                                   candidates):
-    table = ConditionTable(cell_log(experiment, interaction, PUBLISHED_REPS[experiment]),
-                           aggregate=False)
+    table = _published_table(experiment, interaction)
     X, y = condition_matrix(table, candidates)
     # fewer distinct design rows than conditions: the rows merge them
     assert len(set(X.values)) < len(table.tasks)
-    hand_built = DesignMatrix(X.names, X.values)  # grouped by its rows
-    assert stepwise(X, y) == stepwise(hand_built, y)
+    # one row per condition with the table's sums selects as the
+    # grouped rows do
+    from_table = regression._stepwise(*_table_sums(table, candidates))
+    from_rows = stepwise(X, y)
+    assert from_table == from_rows and repr(from_table) == repr(from_rows)
     _assert_matches_oracle(X, y)
 
 
@@ -352,7 +369,8 @@ def test_y_of_the_wrong_length_or_shape_raises_before_grouping(monkeypatch, grou
     X, y = _published("e1", InteractionKind.POINTING)
     if not grouped:  # the same rows, hand-built
         X = DesignMatrix(X.names, X.values)
-    monkeypatch.setattr(regression, "_grouped", None)  # never reached
+    # the response is checked before the rows are grouped and summed
+    monkeypatch.setattr(regression, "_response_sums", None)  # never reached
     message = "y must be one value per design matrix row"
     ys = np.array(y)
     for bad in (y[:-1], ys[:-1], np.append(ys, 1.0), ys[:, None], ys[:1, None],
@@ -367,15 +385,16 @@ def test_y_of_the_wrong_length_or_shape_raises_before_grouping(monkeypatch, grou
 
 
 def test_published_log_forms_one_gram(monkeypatch):
-    X, y = _published("e4", InteractionKind.MANIPULATION)
+    table = _published_table("e4", InteractionKind.MANIPULATION)
     grams = _counting(monkeypatch, "_gram")
-    groupings = _counting(monkeypatch, "_grouped")
+    groupings = _counting(monkeypatch, "_conditions")
     checks = _counting(monkeypatch, "_full_rank")
-    report = stepwise(X, y)
+    report = regression._table_stepwise(table, STEPWISE_CANDIDATES)
     # the table's sums, one Gram of every candidate and one rank check
     assert (len(grams), len(groupings), len(checks)) == (1, 0, 1)
     monkeypatch.undo()
-    assert report == reference_stepwise(X, y)
+    expected = reference_stepwise(*condition_matrix(table))
+    assert report == expected and repr(report) == repr(expected)
 
 
 @pytest.mark.parametrize("big", ["1e308", "1.5e308"])
@@ -423,11 +442,16 @@ def _replicated(draw):
 def _gram_fits(X, y):
     """The fit of each subset of X's columns from one Gram, as stepwise
     makes it, by the names of the subset."""
-    columns, counts, sums, squares, scale = regression._conditions(X, y)
+    return _sums_fits(X.names, *regression._conditions(X, y))
+
+
+def _sums_fits(names, columns, counts, sums, squares, scale):
+    """_gram_fits of the named columns' distinct rows and sums (see
+    regression._gram)."""
     gram, scales = regression._gram(columns, counts, sums, squares)
-    index = {name: j for j, name in enumerate(X.names, start=1)}
-    return lambda names: regression._solve(gram, scales, scale, tuple(names),
-                                           [index[n] for n in names])
+    index = {name: j for j, name in enumerate(names, start=1)}
+    return lambda subset: regression._solve(gram, scales, scale, tuple(subset),
+                                            [index[n] for n in subset])
 
 
 @settings(max_examples=200, deadline=None)
@@ -455,23 +479,15 @@ def test_one_gram_fits_each_subset_as_ols_fit_does(design):
                     name: float(v) for name, v in coefficients.items()}
 
 
-def test_the_tables_sums_serve_only_its_response(monkeypatch):
-    log = cell_log("e4", "manipulation", PUBLISHED_REPS["e4"])
-    table = ConditionTable(log, aggregate=False)
-    X, y = condition_matrix(table)
-    columns, *sums = regression._conditions(X, y)
-    assert sums == [table.counts, table.sums, table.squares, table.scale]
-    assert len(columns[0]) == len(table.tasks) == 64
-    # another response, or the same rows hand-built, are grouped by rows
-    hand_built = DesignMatrix(X.names, X.values)
-    groupings = _counting(monkeypatch, "_grouped")
-    doubled = tuple(2.0 * v for v in y)
-    # an equal response that is not the table's own is grouped by rows too
-    for design, response in ((X, doubled), (X, list(y)), (hand_built, y)):
-        columns, counts, *_ = regression._conditions(design, response)
-        assert sum(counts) == len(y) and len(counts) == len(table.tasks)
-    assert len(groupings) == 3
-    assert stepwise(X, doubled) == stepwise(hand_built, doubled)
+def test_the_tables_sums_serve_only_its_response():
+    # on every published cell the table's sums select as its response's
+    # rows, grouped, do
+    for cell in CELLS:
+        table = _published_table(*cell)
+        for candidates in (STEPWISE_CANDIDATES, ("W", "A"), ("phi", "theta")):
+            report = regression._table_stepwise(table, candidates)
+            expected = stepwise(*condition_matrix(table, candidates))
+            assert report == expected and repr(report) == repr(expected), cell
 
 
 def _near_rank_design(ratio):
@@ -526,8 +542,8 @@ def test_one_gram_fits_every_subset_of_the_published_cells():
     subsets = 0
     for cell in CELLS:
         X, y = _published(*cell)
-        from_rows = _gram_fits(DesignMatrix(X.names, X.values), y)
-        from_table = _gram_fits(X, y)
+        from_rows = _gram_fits(X, y)
+        from_table = _sums_fits(*_table_sums(_published_table(*cell)))
         for r in range(len(X.names) + 1):
             for names in itertools.combinations(X.names, r):
                 ends = (_ending(from_table, names), _ending(from_rows, names))
